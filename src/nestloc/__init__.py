@@ -31,7 +31,6 @@ from .integrals import (
     WeightSpec,
     chern_series,
     consistency_run,
-    default_battery,
     euler_class,
     hrr_chi,
     insertion_basis,
@@ -41,7 +40,6 @@ from .integrals import (
     integrate_virtual_batch,
     k_theory_chi_sum,
     sample_specs,
-    sampled_consistency,
     twist_battery,
 )
 from .chern import (
@@ -49,7 +47,6 @@ from .chern import (
     FormalBundle,
     FormalRing,
     generic_bundle,
-    jumping_locus_class,
     proj_pushforward,
     segre,
     thom_porteous,

@@ -49,13 +49,6 @@ class FormalRing:
             return self.zero()
         return Element(self, {degree: {((idx, 1),): Fraction(1)}})
 
-    def generator(self, name: str) -> "Element":
-        idx = self._index[name]
-        degree = self._degrees[idx]
-        if degree > self.truncation:
-            return self.zero()
-        return Element(self, {degree: {((idx, 1),): Fraction(1)}})
-
     def zero(self) -> "Element":
         return Element(self, {})
 
@@ -71,20 +64,14 @@ class FormalRing:
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(self._degrees[i] * e for i, e in mono)
 
-    def monomial_text(self, mono: Monomial, latex: bool = False) -> str:
+    def monomial_text(self, mono: Monomial) -> str:
         if not mono:
             return "1"
         pieces = []
         for idx, exp in mono:
             name = self._names[idx]
-            if exp == 1:
-                pieces.append(name)
-            elif latex:
-                pieces.append(f"{name}^{{{exp}}}")
-            else:
-                pieces.append(f"{name}^{exp}")
-        sep = " " if latex else "*"
-        return sep.join(pieces)
+            pieces.append(name if exp == 1 else f"{name}^{exp}")
+        return "*".join(pieces)
 
 
 class Element:
@@ -233,14 +220,14 @@ class Element:
 
     # -- printing ------------------------------------------------------------
 
-    def to_text(self, latex: bool = False) -> str:
+    def to_text(self) -> str:
         if not self.table:
             return "0"
         chunks = []
         for degree in sorted(self.table):
             for mono in sorted(self.table[degree]):
                 coeff = self.table[degree][mono]
-                body = self.ring.monomial_text(mono, latex=latex)
+                body = self.ring.monomial_text(mono)
                 if body == "1":
                     chunks.append(str(coeff))
                 elif coeff == 1:
@@ -248,8 +235,7 @@ class Element:
                 elif coeff == -1:
                     chunks.append(f"-{body}")
                 else:
-                    sep = " " if latex else "*"
-                    chunks.append(f"{coeff}{sep}{body}")
+                    chunks.append(f"{coeff}*{body}")
         out = " + ".join(chunks)
         return out.replace("+ -", "- ")
 
@@ -371,15 +357,6 @@ def _determinant(matrix: list[list[Element]], ring: FormalRing) -> Element:
         term = entry * _determinant(minor, ring)
         out = out + term if j % 2 == 0 else out - term
     return out
-
-
-def jumping_locus_class(a: int, b: int, shifted: Union[FormalBundle, Element]) -> Element:
-    """Class of the maximal jumping locus: Delta^a_b of the shifted direct image.
-
-    `shifted` is the class of Rf_* F[i+1]; build it with whitney_difference
-    (the shift negates the K-theory class) and pass it here.
-    """
-    return thom_porteous(a, b, shifted)
 
 
 def twist_by_line(f: FormalBundle, m: Element, k: int) -> Element:

@@ -8,6 +8,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -24,10 +25,11 @@ from .harness import (
     run_scenario,
     validate_scenario,
 )
+from .toric import SURFACES
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surface", choices=("p2", "p1xp1"), default="p2")
+    parser.add_argument("--surface", choices=tuple(SURFACES), default="p2")
     parser.add_argument("--n", default="", help="comma-separated sizes, e.g. 2,1")
     parser.add_argument("--i", default="1", help="vanishing index: int, comma list, or a..b")
     parser.add_argument("--bundles", default="", help="comma-separated twist labels")
@@ -45,7 +47,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="S1,S2",
-        help="explicit weight spec (repeatable); disables sampling and resampling",
+        help="explicit weight spec (repeatable); disables sampling",
     )
     parser.add_argument(
         "--stable",
@@ -83,7 +85,8 @@ def _scenario_from_args(kind: str, args: argparse.Namespace) -> Scenario:
             surface=args.surface,
             sizes=_parse_sizes(args.n),
             i_values=_parse_i_values(args.i),
-            bundles=tuple(b for b in args.bundles.split(",") if b),
+            # labels such as O(1,0) hold commas: split only outside parentheses
+            bundles=tuple(b for b in re.split(r",(?![^()]*\))", args.bundles) if b),
             samples=args.samples,
             seed=args.seed,
             truncation=args.truncation,

@@ -38,12 +38,6 @@ class NonGenericSpecError(MathError):
     name = "NonGenericSpec"
 
 
-class NonGenericSpecExhausted(MathError):
-    """Resampling failed to find a generic spec within the retry budget."""
-
-    name = "NonGenericSpecExhausted"
-
-
 class DegreeMismatchError(MathError):
     """Integrand degree does not match the (virtual) dimension."""
 

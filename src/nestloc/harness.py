@@ -13,12 +13,14 @@ with a named diagnostic, and the CLI maps any failed case to exit code 1.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from . import __version__
 from .characters import LaurentPoly
@@ -51,27 +53,13 @@ from .integrals import (
     integrate_virtual_batch,
     k_theory_chi_sum,
     sample_specs,
-    twist_battery,
 )
-from .toric import bundle_by_label, line_bundle, surface_by_name
+from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle, surface_by_name
 from .vertex import co_class, vertex_V
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 3
 DEFAULT_TRUNCATION = 8
-
-SCENARIO_KINDS = (
-    "vanish",
-    "twisted-vanish",
-    "pushforward",
-    "kstep",
-    "symbolic-tp",
-    "euler-count",
-    "hrr-check",
-    "serre-duality",
-)
-
-_SIZED_KINDS = ("vanish", "twisted-vanish", "pushforward", "kstep", "euler-count")
 
 
 @dataclass(frozen=True)
@@ -92,23 +80,25 @@ class Scenario:
 
 def validate_scenario(s: Scenario) -> Scenario:
     if s.kind not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario kind {s.kind!r}; choose from {SCENARIO_KINDS}")
-    if s.surface not in ("p2", "p1xp1"):
+        raise ConfigError(f"unknown scenario kind {s.kind!r}; choose from {tuple(SCENARIO_KINDS)}")
+    if s.surface not in SURFACES:
         raise ConfigError(f"unknown surface {s.surface!r}")
     if s.samples < 1:
         raise ConfigError("samples must be >= 1")
     if s.truncation < 1:
         raise ConfigError("truncation must be >= 1")
-    if s.kind in _SIZED_KINDS:
+    kind = SCENARIO_KINDS[s.kind]
+    if kind.sizes:
+        fewest, most, rule = kind.sizes
         if not s.sizes:
             raise ConfigError(f"scenario {s.kind!r} needs sizes (--n)")
         if any(n < 0 for n in s.sizes):
             raise ConfigError(f"sizes must be nonnegative, got {s.sizes}")
         if any(a < b for a, b in zip(s.sizes, s.sizes[1:])):
             raise ConfigError(f"sizes must weakly decrease, got {s.sizes}")
-    if s.kind in ("vanish", "twisted-vanish"):
-        if len(s.sizes) != 2:
-            raise ConfigError(f"{s.kind} needs exactly two sizes")
+        if not fewest <= len(s.sizes) <= most:
+            raise ConfigError(f"{s.kind} {rule}")
+    if kind.vanishing:
         if not s.i_values:
             raise ConfigError(f"{s.kind} needs at least one i value")
         for i in s.i_values:
@@ -116,12 +106,11 @@ def validate_scenario(s: Scenario) -> Scenario:
                 raise ConfigError("vanishing index i must be >= 1")
             if sum(s.sizes) - i < 0:
                 raise ConfigError(f"i={i} exceeds n1+n2={sum(s.sizes)}")
-    if s.kind == "pushforward" and len(s.sizes) != 2:
-        raise ConfigError("pushforward needs exactly two sizes")
-    if s.kind == "kstep" and len(s.sizes) < 2:
-        raise ConfigError("kstep needs at least two sizes")
-    if s.kind == "euler-count" and len(s.sizes) != 1:
-        raise ConfigError("euler-count takes a single size")
+    for label in s.bundles:
+        try:
+            bundle_by_label(surface_by_name(s.surface), label)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     for text in s.specs:
         _parse_spec_text(text)
     if s.insertions != "auto" and not s.insertions.startswith("file:"):
@@ -138,16 +127,16 @@ def _parse_spec_text(text: str) -> WeightSpec:
 
 
 def scenario_specs(s: Scenario) -> tuple[WeightSpec, ...]:
-    """Explicit specs if given (no resampling), else seeded generic samples."""
+    """Explicit specs if given, else seeded generic samples."""
     if s.specs:
         return tuple(_parse_spec_text(t) for t in s.specs)
     return sample_specs(s.seed, s.samples)
 
 
-def _load_insertions(s: Scenario, degree: int, battery=None) -> tuple[Insertion, ...]:
+def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
     surface = surface_by_name(s.surface)
     if s.insertions == "auto":
-        return insertion_basis(surface, s.sizes, degree, battery=battery)
+        return insertion_basis(surface, s.sizes, degree)
     path = s.insertions[len("file:") :]
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -163,6 +152,8 @@ def _load_insertions(s: Scenario, degree: int, battery=None) -> tuple[Insertion,
                 TautFactor(int(f["factor"]) - 1, str(f["bundle"]), int(f["degree"]))
                 for f in monomial
             )
+            for f in factors:
+                bundle_by_label(surface, f.bundle)
             out.append(Insertion(factors))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
@@ -194,26 +185,16 @@ def arm_leg_tangent(lam) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def section_character(surface_name: str, degrees: tuple[int, ...]) -> LaurentPoly:
+def section_character(surface: ToricSurface, degrees: tuple[int, ...]) -> LaurentPoly:
     """Character of H^0 of an effective built-in bundle by lattice-point count.
 
     Monomial sections of O(d) on P^2 (resp. O(a,b)) carry weight
     (-beta, -gamma) over the exponent polytope; this is the independent
     route against the K-theoretic localization sum.
     """
-    if surface_name == "p2":
-        (d,) = degrees
-        if d < 0:
-            raise ValueError("section character needs d >= 0")
-        return LaurentPoly(
-            {(-b, -c): 1 for b in range(d + 1) for c in range(d + 1 - b)}
-        )
-    if surface_name == "p1xp1":
-        a, b = degrees
-        if a < 0 or b < 0:
-            raise ValueError("section character needs a, b >= 0")
-        return LaurentPoly({(-i, -j): 1 for i in range(a + 1) for j in range(b + 1)})
-    raise ValueError(f"unknown surface {surface_name!r}")
+    if any(d < 0 for d in degrees):
+        raise ValueError(f"section character needs nonnegative degrees, got {degrees}")
+    return LaurentPoly({weight: 1 for weight in surface.sections(*degrees)})
 
 
 def splitting_twist_oracle(r: int, k: int) -> bool:
@@ -262,62 +243,16 @@ def _error_case(inputs: dict, exc: MathError) -> dict:
     return _case(inputs, [], False, diagnostic=f"{exc.name}: {exc}")
 
 
-def _groups(s: Scenario) -> list[dict]:
-    """Deterministic work units; each yields a list of cases."""
-    if s.kind == "vanish":
-        return [{"i": i, "bundle": "O"} for i in s.i_values]
-    if s.kind == "twisted-vanish":
-        surface = surface_by_name(s.surface)
-        bundles = s.bundles or twist_battery(surface)
-        return [{"i": i, "bundle": b} for b in bundles for i in s.i_values]
-    if s.kind == "hrr-check":
-        if s.surface == "p2":
-            return [{"degrees": (d,)} for d in range(4)]
-        return [{"degrees": (a, b)} for a in range(3) for b in range(3)]
-    if s.kind == "symbolic-tp":
-        return [
-            {"part": "delta-column"},
-            {"part": "delta-zero"},
-            {"part": "higher-tp"},
-            {"part": "twist-oracle"},
-            {"part": "segre"},
-        ]
-    if s.kind == "serre-duality":
-        return [
-            {"part": "serre"},
-            {"part": "rank-law"},
-            {"part": "arm-leg"},
-            {"part": "effectivity"},
-        ]
-    return [{}]
-
-
 def _run_group(s: Scenario, group: dict) -> list[dict]:
     started = time.perf_counter()
     try:
-        cases = _dispatch_group(s, group)
+        cases = SCENARIO_KINDS[s.kind].cases(s, **group)
     except MathError as exc:
         cases = [_error_case(dict(group), exc)]
     elapsed = int((time.perf_counter() - started) * 1000)
     for case in cases:
         case.setdefault("elapsed_ms", elapsed // max(len(cases), 1))
     return cases
-
-
-def _dispatch_group(s: Scenario, group: dict) -> list[dict]:
-    if s.kind in ("vanish", "twisted-vanish"):
-        return _vanish_cases(s, group["i"], group["bundle"])
-    if s.kind in ("pushforward", "kstep"):
-        return _pushforward_cases(s)
-    if s.kind == "euler-count":
-        return _euler_count_cases(s)
-    if s.kind == "hrr-check":
-        return _hrr_cases(s, group["degrees"])
-    if s.kind == "symbolic-tp":
-        return _symbolic_cases(s, group["part"])
-    if s.kind == "serre-duality":
-        return _vertex_suite_cases(s, group["part"])
-    raise ConfigError(f"unknown scenario kind {s.kind!r}")
 
 
 def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
@@ -399,12 +334,7 @@ def _euler_count_cases(s: Scenario) -> list[dict]:
 def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
     surface = surface_by_name(s.surface)
     bundle = line_bundle(surface, *degrees)
-    if s.surface == "p2":
-        (d,) = degrees
-        expected = Fraction((d + 1) * (d + 2), 2)
-    else:
-        a, b = degrees
-        expected = Fraction((a + 1) * (b + 1))
+    expected = surface.chi(*degrees)
     specs = scenario_specs(s)
     samples = []
     ok = True
@@ -414,7 +344,7 @@ def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
         ok = ok and value == expected
 
     # independent K-theoretic route: localization sum vs direct H^0 character
-    charpoly = section_character(s.surface, degrees)
+    charpoly = section_character(surface, degrees)
     rng = random.Random(s.seed)
     character_ok = True
     checked = 0
@@ -559,13 +489,76 @@ def _vertex_suite_cases(s: Scenario, part: str) -> list[dict]:
 
 
 # --------------------------------------------------------------------------
+# scenario kinds
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScenarioKind:
+    """How one scenario kind splits into work groups, runs them, and what
+    its sizes and report parameters are."""
+
+    #: deterministic work units of a scenario; each yields a list of cases
+    groups: Callable[[Scenario], list[dict]]
+    #: runs one group as cases(scenario, **group)
+    cases: Callable[..., list[dict]]
+    #: (fewest, most, rule) for the number of sizes; None if the kind takes none
+    sizes: tuple[int, float, str] | None = None
+    #: takes vanishing indices i (validated and echoed)
+    vanishing: bool = False
+    #: echoes the number of nested chains (kinds with a virtual side)
+    chains: bool = False
+
+
+def _single_group(s: Scenario) -> list[dict]:
+    return [{}]
+
+
+def _twist_groups(s: Scenario) -> list[dict]:
+    bundles = s.bundles or surface_by_name(s.surface).twists
+    return [{"i": i, "bundle": b} for b in bundles for i in s.i_values]
+
+
+def _parts(*parts: str) -> Callable[[Scenario], list[dict]]:
+    return lambda s: [{"part": part} for part in parts]
+
+
+_TWO_SIZES = (2, 2, "needs exactly two sizes")
+
+SCENARIO_KINDS = {
+    "vanish": ScenarioKind(
+        lambda s: [{"i": i, "bundle": "O"} for i in s.i_values],
+        _vanish_cases,
+        _TWO_SIZES,
+        vanishing=True,
+    ),
+    "twisted-vanish": ScenarioKind(_twist_groups, _vanish_cases, _TWO_SIZES, vanishing=True),
+    "pushforward": ScenarioKind(_single_group, _pushforward_cases, _TWO_SIZES, chains=True),
+    "kstep": ScenarioKind(
+        _single_group, _pushforward_cases, (2, math.inf, "needs at least two sizes"), chains=True
+    ),
+    "symbolic-tp": ScenarioKind(
+        _parts("delta-column", "delta-zero", "higher-tp", "twist-oracle", "segre"), _symbolic_cases
+    ),
+    "euler-count": ScenarioKind(_single_group, _euler_count_cases, (1, 1, "takes a single size")),
+    "hrr-check": ScenarioKind(
+        lambda s: [{"degrees": d} for d in surface_by_name(s.surface).hrr_degrees], _hrr_cases
+    ),
+    "serre-duality": ScenarioKind(
+        _parts("serre", "rank-law", "arm-leg", "effectivity"), _vertex_suite_cases
+    ),
+}
+
+
+# --------------------------------------------------------------------------
 # runner / reports
 # --------------------------------------------------------------------------
 
 
 def _params_echo(s: Scenario) -> dict:
+    kind = SCENARIO_KINDS[s.kind]
     out = {"surface": s.surface, "n": list(s.sizes)}
-    if s.kind in ("vanish", "twisted-vanish"):
+    if kind.vanishing:
         out["i"] = list(s.i_values)
     if s.bundles:
         out["bundles"] = list(s.bundles)
@@ -574,10 +567,10 @@ def _params_echo(s: Scenario) -> dict:
     out["insertions"] = s.insertions
     if s.specs:
         out["specs"] = list(s.specs)
-    if s.kind in _SIZED_KINDS and s.sizes:
+    if kind.sizes:
         surface = surface_by_name(s.surface)
         out["fixed_points"] = [len(multipartitions(surface, n)) for n in s.sizes]
-        if s.kind in ("pushforward", "kstep"):
+        if kind.chains:
             out["chains"] = len(nested_chains(surface, s.sizes))
     return out
 
@@ -591,11 +584,14 @@ def _group_worker(payload):
 def run_scenario(s: Scenario, jobs: int = 1) -> dict:
     """Execute all cases; deterministic given (scenario, seed, version)."""
     s = validate_scenario(s)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
-    groups = _groups(s)
+    groups = SCENARIO_KINDS[s.kind].groups(s)
     if jobs > 1 and len(groups) > 1:
         payloads = [(asdict(s), g) for g in groups]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts every worker it may use on the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             results = list(pool.map(_group_worker, payloads))
     else:
         results = [_run_group(s, g) for g in groups]
@@ -707,10 +703,8 @@ def parse_config(path: str) -> list[Scenario]:
 def default_battery_scenarios(seed: int = DEFAULT_SEED) -> list[Scenario]:
     """The `all` subcommand's curated battery (small sizes, fast)."""
     return [
-        Scenario(kind="hrr-check", surface="p2", seed=seed),
-        Scenario(kind="hrr-check", surface="p1xp1", seed=seed),
-        Scenario(kind="euler-count", surface="p2", sizes=(2,), seed=seed),
-        Scenario(kind="euler-count", surface="p1xp1", sizes=(2,), seed=seed),
+        *(Scenario(kind="hrr-check", surface=name, seed=seed) for name in SURFACES),
+        *(Scenario(kind="euler-count", surface=name, sizes=(2,), seed=seed) for name in SURFACES),
         Scenario(kind="serre-duality", surface="p2", seed=seed),
         Scenario(kind="symbolic-tp", seed=seed),
         Scenario(kind="vanish", surface="p2", sizes=(2, 1), i_values=(1, 2), seed=seed),

@@ -22,7 +22,6 @@ from .combinatorics import MultiPartition, multipartitions, nested_chains
 from .errors import (
     DegreeMismatchError,
     NonGenericSpecError,
-    NonGenericSpecExhausted,
     SpecDependenceError,
     ZeroWeightError,
 )
@@ -93,7 +92,7 @@ def euler_class(char: Union[GlobalCharacter, LaurentPoly], spec: WeightSpec) -> 
 
     Raises ZeroWeightError when the zero exponent has nonzero net
     multiplicity (non-isolated virtual fixed locus) and NonGenericSpecError
-    when some nonzero exponent pairs to 0 (caller should resample).
+    when some nonzero exponent pairs to 0.
     """
     return _euler_cached(_char_value(char), spec)
 
@@ -179,22 +178,9 @@ class CoFactor:
         return f"c{self.degree}(CO[{self.bundle}]@{self.left + 1}{self.left + 2})"
 
 
-def default_battery(surface: ToricSurface) -> tuple[str, ...]:
-    """Line-bundle battery generating the insertion classes."""
-    if surface.name == "p2":
-        return ("O", "O(1)", "O(2)")
-    if surface.name == "p1xp1":
-        return ("O(1,0)", "O(0,1)")
-    raise ValueError(f"no battery for surface {surface.name!r}")
-
-
 def twist_battery(surface: ToricSurface) -> tuple[str, ...]:
     """Nontrivial twists used by the twisted-vanishing scenario."""
-    if surface.name == "p2":
-        return ("O(1)", "O(2)")
-    if surface.name == "p1xp1":
-        return ("O(1,0)", "O(0,1)")
-    raise ValueError(f"no battery for surface {surface.name!r}")
+    return surface.twists
 
 
 def insertion_basis(
@@ -211,7 +197,7 @@ def insertion_basis(
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if battery is None:
-        battery = default_battery(surface)
+        battery = surface.battery
     variables = [
         TautFactor(m, label, j)
         for m, n in enumerate(sizes)
@@ -283,6 +269,45 @@ def _factor_value(table: dict, f: Factor):
     return table[("tangent", f.factor, "")].coefficient(f.degree)
 
 
+def _check_insertions(
+    insertions: Sequence[Insertion], factors: int, extra: int, dim: int, sides: tuple[str, str]
+) -> None:
+    """Every insertion must reach degree `dim` together with `extra` and name
+    one of `factors` ambient factors; `sides` names the integrand and the
+    space in the error."""
+    for ins in insertions:
+        if ins.total_degree + extra != dim:
+            raise DegreeMismatchError(
+                f"{sides[0]} degree {ins.total_degree + extra} != {sides[1]} dimension {dim} "
+                f"for insertion {ins.label()}"
+            )
+        for f in ins.factors:
+            if not 0 <= f.factor < factors:
+                raise DegreeMismatchError(f"factor index out of range in {ins.label()}")
+
+
+def _localize(
+    surface: ToricSurface,
+    insertions: Sequence[Insertion],
+    spec: WeightSpec,
+    points: Iterable[tuple[Sequence[MultiPartition], Fraction]],
+) -> list[Fraction]:
+    """sum_p weight_p * insertion(p) for every insertion, over the
+    (steps, weight) pairs of the fixed points p."""
+    labels = [f.bundle for ins in insertions for f in ins.factors if isinstance(f, TautFactor)]
+    bundles = _resolve_bundles(surface, labels)
+    table_maker = _FactorTable(surface, spec, bundles, _needed_orders(insertions))
+    totals = [Fraction(0) for _ in insertions]
+    for steps, weight in points:
+        table = table_maker.values_for(steps)
+        for i, ins in enumerate(insertions):
+            value = weight
+            for f in ins.factors:
+                value *= _factor_value(table, f)
+            totals[i] += value
+    return [Fraction(t) for t in totals]
+
+
 def integrate_ambient_batch(
     surface: ToricSurface,
     sizes: Sequence[int],
@@ -293,50 +318,31 @@ def integrate_ambient_batch(
     """Ambient localization sum over products of Hilbert schemes.
 
     Every insertion is integrated against the common co-class factors in a
-    single pass over the fixed points; the degree condition
-    (insertion + co degrees == complex dimension) is checked per insertion.
+    single pass over the fixed points, each weighted by co / e(T); the
+    degree condition (insertion + co degrees == complex dimension) is
+    checked per insertion.
     """
     sizes = tuple(int(n) for n in sizes)
-    dim = 2 * sum(sizes)
     co_degree = sum(c.degree for c in co_factors)
-    for ins in insertions:
-        if ins.total_degree + co_degree != dim:
-            raise DegreeMismatchError(
-                f"integrand degree {ins.total_degree + co_degree} != ambient dimension {dim} "
-                f"for insertion {ins.label()}"
-            )
-        for f in ins.factors:
-            if not 0 <= f.factor < len(sizes):
-                raise DegreeMismatchError(f"factor index out of range in {ins.label()}")
+    _check_insertions(insertions, len(sizes), co_degree, 2 * sum(sizes), ("integrand", "ambient"))
     for c in co_factors:
         if not 0 <= c.left < len(sizes) - 1:
             raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
+    bundles = _resolve_bundles(surface, [c.bundle for c in co_factors])
 
-    labels = [c.bundle for c in co_factors] + [
-        f.bundle for ins in insertions for f in ins.factors if isinstance(f, TautFactor)
-    ]
-    bundles = _resolve_bundles(surface, labels + ["O"])
-    table_maker = _FactorTable(surface, spec, bundles, _needed_orders(insertions))
+    def points():
+        for mps in product(*(multipartitions(surface, n) for n in sizes)):
+            denom = Fraction(1)
+            for mp in mps:
+                denom *= euler_class(tangent_char(surface, mp), spec)
+            co_value = Fraction(1)
+            for c in co_factors:
+                char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
+                co_value *= chern_series(char, spec, c.degree).coefficient(c.degree)
+            if co_value != 0:
+                yield mps, co_value / denom
 
-    totals = [Fraction(0) for _ in insertions]
-    for mps in product(*(multipartitions(surface, n) for n in sizes)):
-        denom = Fraction(1)
-        for mp in mps:
-            denom *= euler_class(tangent_char(surface, mp), spec)
-        co_value = Fraction(1)
-        for c in co_factors:
-            char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
-            co_value *= chern_series(char, spec, c.degree).coefficient(c.degree)
-        if co_value == 0:
-            continue
-        table = table_maker.values_for(mps)
-        base = co_value / denom
-        for i, ins in enumerate(insertions):
-            value = base
-            for f in ins.factors:
-                value *= _factor_value(table, f)
-            totals[i] += value
-    return [Fraction(t) for t in totals]
+    return _localize(surface, insertions, spec, points())
 
 
 def integrate_ambient(
@@ -355,42 +361,25 @@ def integrate_virtual_batch(
     insertions: Sequence[Insertion],
     spec: WeightSpec,
 ) -> list[Fraction]:
-    """Virtual localization sum over nested chains.
+    """Virtual localization sum over nested chains, each weighted by 1 / e(T^vir).
 
     Insertion degree must equal the virtual dimension n_1 + n_k.  A chain
     whose virtual tangent character carries net weight zero aborts with
     the chain identified.
     """
     sizes = tuple(int(n) for n in sizes)
-    vd = sizes[0] + sizes[-1]
-    for ins in insertions:
-        if ins.total_degree != vd:
-            raise DegreeMismatchError(
-                f"insertion degree {ins.total_degree} != virtual dimension {vd} "
-                f"for insertion {ins.label()}"
-            )
-        for f in ins.factors:
-            if not 0 <= f.factor < len(sizes):
-                raise DegreeMismatchError(f"factor index out of range in {ins.label()}")
+    _check_insertions(insertions, len(sizes), 0, sizes[0] + sizes[-1], ("insertion", "virtual"))
 
-    labels = [f.bundle for ins in insertions for f in ins.factors if isinstance(f, TautFactor)]
-    bundles = _resolve_bundles(surface, labels + ["O"])
-    table_maker = _FactorTable(surface, spec, bundles, _needed_orders(insertions))
+    def points():
+        for chain in nested_chains(surface, sizes):
+            vchar = virtual_tangent_char(surface, chain)
+            try:
+                denom = euler_class(vchar, spec)
+            except ZeroWeightError as exc:
+                raise ZeroWeightError(f"chain {chain.to_text()}: {exc}") from None
+            yield chain.steps, 1 / denom
 
-    totals = [Fraction(0) for _ in insertions]
-    for chain in nested_chains(surface, sizes):
-        vchar = virtual_tangent_char(surface, chain)
-        try:
-            denom = euler_class(vchar, spec)
-        except ZeroWeightError as exc:
-            raise ZeroWeightError(f"chain {chain.to_text()}: {exc}") from None
-        table = table_maker.values_for(chain.steps)
-        for i, ins in enumerate(insertions):
-            value = Fraction(1)
-            for f in ins.factors:
-                value *= _factor_value(table, f)
-            totals[i] += value / denom
-    return [Fraction(t) for t in totals]
+    return _localize(surface, insertions, spec, points())
 
 
 def integrate_virtual(
@@ -461,7 +450,6 @@ def k_theory_chi_sum(surface: ToricSurface, bundle: EqLineBundle, t1: Fraction, 
 #: nonzero exponent (a, b) with |a|, |b| < SPEC_LOW can never pair to zero
 SPEC_LOW = 1009
 SPEC_HIGH = 999_983
-RETRY_LIMIT = 8
 
 
 def draw_spec(rng: random.Random) -> WeightSpec:
@@ -495,44 +483,3 @@ def consistency_run(
         rendered = ", ".join(f"{s.to_text()} -> {v}" for s, v in zip(specs, values))
         raise SpecDependenceError(f"values differ across specs: {rendered}")
     return first
-
-
-def sampled_consistency(
-    computation: Callable[[WeightSpec], Fraction],
-    seed: int,
-    samples: int = 3,
-    specs: Sequence[WeightSpec] | None = None,
-) -> tuple[Fraction, list[tuple[WeightSpec, Fraction]]]:
-    """Evaluate at `samples` seeded specs, resampling non-generic ones.
-
-    Explicit `specs` disable resampling (used by negative tests).  Returns
-    the common value and the per-spec evaluations.
-    """
-    pairs: list[tuple[WeightSpec, Fraction]] = []
-    if specs is not None:
-        for spec in specs:
-            pairs.append((spec, computation(spec)))
-    else:
-        rng = random.Random(seed)
-        used = set()
-        for _ in range(samples):
-            for _attempt in range(RETRY_LIMIT):
-                spec = draw_spec(rng)
-                if spec in used:
-                    continue
-                try:
-                    value = computation(spec)
-                except NonGenericSpecError:
-                    continue
-                used.add(spec)
-                pairs.append((spec, value))
-                break
-            else:
-                raise NonGenericSpecExhausted(
-                    f"no generic spec found in {RETRY_LIMIT} attempts"
-                )
-    first = pairs[0][1]
-    if any(v != first for _, v in pairs[1:]):
-        rendered = ", ".join(f"{s.to_text()} -> {v}" for s, v in pairs)
-        raise SpecDependenceError(f"values differ across specs: {rendered}")
-    return first, pairs

@@ -14,23 +14,47 @@ Conventions (pinned by the hrr checks in :mod:`nestloc.integrals`):
   that chart's homogeneous-coordinate weight.
 
 Only ``p2`` and ``p1xp1`` are provided; surfaces are closed data, not
-user-extensible configuration.
+user-extensible configuration.  Each entry of :data:`SURFACES` carries
+everything the engine and the scenarios know about its surface, so adding
+a surface means adding one entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable
 
 Weight = tuple[int, int]
 
 
+def _data(default=None):
+    """A table field: kept out of equality and hashing, so cache keys hash
+    only the name and the charts."""
+    return field(default=default, compare=False)
+
+
 @dataclass(frozen=True)
 class ToricSurface:
-    """Fixed points with tangent weight pairs, identified by name."""
+    """Fixed points with tangent weight pairs, identified by name, plus the
+    surface's line bundles and the data its scenarios check against."""
 
     name: str
     charts: tuple[tuple[Weight, Weight], ...]
+    #: fiber weights of O(e_k) at each chart, one row per degree coordinate k;
+    #: their number is the arity of a line-bundle degree
+    fibers: tuple[tuple[Weight, ...], ...] = _data(())
+    #: line bundles whose tautological classes generate the insertions
+    battery: tuple[str, ...] = _data(())
+    #: nontrivial twists of the twisted-vanishing scenario
+    twists: tuple[str, ...] = _data(())
+    #: degrees the hrr-check scenario pins
+    hrr_degrees: tuple[tuple[int, ...], ...] = _data(())
+    #: chi(O(degrees)), counted by monomials
+    chi: Callable[..., Fraction] = _data()
+    #: weights of the monomial sections of O(degrees) for degrees >= 0
+    sections: Callable[..., Iterable[Weight]] = _data()
 
     def __post_init__(self):
         if not self.charts:
@@ -69,6 +93,13 @@ def p2() -> ToricSurface:
             ((-1, 0), (-1, 1)),
             ((0, -1), (1, -1)),
         ),
+        fibers=(((0, 0), (-1, 0), (0, -1)),),
+        battery=("O", "O(1)", "O(2)"),
+        twists=("O(1)", "O(2)"),
+        hrr_degrees=tuple((d,) for d in range(4)),
+        chi=lambda d: Fraction((d + 1) * (d + 2), 2),
+        # x0^a x1^b x2^c with a + b + c = d has weight (-b, -c)
+        sections=lambda d: ((-b, -c) for b in range(d + 1) for c in range(d + 1 - b)),
     )
 
 
@@ -83,47 +114,48 @@ def p1xp1() -> ToricSurface:
             ((-1, 0), (0, 1)),
             ((-1, 0), (0, -1)),
         ),
+        fibers=(((0, 0), (0, 0), (-1, 0), (-1, 0)), ((0, 0), (0, -1), (0, 0), (0, -1))),
+        battery=("O(1,0)", "O(0,1)"),
+        twists=("O(1,0)", "O(0,1)"),
+        hrr_degrees=tuple((a, b) for a in range(3) for b in range(3)),
+        chi=lambda a, b: Fraction((a + 1) * (b + 1)),
+        sections=lambda a, b: ((-i, -j) for i in range(a + 1) for j in range(b + 1)),
     )
 
 
-_SURFACES = {"p2": p2, "p1xp1": p1xp1}
+SURFACES = {surface.name: surface for surface in (p2(), p1xp1())}
 
 
 def surface_by_name(name: str) -> ToricSurface:
     try:
-        return _SURFACES[name]()
+        return SURFACES[name]
     except KeyError:
-        raise ValueError(f"unknown surface {name!r}; choose from {sorted(_SURFACES)}") from None
+        raise ValueError(f"unknown surface {name!r}; choose from {sorted(SURFACES)}") from None
 
 
 def line_bundle(surface: ToricSurface, *degrees: int) -> EqLineBundle:
     """O(d) on P^2 or O(a,b) on P^1 x P^1 with its fiber weights.
 
-    The weight data is the d-dilated standard simplex (resp. the (a,b) box)
-    read off in the chart-adapted basis; the overall sign is the one pinned
-    by hrr_check.
+    The weight at a chart p is linear in the degrees,
+    sum_k degrees[k] * surface.fibers[k][p].  For P^2 this reads off the
+    d-dilated standard simplex (for P^1 x P^1 the (a,b) box) in the
+    chart-adapted basis; the overall sign is the one pinned by hrr_check.
     """
-    if surface.name == "p2":
-        if len(degrees) != 1:
-            raise ValueError("p2 line bundles take a single degree d")
-        d = degrees[0]
-        label = "O" if d == 0 else f"O({d})"
-        return EqLineBundle(label, ((0, 0), (-d, 0), (0, -d)))
-    if surface.name == "p1xp1":
-        if len(degrees) != 2:
-            raise ValueError("p1xp1 line bundles take a bidegree (a, b)")
-        a, b = degrees
-        label = "O" if a == b == 0 else f"O({a},{b})"
-        return EqLineBundle(label, ((0, 0), (0, -b), (-a, 0), (-a, -b)))
-    raise ValueError(f"unknown surface family {surface.name!r}")
+    if len(degrees) != len(surface.fibers):
+        raise ValueError(f"{surface.name} line bundles take {len(surface.fibers)} degree(s)")
+    weights = tuple(
+        (sum(d * w[0] for d, w in zip(degrees, row)), sum(d * w[1] for d, w in zip(degrees, row)))
+        for row in zip(*surface.fibers)
+    )
+    label = f"O({','.join(map(str, degrees))})" if any(degrees) else "O"
+    return EqLineBundle(label, weights)
 
 
 def bundle_by_label(surface: ToricSurface, label: str) -> EqLineBundle:
     """Parse labels like ``O``, ``O(2)``, ``O(1,0)`` for the given surface."""
     label = label.strip()
     if label == "O":
-        degrees = (0,) if surface.name == "p2" else (0, 0)
-        return line_bundle(surface, *degrees)
+        return line_bundle(surface, *(0 for _ in surface.fibers))
     if label.startswith("O(") and label.endswith(")"):
         try:
             degrees = tuple(int(part) for part in label[2:-1].split(","))

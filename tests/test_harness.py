@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import nestloc.cli as cli
 import nestloc.harness as harness
 from nestloc.errors import ConfigError, ZeroWeightError
 from nestloc.harness import (
@@ -152,10 +154,11 @@ def test_parallel_matches_serial():
 
 
 def test_math_error_becomes_failed_case(monkeypatch):
-    def boom(scenario, group):
+    def boom(scenario, **group):
         raise ZeroWeightError("chain [[1],[]]: synthetic")
 
-    monkeypatch.setattr(harness, "_dispatch_group", boom)
+    entry = harness.SCENARIO_KINDS["euler-count"]
+    monkeypatch.setitem(harness.SCENARIO_KINDS, "euler-count", replace(entry, cases=boom))
     report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
     assert report["verdict"] == "fail"
     assert report["cases"][0]["verdict"] == "fail"
@@ -239,8 +242,8 @@ def test_cli_wrong_degree_insertion_file_exit_one(tmp_path):
 
 
 def test_cli_non_generic_explicit_spec_exit_one():
-    # s = (1, 1) kills the tangent weight (1, -1) on p2; explicit specs
-    # disable resampling, so the failure surfaces with its diagnostic
+    # s = (1, 1) kills the tangent weight (1, -1) on p2, so the failure
+    # surfaces with its diagnostic
     result = run_cli("euler-count", "--surface", "p2", "--n", "1", "--spec", "1,1")
     assert result.returncode == 1
     assert "NonGenericSpec" in result.stdout
@@ -294,3 +297,61 @@ def test_cli_version():
     result = run_cli("--version")
     assert result.returncode == 0
     assert "nestloc" in result.stdout
+
+
+def test_cli_bundles_split_only_at_top_level_commas(tmp_path):
+    out = tmp_path / "r.json"
+    code = cli.main([
+        "twisted-vanish", "--surface", "p1xp1", "--n", "1,1",
+        "--bundles", "O(1,0),O(0,1)", "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["params"]["bundles"] == ["O(1,0)", "O(0,1)"]
+    assert {case["inputs"]["twist"] for case in report["cases"]} == {"O(1,0)", "O(0,1)"}
+
+
+def test_cli_bad_bundle_label_exit_two(capsys):
+    assert cli.main(["twisted-vanish", "--n", "1,1", "--bundles", "Q"]) == 2
+    assert "malformed bundle label" in capsys.readouterr().err
+
+
+def test_insertions_file_bad_bundle_exit_two(tmp_path, capsys):
+    bad = tmp_path / "insertions.json"
+    bad.write_text(json.dumps([[{"factor": 1, "bundle": "O(7,7)", "degree": 2}]]))
+    code = cli.main(["pushforward", "--surface", "p2", "--n", "1,1", "--insertions", f"file:{bad}"])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_capped_at_group_count(monkeypatch):
+    monkeypatch.setattr(_RecordingExecutor, "created", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingExecutor)
+    s = Scenario(kind="vanish", sizes=(2, 1), i_values=(1, 2))
+    report = run_scenario(s, jobs=64)
+    assert _RecordingExecutor.created == [2]
+    assert report_json(stable_copy(report)) == report_json(stable_copy(run_scenario(s)))
+
+
+def test_jobs_below_one_exit_two(capsys):
+    with pytest.raises(ConfigError):
+        run_scenario(Scenario(kind="euler-count", sizes=(1,)), jobs=0)
+    assert cli.main(["euler-count", "--n", "1", "--jobs", "0"]) == 2

@@ -27,7 +27,6 @@ from nestloc.integrals import (
     integrate_virtual,
     integrate_virtual_batch,
     sample_specs,
-    sampled_consistency,
 )
 from nestloc.series import TruncatedSeries, binomial
 from nestloc.toric import p1xp1, p2
@@ -188,26 +187,6 @@ def test_consistency_run_detects_spec_dependence():
     char = lp({(1, 0): 1, (0, 1): 1})
     with pytest.raises(SpecDependenceError):
         consistency_run(lambda spec: euler_class(char, spec), sample_specs(19, 3))
-
-
-def test_sampled_consistency_resamples_and_reports():
-    insertion = Insertion((TangentFactor(0, 2),))
-    value, pairs = sampled_consistency(
-        lambda spec: integrate_ambient(p2(), (1,), insertion, spec), seed=23, samples=3
-    )
-    assert value == 3
-    assert len(pairs) == 3
-    assert len({spec for spec, _ in pairs}) == 3
-
-
-def test_sampled_consistency_explicit_specs_no_resample():
-    char = lp({(1, -1): 1})
-    with pytest.raises(NonGenericSpecError):
-        sampled_consistency(
-            lambda spec: euler_class(char, spec),
-            seed=1,
-            specs=[WeightSpec.of(2, 2)],
-        )
 
 
 def test_sample_specs_deterministic_and_generic():
