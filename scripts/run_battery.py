@@ -10,13 +10,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from nestloc.harness import default_battery_scenarios, emit_report, run_scenario
+from nestloc.harness import DEFAULT_SEED, default_battery_scenarios, emit_report, run_scenario
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="reports")
-    parser.add_argument("--seed", type=int, default=1729)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 

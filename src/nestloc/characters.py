@@ -192,6 +192,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
 
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()

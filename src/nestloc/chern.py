@@ -61,9 +61,6 @@ class FormalRing:
             return self.zero()
         return Element(self, {0: {(): value}})
 
-    def monomial_degree(self, mono: Monomial) -> int:
-        return sum(self._degrees[i] * e for i, e in mono)
-
     def monomial_text(self, mono: Monomial) -> str:
         if not mono:
             return "1"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, NestlocError
@@ -33,9 +34,14 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", default="", help="comma-separated sizes, e.g. 2,1")
     parser.add_argument("--i", default="1", help="vanishing index: int, comma list, or a..b")
     parser.add_argument("--bundles", default="", help="comma-separated twist labels")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    # no argparse defaults: a flag that is given overrides the scenario's value
+    parser.add_argument(
+        "--samples", type=int, help=f"number of weight specs (default {DEFAULT_SAMPLES})"
+    )
+    parser.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
+    parser.add_argument(
+        "--truncation", type=int, help=f"symbolic ring truncation (default {DEFAULT_TRUNCATION})"
+    )
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "text"), default="text")
@@ -79,36 +85,26 @@ def _parse_i_values(text: str) -> tuple[int, ...]:
 
 
 def _scenario_from_args(kind: str, args: argparse.Namespace) -> Scenario:
-    return validate_scenario(
-        Scenario(
-            kind=kind,
-            surface=args.surface,
-            sizes=_parse_sizes(args.n),
-            i_values=_parse_i_values(args.i),
-            # labels such as O(1,0) hold commas: split only outside parentheses
-            bundles=tuple(b for b in re.split(r",(?![^()]*\))", args.bundles) if b),
-            samples=args.samples,
-            seed=args.seed,
-            truncation=args.truncation,
-            insertions=args.insertions,
-            specs=tuple(args.spec),
-        )
+    return Scenario(
+        kind=kind,
+        surface=args.surface,
+        sizes=_parse_sizes(args.n),
+        i_values=_parse_i_values(args.i),
+        # labels such as O(1,0) hold commas: split only outside parentheses
+        bundles=tuple(b for b in re.split(r",(?![^()]*\))", args.bundles) if b),
+        insertions=args.insertions,
+        specs=tuple(args.spec),
     )
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    """CLI flags override config-file values when explicitly given."""
-    updates = {}
-    if args.seed != DEFAULT_SEED:
-        updates["seed"] = args.seed
-    if args.samples != DEFAULT_SAMPLES:
-        updates["samples"] = args.samples
-    if args.truncation != DEFAULT_TRUNCATION:
-        updates["truncation"] = args.truncation
-    if not updates:
-        return scenario
-    from dataclasses import replace
-
+    """`--seed`, `--samples` and `--truncation`, when given, override the
+    scenario's own values (its defaults, the battery's or a config file's)."""
+    updates = {
+        name: getattr(args, name)
+        for name in ("seed", "samples", "truncation")
+        if getattr(args, name) is not None
+    }
     return validate_scenario(replace(scenario, **updates))
 
 
@@ -129,14 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.command == "all":
-        if args.config:
-            scenarios = parse_config(args.config)
-            scenarios = [_apply_overrides(s, args) for s in scenarios]
-        else:
-            scenarios = default_battery_scenarios(seed=args.seed)
-    else:
+    if args.command != "all":
         scenarios = [_scenario_from_args(args.command, args)]
+    elif args.config:
+        scenarios = parse_config(args.config)
+    else:
+        scenarios = default_battery_scenarios()
+    scenarios = [_apply_overrides(s, args) for s in scenarios]
 
     reports = [run_scenario(s, jobs=args.jobs) for s in scenarios]
     if len(reports) == 1:

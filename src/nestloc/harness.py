@@ -88,6 +88,10 @@ def validate_scenario(s: Scenario) -> Scenario:
     if s.truncation < 1:
         raise ConfigError("truncation must be >= 1")
     kind = SCENARIO_KINDS[s.kind]
+    if s.sizes and not kind.sizes:
+        raise ConfigError(f"{s.kind} takes no sizes (--n)")
+    if s.bundles and not kind.twists:
+        raise ConfigError(f"{s.kind} takes no twist bundles (--bundles)")
     if kind.sizes:
         fewest, most, rule = kind.sizes
         if not s.sizes:
@@ -119,11 +123,14 @@ def validate_scenario(s: Scenario) -> Scenario:
 
 
 def _parse_spec_text(text: str) -> WeightSpec:
+    """Parse 's1,s2' rationals and clear their denominators; every integral
+    is top-degree, so scaling the spec leaves its value unchanged."""
     try:
-        a, b = text.split(",")
-        return WeightSpec(Fraction(a.strip()), Fraction(b.strip()))
+        a, b = (Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"malformed spec {text!r}; expected 's1,s2' rationals") from None
+    scale = math.lcm(a.denominator, b.denominator)
+    return WeightSpec(int(a * scale), int(b * scale))
 
 
 def scenario_specs(s: Scenario) -> tuple[WeightSpec, ...]:
@@ -506,6 +513,8 @@ class ScenarioKind:
     sizes: tuple[int, float, str] | None = None
     #: takes vanishing indices i (validated and echoed)
     vanishing: bool = False
+    #: takes a twist battery (--bundles)
+    twists: bool = False
     #: echoes the number of nested chains (kinds with a virtual side)
     chains: bool = False
 
@@ -532,7 +541,9 @@ SCENARIO_KINDS = {
         _TWO_SIZES,
         vanishing=True,
     ),
-    "twisted-vanish": ScenarioKind(_twist_groups, _vanish_cases, _TWO_SIZES, vanishing=True),
+    "twisted-vanish": ScenarioKind(
+        _twist_groups, _vanish_cases, _TWO_SIZES, vanishing=True, twists=True
+    ),
     "pushforward": ScenarioKind(_single_group, _pushforward_cases, _TWO_SIZES, chains=True),
     "kstep": ScenarioKind(
         _single_group, _pushforward_cases, (2, math.inf, "needs at least two sizes"), chains=True

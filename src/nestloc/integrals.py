@@ -1,6 +1,6 @@
-"""Atiyah-Bott localization with exact rational weight specialization.
+"""Atiyah-Bott localization with exact weight specialization.
 
-Equivariant parameters are specialized at generic rational points; an
+Equivariant parameters are specialized at generic integer points; an
 integral whose integrand degree equals the (virtual) dimension is a
 degree-0 equivariant constant, so its value is spec-independent and
 agreement across >= 3 samples is a sound exactness check.  All arithmetic
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
@@ -29,33 +29,20 @@ from .series import TruncatedSeries, line_factor
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
 from .vertex import GlobalCharacter, co_class, tangent_char, taut_char, virtual_tangent_char
 
-Rational = Union[int, Fraction]
-
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Specialization of the equivariant parameters: (a, b) -> a s1 + b s2."""
+    """Specialization of the equivariant parameters at an integer point:
+    (a, b) -> a s1 + b s2."""
 
-    s1: Fraction
-    s2: Fraction
+    s1: int
+    s2: int
 
-    def pairing(self, exponent: tuple[int, int]) -> Rational:
+    def pairing(self, exponent: tuple[int, int]) -> int:
         return exponent[0] * self.s1 + exponent[1] * self.s2
 
     def to_text(self) -> tuple[str, str]:
         return (str(self.s1), str(self.s2))
-
-    @classmethod
-    def of(cls, s1, s2) -> "WeightSpec":
-        return cls(Fraction(s1), Fraction(s2))
-
-
-def _pairing_values(spec: WeightSpec):
-    """Exponent -> value map; plain ints when the spec is integral."""
-    if spec.s1.denominator == 1 and spec.s2.denominator == 1:
-        a, b = spec.s1.numerator, spec.s2.numerator
-        return lambda exp: exp[0] * a + exp[1] * b
-    return spec.pairing
 
 
 def _char_value(char: Union[GlobalCharacter, LaurentPoly]) -> LaurentPoly:
@@ -77,7 +64,7 @@ def chern_series(
 
 @lru_cache(maxsize=65536)
 def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> TruncatedSeries:
-    pairing = _pairing_values(spec)
+    pairing = spec.pairing
     out = TruncatedSeries.one(order)
     for exp, mult in poly.terms():
         value = pairing(exp)
@@ -104,7 +91,7 @@ def _euler_cached(poly: LaurentPoly, spec: WeightSpec) -> Fraction:
             f"character has net weight-zero multiplicity {poly.coefficient((0, 0))}: "
             f"{poly.to_text()}"
         )
-    pairing = _pairing_values(spec)
+    pairing = spec.pairing
     num = 1
     den = 1
     for exp, mult in poly.terms():
@@ -115,7 +102,7 @@ def _euler_cached(poly: LaurentPoly, spec: WeightSpec) -> Fraction:
             num *= value**mult
         else:
             den *= value**(-mult)
-    return Fraction(num) / Fraction(den)
+    return Fraction(num, den)
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +128,8 @@ class TangentFactor:
 
     factor: int
     degree: int
+    #: no line-bundle label: (factor, bundle) keys a factor's Chern series
+    bundle: ClassVar[None] = None
 
     def label(self) -> str:
         return f"c{self.degree}(T@{self.factor + 1})"
@@ -225,50 +214,6 @@ def insertion_basis(
 # --------------------------------------------------------------------------
 
 
-def _resolve_bundles(surface: ToricSurface, labels: Iterable[str]) -> dict[str, EqLineBundle]:
-    return {label: bundle_by_label(surface, label) for label in set(labels)}
-
-
-class _FactorTable:
-    """Per-(fixed point tuple, spec) cache of insertion factor values."""
-
-    def __init__(self, surface, spec, bundles, needed):
-        self.surface = surface
-        self.spec = spec
-        self.bundles = bundles
-        # (kind, factor, bundle) -> max Chern degree needed
-        self.orders = needed
-
-    def values_for(self, mps: Sequence[MultiPartition]) -> dict:
-        table = {}
-        for (kind, m, label), order in self.orders.items():
-            if kind == "taut":
-                char = taut_char(self.surface, self.bundles[label], mps[m])
-            else:
-                char = tangent_char(self.surface, mps[m])
-            series = chern_series(char, self.spec, order)
-            table[(kind, m, label)] = series
-        return table
-
-
-def _needed_orders(insertions: Sequence[Insertion]) -> dict:
-    needed: dict = {}
-    for ins in insertions:
-        for f in ins.factors:
-            if isinstance(f, TautFactor):
-                key = ("taut", f.factor, f.bundle)
-            else:
-                key = ("tangent", f.factor, "")
-            needed[key] = max(needed.get(key, 0), f.degree)
-    return needed
-
-
-def _factor_value(table: dict, f: Factor):
-    if isinstance(f, TautFactor):
-        return table[("taut", f.factor, f.bundle)].coefficient(f.degree)
-    return table[("tangent", f.factor, "")].coefficient(f.degree)
-
-
 def _check_insertions(
     insertions: Sequence[Insertion], factors: int, extra: int, dim: int, sides: tuple[str, str]
 ) -> None:
@@ -293,19 +238,32 @@ def _localize(
     points: Iterable[tuple[Sequence[MultiPartition], Fraction]],
 ) -> list[Fraction]:
     """sum_p weight_p * insertion(p) for every insertion, over the
-    (steps, weight) pairs of the fixed points p."""
-    labels = [f.bundle for ins in insertions for f in ins.factors if isinstance(f, TautFactor)]
-    bundles = _resolve_bundles(surface, labels)
-    table_maker = _FactorTable(surface, spec, bundles, _needed_orders(insertions))
-    totals = [Fraction(0) for _ in insertions]
+    (steps, weight) pairs of the fixed points p.
+
+    A factor's Chern series is keyed by (ambient factor, bundle label),
+    None for the tangent bundle, and expanded once per fixed point to the
+    highest degree any insertion asks of it."""
+    orders: dict[tuple[int, str | None], int] = {}
+    for ins in insertions:
+        for f in ins.factors:
+            key = (f.factor, f.bundle)
+            orders[key] = max(orders.get(key, 0), f.degree)
+    bundles = {label: bundle_by_label(surface, label) for _, label in orders if label is not None}
+    totals = [Fraction(0)] * len(insertions)
     for steps, weight in points:
-        table = table_maker.values_for(steps)
+        series = {}
+        for (m, label), order in orders.items():
+            if label is None:
+                char = tangent_char(surface, steps[m])
+            else:
+                char = taut_char(surface, bundles[label], steps[m])
+            series[m, label] = chern_series(char, spec, order)
         for i, ins in enumerate(insertions):
             value = weight
             for f in ins.factors:
-                value *= _factor_value(table, f)
+                value *= series[f.factor, f.bundle].coefficient(f.degree)
             totals[i] += value
-    return [Fraction(t) for t in totals]
+    return totals
 
 
 def integrate_ambient_batch(
@@ -328,7 +286,7 @@ def integrate_ambient_batch(
     for c in co_factors:
         if not 0 <= c.left < len(sizes) - 1:
             raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
-    bundles = _resolve_bundles(surface, [c.bundle for c in co_factors])
+    bundles = {c.bundle: bundle_by_label(surface, c.bundle) for c in co_factors}
 
     def points():
         for mps in product(*(multipartitions(surface, n) for n in sizes)):
@@ -402,7 +360,7 @@ def hrr_chi(surface: ToricSurface, bundle: EqLineBundle, spec: WeightSpec) -> Fr
     Degree-2 integrand per fixed point: m^2/2 + m(v1+v2)/2 +
     ((v1+v2)^2 + v1 v2)/12, divided by v1 v2.
     """
-    pairing = _pairing_values(spec)
+    pairing = spec.pairing
     total = Fraction(0)
     for chart, mu in zip(surface.charts, bundle.weights):
         v1 = pairing(chart[0])
@@ -457,7 +415,7 @@ def draw_spec(rng: random.Random) -> WeightSpec:
         s1 = rng.randint(SPEC_LOW, SPEC_HIGH)
         s2 = rng.randint(SPEC_LOW, SPEC_HIGH)
         if s1 != s2 and math.gcd(s1, s2) == 1:
-            return WeightSpec(Fraction(s1), Fraction(s2))
+            return WeightSpec(s1, s2)
 
 
 def sample_specs(seed: int, count: int) -> tuple[WeightSpec, ...]:

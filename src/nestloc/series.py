@@ -1,12 +1,11 @@
 """Degree-truncated univariate series with exact coefficients.
 
 The carrier of total Chern classes after weight specialization: degrees
-0..order, exact int/Fraction coefficients, no floating point anywhere.
+0..order, exact integer coefficients, no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 
@@ -25,10 +24,7 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
-        if order is not None:
-            coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
+    def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
 
     @classmethod
@@ -56,31 +52,12 @@ class TruncatedSeries:
                     out[i + j] += ai * bj
         return TruncatedSeries(out)
 
-    def inverse(self) -> "TruncatedSeries":
-        c0 = self.coeffs[0]
-        if c0 != 1:
-            raise ValueError("only unit series (constant term 1) are inverted")
-        order = self.order
-        out = [0] * (order + 1)
-        out[0] = 1
-        for n in range(1, order + 1):
-            acc = 0
-            for i in range(1, n + 1):
-                ci = self.coeffs[i]
-                if ci:
-                    acc += ci * out[n - i]
-            out[n] = -acc
-        return TruncatedSeries(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if self.order != other.order:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coeffs))
 
     def __repr__(self) -> str:
         return "TruncatedSeries([" + ", ".join(str(c) for c in self.coeffs) + "])"

@@ -203,7 +203,7 @@ def test_element_evaluate():
 def test_cross_module_consistency_with_chern_series():
     # generators bound to elementary symmetric functions of specialized
     # weights reproduce the numeric Chern coefficients of the character
-    spec = WeightSpec.of(3, 5)
+    spec = WeightSpec(3, 5)
     w = [(1, 0), (0, 1), (1, 1)]  # bundle A weights
     v = [(2, -1)]  # bundle B weights
     char = LaurentPoly({exp: 1 for exp in w})

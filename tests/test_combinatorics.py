@@ -130,6 +130,16 @@ def test_nested_chain_counts():
     assert len(nested_chains(p2(), (2, 1))) == 12
 
 
+@pytest.mark.parametrize("surface", [p2(), p1xp1()])
+@pytest.mark.parametrize("n", range(6))
+def test_nested_chain_counts_against_cheah_product(surface, n):
+    # Cheah (1998): S^[n+1,n] has as many fixed points as the q^n
+    # coefficient of e(S)/(1-q) * prod_k (1-q^k)^(-e(S))
+    e = surface.euler_number
+    expected = e * sum(euler_product_coefficient(e, j) for j in range(n + 1))
+    assert len(nested_chains(surface, (n + 1, n))) == expected
+
+
 def test_nested_chains_rejects_bad_sizes():
     with pytest.raises(ValueError):
         nested_chains(p2(), (1, 2))

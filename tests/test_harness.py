@@ -288,6 +288,74 @@ def test_cli_bundles_override_restricts_twist_battery(tmp_path):
     assert {case["inputs"]["twist"] for case in report["cases"]} == {"O(2)"}
 
 
+def _json_reports(text):
+    decoder, reports, pos = json.JSONDecoder(), [], 0
+    while pos < len(text):
+        report, pos = decoder.raw_decode(text, pos)
+        reports.append(report)
+        pos += 1  # the newline after each report
+    return reports
+
+
+def test_cli_explicit_flags_override_config_even_at_defaults(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scenarios": [
+        {"kind": "euler-count", "n": [1], "seed": 5, "samples": 2, "truncation": 4},
+    ]}))
+    assert cli.main(["all", "--config", str(config), "--format", "json"]) == 0
+    (kept,) = _json_reports(capsys.readouterr().out)
+    assert (kept["seed"], kept["params"]["samples"], kept["params"]["truncation"]) == (5, 2, 4)
+    defaults = [
+        "--seed", str(harness.DEFAULT_SEED),
+        "--samples", str(harness.DEFAULT_SAMPLES),
+        "--truncation", str(harness.DEFAULT_TRUNCATION),
+    ]
+    assert cli.main(["all", "--config", str(config), "--format", "json", *defaults]) == 0
+    (report,) = _json_reports(capsys.readouterr().out)
+    assert report["seed"] == harness.DEFAULT_SEED
+    assert report["params"]["samples"] == harness.DEFAULT_SAMPLES
+    assert report["params"]["truncation"] == harness.DEFAULT_TRUNCATION
+
+
+def test_cli_all_battery_honours_samples_and_truncation(capsys):
+    argv = ["all", "--samples", "4", "--truncation", "6", "--seed", "7", "--format", "json"]
+    assert cli.main(argv) == 0
+    reports = _json_reports(capsys.readouterr().out)
+    assert len(reports) == len(default_battery_scenarios())
+    for report in reports:
+        assert report["seed"] == 7
+        assert report["params"]["samples"] == 4
+        assert report["params"]["truncation"] == 6
+
+
+def test_cli_rational_spec_is_scaled_to_integers(capsys):
+    # 1013/7, 2027/5 clears to (5065, 14189), still generic; the integral
+    # is top-degree, so it equals the value at the sampled specs
+    def samples(*flags):
+        assert cli.main(["euler-count", "--n", "2", "--format", "json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        return report["params"], report["cases"][0]["samples"]
+
+    params, scaled = samples("--spec", "1013/7,2027/5")
+    assert params["specs"] == ["1013/7,2027/5"]
+    assert [sample["s"] for sample in scaled] == [["5065", "14189"]]
+    _, sampled = samples()
+    assert len(sampled) == harness.DEFAULT_SAMPLES
+    assert {sample["value"] for sample in scaled + sampled} == {"9"}
+
+
+def test_bundles_rejected_where_kind_takes_no_twist(capsys):
+    assert cli.main(["vanish", "--n", "1,1", "--bundles", "O(1)"]) == 2
+    assert "--bundles" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        validate_scenario(Scenario(kind="pushforward", sizes=(1, 1), bundles=("O(1)",)))
+
+
+def test_sizes_rejected_where_kind_takes_none(capsys):
+    assert cli.main(["hrr-check", "--n", "3,2"]) == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_cli_config_missing_file_exit_two():
     result = run_cli("all", "--config", "/nonexistent/config.json")
     assert result.returncode == 2

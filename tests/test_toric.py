@@ -70,7 +70,7 @@ def test_hrr_p1xp1(a, b):
 def test_hrr_chi_of_structure_sheaf_is_one():
     for surface in (p2(), p1xp1()):
         trivial = bundle_by_label(surface, "O")
-        assert hrr_chi(surface, trivial, WeightSpec.of(1, 2)) == 1
+        assert hrr_chi(surface, trivial, WeightSpec(1, 2)) == 1
 
 
 def lattice_character_value(surface_name, degrees, t1, t2):
