@@ -7,25 +7,29 @@ Usage: python scripts/run_battery.py [outdir] [--seed N] [--jobs K]
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from nestloc.harness import DEFAULT_SEED, default_battery_scenarios, emit_report, run_scenario
+from nestloc.harness import default_battery_scenarios, emit_report, run_scenario
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="reports")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--seed", type=int, help="sampling seed of every scenario")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
     failures = 0
-    for index, scenario in enumerate(default_battery_scenarios(seed=args.seed)):
+    for index, scenario in enumerate(default_battery_scenarios()):
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
         report = run_scenario(scenario, jobs=args.jobs)
         name = f"{index:02d}_{scenario.kind}_{scenario.surface}.json"
-        emit_report(report, fmt="json", path=os.path.join(args.outdir, name))
+        with open(os.path.join(args.outdir, name), "w", encoding="utf-8") as fh:
+            fh.write(emit_report(report, fmt="json"))
         status = report["verdict"]
         failures += status != "pass"
         print(f"{name}: {status} ({len(report['cases'])} cases, {report['elapsed_ms']} ms)")

@@ -15,43 +15,68 @@ from dataclasses import replace
 from . import __version__
 from .errors import ConfigError, NestlocError
 from .harness import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    DEFAULT_TRUNCATION,
+    ENTRY_KEYS,
     SCENARIO_KINDS,
     Scenario,
     default_battery_scenarios,
     emit_report,
     parse_config,
     run_scenario,
+    scenario_from_entry,
     validate_scenario,
 )
 from .toric import SURFACES
 
+#: the scenario flags `all` takes; it applies them to every scenario it runs
+_ALL_KEYS = ("seed", "samples", "truncation")
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed sizes {text!r}; expected e.g. 2,1") from None
+
+
+def _i_values(text: str) -> tuple[int, ...]:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed i values {text!r}; expected 1, 1,2 or 1..2"
+        ) from None
+
+
+def _bundle_labels(text: str) -> tuple[str, ...]:
+    # labels such as O(1,0) hold commas: split only outside parentheses
+    return tuple(b for b in re.split(r",(?![^()]*\))", text) if b)
+
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surface", choices=tuple(SURFACES), default="p2")
-    parser.add_argument("--n", default="", help="comma-separated sizes, e.g. 2,1")
-    parser.add_argument("--i", default="1", help="vanishing index: int, comma list, or a..b")
-    parser.add_argument("--bundles", default="", help="comma-separated twist labels")
-    # no argparse defaults: a flag that is given overrides the scenario's value
+    # scenario flags have no argparse defaults: only the flags given reach
+    # the scenario entry, and Scenario fills in the rest
+    parser.add_argument("--surface", choices=tuple(SURFACES))
+    parser.add_argument("--n", type=_sizes, help="comma-separated sizes, e.g. 2,1")
+    parser.add_argument("--i", type=_i_values, help="vanishing index: int, comma list, or a..b")
+    parser.add_argument("--bundles", type=_bundle_labels, help="comma-separated twist labels")
     parser.add_argument(
-        "--samples", type=int, help=f"number of weight specs (default {DEFAULT_SAMPLES})"
+        "--samples", type=int, help=f"number of weight specs (default {Scenario.samples})"
     )
-    parser.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
+    parser.add_argument("--seed", type=int, help=f"sampling seed (default {Scenario.seed})")
     parser.add_argument(
-        "--truncation", type=int, help=f"symbolic ring truncation (default {DEFAULT_TRUNCATION})"
+        "--truncation", type=int, help=f"symbolic ring truncation (default {Scenario.truncation})"
     )
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument(
-        "--insertions", default="auto", help="'auto' or 'file:<path>' with explicit monomials"
-    )
+    parser.add_argument("--insertions", help="'auto' or 'file:<path>' with explicit monomials")
     parser.add_argument(
         "--spec",
+        dest="specs",
         action="append",
-        default=[],
         metavar="S1,S2",
         help="explicit weight spec (repeatable); disables sampling",
     )
@@ -60,52 +85,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="zero wall-clock fields for byte-reproducible reports",
     )
-
-
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"malformed sizes {text!r}; expected e.g. 2,1") from None
-
-
-def _parse_i_values(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return (1,)
-    try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"malformed i values {text!r}; expected 1, 1,2 or 1..2") from None
-
-
-def _scenario_from_args(kind: str, args: argparse.Namespace) -> Scenario:
-    return Scenario(
-        kind=kind,
-        surface=args.surface,
-        sizes=_parse_sizes(args.n),
-        i_values=_parse_i_values(args.i),
-        # labels such as O(1,0) hold commas: split only outside parentheses
-        bundles=tuple(b for b in re.split(r",(?![^()]*\))", args.bundles) if b),
-        insertions=args.insertions,
-        specs=tuple(args.spec),
-    )
-
-
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    """`--seed`, `--samples` and `--truncation`, when given, override the
-    scenario's own values (its defaults, the battery's or a config file's)."""
-    updates = {
-        name: getattr(args, name)
-        for name in ("seed", "samples", "truncation")
-        if getattr(args, name) is not None
-    }
-    return validate_scenario(replace(scenario, **updates))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,27 +103,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def _scenarios(args: argparse.Namespace) -> list[Scenario]:
+    flags = {key: getattr(args, key) for key in ENTRY_KEYS if key != "kind"}
+    given = {key: value for key, value in flags.items() if value is not None}
     if args.command != "all":
-        scenarios = [_scenario_from_args(args.command, args)]
-    elif args.config:
-        scenarios = parse_config(args.config)
-    else:
-        scenarios = default_battery_scenarios()
-    scenarios = [_apply_overrides(s, args) for s in scenarios]
+        return [scenario_from_entry({"kind": args.command, **given})]
+    others = [ENTRY_KEYS[key][2] for key in given if key not in _ALL_KEYS]
+    if others:
+        raise ConfigError(
+            f"all takes no {', '.join(others)}; of the scenario flags it takes only "
+            f"{', '.join(ENTRY_KEYS[key][2] for key in _ALL_KEYS)}"
+        )
+    scenarios = parse_config(args.config) if args.config else default_battery_scenarios()
+    # the keys `all` takes are named as their Scenario fields
+    return [validate_scenario(replace(s, **given)) for s in scenarios]
 
-    reports = [run_scenario(s, jobs=args.jobs) for s in scenarios]
-    if len(reports) == 1:
-        rendered = emit_report(reports[0], fmt=args.format, path=args.out or None, stable=args.stable)
-    else:
-        chunks = [emit_report(r, fmt=args.format, path=None, stable=args.stable) for r in reports]
-        rendered = "".join(chunks)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+
+def _run(args: argparse.Namespace) -> int:
+    reports = [run_scenario(s, jobs=args.jobs) for s in _scenarios(args)]
+    rendered = "".join(emit_report(r, fmt=args.format, stable=args.stable) for r in reports)
     if not args.out:
         sys.stdout.write(rendered)
     else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(rendered)
         failed = sum(1 for r in reports if r["verdict"] != "pass")
         sys.stdout.write(
             f"wrote {len(reports)} report(s) to {args.out}; "

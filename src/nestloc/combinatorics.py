@@ -72,9 +72,6 @@ class Partition:
         return f"Partition({self.to_text()})"
 
 
-EMPTY = Partition()
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""

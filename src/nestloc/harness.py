@@ -57,41 +57,93 @@ from .integrals import (
 from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle, surface_by_name
 from .vertex import co_class, vertex_V
 
-DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 3
-DEFAULT_TRUNCATION = 8
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named verification suite plus its validated parameters."""
+    """One named verification suite plus its validated parameters; its field
+    defaults are the only defaults of every input."""
 
     kind: str
     surface: str = "p2"
     sizes: tuple[int, ...] = ()
     i_values: tuple[int, ...] = (1,)
     bundles: tuple[str, ...] = ()
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    truncation: int = DEFAULT_TRUNCATION
+    samples: int = 3
+    seed: int = 1729
+    truncation: int = 8
     insertions: str = "auto"
     specs: tuple[str, ...] = ()
+
+
+def _sequence(convert: Callable) -> Callable:
+    def parse(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(convert(item) for item in value)
+
+    return parse
+
+
+#: config key -> (Scenario field, converter, CLI flag); the flag given on the
+#: command line sets the key its parser dest names (`--spec` sets "specs")
+ENTRY_KEYS = {
+    "kind": ("kind", str, None),
+    "surface": ("surface", str, "--surface"),
+    "n": ("sizes", _sequence(int), "--n"),
+    "i": ("i_values", _sequence(int), "--i"),
+    "bundles": ("bundles", _sequence(str), "--bundles"),
+    "samples": ("samples", int, "--samples"),
+    "seed": ("seed", int, "--seed"),
+    "truncation": ("truncation", int, "--truncation"),
+    "insertions": ("insertions", str, "--insertions"),
+    "specs": ("specs", _sequence(str), "--spec"),
+}
+
+#: the inputs a kind may leave unread: field -> how a user names it
+_OPTIONAL_INPUTS = {
+    field: f"{key} ({flag})"
+    for key, (field, _, flag) in ENTRY_KEYS.items()
+    if field in ("surface", "sizes", "i_values", "bundles", "specs", "insertions")
+}
+
+
+def scenario_from_entry(entry) -> Scenario:
+    """One config entry, or the flags given on the command line, as a
+    validated Scenario; absent keys keep the Scenario defaults."""
+    if not isinstance(entry, dict) or "kind" not in entry:
+        raise ConfigError("missing 'kind'")
+    unknown = sorted(set(entry) - set(ENTRY_KEYS))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ConfigError(f"unknown key(s) {names}; choose from {tuple(ENTRY_KEYS)}")
+    values = {}
+    for key, value in entry.items():
+        field, convert, _ = ENTRY_KEYS[key]
+        try:
+            values[field] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key!r}: {exc}") from None
+    return validate_scenario(Scenario(**values))
 
 
 def validate_scenario(s: Scenario) -> Scenario:
     if s.kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {s.kind!r}; choose from {tuple(SCENARIO_KINDS)}")
+    kind = SCENARIO_KINDS[s.kind]
+    reads = kind.reads | ({"sizes"} if kind.sizes else set())
+    unread = [
+        name
+        for field, name in _OPTIONAL_INPUTS.items()
+        if field not in reads and getattr(s, field) != getattr(Scenario, field)
+    ]
+    if unread:
+        raise ConfigError(f"{s.kind} does not read {', '.join(unread)}")
     if s.surface not in SURFACES:
         raise ConfigError(f"unknown surface {s.surface!r}")
     if s.samples < 1:
         raise ConfigError("samples must be >= 1")
     if s.truncation < 1:
         raise ConfigError("truncation must be >= 1")
-    kind = SCENARIO_KINDS[s.kind]
-    if s.sizes and not kind.sizes:
-        raise ConfigError(f"{s.kind} takes no sizes (--n)")
-    if s.bundles and not kind.twists:
-        raise ConfigError(f"{s.kind} takes no twist bundles (--bundles)")
     if kind.sizes:
         fewest, most, rule = kind.sizes
         if not s.sizes:
@@ -102,7 +154,7 @@ def validate_scenario(s: Scenario) -> Scenario:
             raise ConfigError(f"sizes must weakly decrease, got {s.sizes}")
         if not fewest <= len(s.sizes) <= most:
             raise ConfigError(f"{s.kind} {rule}")
-    if kind.vanishing:
+    if "i_values" in kind.reads:
         if not s.i_values:
             raise ConfigError(f"{s.kind} needs at least one i value")
         for i in s.i_values:
@@ -246,16 +298,12 @@ def _case(inputs: dict, samples: list, verdict: bool, diagnostic: str = "", **ex
     return out
 
 
-def _error_case(inputs: dict, exc: MathError) -> dict:
-    return _case(inputs, [], False, diagnostic=f"{exc.name}: {exc}")
-
-
 def _run_group(s: Scenario, group: dict) -> list[dict]:
     started = time.perf_counter()
     try:
         cases = SCENARIO_KINDS[s.kind].cases(s, **group)
     except MathError as exc:
-        cases = [_error_case(dict(group), exc)]
+        cases = [_case(dict(group), [], False, diagnostic=f"{exc.name}: {exc}")]
     elapsed = int((time.perf_counter() - started) * 1000)
     for case in cases:
         case.setdefault("elapsed_ms", elapsed // max(len(cases), 1))
@@ -378,120 +426,101 @@ def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
     ]
 
 
-def _symbolic_cases(s: Scenario, part: str) -> list[dict]:
+def _symbolic_cases(s: Scenario) -> list[dict]:
     n = s.truncation
+    ring = FormalRing(n)
+    e = generic_bundle(ring, "E", -1)
     cases = []
-    if part == "delta-column":
-        ring = FormalRing(n)
-        e = generic_bundle(ring, "E", -1)
-        for b in range(1, min(4, n) + 1):
-            ok = thom_porteous(1, b, e) == e.chern(b)
-            cases.append(_case({"identity": f"Delta^1_{b} = c_{b}"}, [], ok))
-    elif part == "delta-zero":
-        ring = FormalRing(n)
-        e = generic_bundle(ring, "E", -1)
-        for a in range(1, 5):
-            ok = thom_porteous(a, 0, e) == ring.one()
-            cases.append(_case({"identity": f"Delta^{a}_0 = 1"}, [], ok))
-    elif part == "higher-tp":
-        for r0 in range(1, 4):
-            for r1 in range(1, 6):
-                for i in range(4):
-                    if r1 - r0 + 1 + i > n:
-                        continue
-                    ok = verify_higher_tp(r0, r1, i, n)
-                    cases.append(
-                        _case({"identity": f"higher-tp r0={r0} r1={r1} i={i}"}, [], ok)
-                    )
-    elif part == "twist-oracle":
-        for r in range(1, 5):
-            for k in range(1, 5):
-                ok = splitting_twist_oracle(r, k)
-                cases.append(_case({"identity": f"twist r={r} k={k}"}, [], ok))
-    elif part == "segre":
-        ring = FormalRing(n)
-        e = generic_bundle(ring, "E", -1)
-        ss = segre(e)
-        for k in range(1, n + 1):
-            acc = ring.zero()
-            for i in range(k + 1):
-                acc = acc + ss[i] * e.chern(k - i)
-            ok = acc.is_zero()
-            cases.append(_case({"identity": f"sum s_i c_(k-i) = 0, k={k}"}, [], ok))
-    else:
-        raise ConfigError(f"unknown symbolic part {part!r}")
+    for b in range(1, min(4, n) + 1):
+        ok = thom_porteous(1, b, e) == e.chern(b)
+        cases.append(_case({"identity": f"Delta^1_{b} = c_{b}"}, [], ok))
+    for a in range(1, 5):
+        ok = thom_porteous(a, 0, e) == ring.one()
+        cases.append(_case({"identity": f"Delta^{a}_0 = 1"}, [], ok))
+    for r0 in range(1, 4):
+        for r1 in range(1, 6):
+            for i in range(4):
+                if r1 - r0 + 1 + i > n:
+                    continue
+                ok = verify_higher_tp(r0, r1, i, n)
+                cases.append(_case({"identity": f"higher-tp r0={r0} r1={r1} i={i}"}, [], ok))
+    for r in range(1, 5):
+        for k in range(1, 5):
+            ok = splitting_twist_oracle(r, k)
+            cases.append(_case({"identity": f"twist r={r} k={k}"}, [], ok))
+    ss = segre(e)
+    for k in range(1, n + 1):
+        acc = ring.zero()
+        for i in range(k + 1):
+            acc = acc + ss[i] * e.chern(k - i)
+        ok = acc.is_zero()
+        cases.append(_case({"identity": f"sum s_i c_(k-i) = 0, k={k}"}, [], ok))
     return cases
 
 
-def _vertex_suite_cases(s: Scenario, part: str) -> list[dict]:
+def _vertex_suite_cases(s: Scenario) -> list[dict]:
     surface = surface_by_name(s.surface)
     u1u2 = LaurentPoly.monomial(1, 1)
     cases = []
-    if part == "serre":
-        for n1 in range(5):
-            for n2 in range(5):
-                ok = True
-                checked = 0
-                for lam in partitions_of(n1):
-                    for mu in partitions_of(n2):
-                        q1, q2 = box_character(lam), box_character(mu)
-                        ok = ok and vertex_V(q1, q2).bar() == u1u2 * vertex_V(q2, q1)
-                        checked += 1
-                cases.append(
-                    _case({"identity": f"serre |l|={n1} |m|={n2}", "pairs": checked}, [], ok)
-                )
-    elif part == "rank-law":
-        ok = True
-        checked = 0
-        for n1 in range(5):
-            for n2 in range(5):
-                for lam in partitions_of(n1):
-                    for mu in partitions_of(n2):
-                        value = vertex_V(box_character(lam), box_character(mu)).rank_eval()
-                        ok = ok and value == n1 + n2
-                        checked += 1
-        cases.append(_case({"identity": "rank_eval(V) = |l|+|m|", "pairs": checked}, [], ok))
-    elif part == "arm-leg":
-        ok = True
-        checked = 0
-        for n in range(6):
-            for lam in partitions_of(n):
-                q = box_character(lam)
-                ok = ok and vertex_V(q, q) == arm_leg_tangent(lam)
-                checked += 1
-        cases.append(_case({"identity": "diagonal vertex = arm/leg", "shapes": checked}, [], ok))
-    elif part == "effectivity":
-        trivial = bundle_by_label(surface, "O")
-        ok = True
-        checked = 0
-        for n1 in range(1, 5):
-            for n2 in range(n1 + 1):
-                for mp1 in multipartitions(surface, n1):
-                    for mp2 in multipartitions(surface, n2):
-                        value = co_class(surface, mp1, mp2, trivial).value
-                        zero_mult = value.coefficient((0, 0))
-                        if mp_contains(mp1, mp2):
-                            # chi(O)/Hom trivial summands cancel: the class is
-                            # the effective Ext^1 character, fully movable
-                            good = zero_mult == 0 and all(
-                                c >= 0 for _, c in value.terms()
-                            )
-                        else:
-                            # jumping characterization: leftover weight-zero
-                            # content detects the failure of nesting
-                            good = zero_mult >= 1
-                        ok = ok and good
-                        checked += 1
-        cases.append(
-            _case(
-                {"identity": "nested co_class effective; weight-zero detects nesting",
-                 "pairs": checked},
-                [],
-                ok,
+    for n1 in range(5):
+        for n2 in range(5):
+            ok = True
+            checked = 0
+            for lam in partitions_of(n1):
+                for mu in partitions_of(n2):
+                    q1, q2 = box_character(lam), box_character(mu)
+                    ok = ok and vertex_V(q1, q2).bar() == u1u2 * vertex_V(q2, q1)
+                    checked += 1
+            cases.append(
+                _case({"identity": f"serre |l|={n1} |m|={n2}", "pairs": checked}, [], ok)
             )
+    ok = True
+    checked = 0
+    for n1 in range(5):
+        for n2 in range(5):
+            for lam in partitions_of(n1):
+                for mu in partitions_of(n2):
+                    value = vertex_V(box_character(lam), box_character(mu)).rank_eval()
+                    ok = ok and value == n1 + n2
+                    checked += 1
+    cases.append(_case({"identity": "rank_eval(V) = |l|+|m|", "pairs": checked}, [], ok))
+    ok = True
+    checked = 0
+    for n in range(6):
+        for lam in partitions_of(n):
+            q = box_character(lam)
+            ok = ok and vertex_V(q, q) == arm_leg_tangent(lam)
+            checked += 1
+    cases.append(_case({"identity": "diagonal vertex = arm/leg", "shapes": checked}, [], ok))
+    trivial = bundle_by_label(surface, "O")
+    ok = True
+    checked = 0
+    for n1 in range(1, 5):
+        for n2 in range(n1 + 1):
+            for mp1 in multipartitions(surface, n1):
+                for mp2 in multipartitions(surface, n2):
+                    value = co_class(surface, mp1, mp2, trivial).value
+                    zero_mult = value.coefficient((0, 0))
+                    if mp_contains(mp1, mp2):
+                        # chi(O)/Hom trivial summands cancel: the class is
+                        # the effective Ext^1 character, fully movable
+                        good = zero_mult == 0 and all(
+                            c >= 0 for _, c in value.terms()
+                        )
+                    else:
+                        # jumping characterization: leftover weight-zero
+                        # content detects the failure of nesting
+                        good = zero_mult >= 1
+                    ok = ok and good
+                    checked += 1
+    cases.append(
+        _case(
+            {"identity": "nested co_class effective; weight-zero detects nesting",
+             "pairs": checked},
+            [],
+            ok,
         )
-    else:
-        raise ConfigError(f"unknown vertex part {part!r}")
+    )
     return cases
 
 
@@ -502,19 +531,18 @@ def _vertex_suite_cases(s: Scenario, part: str) -> list[dict]:
 
 @dataclass(frozen=True)
 class ScenarioKind:
-    """How one scenario kind splits into work groups, runs them, and what
-    its sizes and report parameters are."""
+    """How one scenario kind splits into work groups, runs them, and which
+    inputs and report parameters it has."""
 
     #: deterministic work units of a scenario; each yields a list of cases
     groups: Callable[[Scenario], list[dict]]
     #: runs one group as cases(scenario, **group)
     cases: Callable[..., list[dict]]
-    #: (fewest, most, rule) for the number of sizes; None if the kind takes none
+    #: (fewest, most, rule) for the number of sizes; None if the kind reads none
     sizes: tuple[int, float, str] | None = None
-    #: takes vanishing indices i (validated and echoed)
-    vanishing: bool = False
-    #: takes a twist battery (--bundles)
-    twists: bool = False
+    #: the Scenario fields among surface, i_values, bundles, specs and
+    #: insertions that the kind reads; any other one must keep its default
+    reads: frozenset[str] = frozenset()
     #: echoes the number of nested chains (kinds with a virtual side)
     chains: bool = False
 
@@ -528,36 +556,40 @@ def _twist_groups(s: Scenario) -> list[dict]:
     return [{"i": i, "bundle": b} for b in bundles for i in s.i_values]
 
 
-def _parts(*parts: str) -> Callable[[Scenario], list[dict]]:
-    return lambda s: [{"part": part} for part in parts]
-
-
 _TWO_SIZES = (2, 2, "needs exactly two sizes")
+_SAMPLED = frozenset({"surface", "specs"})
+_INTEGRATED = _SAMPLED | {"insertions"}
 
 SCENARIO_KINDS = {
     "vanish": ScenarioKind(
         lambda s: [{"i": i, "bundle": "O"} for i in s.i_values],
         _vanish_cases,
         _TWO_SIZES,
-        vanishing=True,
+        reads=_INTEGRATED | {"i_values"},
     ),
     "twisted-vanish": ScenarioKind(
-        _twist_groups, _vanish_cases, _TWO_SIZES, vanishing=True, twists=True
+        _twist_groups, _vanish_cases, _TWO_SIZES, reads=_INTEGRATED | {"i_values", "bundles"}
     ),
-    "pushforward": ScenarioKind(_single_group, _pushforward_cases, _TWO_SIZES, chains=True),
+    "pushforward": ScenarioKind(
+        _single_group, _pushforward_cases, _TWO_SIZES, reads=_INTEGRATED, chains=True
+    ),
     "kstep": ScenarioKind(
-        _single_group, _pushforward_cases, (2, math.inf, "needs at least two sizes"), chains=True
+        _single_group,
+        _pushforward_cases,
+        (2, math.inf, "needs at least two sizes"),
+        reads=_INTEGRATED,
+        chains=True,
     ),
-    "symbolic-tp": ScenarioKind(
-        _parts("delta-column", "delta-zero", "higher-tp", "twist-oracle", "segre"), _symbolic_cases
+    "symbolic-tp": ScenarioKind(_single_group, _symbolic_cases),
+    "euler-count": ScenarioKind(
+        _single_group, _euler_count_cases, (1, 1, "takes a single size"), reads=_SAMPLED
     ),
-    "euler-count": ScenarioKind(_single_group, _euler_count_cases, (1, 1, "takes a single size")),
     "hrr-check": ScenarioKind(
-        lambda s: [{"degrees": d} for d in surface_by_name(s.surface).hrr_degrees], _hrr_cases
+        lambda s: [{"degrees": d} for d in surface_by_name(s.surface).hrr_degrees],
+        _hrr_cases,
+        reads=_SAMPLED,
     ),
-    "serre-duality": ScenarioKind(
-        _parts("serre", "rank-law", "arm-leg", "effectivity"), _vertex_suite_cases
-    ),
+    "serre-duality": ScenarioKind(_single_group, _vertex_suite_cases, reads=frozenset({"surface"})),
 }
 
 
@@ -569,7 +601,7 @@ SCENARIO_KINDS = {
 def _params_echo(s: Scenario) -> dict:
     kind = SCENARIO_KINDS[s.kind]
     out = {"surface": s.surface, "n": list(s.sizes)}
-    if kind.vanishing:
+    if "i_values" in kind.reads:
         out["i"] = list(s.i_values)
     if s.bundles:
         out["bundles"] = list(s.bundles)
@@ -658,18 +690,13 @@ def report_text(report: dict, stable: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: dict, fmt: str = "json", path: str | None = None, stable: bool = False) -> str:
-    """Render and optionally write a report; bit-stable for identical inputs."""
+def emit_report(report: dict, fmt: str = "json", stable: bool = False) -> str:
+    """Render a report; bit-stable for identical inputs."""
     if fmt == "json":
-        rendered = report_json(report, stable=stable)
-    elif fmt == "text":
-        rendered = report_text(report, stable=stable)
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    return rendered
+        return report_json(report, stable=stable)
+    if fmt == "text":
+        return report_text(report, stable=stable)
+    raise ConfigError(f"unknown report format {fmt!r}")
 
 
 def parse_config(path: str) -> list[Scenario]:
@@ -688,38 +715,22 @@ def parse_config(path: str) -> list[Scenario]:
         raise ConfigError("no scenarios")
     out = []
     for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"scenario #{index + 1}: missing 'kind'")
         try:
-            scenario = Scenario(
-                kind=str(entry["kind"]),
-                surface=str(entry.get("surface", "p2")),
-                sizes=tuple(int(n) for n in entry.get("n", ())),
-                i_values=tuple(int(i) for i in entry.get("i", (1,))),
-                bundles=tuple(str(b) for b in entry.get("bundles", ())),
-                samples=int(entry.get("samples", DEFAULT_SAMPLES)),
-                seed=int(entry.get("seed", DEFAULT_SEED)),
-                truncation=int(entry.get("truncation", DEFAULT_TRUNCATION)),
-                insertions=str(entry.get("insertions", "auto")),
-                specs=tuple(str(t) for t in entry.get("specs", ())),
-            )
-            out.append(validate_scenario(scenario))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"scenario #{index + 1}: {exc}") from None
+            out.append(scenario_from_entry(entry))
         except ConfigError as exc:
             raise ConfigError(f"scenario #{index + 1}: {exc}") from None
     return out
 
 
-def default_battery_scenarios(seed: int = DEFAULT_SEED) -> list[Scenario]:
+def default_battery_scenarios() -> list[Scenario]:
     """The `all` subcommand's curated battery (small sizes, fast)."""
     return [
-        *(Scenario(kind="hrr-check", surface=name, seed=seed) for name in SURFACES),
-        *(Scenario(kind="euler-count", surface=name, sizes=(2,), seed=seed) for name in SURFACES),
-        Scenario(kind="serre-duality", surface="p2", seed=seed),
-        Scenario(kind="symbolic-tp", seed=seed),
-        Scenario(kind="vanish", surface="p2", sizes=(2, 1), i_values=(1, 2), seed=seed),
-        Scenario(kind="twisted-vanish", surface="p2", sizes=(2, 1), i_values=(1,), seed=seed),
-        Scenario(kind="pushforward", surface="p2", sizes=(2, 1), seed=seed),
-        Scenario(kind="kstep", surface="p2", sizes=(1, 1, 1), seed=seed),
+        *(Scenario(kind="hrr-check", surface=name) for name in SURFACES),
+        *(Scenario(kind="euler-count", surface=name, sizes=(2,)) for name in SURFACES),
+        Scenario(kind="serre-duality", surface="p2"),
+        Scenario(kind="symbolic-tp"),
+        Scenario(kind="vanish", surface="p2", sizes=(2, 1), i_values=(1, 2)),
+        Scenario(kind="twisted-vanish", surface="p2", sizes=(2, 1), i_values=(1,)),
+        Scenario(kind="pushforward", surface="p2", sizes=(2, 1)),
+        Scenario(kind="kstep", surface="p2", sizes=(1, 1, 1)),
     ]

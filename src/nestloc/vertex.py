@@ -38,7 +38,6 @@ class GlobalCharacter:
 
     value: LaurentPoly
     rank: int
-    provenance: str
 
     def __post_init__(self):
         if self.rank != self.value.rank_eval():
@@ -84,7 +83,7 @@ def co_class(
         local = vertex_V(box_character(lam1), box_character(lam2))
         if local:
             total = total + LaurentPoly.monomial(*mu) * _substitute_chart(local, chart)
-    return GlobalCharacter(total, mp1.total + mp2.total, "co_class")
+    return GlobalCharacter(total, mp1.total + mp2.total)
 
 
 @lru_cache(maxsize=65536)
@@ -97,7 +96,7 @@ def tangent_char(surface: ToricSurface, mp: MultiPartition) -> GlobalCharacter:
         local = vertex_V(q, q)
         if local:
             total = total + _substitute_chart(local, chart)
-    return GlobalCharacter(total, 2 * mp.total, "tangent")
+    return GlobalCharacter(total, 2 * mp.total)
 
 
 def taut_char(surface: ToricSurface, bundle: EqLineBundle, mp: MultiPartition) -> GlobalCharacter:
@@ -109,7 +108,7 @@ def taut_char(surface: ToricSurface, bundle: EqLineBundle, mp: MultiPartition) -
             total = total + LaurentPoly.monomial(*mu) * _substitute_chart(
                 box_character(lam), chart
             )
-    return GlobalCharacter(total, mp.total, "taut")
+    return GlobalCharacter(total, mp.total)
 
 
 @lru_cache(maxsize=65536)
@@ -126,7 +125,7 @@ def virtual_tangent_char(surface: ToricSurface, chain: NestedChain) -> GlobalCha
     for mp_a, mp_b in zip(chain.steps, chain.steps[1:]):
         total = total - co_class(surface, mp_a, mp_b, trivial).value
     sizes = chain.sizes
-    return GlobalCharacter(total, sizes[0] + sizes[-1], "vtangent")
+    return GlobalCharacter(total, sizes[0] + sizes[-1])
 
 
 @lru_cache(maxsize=None)

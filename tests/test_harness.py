@@ -111,7 +111,7 @@ def test_report_json_round_trip():
     assert parsed == json.loads(report_json(parsed))
     assert parsed["scenario"] == "euler-count"
     assert parsed["verdict"] == "pass"
-    assert parsed["seed"] == harness.DEFAULT_SEED
+    assert parsed["seed"] == Scenario.seed
     assert parsed["version"]
 
 
@@ -306,15 +306,15 @@ def test_cli_explicit_flags_override_config_even_at_defaults(tmp_path, capsys):
     (kept,) = _json_reports(capsys.readouterr().out)
     assert (kept["seed"], kept["params"]["samples"], kept["params"]["truncation"]) == (5, 2, 4)
     defaults = [
-        "--seed", str(harness.DEFAULT_SEED),
-        "--samples", str(harness.DEFAULT_SAMPLES),
-        "--truncation", str(harness.DEFAULT_TRUNCATION),
+        "--seed", str(Scenario.seed),
+        "--samples", str(Scenario.samples),
+        "--truncation", str(Scenario.truncation),
     ]
     assert cli.main(["all", "--config", str(config), "--format", "json", *defaults]) == 0
     (report,) = _json_reports(capsys.readouterr().out)
-    assert report["seed"] == harness.DEFAULT_SEED
-    assert report["params"]["samples"] == harness.DEFAULT_SAMPLES
-    assert report["params"]["truncation"] == harness.DEFAULT_TRUNCATION
+    assert report["seed"] == Scenario.seed
+    assert report["params"]["samples"] == Scenario.samples
+    assert report["params"]["truncation"] == Scenario.truncation
 
 
 def test_cli_all_battery_honours_samples_and_truncation(capsys):
@@ -340,7 +340,7 @@ def test_cli_rational_spec_is_scaled_to_integers(capsys):
     assert params["specs"] == ["1013/7,2027/5"]
     assert [sample["s"] for sample in scaled] == [["5065", "14189"]]
     _, sampled = samples()
-    assert len(sampled) == harness.DEFAULT_SAMPLES
+    assert len(sampled) == Scenario.samples
     assert {sample["value"] for sample in scaled + sampled} == {"9"}
 
 
@@ -354,6 +354,56 @@ def test_bundles_rejected_where_kind_takes_no_twist(capsys):
 def test_sizes_rejected_where_kind_takes_none(capsys):
     assert cli.main(["hrr-check", "--n", "3,2"]) == 2
     assert "--n" in capsys.readouterr().err
+
+
+# (command, config entry written to <config>, the flag or key the error names)
+_UNREAD_OR_UNKNOWN = [
+    ("all --spec 1,1", None, "--spec"),
+    ("all --n 3,2", None, "--n"),
+    ("serre-duality --spec 1,1 --insertions file:/nonexistent.json", None, "--spec"),
+    ("symbolic-tp --surface p1xp1", None, "--surface"),
+    ("pushforward --n 1,1 --i 2", None, "--i"),
+    ("euler-count --n 1 --insertions file:/nonexistent.json", None, "--insertions"),
+    ("hrr-check --insertions file:x", None, "--insertions"),
+    ("all --config <config>", {"kind": "euler-count", "n": [1], "seeds": 5}, "'seeds'"),
+    ("all --config <config>", {"kind": "twisted-vanish", "n": "11"}, "'n'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,entry,named",
+    _UNREAD_OR_UNKNOWN,
+    ids=[f"{command} [{named}]" for command, _, named in _UNREAD_OR_UNKNOWN],
+)
+def test_unread_or_unknown_input_exit_two(tmp_path, capsys, command, entry, named):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scenarios": [entry]}))
+    argv = [str(config) if arg == "<config>" else arg for arg in command.split()]
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["euler-count", "--n", "2"], ["all"]], ids=["euler-count", "all"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    argv = [*argv, "--format", fmt, "--stable"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "r.out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+
+
+def test_run_battery_script_writes_one_passing_report_per_scenario(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_battery.py")
+    result = subprocess.run(
+        [sys.executable, script, str(tmp_path)], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) == len(default_battery_scenarios())
+    for path in written:
+        assert json.loads(path.read_text())["verdict"] == "pass"
 
 
 def test_cli_config_missing_file_exit_two():

@@ -232,7 +232,7 @@ def test_virtual_tangent_box_over_empty():
 
 def test_global_character_validates_rank():
     with pytest.raises(ValueError):
-        GlobalCharacter(LaurentPoly.one(), 2, "taut")
+        GlobalCharacter(LaurentPoly.one(), 2)
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
