@@ -52,7 +52,10 @@ def _i_values(text: str) -> tuple[int, ...]:
 
 def _bundle_labels(text: str) -> tuple[str, ...]:
     # labels such as O(1,0) hold commas: split only outside parentheses
-    return tuple(b for b in re.split(r",(?![^()]*\))", text) if b)
+    labels = tuple(b for b in re.split(r",(?![^()]*\))", text) if b)
+    if not labels:
+        raise argparse.ArgumentTypeError(f"no bundle labels in {text!r}; expected e.g. O(1),O(2)")
+    return labels
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -75,10 +75,19 @@ class Scenario:
     specs: tuple[str, ...] = ()
 
 
+def _integer(value) -> int:
+    # JSON numbers such as 2.9 or true are not truncated into an int
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _sequence(convert: Callable) -> Callable:
     def parse(value) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
+        if not value:
+            raise ValueError("expected a nonempty list")
         return tuple(convert(item) for item in value)
 
     return parse
@@ -89,12 +98,12 @@ def _sequence(convert: Callable) -> Callable:
 ENTRY_KEYS = {
     "kind": ("kind", str, None),
     "surface": ("surface", str, "--surface"),
-    "n": ("sizes", _sequence(int), "--n"),
-    "i": ("i_values", _sequence(int), "--i"),
+    "n": ("sizes", _sequence(_integer), "--n"),
+    "i": ("i_values", _sequence(_integer), "--i"),
     "bundles": ("bundles", _sequence(str), "--bundles"),
-    "samples": ("samples", int, "--samples"),
-    "seed": ("seed", int, "--seed"),
-    "truncation": ("truncation", int, "--truncation"),
+    "samples": ("samples", _integer, "--samples"),
+    "seed": ("seed", _integer, "--seed"),
+    "truncation": ("truncation", _integer, "--truncation"),
     "insertions": ("insertions", str, "--insertions"),
     "specs": ("specs", _sequence(str), "--spec"),
 }
@@ -142,6 +151,10 @@ def validate_scenario(s: Scenario) -> Scenario:
         raise ConfigError(f"unknown surface {s.surface!r}")
     if s.samples < 1:
         raise ConfigError("samples must be >= 1")
+    if s.specs and s.samples != Scenario.samples:
+        raise ConfigError(
+            "samples (--samples) is refused beside explicit specs (--spec), which replace sampling"
+        )
     if s.truncation < 1:
         raise ConfigError("truncation must be >= 1")
     if kind.sizes:
@@ -208,7 +221,7 @@ def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
     try:
         for monomial in raw:
             factors = tuple(
-                TautFactor(int(f["factor"]) - 1, str(f["bundle"]), int(f["degree"]))
+                TautFactor(_integer(f["factor"]) - 1, str(f["bundle"]), _integer(f["degree"]))
                 for f in monomial
             )
             for f in factors:

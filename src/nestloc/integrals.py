@@ -242,28 +242,52 @@ def _localize(
 
     A factor's Chern series is keyed by (ambient factor, bundle label),
     None for the tangent bundle, and expanded once per fixed point to the
-    highest degree any insertion asks of it."""
+    highest degree any insertion asks of it.
+
+    The sums are held in `int`s: each weight is scaled to the lcm of the
+    weights' denominators, and Chern coefficients are `int`s because specs
+    are integral; each total is divided by that lcm once, at the end.  The
+    insertions' factor tuples form a prefix trie, built once whatever
+    their order.  At each fixed point the root holds the scaled weight,
+    every other node its parent's value times one coefficient, and each
+    distinct leaf adds its value to its total."""
     orders: dict[tuple[int, str | None], int] = {}
+    # trie node k >= 1 is nodes[k - 1] = (parent node, series key, degree);
+    # node 0 is the root, the empty product
+    nodes: list[tuple[int, tuple[int, str | None], int]] = []
+    children: dict[tuple[int, Factor], int] = {}
+    leaves = []
     for ins in insertions:
+        node = 0
         for f in ins.factors:
             key = (f.factor, f.bundle)
             orders[key] = max(orders.get(key, 0), f.degree)
+            child = children.get((node, f))
+            if child is None:
+                child = children[node, f] = len(nodes) + 1
+                nodes.append((node, key, f.degree))
+            node = child
+        leaves.append(node)
     bundles = {label: bundle_by_label(surface, label) for _, label in orders if label is not None}
-    totals = [Fraction(0)] * len(insertions)
+    points = list(points)
+    common = math.lcm(*(weight.denominator for _, weight in points))
+    # duplicate insertions share a leaf, which is summed once
+    summed = list(dict.fromkeys(leaves))
+    totals = [0] * (len(nodes) + 1)
     for steps, weight in points:
-        series = {}
+        coeffs = {}
         for (m, label), order in orders.items():
             if label is None:
                 char = tangent_char(surface, steps[m])
             else:
                 char = taut_char(surface, bundles[label], steps[m])
-            series[m, label] = chern_series(char, spec, order)
-        for i, ins in enumerate(insertions):
-            value = weight
-            for f in ins.factors:
-                value *= series[f.factor, f.bundle].coefficient(f.degree)
-            totals[i] += value
-    return totals
+            coeffs[m, label] = chern_series(char, spec, order).coeffs
+        values = [weight.numerator * (common // weight.denominator)]
+        for parent, key, degree in nodes:
+            values.append(values[parent] * coeffs[key][degree])
+        for leaf in summed:
+            totals[leaf] += values[leaf]
+    return [Fraction(totals[leaf], common) for leaf in leaves]
 
 
 def integrate_ambient_batch(

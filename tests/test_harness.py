@@ -153,6 +153,17 @@ def test_parallel_matches_serial():
     assert report_json(serial) == report_json(parallel)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [Scenario(kind="pushforward", sizes=(2, 1)), Scenario(kind="kstep", sizes=(1, 1, 1))],
+    ids=["pushforward", "kstep"],
+)
+def test_parallel_matches_serial_with_virtual_side(s):
+    serial = stable_copy(run_scenario(s, jobs=1))
+    parallel = stable_copy(run_scenario(s, jobs=4))
+    assert report_json(serial) == report_json(parallel)
+
+
 def test_math_error_becomes_failed_case(monkeypatch):
     def boom(scenario, **group):
         raise ZeroWeightError("chain [[1],[]]: synthetic")
@@ -367,6 +378,20 @@ _UNREAD_OR_UNKNOWN = [
     ("hrr-check --insertions file:x", None, "--insertions"),
     ("all --config <config>", {"kind": "euler-count", "n": [1], "seeds": 5}, "'seeds'"),
     ("all --config <config>", {"kind": "twisted-vanish", "n": "11"}, "'n'"),
+    # JSON numbers other than integers are refused, not truncated
+    (
+        "all --config <config>",
+        {"kind": "euler-count", "n": [2.9], "samples": 1.5},
+        "'n': expected an integer",
+    ),
+    ("all --config <config>", {"kind": "euler-count", "n": [2], "samples": 1.5}, "'samples'"),
+    ("all --config <config>", {"kind": "euler-count", "n": [2], "seed": True}, "'seed'"),
+    ("all --config <config>", {"kind": "symbolic-tp", "truncation": 8.0}, "'truncation'"),
+    ("all --config <config>", {"kind": "vanish", "n": [1, 1], "i": [1.0]}, "'i'"),
+    # explicit specs replace sampling; an empty twist list is not the battery
+    ("euler-count --n 1 --spec 2,3 --samples 5", None, "samples (--samples)"),
+    ("twisted-vanish --n 1,1 --bundles=", None, "--bundles"),
+    ("all --config <config>", {"kind": "twisted-vanish", "n": [1, 1], "bundles": []}, "'bundles'"),
 ]
 
 
@@ -440,6 +465,15 @@ def test_insertions_file_bad_bundle_exit_two(tmp_path, capsys):
     code = cli.main(["pushforward", "--surface", "p2", "--n", "1,1", "--insertions", f"file:{bad}"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor,degree", [(1.9, 2), (True, 2), (1, 2.0)])
+def test_insertions_file_non_integer_exit_two(tmp_path, capsys, factor, degree):
+    bad = tmp_path / "insertions.json"
+    bad.write_text(json.dumps([[{"factor": factor, "bundle": "O(1)", "degree": degree}]]))
+    code = cli.main(["pushforward", "--n", "1,1", "--insertions", f"file:{bad}"])
+    assert code == 2
+    assert "expected an integer" in capsys.readouterr().err
 
 
 class _RecordingExecutor:

@@ -1,11 +1,15 @@
 import json
+import math
 import os
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nestloc.characters import LaurentPoly
-from nestloc.combinatorics import MultiPartition, Partition, multipartitions
+from nestloc.combinatorics import MultiPartition, Partition, multipartitions, nested_chains
 from nestloc.errors import (
     DegreeMismatchError,
     NonGenericSpecError,
@@ -13,6 +17,8 @@ from nestloc.errors import (
     ZeroWeightError,
 )
 from nestloc.integrals import (
+    SPEC_HIGH,
+    SPEC_LOW,
     CoFactor,
     Insertion,
     TangentFactor,
@@ -30,7 +36,7 @@ from nestloc.integrals import (
 )
 from nestloc.series import TruncatedSeries, binomial
 from nestloc.toric import bundle_by_label, p1xp1, p2
-from nestloc.vertex import tangent_char, taut_char
+from nestloc.vertex import co_class, tangent_char, taut_char, virtual_tangent_char
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -233,3 +239,98 @@ def test_linearity_of_localization_sums():
         combined += (a * value_of(phi1, mps) + b * value_of(phi2, mps)) / denom
     separate = integrate_ambient_batch(surface, (2, 1), [phi1, phi2], spec, [])
     assert combined == a * separate[0] + b * separate[1]
+
+
+# -- slow oracle for the integer localization kernel -------------------------
+
+
+def reference_localize(surface, insertions, spec, points):
+    """The Fraction loop the integer kernel replaced: one multiply-add per
+    (fixed point, insertion, factor), each factor's series expanded to its
+    own degree."""
+    totals = [Fraction(0)] * len(insertions)
+    for steps, weight in points:
+        for i, ins in enumerate(insertions):
+            value = weight
+            for f in ins.factors:
+                if isinstance(f, TangentFactor):
+                    char = tangent_char(surface, steps[f.factor])
+                else:
+                    char = taut_char(surface, bundle_by_label(surface, f.bundle), steps[f.factor])
+                value *= chern_series(char, spec, f.degree).coefficient(f.degree)
+            totals[i] += value
+    return totals
+
+
+def co_value(surface, mps, co_factors, spec):
+    out = 1
+    for c in co_factors:
+        char = co_class(surface, mps[c.left], mps[c.left + 1], bundle_by_label(surface, c.bundle))
+        out *= chern_series(char, spec, c.degree).coefficient(c.degree)
+    return out
+
+
+def reference_ambient(surface, sizes, insertions, spec, co_factors):
+    points = []
+    for mps in product(*(multipartitions(surface, n) for n in sizes)):
+        denom = Fraction(1)
+        for mp in mps:
+            denom *= euler_class(tangent_char(surface, mp), spec)
+        points.append((mps, co_value(surface, mps, co_factors, spec) / denom))
+    return reference_localize(surface, insertions, spec, points)
+
+
+def reference_virtual(surface, sizes, insertions, spec):
+    points = [
+        (chain.steps, 1 / euler_class(virtual_tangent_char(surface, chain), spec))
+        for chain in nested_chains(surface, sizes)
+    ]
+    return reference_localize(surface, insertions, spec, points)
+
+
+def pushforward_co(sizes):
+    return [CoFactor(m, sizes[m] + sizes[m + 1]) for m in range(len(sizes) - 1)]
+
+
+spec_parts = st.tuples(st.integers(SPEC_LOW, SPEC_HIGH), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    surface=st.sampled_from([p2(), p1xp1()]),
+    sizes=st.sampled_from([(1, 1), (2, 1), (1, 1, 1)]),
+    a=spec_parts,
+    b=spec_parts,
+)
+def test_integer_kernel_matches_fraction_reference(data, surface, sizes, a, b):
+    # |s1|, |s2| >= SPEC_LOW and coprime: no exponent of these sizes pairs to 0
+    assume(math.gcd(a[0], b[0]) == 1)
+    spec = WeightSpec(a[0] * a[1], b[0] * b[1])
+    basis = insertion_basis(surface, sizes, sizes[0] + sizes[-1])
+    # shuffled, with duplicates: trie prefixes out of order and shared leaves
+    insertions = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=16))
+    co = pushforward_co(sizes)
+    assert integrate_ambient_batch(surface, sizes, insertions, spec, co) == reference_ambient(
+        surface, sizes, insertions, spec, co
+    )
+    assert integrate_virtual_batch(surface, sizes, insertions, spec) == reference_virtual(
+        surface, sizes, insertions, spec
+    )
+
+
+def test_integer_kernel_matches_reference_where_co_factor_vanishes():
+    # c_2(co) vanishes at the non-nested pairs of S^[1] x S^[1]: those fixed
+    # points drop out of the kernel's sum and add 0 to the reference's
+    surface, sizes, co = p2(), (1, 1), pushforward_co((1, 1))
+    spec = sample_specs(41, 1)[0]
+    points = list(product(multipartitions(surface, 1), repeat=2))
+    values = [co_value(surface, mps, co, spec) for mps in points]
+    assert 0 in values and any(values)
+    basis = insertion_basis(surface, sizes, 2)
+    # reversed, then twice c1(O(1)@1)^2 and c1(O(1)@1)*c1(O(2)@1) = 1, 2
+    insertions = basis[::-1] + basis[7:9]
+    ambient = integrate_ambient_batch(surface, sizes, insertions, spec, co)
+    assert ambient[-2:] == [1, 2]
+    assert ambient == reference_ambient(surface, sizes, insertions, spec, co)
+    assert ambient == integrate_virtual_batch(surface, sizes, insertions, spec)
