@@ -132,6 +132,11 @@ def scenario_from_entry(entry) -> Scenario:
             values[field] = convert(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key!r}: {exc}") from None
+    kind = SCENARIO_KINDS.get(values["kind"])
+    if "specs" in entry and "samples" in entry and kind and "samples" not in kind.reads:
+        raise ConfigError(
+            "samples (--samples) is refused beside explicit specs (--spec), which replace sampling"
+        )
     return validate_scenario(Scenario(**values))
 
 
@@ -151,10 +156,6 @@ def validate_scenario(s: Scenario) -> Scenario:
         raise ConfigError(f"unknown surface {s.surface!r}")
     if s.samples < 1:
         raise ConfigError("samples must be >= 1")
-    if s.specs and s.samples != Scenario.samples:
-        raise ConfigError(
-            "samples (--samples) is refused beside explicit specs (--spec), which replace sampling"
-        )
     if s.truncation < 1:
         raise ConfigError("truncation must be >= 1")
     if kind.sizes:
@@ -226,6 +227,11 @@ def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
             )
             for f in factors:
                 bundle_by_label(surface, f.bundle)
+                if f.factor < 0 or f.degree < 0:
+                    raise ValueError(
+                        f"factors count from 1 and degrees from 0, got factor {f.factor + 1}, "
+                        f"degree {f.degree}"
+                    )
             out.append(Insertion(factors))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
@@ -554,7 +560,8 @@ class ScenarioKind:
     #: (fewest, most, rule) for the number of sizes; None if the kind reads none
     sizes: tuple[int, float, str] | None = None
     #: the Scenario fields among surface, i_values, bundles, specs and
-    #: insertions that the kind reads; any other one must keep its default
+    #: insertions that the kind reads; any other one must keep its default.
+    #: `samples` is listed where it is read even beside explicit specs
     reads: frozenset[str] = frozenset()
     #: echoes the number of nested chains (kinds with a virtual side)
     chains: bool = False
@@ -600,7 +607,8 @@ SCENARIO_KINDS = {
     "hrr-check": ScenarioKind(
         lambda s: [{"degrees": d} for d in surface_by_name(s.surface).hrr_degrees],
         _hrr_cases,
-        reads=_SAMPLED,
+        # samples also counts the K-theoretic check's points
+        reads=_SAMPLED | {"samples"},
     ),
     "serre-duality": ScenarioKind(_single_group, _vertex_suite_cases, reads=frozenset({"surface"})),
 }

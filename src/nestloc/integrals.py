@@ -229,6 +229,8 @@ def _check_insertions(
         for f in ins.factors:
             if not 0 <= f.factor < factors:
                 raise DegreeMismatchError(f"factor index out of range in {ins.label()}")
+            if f.degree < 0:
+                raise DegreeMismatchError(f"negative factor degree in {ins.label()}")
 
 
 def _localize(
@@ -250,7 +252,7 @@ def _localize(
     insertions' factor tuples form a prefix trie, built once whatever
     their order.  At each fixed point the root holds the scaled weight,
     every other node its parent's value times one coefficient, and each
-    distinct leaf adds its value to its total."""
+    insertion adds its leaf's value to its total."""
     orders: dict[tuple[int, str | None], int] = {}
     # trie node k >= 1 is nodes[k - 1] = (parent node, series key, degree);
     # node 0 is the root, the empty product
@@ -271,9 +273,7 @@ def _localize(
     bundles = {label: bundle_by_label(surface, label) for _, label in orders if label is not None}
     points = list(points)
     common = math.lcm(*(weight.denominator for _, weight in points))
-    # duplicate insertions share a leaf, which is summed once
-    summed = list(dict.fromkeys(leaves))
-    totals = [0] * (len(nodes) + 1)
+    totals = [0] * len(leaves)
     for steps, weight in points:
         coeffs = {}
         for (m, label), order in orders.items():
@@ -285,9 +285,9 @@ def _localize(
         values = [weight.numerator * (common // weight.denominator)]
         for parent, key, degree in nodes:
             values.append(values[parent] * coeffs[key][degree])
-        for leaf in summed:
-            totals[leaf] += values[leaf]
-    return [Fraction(totals[leaf], common) for leaf in leaves]
+        for i, leaf in enumerate(leaves):
+            totals[i] += values[leaf]
+    return [Fraction(total, common) for total in totals]
 
 
 def integrate_ambient_batch(

@@ -388,8 +388,15 @@ _UNREAD_OR_UNKNOWN = [
     ("all --config <config>", {"kind": "euler-count", "n": [2], "seed": True}, "'seed'"),
     ("all --config <config>", {"kind": "symbolic-tp", "truncation": 8.0}, "'truncation'"),
     ("all --config <config>", {"kind": "vanish", "n": [1, 1], "i": [1.0]}, "'i'"),
-    # explicit specs replace sampling; an empty twist list is not the battery
+    # explicit specs replace sampling, even with --samples at its default;
+    # an empty twist list is not the battery
     ("euler-count --n 1 --spec 2,3 --samples 5", None, "samples (--samples)"),
+    ("euler-count --n 1 --spec 2,3 --samples 3", None, "samples (--samples)"),
+    (
+        "all --config <config>",
+        {"kind": "euler-count", "n": [1], "specs": ["2,3"], "samples": 2},
+        "samples (--samples)",
+    ),
     ("twisted-vanish --n 1,1 --bundles=", None, "--bundles"),
     ("all --config <config>", {"kind": "twisted-vanish", "n": [1, 1], "bundles": []}, "'bundles'"),
 ]
@@ -474,6 +481,31 @@ def test_insertions_file_non_integer_exit_two(tmp_path, capsys, factor, degree):
     code = cli.main(["pushforward", "--n", "1,1", "--insertions", f"file:{bad}"])
     assert code == 2
     assert "expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor,degree", [(1, -1), (0, 1)], ids=["degree-1", "factor0"])
+def test_insertions_file_out_of_range_exit_two(tmp_path, capsys, factor, degree):
+    # total degree 2 matches pushforward --n 1,1; the second factor is out of range
+    bad = tmp_path / "insertions.json"
+    monomial = [
+        {"factor": 1, "bundle": "O(1)", "degree": 2 - degree},
+        {"factor": factor, "bundle": "O(1)", "degree": degree},
+    ]
+    bad.write_text(json.dumps([monomial]))
+    code = cli.main(["pushforward", "--n", "1,1", "--insertions", f"file:{bad}"])
+    assert code == 2
+    assert "factors count from 1 and degrees from 0" in capsys.readouterr().err
+
+
+def test_samples_beside_specs_where_read(tmp_path, capsys):
+    # hrr-check counts its K-theoretic points by samples, specs or not
+    assert cli.main(["hrr-check", "--spec", "2,3", "--samples", "5"]) == 0
+    # `all --samples` overrides every scenario, those with specs included
+    config = tmp_path / "c.json"
+    entry = {"kind": "euler-count", "n": [1], "specs": ["2,3"]}
+    config.write_text(json.dumps({"scenarios": [entry]}))
+    assert cli.main(["all", "--config", str(config), "--samples", "2"]) == 0
+    capsys.readouterr()
 
 
 class _RecordingExecutor:

@@ -115,6 +115,13 @@ def test_degree_mismatch_virtual():
         integrate_virtual(p2(), (1, 1), insertion, WeightSpec(1, 2))
 
 
+def test_negative_factor_degree_is_refused():
+    # total degree 2 = dim S^[1], but c_{-1} is not a Chern class
+    insertion = Insertion((TautFactor(0, "O(1)", 3), TautFactor(0, "O(1)", -1)))
+    with pytest.raises(DegreeMismatchError, match="negative"):
+        integrate_ambient(p2(), (1,), insertion, WeightSpec(1, 2))
+
+
 def test_virtual_degenerate_sizes():
     spec = WeightSpec(3, 5)
     assert integrate_virtual(p2(), (0, 0), Insertion(()), spec) == 1
@@ -327,9 +334,10 @@ def test_integer_kernel_matches_reference_where_co_factor_vanishes():
     points = list(product(multipartitions(surface, 1), repeat=2))
     values = [co_value(surface, mps, co, spec) for mps in points]
     assert 0 in values and any(values)
-    basis = insertion_basis(surface, sizes, 2)
-    # reversed, then twice c1(O(1)@1)^2 and c1(O(1)@1)*c1(O(2)@1) = 1, 2
-    insertions = basis[::-1] + basis[7:9]
+    h, h2 = TautFactor(0, "O(1)", 1), TautFactor(0, "O(2)", 1)
+    # the basis reversed, then c1(O(1)@1)^2 = 1 and c1(O(1)@1)*c1(O(2)@1) = 2,
+    # which the basis also holds
+    insertions = insertion_basis(surface, sizes, 2)[::-1] + (Insertion((h, h)), Insertion((h, h2)))
     ambient = integrate_ambient_batch(surface, sizes, insertions, spec, co)
     assert ambient[-2:] == [1, 2]
     assert ambient == reference_ambient(surface, sizes, insertions, spec, co)
