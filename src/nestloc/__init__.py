@@ -22,7 +22,6 @@ from .combinatorics import (
 )
 from .toric import EqLineBundle, ToricSurface, bundle_by_label, line_bundle, p1xp1, p2, surface_by_name
 from .vertex import GlobalCharacter, co_class, tangent_char, taut_char, vertex_V, virtual_tangent_char
-from .series import TruncatedSeries
 from .integrals import (
     CoFactor,
     Insertion,

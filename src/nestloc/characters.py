@@ -10,10 +10,10 @@ sorted exponent order so downstream sums are reproducible bit for bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 Exponent = Tuple[int, int]
-TermSource = Union[Mapping[Exponent, int], Iterable[Tuple[Exponent, int]]]
+TermSource = Union[dict[Exponent, int], Iterable[Tuple[Exponent, int]]]
 
 
 class LaurentPoly:
@@ -23,7 +23,7 @@ class LaurentPoly:
 
     def __init__(self, terms: TermSource = ()):
         data: dict[Exponent, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         for exp, coeff in items:
             if not coeff:
                 continue

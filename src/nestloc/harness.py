@@ -132,12 +132,12 @@ def scenario_from_entry(entry) -> Scenario:
             values[field] = convert(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key!r}: {exc}") from None
-    kind = SCENARIO_KINDS.get(values["kind"])
-    if "specs" in entry and "samples" in entry and kind and "samples" not in kind.reads:
+    scenario = validate_scenario(Scenario(**values))
+    if "specs" in entry and "samples" in entry:
         raise ConfigError(
             "samples (--samples) is refused beside explicit specs (--spec), which replace sampling"
         )
-    return validate_scenario(Scenario(**values))
+    return scenario
 
 
 def validate_scenario(s: Scenario) -> Scenario:
@@ -422,7 +422,7 @@ def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
     rng = random.Random(s.seed)
     character_ok = True
     checked = 0
-    while checked < max(3, s.samples):
+    while checked < 3:
         t1 = Fraction(rng.randint(2, 97), rng.randint(2, 97))
         t2 = Fraction(rng.randint(2, 97), rng.randint(2, 97))
         if t1 == 1 or t2 == 1 or t1 == t2:
@@ -560,8 +560,7 @@ class ScenarioKind:
     #: (fewest, most, rule) for the number of sizes; None if the kind reads none
     sizes: tuple[int, float, str] | None = None
     #: the Scenario fields among surface, i_values, bundles, specs and
-    #: insertions that the kind reads; any other one must keep its default.
-    #: `samples` is listed where it is read even beside explicit specs
+    #: insertions that the kind reads; any other one must keep its default
     reads: frozenset[str] = frozenset()
     #: echoes the number of nested chains (kinds with a virtual side)
     chains: bool = False
@@ -607,8 +606,7 @@ SCENARIO_KINDS = {
     "hrr-check": ScenarioKind(
         lambda s: [{"degrees": d} for d in surface_by_name(s.surface).hrr_degrees],
         _hrr_cases,
-        # samples also counts the K-theoretic check's points
-        reads=_SAMPLED | {"samples"},
+        reads=_SAMPLED,
     ),
     "serre-duality": ScenarioKind(_single_group, _vertex_suite_cases, reads=frozenset({"surface"})),
 }
@@ -674,12 +672,10 @@ def run_scenario(s: Scenario, jobs: int = 1) -> dict:
 
 
 def stable_copy(report: dict) -> dict:
-    """Report with wall-clock fields zeroed, for byte-stable comparison."""
-    out = json.loads(json.dumps(report))
-    out["elapsed_ms"] = 0
-    for case in out.get("cases", []):
-        case["elapsed_ms"] = 0
-    return out
+    """Report with wall-clock fields zeroed, for byte-stable comparison; a
+    shallow copy, so the report's other values are shared, not copied."""
+    cases = [{**case, "elapsed_ms": 0} for case in report["cases"]]
+    return {**report, "cases": cases, "elapsed_ms": 0}
 
 
 def report_json(report: dict, stable: bool = False) -> str:

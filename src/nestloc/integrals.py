@@ -25,7 +25,7 @@ from .errors import (
     SpecDependenceError,
     ZeroWeightError,
 )
-from .series import TruncatedSeries, line_factor
+from .series import line_factor
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
 from .vertex import GlobalCharacter, co_class, tangent_char, taut_char, virtual_tangent_char
 
@@ -51,8 +51,9 @@ def _char_value(char: Union[GlobalCharacter, LaurentPoly]) -> LaurentPoly:
 
 def chern_series(
     char: Union[GlobalCharacter, LaurentPoly], spec: WeightSpec, order: int
-) -> TruncatedSeries:
-    """Total Chern series prod_w (1 + <w,s> tau)^{m_w} truncated at tau^order.
+) -> tuple[int, ...]:
+    """Coefficients of degrees 0..order of the total Chern series
+    prod_w (1 + <w,s> tau)^{m_w}.
 
     Negative multiplicities invert the corresponding factor; weight-zero
     terms contribute unity, so zero weights are legal here.
@@ -63,15 +64,14 @@ def chern_series(
 
 
 @lru_cache(maxsize=65536)
-def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> TruncatedSeries:
+def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
     pairing = spec.pairing
-    out = TruncatedSeries.one(order)
+    coeffs = [1] + [0] * order
     for exp, mult in poly.terms():
         value = pairing(exp)
-        if value == 0:
-            continue
-        out = out * line_factor(value, mult, order)
-    return out
+        if value:
+            line_factor(coeffs, value, mult)
+    return tuple(coeffs)
 
 
 def euler_class(char: Union[GlobalCharacter, LaurentPoly], spec: WeightSpec) -> Fraction:
@@ -281,7 +281,7 @@ def _localize(
                 char = tangent_char(surface, steps[m])
             else:
                 char = taut_char(surface, bundles[label], steps[m])
-            coeffs[m, label] = chern_series(char, spec, order).coeffs
+            coeffs[m, label] = chern_series(char, spec, order)
         values = [weight.numerator * (common // weight.denominator)]
         for parent, key, degree in nodes:
             values.append(values[parent] * coeffs[key][degree])
@@ -320,7 +320,7 @@ def integrate_ambient_batch(
             co_value = Fraction(1)
             for c in co_factors:
                 char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
-                co_value *= chern_series(char, spec, c.degree).coefficient(c.degree)
+                co_value *= chern_series(char, spec, c.degree)[c.degree]
             if co_value != 0:
                 yield mps, co_value / denom
 

@@ -392,6 +392,7 @@ _UNREAD_OR_UNKNOWN = [
     # an empty twist list is not the battery
     ("euler-count --n 1 --spec 2,3 --samples 5", None, "samples (--samples)"),
     ("euler-count --n 1 --spec 2,3 --samples 3", None, "samples (--samples)"),
+    ("hrr-check --spec 2,3 --samples 5", None, "samples (--samples)"),
     (
         "all --config <config>",
         {"kind": "euler-count", "n": [1], "specs": ["2,3"], "samples": 2},
@@ -498,8 +499,6 @@ def test_insertions_file_out_of_range_exit_two(tmp_path, capsys, factor, degree)
 
 
 def test_samples_beside_specs_where_read(tmp_path, capsys):
-    # hrr-check counts its K-theoretic points by samples, specs or not
-    assert cli.main(["hrr-check", "--spec", "2,3", "--samples", "5"]) == 0
     # `all --samples` overrides every scenario, those with specs included
     config = tmp_path / "c.json"
     entry = {"kind": "euler-count", "n": [1], "specs": ["2,3"]}

@@ -34,9 +34,10 @@ from nestloc.integrals import (
     integrate_virtual_batch,
     sample_specs,
 )
-from nestloc.series import TruncatedSeries, binomial
-from nestloc.toric import bundle_by_label, p1xp1, p2
+from nestloc.series import binomial
+from nestloc.toric import bundle_by_label, line_bundle, p1xp1, p2
 from nestloc.vertex import co_class, tangent_char, taut_char, virtual_tangent_char
+from test_combinatorics import euler_product_coefficient
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -55,19 +56,110 @@ def test_binomial_generalized():
 
 def test_chern_series_examples():
     spec = WeightSpec(1, 0)
-    assert chern_series(LaurentPoly.zero(), spec, 3) == TruncatedSeries([1, 0, 0, 0])
-    assert chern_series(LaurentPoly.monomial(1, 0), spec, 2) == TruncatedSeries([1, 1, 0])
+    assert chern_series(LaurentPoly.zero(), spec, 3) == (1, 0, 0, 0)
+    assert chern_series(LaurentPoly.monomial(1, 0), spec, 2) == (1, 1, 0)
     # (1+2t)/(1+3t) = 1 - t + 3t^2
     spec23 = WeightSpec(2, 3)
     char = lp({(1, 0): 1, (0, 1): -1})
-    assert chern_series(char, spec23, 2) == TruncatedSeries([1, -1, 3])
+    assert chern_series(char, spec23, 2) == (1, -1, 3)
 
 
 def test_chern_series_constant_term_is_one():
     spec = WeightSpec(5, 7)
     char = lp({(1, 0): 2, (0, 1): -3, (1, 1): 1, (0, 0): 4})
     series = chern_series(char, spec, 5)
-    assert series.coefficient(0) == 1
+    assert series[0] == 1
+
+
+# -- slow oracle for the in-place Chern series --------------------------------
+
+
+def reference_line_factor(weight_value, multiplicity, order):
+    """(1 + w tau)^m truncated at tau^order; m may be negative (generalized
+    binomials)."""
+    coeffs = [1]
+    power = 1
+    for j in range(1, order + 1):
+        power *= weight_value
+        coeffs.append(binomial(multiplicity, j) * power)
+    return coeffs
+
+
+def reference_chern_series(char, spec, order):
+    """The product the in-place update replaced: one binomial line factor
+    per nonzero weight, multiplied in by a dense truncated product."""
+    out = [1] + [0] * order
+    for exp, mult in char.terms():
+        value = spec.pairing(exp)
+        if value == 0:
+            continue
+        b = reference_line_factor(value, mult, order)
+        step = [0] * (order + 1)
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                step[i + j] += out[i] * b[j]
+        out = step
+    return tuple(out)
+
+
+signed_specs = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda s: s != (0, 0))
+
+
+@st.composite
+def characters_at_spec(draw):
+    """A character with signed multiplicities and a signed integer spec;
+    some exponents are multiples of (s2, -s1), so they pair to zero."""
+    s1, s2 = draw(signed_specs)
+    exponent = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    zero_pairing = st.integers(-2, 2).map(lambda k: (k * s2, -k * s1))
+    terms = draw(
+        st.lists(
+            st.tuples(st.one_of(exponent, zero_pairing), st.integers(-4, 4)), max_size=8
+        )
+    )
+    return lp(terms), WeightSpec(s1, s2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(characters_at_spec(), st.integers(0, 12))
+def test_chern_series_matches_binomial_product(char_spec, order):
+    char, spec = char_spec
+    assert chern_series(char, spec, order) == reference_chern_series(char, spec, order)
+
+
+# Carlsson-Okounkov: sum_n q^n int_{S^[n]} c_2n(E_L) = prod_m (1-q^m)^(2-2chi(L)-e(S))
+# for the twisted diagonal class E_L = co_class(S, mp, mp, L) of rank 2n.
+# At these points E_L is an honest representation (no negative
+# multiplicity), so only the binomial oracle above reaches the division.
+CARLSSON_OKOUNKOV = [
+    (p2, (0,), (1, 3, 9, 22, 51)),
+    (p2, (1,), (1, 7, 35, 140, 490)),
+    (p2, (2,), (1, 13, 104, 637, 3276)),
+    (p1xp1, (0, 0), (1, 4, 14, 40)),
+    (p1xp1, (1, 0), (1, 6, 27, 98)),
+    (p1xp1, (0, 1), (1, 6, 27, 98)),
+]
+
+
+@pytest.mark.parametrize(
+    "surface_fn,degrees,expected",
+    CARLSSON_OKOUNKOV,
+    ids=[f"{fn.__name__}-O{degrees}".replace(",)", ")") for fn, degrees, _ in CARLSSON_OKOUNKOV],
+)
+def test_twisted_diagonal_class_matches_carlsson_okounkov(surface_fn, degrees, expected):
+    surface = surface_fn()
+    bundle = line_bundle(surface, *degrees)
+    e = 2 * surface.chi(*degrees) + surface.euler_number - 2
+    assert tuple(euler_product_coefficient(int(e), n) for n in range(len(expected))) == expected
+    for spec in (WeightSpec(1013, 2027), WeightSpec(-3001, 1999)):
+        got = []
+        for n in range(len(expected)):
+            total = Fraction(0)
+            for mp in multipartitions(surface, n):
+                top = chern_series(co_class(surface, mp, mp, bundle), spec, 2 * n)[2 * n]
+                total += top / euler_class(tangent_char(surface, mp), spec)
+            got.append(total)
+        assert tuple(got) == expected, spec.to_text()
 
 
 def test_euler_class_examples():
@@ -235,7 +327,7 @@ def test_linearity_of_localization_sums():
         out = Fraction(1)
         for f in ins.factors:
             char = taut_char(surface, bundle_by_label(surface, f.bundle), mps[f.factor])
-            out *= chern_series(char, spec, f.degree).coefficient(f.degree)
+            out *= chern_series(char, spec, f.degree)[f.degree]
         return out
 
     combined = Fraction(0)
@@ -264,7 +356,7 @@ def reference_localize(surface, insertions, spec, points):
                     char = tangent_char(surface, steps[f.factor])
                 else:
                     char = taut_char(surface, bundle_by_label(surface, f.bundle), steps[f.factor])
-                value *= chern_series(char, spec, f.degree).coefficient(f.degree)
+                value *= chern_series(char, spec, f.degree)[f.degree]
             totals[i] += value
     return totals
 
@@ -273,7 +365,7 @@ def co_value(surface, mps, co_factors, spec):
     out = 1
     for c in co_factors:
         char = co_class(surface, mps[c.left], mps[c.left + 1], bundle_by_label(surface, c.bundle))
-        out *= chern_series(char, spec, c.degree).coefficient(c.degree)
+        out *= chern_series(char, spec, c.degree)[c.degree]
     return out
 
 
