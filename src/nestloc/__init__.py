@@ -39,7 +39,6 @@ from .integrals import (
     integrate_virtual_batch,
     k_theory_chi_sum,
     sample_specs,
-    twist_battery,
 )
 from .chern import (
     Element,

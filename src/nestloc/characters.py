@@ -51,6 +51,16 @@ class LaurentPoly:
     def monomial(cls, a: int, b: int, coeff: int = 1) -> "LaurentPoly":
         return cls({(a, b): coeff})
 
+    @classmethod
+    def _wrap(cls, data: dict[Exponent, int]) -> "LaurentPoly":
+        """Take ownership of a dict already in canonical form (int exponent
+        pairs, no zero coefficient) without re-validating it."""
+        out = cls.__new__(cls)
+        out._terms = data
+        out._key = None
+        out._hash = None
+        return out
+
     # -- canonical access --------------------------------------------------
 
     def terms(self) -> tuple[tuple[Exponent, int], ...]:
@@ -88,11 +98,7 @@ class LaurentPoly:
                 data[exp] = new
             else:
                 del data[exp]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = data
-        out._key = None
-        out._hash = None
-        return out
+        return LaurentPoly._wrap(data)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._terms.items()})
@@ -114,11 +120,7 @@ class LaurentPoly:
                     data[key] = new
                 elif key in data:
                     del data[key]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = data
-        out._key = None
-        out._hash = None
-        return out
+        return LaurentPoly._wrap(data)
 
     __rmul__ = __mul__
 
@@ -148,11 +150,7 @@ class LaurentPoly:
                 data[key] = new
             elif key in data:
                 del data[key]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = data
-        out._key = None
-        out._hash = None
-        return out
+        return LaurentPoly._wrap(data)
 
     # -- comparison / hashing ----------------------------------------------
 

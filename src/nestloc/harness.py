@@ -245,22 +245,31 @@ def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
 # --------------------------------------------------------------------------
 
 
-def arm_leg_tangent(lam) -> LaurentPoly:
-    """Arm/leg tangent character of the Hilbert scheme of points on C^2.
+def arm_leg_vertex(lam1, lam2) -> LaurentPoly:
+    """Arm/leg form of the chart vertex V(Q_lam1, Q_lam2).
 
-    Convention fixed by brute-force match with the diagonal vertex on
-    |lambda| <= 2: each box contributes u1^{-leg-1} u2^{arm} +
-    u1^{leg} u2^{-arm-1}.
+    With a_nu(s) = nu_i - j - 1 and l_nu(s) = nu'_j - i - 1 for a box
+    s = (i, j), both negative outside nu: each box of lam1 contributes
+    u1^{-l_lam1(s)-1} u2^{a_lam2(s)}, each box of lam2 u1^{l_lam2(s)}
+    u2^{-a_lam1(s)-1}.
     """
-    conj = lam.conjugate().parts
-    terms: list[tuple[tuple[int, int], int]] = []
-    for i, row in enumerate(lam.parts):
-        for j in range(row):
-            arm = row - j - 1
-            leg = conj[j] - i - 1
-            terms.append(((-leg - 1, arm), 1))
-            terms.append(((leg, -arm - 1), 1))
+
+    def arm(nu, i, j):
+        return (nu.parts[i] if i < len(nu.parts) else 0) - j - 1
+
+    def leg(nu, i, j):
+        return arm(nu.conjugate(), j, i)
+
+    terms = [((-leg(lam1, i, j) - 1, arm(lam2, i, j)), 1) for i, j in lam1.boxes()]
+    terms += [((leg(lam2, i, j), -arm(lam1, i, j) - 1), 1) for i, j in lam2.boxes()]
     return LaurentPoly(terms)
+
+
+def arm_leg_tangent(lam) -> LaurentPoly:
+    """Arm/leg tangent character of the Hilbert scheme of points on C^2,
+    the diagonal of `arm_leg_vertex`; its convention was fixed by
+    brute-force match with the diagonal vertex on |lambda| <= 2."""
+    return arm_leg_vertex(lam, lam)
 
 
 def section_character(surface: ToricSurface, degrees: tuple[int, ...]) -> LaurentPoly:

@@ -167,11 +167,6 @@ class CoFactor:
         return f"c{self.degree}(CO[{self.bundle}]@{self.left + 1}{self.left + 2})"
 
 
-def twist_battery(surface: ToricSurface) -> tuple[str, ...]:
-    """Nontrivial twists used by the twisted-vanishing scenario."""
-    return surface.twists
-
-
 def insertion_basis(
     surface: ToricSurface,
     sizes: Sequence[int],

@@ -6,7 +6,9 @@ On a chart with box characters Q1, Q2 the vertex is
 
 the finite Laurent polynomial representing chi(O) - chi(I1, I2).  Global
 classes are assembled by substituting chart variables into the global
-torus and summing over fixed points.
+torus and summing over fixed points: each chart's term is cached by
+(chart, twist weight, local character) as a tuple of terms, and a global
+character is one dict those tuples are added into.
 
 Chart-to-global substitution, pinned by the hrr checks and the tangent
 oracle: u_k -> t^{-w_k} where (w_1, w_2) are the chart's tangent weights.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .characters import LaurentPoly
+from .characters import Exponent, LaurentPoly
 from .combinatorics import MultiPartition, NestedChain, box_character
 from .toric import EqLineBundle, ToricSurface
 
@@ -51,9 +53,26 @@ def vertex_V(q1: LaurentPoly, q2: LaurentPoly) -> LaurentPoly:
     return q2 + q1bar * _INV_U1U2 - q2 * q1bar * _EULER_FACTOR
 
 
-def _substitute_chart(poly: LaurentPoly, chart) -> LaurentPoly:
+@lru_cache(maxsize=None)
+def _chart_term(chart, mu, local: LaurentPoly) -> tuple[tuple[Exponent, int], ...]:
+    """Terms of t^mu times the chart-local character substituted into the global torus."""
     (w1, w2) = chart
-    return poly.substitute((-w1[0], -w1[1]), (-w2[0], -w2[1]))
+    global_char = local.substitute((-w1[0], -w1[1]), (-w2[0], -w2[1]))
+    return (LaurentPoly.monomial(*mu) * global_char).terms()
+
+
+def _fold(chart_terms) -> LaurentPoly:
+    """Sum of chart-term tuples in one dict; a key whose coefficient
+    reaches 0 is deleted, so the dict is canonical as it stands."""
+    total: dict[Exponent, int] = {}
+    for terms in chart_terms:
+        for exp, coeff in terms:
+            new = total.get(exp, 0) + coeff
+            if new:
+                total[exp] = new
+            else:
+                del total[exp]
+    return LaurentPoly._wrap(total)
 
 
 def _check_indexing(surface: ToricSurface, *indexed) -> None:
@@ -78,37 +97,32 @@ def co_class(
     |mp1| + |mp2| independently of the twist.
     """
     _check_indexing(surface, mp1, mp2, bundle)
-    total = LaurentPoly.zero()
-    for chart, lam1, lam2, mu in zip(surface.charts, mp1.parts, mp2.parts, bundle.weights):
-        local = vertex_V(box_character(lam1), box_character(lam2))
-        if local:
-            total = total + LaurentPoly.monomial(*mu) * _substitute_chart(local, chart)
-    return GlobalCharacter(total, mp1.total + mp2.total)
+    value = _fold(
+        _chart_term(chart, mu, vertex_V(box_character(lam1), box_character(lam2)))
+        for chart, lam1, lam2, mu in zip(surface.charts, mp1.parts, mp2.parts, bundle.weights)
+    )
+    return GlobalCharacter(value, mp1.total + mp2.total)
 
 
 @lru_cache(maxsize=65536)
 def tangent_char(surface: ToricSurface, mp: MultiPartition) -> GlobalCharacter:
     """Tangent character of S^[n] at the fixed point mp; rank 2|mp|."""
     _check_indexing(surface, mp)
-    total = LaurentPoly.zero()
-    for chart, lam in zip(surface.charts, mp.parts):
-        q = box_character(lam)
-        local = vertex_V(q, q)
-        if local:
-            total = total + _substitute_chart(local, chart)
-    return GlobalCharacter(total, 2 * mp.total)
+    value = _fold(
+        _chart_term(chart, (0, 0), vertex_V(box_character(lam), box_character(lam)))
+        for chart, lam in zip(surface.charts, mp.parts)
+    )
+    return GlobalCharacter(value, 2 * mp.total)
 
 
 def taut_char(surface: ToricSurface, bundle: EqLineBundle, mp: MultiPartition) -> GlobalCharacter:
     """Character of the tautological bundle L^[n] at mp; effective, rank |mp|."""
     _check_indexing(surface, mp, bundle)
-    total = LaurentPoly.zero()
-    for chart, lam, mu in zip(surface.charts, mp.parts, bundle.weights):
-        if lam.size:
-            total = total + LaurentPoly.monomial(*mu) * _substitute_chart(
-                box_character(lam), chart
-            )
-    return GlobalCharacter(total, mp.total)
+    value = _fold(
+        _chart_term(chart, mu, box_character(lam))
+        for chart, lam, mu in zip(surface.charts, mp.parts, bundle.weights)
+    )
+    return GlobalCharacter(value, mp.total)
 
 
 @lru_cache(maxsize=65536)

@@ -34,7 +34,6 @@ from nestloc.integrals import (
     integrate_ambient_batch,
     integrate_virtual_batch,
     sample_specs,
-    twist_battery,
 )
 from nestloc.toric import bundle_by_label, line_bundle, p1xp1, p2
 from nestloc.vertex import co_class, vertex_V
@@ -140,7 +139,7 @@ def test_criterion_6_twisted_vanishing():
     with criterion(6, "twisted vanishing with the line-bundle battery"):
         for surface in SURFACES:
             for sizes in PAIR_SIZES:
-                _run_vanishing(surface, sizes, twist_battery(surface))
+                _run_vanishing(surface, sizes, surface.twists)
 
 
 def test_criterion_7_symbolic_thom_porteous_suite():

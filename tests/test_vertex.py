@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nestloc.characters import LaurentPoly
@@ -13,9 +13,12 @@ from nestloc.combinatorics import (
     nested_chains,
     partitions_of,
 )
+from nestloc.harness import arm_leg_vertex
 from nestloc.toric import bundle_by_label, line_bundle, p1xp1, p2
 from nestloc.vertex import (
     GlobalCharacter,
+    _chart_term,
+    _fold,
     co_class,
     tangent_char,
     taut_char,
@@ -240,3 +243,83 @@ def test_vertex_rank_property(n1, n2):
     for lam in partitions_of(n1):
         for mu in partitions_of(n2):
             assert vertex_V(box_character(lam), box_character(mu)).rank_eval() == n1 + n2
+
+
+def test_vertex_matches_off_diagonal_arm_leg_oracle():
+    pairs = [(lam1, lam2) for lam1 in all_partitions_up_to(5) for lam2 in all_partitions_up_to(5)]
+    assert len(pairs) == 361
+    for lam1, lam2 in pairs:
+        assert vertex_V(box_character(lam1), box_character(lam2)) == arm_leg_vertex(lam1, lam2)
+
+
+# Reference assembly of the global characters by LaurentPoly arithmetic, one
+# chart at a time: u_k -> t^{-w_k}, then the twist t^mu.
+def _reference_chart(local, chart, mu=(0, 0)):
+    (w1, w2) = chart
+    return LaurentPoly.monomial(*mu) * local.substitute((-w1[0], -w1[1]), (-w2[0], -w2[1]))
+
+
+def reference_co_class(surface, mp1, mp2, bundle):
+    total = LaurentPoly.zero()
+    for chart, lam1, lam2, mu in zip(surface.charts, mp1.parts, mp2.parts, bundle.weights):
+        total = total + _reference_chart(vertex_V(box_character(lam1), box_character(lam2)), chart, mu)
+    return total
+
+
+def reference_tangent_char(surface, mp):
+    total = LaurentPoly.zero()
+    for chart, lam in zip(surface.charts, mp.parts):
+        q = box_character(lam)
+        total = total + _reference_chart(vertex_V(q, q), chart)
+    return total
+
+
+def reference_taut_char(surface, bundle, mp):
+    total = LaurentPoly.zero()
+    for chart, lam, mu in zip(surface.charts, mp.parts, bundle.weights):
+        total = total + _reference_chart(box_character(lam), chart, mu)
+    return total
+
+
+@pytest.mark.parametrize("surface", [p2(), p1xp1()], ids=lambda s: s.name)
+def test_folded_characters_match_reference_assembly(surface):
+    labels = dict.fromkeys(("O",) + surface.battery + surface.twists)
+    bundles = [bundle_by_label(surface, label) for label in labels]
+    mps = [mp for n in range(4) for mp in multipartitions(surface, n)]
+    for mp in mps:
+        t = tangent_char(surface, mp)
+        assert t.value == reference_tangent_char(surface, mp)
+        assert t.rank == 2 * mp.total
+        for bundle in bundles:
+            t = taut_char(surface, bundle, mp)
+            assert t.value == reference_taut_char(surface, bundle, mp)
+            assert t.rank == mp.total
+    for bundle in bundles:
+        for mp1 in mps:
+            for mp2 in mps:
+                c = co_class(surface, mp1, mp2, bundle)
+                assert c.value == reference_co_class(surface, mp1, mp2, bundle)
+                assert c.rank == mp1.total + mp2.total
+
+
+_signed_locals = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3), max_size=5
+).map(LaurentPoly)
+_weights = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_SURFACE_CHARTS = p2().charts + p1xp1().charts
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SURFACE_CHARTS), _weights, _signed_locals), max_size=6))
+# two charts whose terms cancel exactly, so the fold deletes their key
+@example([(_SURFACE_CHARTS[0], (0, 0), LaurentPoly.one()),
+          (_SURFACE_CHARTS[1], (0, 0), LaurentPoly.monomial(0, 0, -1))])
+# one local character at one chart under two twists
+@example([(_SURFACE_CHARTS[0], (0, 0), LaurentPoly.one()),
+          (_SURFACE_CHARTS[0], (1, 0), LaurentPoly.one())])
+def test_fold_of_chart_terms_matches_laurent_arithmetic(pieces):
+    expected = LaurentPoly.zero()
+    for chart, mu, local in pieces:
+        expected = expected + _reference_chart(local, chart, mu)
+    got = _fold(_chart_term(chart, mu, local) for chart, mu, local in pieces)
+    # dict equality: a zero coefficient left in the fold would also fail it
+    assert got == expected
