@@ -405,7 +405,9 @@ def verify_higher_tp(r0: int, r1: int, i: int, truncation: int) -> bool:
         raise TruncationOverflowError(
             f"identity degree {target} does not fit truncation {truncation}"
         )
-    ring = FormalRing(truncation)
+    # both routes are homogeneous of degree target, and no coefficient of
+    # degree <= target reads a higher one, so the ring stops there
+    ring = FormalRing(max(target, 0))
     e0 = generic_bundle(ring, "E0", r0)
     e1 = generic_bundle(ring, "E1", r1)
     zeta_poly = {i + r1 - j: e1.chern(j) for j in range(r1 + 1)}

@@ -16,18 +16,26 @@ Box convention, pinned once and inherited everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .characters import LaurentPoly
 from .toric import ToricSurface
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Partition:
-    """Weakly decreasing tuple of positive integers; () is the empty partition."""
+    """Weakly decreasing tuple of positive integers; () is the empty partition.
+
+    ``size`` and the hash are computed once at construction: partitions key
+    every character cache, so both are read far more often than built.
+    Equality, order and hash depend on ``parts`` alone, as for the plain
+    frozen dataclass.
+    """
 
     parts: tuple[int, ...] = ()
+    size: int = field(init=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, part in enumerate(self.parts):
@@ -35,10 +43,11 @@ class Partition:
                 raise ValueError(f"parts must be positive, got {self.parts}")
             if i and self.parts[i - 1] < part:
                 raise ValueError(f"parts must weakly decrease, got {self.parts}")
+        object.__setattr__(self, "size", sum(self.parts))
+        object.__setattr__(self, "_hash", hash((self.parts,)))
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
+    def __hash__(self) -> int:
+        return self._hash
 
     def conjugate(self) -> "Partition":
         if not self.parts:
@@ -121,15 +130,24 @@ def box_character(lam: Partition) -> LaurentPoly:
     return LaurentPoly({(i, j): 1 for i, j in lam.boxes()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiPartition:
-    """One partition per fixed point of a toric surface, in chart order."""
+    """One partition per fixed point of a toric surface, in chart order.
+
+    ``total`` and the hash are computed once at construction, as for
+    ``Partition``; equality and hash depend on ``parts`` alone.
+    """
 
     parts: tuple[Partition, ...]
+    total: int = field(init=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def total(self) -> int:
-        return sum(p.size for p in self.parts)
+    def __post_init__(self):
+        object.__setattr__(self, "total", sum(p.size for p in self.parts))
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_text(self) -> str:
         return "[" + ",".join(p.to_text() for p in self.parts) + "]"

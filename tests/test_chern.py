@@ -143,6 +143,35 @@ def test_higher_tp_grid():
                     assert verify_higher_tp(r0, r1, i, 8), (r0, r1, i)
 
 
+def full_ring_higher_tp_routes(r0, r1, i, truncation):
+    """Both routes of verify_higher_tp as it stood before the identity ring
+    was cut at the identity's degree: generic bundles and c(E0)^{-1} built
+    through the whole ring of the given truncation."""
+    ring = FormalRing(truncation)
+    e0 = generic_bundle(ring, "E0", r0)
+    e1 = generic_bundle(ring, "E1", r1)
+    zeta_poly = {i + r1 - j: e1.chern(j) for j in range(r1 + 1)}
+    target = r1 - r0 + 1 + i
+    return proj_pushforward(zeta_poly, e0), whitney_difference(e1, e0).chern(target)
+
+
+@pytest.mark.parametrize("truncation", [8, 12])
+def test_higher_tp_in_identity_degree_ring_matches_full_ring(truncation):
+    # the grid of the symbolic-tp scenario
+    for r0 in range(1, 4):
+        for r1 in range(1, 6):
+            for i in range(4):
+                target = r1 - r0 + 1 + i
+                if target > truncation:
+                    continue
+                full = full_ring_higher_tp_routes(r0, r1, i, truncation)
+                cut = full_ring_higher_tp_routes(r0, r1, i, max(target, 0))
+                for big, small in zip(full, cut):
+                    assert big == big.degree_part(target), (r0, r1, i)
+                    assert big.degree_part(target).to_text() == small.to_text(), (r0, r1, i)
+                assert verify_higher_tp(r0, r1, i, truncation), (r0, r1, i)
+
+
 def test_higher_tp_i_zero_reproduces_thom_porteous_column():
     # q_* route at i=0 equals Delta^1_{r1-r0+1}(c(E1-E0))
     ring = FormalRing(6)

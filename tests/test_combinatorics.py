@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,3 +176,48 @@ def test_subpartitions_are_exactly_contained_partitions(lam, m):
 def test_multipartition_serialization():
     mp = MultiPartition((Partition((2, 1)), Partition(()), Partition((1,))))
     assert mp.to_text() == "[[2,1],[],[1]]"
+
+
+
+@dataclass(frozen=True, order=True)
+class PlainPartition:
+    """Partition's fields and comparisons without the cached size and hash."""
+
+    parts: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PlainMultiPartition:
+    parts: tuple[PlainPartition, ...]
+
+
+def test_cached_sizes_and_hashes_match_recomputed_values():
+    """size/total and the hash are computed once at construction; every
+    observable value must equal one recomputed from `parts` by a plain
+    frozen dataclass, so every cache key is unchanged."""
+    partitions = [lam for n in range(9) for lam in partitions_of(n)]
+    mps = [mp for n in range(5) for mp in multipartitions(p2(), n)]
+    mps += [mp for n in range(4) for mp in multipartitions(p1xp1(), n)]
+    plain = {lam: PlainPartition(lam.parts) for lam in partitions}
+    for lam in partitions:
+        assert lam.size == sum(lam.parts)
+        assert hash(lam) == hash(plain[lam])
+        assert lam == Partition(lam.parts)
+        assert repr(lam) == "Partition([" + ",".join(map(str, lam.parts)) + "])"
+        copy = pickle.loads(pickle.dumps(lam))
+        assert (copy, copy.size, hash(copy)) == (lam, lam.size, hash(lam))
+    shuffled = partitions[::-1]
+    assert [plain[lam] for lam in sorted(shuffled)] == sorted(plain[lam] for lam in shuffled)
+    pairs = [(a, b) for a in partitions for b in partitions]
+    assert [(a < b, a <= b, a == b) for a, b in pairs] == [
+        (plain[a] < plain[b], plain[a] <= plain[b], plain[a] == plain[b]) for a, b in pairs
+    ]
+    for mp in mps:
+        assert mp.total == sum(sum(lam.parts) for lam in mp.parts)
+        assert hash(mp) == hash(PlainMultiPartition(tuple(plain[lam] for lam in mp.parts)))
+        assert mp == MultiPartition(mp.parts)
+        assert repr(mp) == f"MultiPartition({mp.to_text()})"
+        copy = pickle.loads(pickle.dumps(mp))
+        assert (copy, copy.total, hash(copy)) == (mp, mp.total, hash(mp))
+    assert len(set(partitions)) == len(partitions)
+    assert len(set(mps)) == len(mps)

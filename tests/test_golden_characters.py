@@ -4,9 +4,9 @@ conventions: any sign flip or reindexing changes these serialized forms."""
 import json
 import os
 
+from nestloc import vertex
 from nestloc.combinatorics import MultiPartition, Partition, multipartitions
 from nestloc.toric import bundle_by_label, surface_by_name
-from nestloc.vertex import co_class, tangent_char, taut_char
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "characters.json")
 
@@ -17,16 +17,30 @@ def parse_mp(text: str) -> MultiPartition:
 
 
 def test_characters_match_golden_file():
+    assert golden_mismatches() == []
+
+
+def golden_mismatches():
+    """Golden rows whose characters differ from the computed ones.
+
+    The characters are read from the `vertex` module at call time, so a
+    monkeypatched chart term or co-class is the one checked."""
     with open(GOLDEN, encoding="utf-8") as fh:
         rows = json.load(fh)
     assert rows
+    bad = []
     for row in rows:
         surface = surface_by_name(row["surface"])
         twist = bundle_by_label(surface, "O(1)" if surface.name == "p2" else "O(1,0)")
         mp = parse_mp(row["mp"])
         if "tangent" in row:
-            assert tangent_char(surface, mp).value.to_text() == row["tangent"]
-            assert taut_char(surface, twist, mp).value.to_text() == row["taut_twisted"]
+            got = {
+                "tangent": vertex.tangent_char(surface, mp).value.to_text(),
+                "taut_twisted": vertex.taut_char(surface, twist, mp).value.to_text(),
+            }
         else:
             mp2 = parse_mp(row["mp2"])
-            assert co_class(surface, mp, mp2, twist).value.to_text() == row["co_twisted"]
+            got = {"co_twisted": vertex.co_class(surface, mp, mp2, twist).value.to_text()}
+        if any(row[key] != text for key, text in got.items()):
+            bad.append(row)
+    return bad

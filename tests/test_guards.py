@@ -3,7 +3,8 @@
 * The bytes of every scenario kind's `--format json --stable` report, on
   each surface where the kind takes one, pinned by sha256 (the digests were
   recorded before the surface and scenario tables replaced the per-kind
-  branches, so a refactor that changes any report fails here).
+  branches, so a refactor that changes any report fails here), and of
+  `symbolic-tp --truncation 12`, the benchmark's truncation.
 * The benchmark's span targets (`bench/spans.py`): every function it wraps
   must still exist and be bound in a `nestloc` module.
 """
@@ -40,6 +41,10 @@ REPORT_DIGESTS = {
     ("all", None): "cbaff23a18e60f30de4da5953fbea8afbae669e1df3168e269747f437a0ac7db",
 }
 
+# `symbolic-tp` at the benchmark's truncation, recorded before the identity
+# ring of verify_higher_tp was cut at the identity's degree
+SYMBOLIC_TP_T12_DIGEST = "e7048625310ebf0a27a7fae9751ebd3bb18f7dfbc81b8a102c215ddf3519b671"
+
 # small sizes, so the whole table runs in a few seconds
 SIZE_FLAGS = {
     "vanish": ("--n", "2,1", "--i", "1..2"),
@@ -61,11 +66,20 @@ def test_stable_report_bytes_unchanged(kind, surface):
     argv = [kind, *SIZE_FLAGS.get(kind, ())]
     if surface:
         argv += ["--surface", surface]
+    assert stable_report_digest(argv) == REPORT_DIGESTS[(kind, surface)]
+
+
+def test_symbolic_tp_report_bytes_at_truncation_12_unchanged():
+    argv = ["symbolic-tp", "--truncation", "12"]
+    assert stable_report_digest(argv) == SYMBOLIC_TP_T12_DIGEST
+
+
+def stable_report_digest(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main([*argv, "--format", "json", "--stable"])
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REPORT_DIGESTS[(kind, surface)]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def test_benchmark_trace_targets_resolve():

@@ -1,4 +1,4 @@
-"""Mutation table of the vertex layer.
+"""Mutation table.
 
 Each row is a plausible bug, applied as a monkeypatch, and the check
 expected to catch it.  A row never moves from caught to missed without a
@@ -10,10 +10,12 @@ from functools import lru_cache
 
 import pytest
 
-from nestloc import integrals, vertex
+from nestloc import chern, combinatorics, integrals, vertex
 from nestloc.characters import LaurentPoly
+from nestloc.chern import FormalBundle
 from nestloc.harness import Scenario, default_battery_scenarios, run_scenario
 from nestloc.vertex import GlobalCharacter
+from test_golden_characters import golden_mismatches
 from test_integrals import CARLSSON_OKOUNKOV, carlsson_okounkov_mismatches
 
 TWISTED_ROWS = {(fn().name, degrees) for fn, degrees, _ in CARLSSON_OKOUNKOV if any(degrees)}
@@ -21,8 +23,8 @@ TWISTED_ROWS = {(fn().name, degrees) for fn, degrees, _ in CARLSSON_OKOUNKOV if 
 
 @pytest.fixture
 def mutate(monkeypatch):
-    """Replace a `vertex` function in every nestloc module that binds it,
-    with every character cache cleared around the patch."""
+    """Replace `module.name` in every nestloc module that binds it, with
+    every character cache cleared around the patch."""
     cached = [
         vertex._chart_term, vertex.vertex_V, vertex.co_class, vertex.tangent_char,
         vertex.virtual_tangent_char, integrals._chern_series_cached, integrals._euler_cached,
@@ -32,11 +34,11 @@ def mutate(monkeypatch):
         for fn in cached:
             fn.cache_clear()
 
-    def apply(name, mutant):
-        original = getattr(vertex, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("nestloc") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, mutant)
+    def apply(module, name, mutant):
+        original = getattr(module, name)
+        for module_name, bound in list(sys.modules.items()):
+            if module_name.startswith("nestloc") and getattr(bound, name, None) is original:
+                monkeypatch.setattr(bound, name, mutant)
         clear()
 
     yield apply
@@ -57,13 +59,29 @@ def failing_identities(scenario):
     return {c["inputs"].get("identity") for c in report["cases"] if c["verdict"] != "pass"}
 
 
+def failing_battery_kinds():
+    return {s.kind for s in default_battery_scenarios() if failing_identities(s)}
+
+
+def higher_tp_rows(min_degree):
+    """The `symbolic-tp` rows (default truncation 8) whose identity has
+    degree r1 - r0 + 1 + i at least `min_degree`."""
+    return {
+        f"higher-tp r0={r0} r1={r1} i={i}"
+        for r0 in range(1, 4)
+        for r1 in range(1, 6)
+        for i in range(4)
+        if min_degree <= r1 - r0 + 1 + i <= 8
+    }
+
+
 def test_co_class_without_twist_is_caught_by_carlsson_okounkov(mutate):
     original = vertex.co_class
 
     def untwisted(surface, mp1, mp2, bundle):
         return original(surface, mp1, mp2, vertex._trivial_bundle(surface))
 
-    mutate("co_class", untwisted)
+    mutate(vertex, "co_class", untwisted)
     assert carlsson_okounkov_failures() == TWISTED_ROWS
 
 
@@ -74,7 +92,7 @@ def test_chart_term_ignoring_twist_is_caught_by_carlsson_okounkov(mutate):
     def untwisted(chart, mu, local):
         return original(chart, (0, 0), local)
 
-    mutate("_chart_term", untwisted)
+    mutate(vertex, "_chart_term", untwisted)
     assert carlsson_okounkov_failures() == TWISTED_ROWS
 
 
@@ -88,7 +106,7 @@ def test_off_by_one_co_class_degree_is_caught_by_weight_zero_identity(mutate):
         char = original(surface, mp1, mp2, bundle)
         return GlobalCharacter(char.value + LaurentPoly.one(), char.rank + 1)
 
-    mutate("co_class", one_too_many)
+    mutate(vertex, "co_class", one_too_many)
     assert carlsson_okounkov_failures() == set()
     assert failing_identities(Scenario(kind="serre-duality", surface="p2")) == {
         "nested co_class effective; weight-zero detects nesting"
@@ -105,6 +123,77 @@ def test_dualized_taut_char_is_a_recorded_miss(mutate):
         char = original(surface, bundle, mp)
         return GlobalCharacter(char.value.bar(), char.rank)
 
-    mutate("taut_char", dualized)
+    mutate(vertex, "taut_char", dualized)
     for scenario in default_battery_scenarios():
         assert failing_identities(scenario) == set(), scenario.kind
+
+
+def test_sign_flip_in_euler_class_is_caught(mutate):
+    """e(T) negated: euler-count's integral changes sign, and pushforward's
+    ambient sum over two factors keeps its sign while the virtual sum
+    flips.  kstep's three factors flip with the virtual sum, so it passes."""
+    original = integrals.euler_class
+
+    def negated(char, spec):
+        return -original(char, spec)
+
+    mutate(integrals, "euler_class", negated)
+    assert failing_battery_kinds() == {"euler-count", "pushforward"}
+
+
+def test_virtual_sum_dropping_a_chain_is_caught(mutate):
+    """Each nested_chains call loses its last chain.  Only the virtual
+    sums read the chains for a verdict; the reports' chain counts drop too."""
+    original = combinatorics.nested_chains
+
+    def one_short(surface, sizes):
+        return original(surface, sizes)[:-1]
+
+    mutate(combinatorics, "nested_chains", one_short)
+    assert failing_battery_kinds() == {"pushforward", "kstep"}
+
+
+def test_inverted_chart_substitution_is_caught_only_by_pins(mutate):
+    """Blind spot of the scenarios: u_k -> t^{w_k} in place of t^{-w_k}.
+    With the line-bundle weights left as they are, every `all` scenario
+    passes (hrr-check reads the charts directly, not the chart term); the
+    golden characters and the twisted Carlsson-Okounkov rows catch it."""
+    original = vertex._chart_term
+
+    @lru_cache(maxsize=None)
+    def inverted(chart, mu, local):
+        (w1, w2) = chart
+        return original(((-w1[0], -w1[1]), (-w2[0], -w2[1])), mu, local)
+
+    mutate(vertex, "_chart_term", inverted)
+    assert failing_battery_kinds() == set()
+    assert golden_mismatches()
+    assert carlsson_okounkov_failures() == TWISTED_ROWS
+
+
+def test_segre_index_off_by_one_is_caught_by_symbolic_tp(mutate):
+    """q_*(zeta^k a) read as s_{k - r0}(E0) a: every higher-tp row fails
+    but the one of degree -1, where both routes are 0."""
+
+    def off_by_one(zeta_poly, e0):
+        s = chern.segre(e0)
+        out = e0.ring.zero()
+        for k, alpha in zeta_poly.items():
+            if k - e0.rank >= 0:
+                out = out + s[k - e0.rank] * alpha
+        return out
+
+    mutate(chern, "proj_pushforward", off_by_one)
+    assert failing_identities(Scenario(kind="symbolic-tp")) == higher_tp_rows(0)
+
+
+def test_whitney_difference_times_c_e0_is_caught_by_symbolic_tp(mutate):
+    """c(E1 - E0) read as c(E1) c(E0): every higher-tp row of positive
+    degree fails; in degree 0 and -1 the two agree."""
+
+    def times(a, b):
+        return FormalBundle(a.ring, a.rank - b.rank, a.total_chern * b.total_chern,
+                            f"{a.name}-{b.name}")
+
+    mutate(chern, "whitney_difference", times)
+    assert failing_identities(Scenario(kind="symbolic-tp")) == higher_tp_rows(1)
