@@ -33,9 +33,7 @@ from .integrals import (
     euler_class,
     hrr_chi,
     insertion_basis,
-    integrate_ambient,
     integrate_ambient_batch,
-    integrate_virtual,
     integrate_virtual_batch,
     k_theory_chi_sum,
     sample_specs,

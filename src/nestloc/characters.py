@@ -10,7 +10,7 @@ sorted exponent order so downstream sums are reproducible bit for bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 Exponent = Tuple[int, int]
 TermSource = Union[dict[Exponent, int], Iterable[Tuple[Exponent, int]]]
@@ -73,12 +73,6 @@ class LaurentPoly:
 
     def coefficient(self, exp: Exponent) -> int:
         return self._terms.get((exp[0], exp[1]), 0)
-
-    def __iter__(self) -> Iterator[tuple[Exponent, int]]:
-        return iter(self.terms())
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

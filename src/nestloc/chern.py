@@ -6,14 +6,15 @@ checks run over generic bundles whose Chern components are free
 generators, so a polynomial identity here is an identity for all bundles;
 no randomization is needed on the symbolic side.
 
-Conventions encoded once: c_0 = 1 and c_{j<0} = 0 in the determinant
-builder; binomials with negative upper index follow the generalized
+Conventions encoded once: c_0 = 1 and c_{j<0} = 0 in `FormalBundle.chern`,
+which the determinant builder reads; binomials with negative upper index follow the generalized
 convention x(x-1)...(x-k+1)/k!.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -127,12 +128,6 @@ class Element:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Element":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "Element":
         other = self._coerce(other)
         if other is None:
@@ -156,14 +151,6 @@ class Element:
         return Element(self.ring, table)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Element":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        out = self.ring.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     # -- structure ---------------------------------------------------------
 
@@ -264,6 +251,11 @@ class FormalBundle:
         if self.total_chern.constant_term() != 1:
             raise ValueError("total Chern class must have constant term 1")
 
+    @cached_property
+    def inverse_chern(self) -> Element:
+        """c(E)^-1, the total Segre class, inverted at most once per bundle."""
+        return self.total_chern.inverse()
+
     def chern(self, j: int) -> Element:
         if j == 0:
             return self.ring.one()
@@ -296,21 +288,17 @@ def whitney_difference(a: FormalBundle, b: FormalBundle) -> FormalBundle:
     """c(A - B) = c(A) / c(B) by truncated series inversion."""
     if a.ring is not b.ring:
         raise ValueError("bundles belong to different rings")
-    return FormalBundle(a.ring, a.rank - b.rank, a.total_chern * b.total_chern.inverse(),
+    return FormalBundle(a.ring, a.rank - b.rank, a.total_chern * b.inverse_chern,
                         f"{a.name}-{b.name}")
 
 
 def segre(e: FormalBundle) -> list[Element]:
     """Segre classes s_0..s_N with s(E) = 1/c(E)."""
-    inv = e.total_chern.inverse()
+    inv = e.inverse_chern
     return [inv.degree_part(j) for j in range(e.ring.truncation + 1)]
 
 
-def _total_class(c: Union[FormalBundle, Element]) -> Element:
-    return c.total_chern if isinstance(c, FormalBundle) else c
-
-
-def thom_porteous(a: int, b: int, c: Union[FormalBundle, Element]) -> Element:
+def thom_porteous(a: int, b: int, c: FormalBundle) -> Element:
     """Delta^a_b(c) = det(c_{b+j-i})_{1<=i,j<=a}, an element of degree a*b.
 
     c_0 = 1 and c_{<0} = 0; the full expansion needs degrees up to a*b,
@@ -320,22 +308,12 @@ def thom_porteous(a: int, b: int, c: Union[FormalBundle, Element]) -> Element:
         raise ValueError("a must be >= 1")
     if b < 0:
         raise ValueError("b must be >= 0")
-    total = _total_class(c)
-    ring = total.ring
+    ring = c.ring
     if a * b > ring.truncation:
         raise TruncationOverflowError(
             f"Delta^{a}_{b} has degree {a * b} > truncation {ring.truncation}"
         )
-
-    def entry(i: int, j: int) -> Element:
-        k = b + j - i
-        if k == 0:
-            return ring.one()
-        if k < 0:
-            return ring.zero()
-        return total.degree_part(k)
-
-    return _determinant([[entry(i, j) for j in range(a)] for i in range(a)], ring)
+    return _determinant([[c.chern(b + j - i) for j in range(a)] for i in range(a)], ring)
 
 
 def _determinant(matrix: list[list[Element]], ring: FormalRing) -> Element:

@@ -16,6 +16,7 @@ from . import __version__
 from .errors import ConfigError, NestlocError
 from .harness import (
     ENTRY_KEYS,
+    REPORT_FORMATS,
     SCENARIO_KINDS,
     Scenario,
     default_battery_scenarios,
@@ -74,7 +75,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "text"), default="text")
+    parser.add_argument("--format", choices=tuple(REPORT_FORMATS), default="text")
     parser.add_argument("--insertions", help="'auto' or 'file:<path>' with explicit monomials")
     parser.add_argument(
         "--spec",

@@ -83,19 +83,11 @@ class Partition:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order, (n) first."""
+    """All partitions of n in reverse-lexicographic order, (n) first: the
+    subpartitions of size n of the n x n box."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(Partition(parts) for parts in gen(n, n))
+    return subpartitions(Partition((n,) * n), n)
 
 
 def contains(lam: Partition, mu: Partition) -> bool:
@@ -156,24 +148,39 @@ class MultiPartition:
         return f"MultiPartition({self.to_text()})"
 
 
+def _fill_slots(bounds: tuple[Partition | None, ...], n: int):
+    """Every multipartition of total n with one partition per slot, the one in
+    slot s inside bounds[s], or any partition if bounds[s] is None.
+
+    Slot by slot, a slot's size runs from the largest it can take down, and
+    for each size the slot's partitions come in the order of
+    `partitions_of` (an unbounded slot, so that cache is shared across
+    sizes) or of `subpartitions`; the last slot takes what is left.
+    """
+    last = len(bounds) - 1
+
+    def gen(slot: int, remaining: int):
+        lam = bounds[slot]
+        if slot == last:
+            if lam is None or remaining <= lam.size:
+                rest = partitions_of(remaining) if lam is None else subpartitions(lam, remaining)
+                for head in rest:
+                    yield (head,)
+            return
+        for k in range(remaining if lam is None else min(lam.size, remaining), -1, -1):
+            for head in partitions_of(k) if lam is None else subpartitions(lam, k):
+                for tail in gen(slot + 1, remaining - k):
+                    yield (head,) + tail
+
+    return (MultiPartition(t) for t in gen(0, n))
+
+
 @lru_cache(maxsize=None)
 def multipartitions(surface: ToricSurface, n: int) -> tuple[MultiPartition, ...]:
     """All fixed points of S^[n]: assignments of total size n, deterministic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    points = surface.euler_number
-
-    def gen(slot: int, remaining: int):
-        if slot == points - 1:
-            for lam in partitions_of(remaining):
-                yield (lam,)
-            return
-        for k in range(remaining, -1, -1):
-            for head in partitions_of(k):
-                for tail in gen(slot + 1, remaining - k):
-                    yield (head,) + tail
-
-    return tuple(MultiPartition(t) for t in gen(0, n))
+    return tuple(_fill_slots((None,) * surface.euler_number, n))
 
 
 def mp_contains(big: MultiPartition, small: MultiPartition) -> bool:
@@ -215,22 +222,6 @@ def nested_chains(surface: ToricSurface, sizes: tuple[int, ...]) -> tuple[Nested
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sizes must weakly decrease, got {sizes}")
 
-    def refine(mp: MultiPartition, m: int):
-        """All multipartitions of total m pointwise contained in mp."""
-
-        def gen(slot: int, remaining: int):
-            if slot == len(mp.parts):
-                if remaining == 0:
-                    yield ()
-                return
-            lam = mp.parts[slot]
-            for k in range(min(lam.size, remaining), -1, -1):
-                for head in subpartitions(lam, k):
-                    for tail in gen(slot + 1, remaining - k):
-                        yield (head,) + tail
-
-        return (MultiPartition(t) for t in gen(0, m))
-
     def build(prefix: tuple[MultiPartition, ...], level: int):
         if level == len(sizes):
             yield NestedChain(prefix)
@@ -238,7 +229,7 @@ def nested_chains(surface: ToricSurface, sizes: tuple[int, ...]) -> tuple[Nested
         source = (
             multipartitions(surface, sizes[0])
             if level == 0
-            else refine(prefix[-1], sizes[level])
+            else _fill_slots(prefix[-1].parts, sizes[level])
         )
         for mp in source:
             yield from build(prefix + (mp,), level + 1)

@@ -338,58 +338,54 @@ def _run_group(s: Scenario, group: dict) -> list[dict]:
     return cases
 
 
+def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual: bool = False,
+                  character_ok: bool = True, **extra) -> dict:
+    """One case of a sampled kind: `values[j]` and `expected[j]` belong to
+    `specs[j]`, and `virtual` shows the expected values as each sample's
+    `virtual`.  The case passes when its values are constant across specs,
+    equal the expected values, and `character_ok` holds; a failure names
+    the spec dependence first, then `mismatch`."""
+    samples = []
+    for spec, value, want in zip(specs, values, expected):
+        samples.append({"s": list(spec.to_text()), "value": _fr(value)})
+        if virtual:
+            samples[-1]["virtual"] = _fr(want)
+    if len(set(values)) > 1:
+        diagnostic = "SpecDependence: values differ"
+    elif not character_ok or list(values) != list(expected):
+        diagnostic = mismatch
+    else:
+        diagnostic = ""
+    return _case(inputs, samples, not diagnostic, diagnostic, **extra)
+
+
 def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
     surface = surface_by_name(s.surface)
     n1, n2 = s.sizes
-    degree = n1 + n2 - i
-    insertions = _load_insertions(s, degree)
+    insertions = _load_insertions(s, n1 + n2 - i)
     specs = scenario_specs(s)
     co = [CoFactor(0, n1 + n2 + i, bundle)]
-    per_spec = []
-    for spec in specs:
-        per_spec.append(integrate_ambient_batch(surface, s.sizes, insertions, spec, co))
-    cases = []
-    for idx, ins in enumerate(insertions):
-        samples = [
-            {"s": list(spec.to_text()), "value": _fr(per_spec[j][idx])}
-            for j, spec in enumerate(specs)
-        ]
-        values = {per_spec[j][idx] for j in range(len(specs))}
-        ok = values == {0}
-        diagnostic = "" if ok else ("SpecDependence: values differ" if len(values) > 1 else "nonzero integral")
-        cases.append(
-            _case({"i": i, "twist": bundle, "insertion": ins.label()}, samples, ok, diagnostic)
-        )
-    return cases
+    per_spec = [integrate_ambient_batch(surface, s.sizes, insertions, spec, co) for spec in specs]
+    return [
+        _sampled_case({"i": i, "twist": bundle, "insertion": ins.label()}, specs, values,
+                      [0] * len(specs), "nonzero integral")
+        for ins, values in zip(insertions, zip(*per_spec))
+    ]
 
 
 def _pushforward_cases(s: Scenario) -> list[dict]:
     surface = surface_by_name(s.surface)
     sizes = s.sizes
-    degree = sizes[0] + sizes[-1]
-    insertions = _load_insertions(s, degree)
+    insertions = _load_insertions(s, sizes[0] + sizes[-1])
     specs = scenario_specs(s)
     co = [CoFactor(m, sizes[m] + sizes[m + 1]) for m in range(len(sizes) - 1)]
-    ambient, virtual = [], []
-    for spec in specs:
-        ambient.append(integrate_ambient_batch(surface, sizes, insertions, spec, co))
-        virtual.append(integrate_virtual_batch(surface, sizes, insertions, spec))
-    cases = []
-    for idx, ins in enumerate(insertions):
-        samples = [
-            {
-                "s": list(spec.to_text()),
-                "value": _fr(ambient[j][idx]),
-                "virtual": _fr(virtual[j][idx]),
-            }
-            for j, spec in enumerate(specs)
-        ]
-        matched = all(ambient[j][idx] == virtual[j][idx] for j in range(len(specs)))
-        constant = len({ambient[j][idx] for j in range(len(specs))}) == 1
-        ok = matched and constant
-        diagnostic = "" if ok else ("ambient != virtual" if not matched else "SpecDependence: values differ")
-        cases.append(_case({"insertion": ins.label()}, samples, ok, diagnostic))
-    return cases
+    ambient = [integrate_ambient_batch(surface, sizes, insertions, spec, co) for spec in specs]
+    virtual = [integrate_virtual_batch(surface, sizes, insertions, spec) for spec in specs]
+    return [
+        _sampled_case({"insertion": ins.label()}, specs, values, expected, "ambient != virtual",
+                      virtual=True)
+        for ins, values, expected in zip(insertions, zip(*ambient), zip(*virtual))
+    ]
 
 
 def _euler_count_cases(s: Scenario) -> list[dict]:
@@ -398,20 +394,10 @@ def _euler_count_cases(s: Scenario) -> list[dict]:
     expected = len(multipartitions(surface, n))
     specs = scenario_specs(s)
     insertion = Insertion((TangentFactor(0, 2 * n),)) if n else Insertion(())
-    samples = []
-    ok = True
-    for spec in specs:
-        value = integrate_ambient_batch(surface, s.sizes, [insertion], spec)[0]
-        samples.append({"s": list(spec.to_text()), "value": _fr(value)})
-        ok = ok and value == expected
-    return [
-        _case(
-            {"n": n, "insertion": insertion.label(), "expected": str(expected)},
-            samples,
-            ok,
-            "" if ok else "integral disagrees with fixed-point count",
-        )
-    ]
+    values = [integrate_ambient_batch(surface, s.sizes, [insertion], spec)[0] for spec in specs]
+    inputs = {"n": n, "insertion": insertion.label(), "expected": str(expected)}
+    return [_sampled_case(inputs, specs, values, [expected] * len(specs),
+                          "integral disagrees with fixed-point count")]
 
 
 def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
@@ -419,12 +405,7 @@ def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
     bundle = line_bundle(surface, *degrees)
     expected = surface.chi(*degrees)
     specs = scenario_specs(s)
-    samples = []
-    ok = True
-    for spec in specs:
-        value = hrr_chi(surface, bundle, spec)
-        samples.append({"s": list(spec.to_text()), "value": _fr(value)})
-        ok = ok and value == expected
+    values = [hrr_chi(surface, bundle, spec) for spec in specs]
 
     # independent K-theoretic route: localization sum vs direct H^0 character
     charpoly = section_character(surface, degrees)
@@ -442,16 +423,10 @@ def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
         )
         character_ok = character_ok and ksum == direct
         checked += 1
-    ok = ok and character_ok
-    return [
-        _case(
-            {"bundle": bundle.label, "expected": str(expected)},
-            samples,
-            ok,
-            "" if ok else "hrr/localization mismatch",
-            character_check="pass" if character_ok else "fail",
-        )
-    ]
+    inputs = {"bundle": bundle.label, "expected": str(expected)}
+    return [_sampled_case(inputs, specs, values, [expected] * len(specs),
+                          "hrr/localization mismatch", character_ok=character_ok,
+                          character_check="pass" if character_ok else "fail")]
 
 
 def _symbolic_cases(s: Scenario) -> list[dict]:
@@ -716,13 +691,15 @@ def report_text(report: dict, stable: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: report format name -> renderer; the CLI's --format choices read the table
+REPORT_FORMATS = {"json": report_json, "text": report_text}
+
+
 def emit_report(report: dict, fmt: str = "json", stable: bool = False) -> str:
     """Render a report; bit-stable for identical inputs."""
-    if fmt == "json":
-        return report_json(report, stable=stable)
-    if fmt == "text":
-        return report_text(report, stable=stable)
-    raise ConfigError(f"unknown report format {fmt!r}")
+    if fmt not in REPORT_FORMATS:
+        raise ConfigError(f"unknown report format {fmt!r}")
+    return REPORT_FORMATS[fmt](report, stable=stable)
 
 
 def parse_config(path: str) -> list[Scenario]:

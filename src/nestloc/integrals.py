@@ -322,16 +322,6 @@ def integrate_ambient_batch(
     return _localize(surface, insertions, spec, points())
 
 
-def integrate_ambient(
-    surface: ToricSurface,
-    sizes: Sequence[int],
-    insertion: Insertion,
-    spec: WeightSpec,
-    co_factors: Sequence[CoFactor] = (),
-) -> Fraction:
-    return integrate_ambient_batch(surface, sizes, [insertion], spec, co_factors)[0]
-
-
 def integrate_virtual_batch(
     surface: ToricSurface,
     sizes: Sequence[int],
@@ -357,15 +347,6 @@ def integrate_virtual_batch(
             yield chain.steps, 1 / denom
 
     return _localize(surface, insertions, spec, points())
-
-
-def integrate_virtual(
-    surface: ToricSurface,
-    sizes: Sequence[int],
-    insertion: Insertion,
-    spec: WeightSpec,
-) -> Fraction:
-    return integrate_virtual_batch(surface, sizes, [insertion], spec)[0]
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .characters import Exponent, LaurentPoly
 from .combinatorics import MultiPartition, NestedChain, box_character
-from .toric import EqLineBundle, ToricSurface
+from .toric import EqLineBundle, ToricSurface, bundle_by_label
 
 _INV_U1U2 = LaurentPoly.monomial(-1, -1)
 # (1-u1)(1-u2)/(u1 u2), the chart Euler factor of the vertex
@@ -135,13 +135,8 @@ def virtual_tangent_char(surface: ToricSurface, chain: NestedChain) -> GlobalCha
     total = LaurentPoly.zero()
     for mp in chain.steps:
         total = total + tangent_char(surface, mp).value
-    trivial = _trivial_bundle(surface)
+    trivial = bundle_by_label(surface, "O")
     for mp_a, mp_b in zip(chain.steps, chain.steps[1:]):
         total = total - co_class(surface, mp_a, mp_b, trivial).value
     sizes = chain.sizes
     return GlobalCharacter(total, sizes[0] + sizes[-1])
-
-
-@lru_cache(maxsize=None)
-def _trivial_bundle(surface: ToricSurface) -> EqLineBundle:
-    return EqLineBundle("O", tuple((0, 0) for _ in surface.charts))

@@ -30,7 +30,6 @@ from nestloc.integrals import (
     euler_class,
     hrr_chi,
     insertion_basis,
-    integrate_ambient,
     integrate_ambient_batch,
     integrate_virtual_batch,
     sample_specs,
@@ -62,7 +61,7 @@ def test_criterion_1_fixed_point_counts_and_euler_integrals():
             assert len(multipartitions(surface, n)) == expected
             insertion = Insertion((TangentFactor(0, 2 * n),))
             for spec in SPECS:
-                assert integrate_ambient(surface, (n,), insertion, spec) == expected
+                assert integrate_ambient_batch(surface, (n,), [insertion], spec)[0] == expected
             assert time.perf_counter() - started < 1.0
 
 
@@ -207,8 +206,9 @@ def test_criterion_9_robustness():
         assert per_seed[0] == per_seed[1] == per_seed[2]
 
         # deliberately wrong-degree integrand
+        wrong = Insertion((TautFactor(0, "O(1)", 1),))
         with pytest.raises(DegreeMismatchError):
-            integrate_ambient(p2(), (1,), Insertion((TautFactor(0, "O(1)", 1),)), SPECS[0])
+            integrate_ambient_batch(p2(), (1,), [wrong], SPECS[0])[0]
 
         # wrong-degree inputs that dodge the bookkeeping still trip the
         # consistency check

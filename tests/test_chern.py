@@ -143,6 +143,20 @@ def test_higher_tp_grid():
                     assert verify_higher_tp(r0, r1, i, 8), (r0, r1, i)
 
 
+def test_verify_higher_tp_inverts_each_total_class_at_most_once(monkeypatch):
+    """segre(E0) and c(E1 - E0) both read c(E0)^-1; it is computed once."""
+    inverted = []
+    original = Element.inverse
+
+    def counting(self):
+        inverted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Element, "inverse", counting)
+    assert verify_higher_tp(2, 4, 2, 12)
+    assert len(inverted) == len({id(element) for element in inverted}) == 1
+
+
 def full_ring_higher_tp_routes(r0, r1, i, truncation):
     """Both routes of verify_higher_tp as it stood before the identity ring
     was cut at the identity's degree: generic bundles and c(E0)^{-1} built

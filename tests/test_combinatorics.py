@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from dataclasses import dataclass
 
@@ -221,3 +222,35 @@ def test_cached_sizes_and_hashes_match_recomputed_values():
         assert (copy, copy.total, hash(copy)) == (mp, mp.total, hash(mp))
     assert len(set(partitions)) == len(partitions)
     assert len(set(mps)) == len(mps)
+
+
+#: sha256 of every enumeration order below, recorded from the separate
+#: enumerators that the one slot-by-slot generator replaced
+ENUMERATION_ORDER_DIGEST = "95eee358dfecd2bfc14d16505024c42b4f2a1f804ca261da046bcb344a667ae0"
+# the benchmark's chain sizes, then those of the `all` battery
+CHAIN_SIZES = (
+    (p2(), (3, 2)), (p1xp1(), (2, 2)), (p2(), (2, 1, 1)), (p2(), (2, 1)), (p2(), (1, 1, 1)),
+)
+
+
+def enumeration_order_lines():
+    for n in range(9):
+        yield f"partitions_of {n}: " + " ".join(lam.to_text() for lam in partitions_of(n))
+    for lam in partitions_of(6):
+        for m in range(7):
+            mus = subpartitions(lam, m)
+            yield f"subpartitions {lam.to_text()} {m}: " + " ".join(mu.to_text() for mu in mus)
+    for surface in (p2(), p1xp1()):
+        for n in range(7):
+            mps = multipartitions(surface, n)
+            yield f"multipartitions {surface.name} {n}: " + " ".join(mp.to_text() for mp in mps)
+    for surface, sizes in CHAIN_SIZES:
+        chains = nested_chains(surface, sizes)
+        yield f"nested_chains {surface.name} {sizes}: " + " ".join(ch.to_text() for ch in chains)
+
+
+def test_enumeration_order_unchanged():
+    """Every tuple the enumerators return, in order: the localization sums
+    and every report list fixed points and chains in this order."""
+    digest = hashlib.sha256("\n".join(enumeration_order_lines()).encode()).hexdigest()
+    assert digest == ENUMERATION_ORDER_DIGEST

@@ -176,6 +176,87 @@ def test_math_error_becomes_failed_case(monkeypatch):
     assert report["cases"][0]["diagnostic"].startswith("ZeroWeight")
 
 
+def wrong_sum(value):
+    """A stand-in for a localization sum: `value(spec)` for every insertion."""
+
+    def stub(surface, sizes, insertions, spec, co_factors=()):
+        return [value(spec)] * len(insertions)
+
+    return stub
+
+
+def wrong_chi(value):
+    def stub(surface, bundle, spec):
+        return value(spec)
+
+    return stub
+
+
+WRONG_VALUES = {
+    "constant": lambda spec: Fraction(7),
+    "spec-dependent": lambda spec: Fraction(spec.s1),
+}
+
+#: (kind, sizes, patched function, wrong values, diagnostic of every case)
+DIAGNOSTIC_ROWS = [
+    ("vanish", (1, 1), "integrate_ambient_batch", "constant", "nonzero integral"),
+    (
+        "vanish", (1, 1), "integrate_ambient_batch", "spec-dependent",
+        "SpecDependence: values differ",
+    ),
+    ("twisted-vanish", (1, 1), "integrate_ambient_batch", "constant", "nonzero integral"),
+    (
+        "twisted-vanish", (1, 1), "integrate_ambient_batch", "spec-dependent",
+        "SpecDependence: values differ",
+    ),
+    ("pushforward", (1, 1), "integrate_ambient_batch", "constant", "ambient != virtual"),
+    (
+        "pushforward", (1, 1), "integrate_ambient_batch", "spec-dependent",
+        "SpecDependence: values differ",
+    ),
+    ("pushforward", (1, 1), "integrate_virtual_batch", "constant", "ambient != virtual"),
+    ("pushforward", (1, 1), "integrate_virtual_batch", "spec-dependent", "ambient != virtual"),
+    ("kstep", (1, 1, 1), "integrate_ambient_batch", "constant", "ambient != virtual"),
+    (
+        "kstep", (1, 1, 1), "integrate_ambient_batch", "spec-dependent",
+        "SpecDependence: values differ",
+    ),
+    (
+        "euler-count", (1,), "integrate_ambient_batch", "constant",
+        "integral disagrees with fixed-point count",
+    ),
+    (
+        "euler-count", (1,), "integrate_ambient_batch", "spec-dependent",
+        "SpecDependence: values differ",
+    ),
+    ("hrr-check", (), "hrr_chi", "constant", "hrr/localization mismatch"),
+    ("hrr-check", (), "hrr_chi", "spec-dependent", "SpecDependence: values differ"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,sizes,patched,wrong,diagnostic",
+    DIAGNOSTIC_ROWS,
+    ids=[f"{row[0]}-{row[2]}-{row[3]}" for row in DIAGNOSTIC_ROWS],
+)
+def test_sampled_case_verdicts_and_diagnostics(
+    monkeypatch, kind, sizes, patched, wrong, diagnostic
+):
+    """Every case of a sampled kind fails with one named diagnostic when its
+    sum returns wrong values, constant or depending on the spec.  Values that
+    depend on the spec are named so even when they also miss the expected
+    values; only the `value` column is tested for constancy, so a virtual
+    sum that depends on the spec shows as a mismatch."""
+    stub = (wrong_chi if patched == "hrr_chi" else wrong_sum)(WRONG_VALUES[wrong])
+    monkeypatch.setattr(harness, patched, stub)
+    report = run_scenario(Scenario(kind=kind, sizes=sizes))
+    assert report["verdict"] == "fail"
+    assert {case["verdict"] for case in report["cases"]} == {"fail"}
+    assert {case.get("diagnostic") for case in report["cases"]} == {diagnostic}
+    if kind == "hrr-check":
+        assert {case["character_check"] for case in report["cases"]} == {"pass"}
+
+
 def test_default_battery_is_valid():
     for scenario in default_battery_scenarios():
         validate_scenario(scenario)

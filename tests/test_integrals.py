@@ -29,9 +29,7 @@ from nestloc.integrals import (
     consistency_run,
     euler_class,
     insertion_basis,
-    integrate_ambient,
     integrate_ambient_batch,
-    integrate_virtual,
     integrate_virtual_batch,
     sample_specs,
 )
@@ -197,43 +195,45 @@ def test_euler_count_localization(surface, n):
     expected = len(multipartitions(surface, n))
     insertion = Insertion((TangentFactor(0, 2 * n),))
     for spec in sample_specs(3, 3):
-        assert integrate_ambient(surface, (n,), insertion, spec) == expected
+        assert integrate_ambient_batch(surface, (n,), [insertion], spec)[0] == expected
 
 
 def test_taut_square_on_p2():
     # S^[1] = P^2 and taut(O(1))^[1] = O(1): int h^2 = 1
     insertion = Insertion((TautFactor(0, "O(1)", 1), TautFactor(0, "O(1)", 1)))
     spec = sample_specs(5, 1)[0]
-    assert integrate_ambient(p2(), (1,), insertion, spec) == 1
+    assert integrate_ambient_batch(p2(), (1,), [insertion], spec)[0] == 1
 
 
 def test_degree_mismatch_ambient():
     insertion = Insertion((TautFactor(0, "O(1)", 1),))
     with pytest.raises(DegreeMismatchError):
-        integrate_ambient(p2(), (1,), insertion, WeightSpec(1, 2))
+        integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
 
 
 def test_degree_mismatch_virtual():
     insertion = Insertion((TautFactor(0, "O(1)", 1),))
     with pytest.raises(DegreeMismatchError):
-        integrate_virtual(p2(), (1, 1), insertion, WeightSpec(1, 2))
+        integrate_virtual_batch(p2(), (1, 1), [insertion], WeightSpec(1, 2))[0]
 
 
 def test_negative_factor_degree_is_refused():
     # total degree 2 = dim S^[1], but c_{-1} is not a Chern class
     insertion = Insertion((TautFactor(0, "O(1)", 3), TautFactor(0, "O(1)", -1)))
     with pytest.raises(DegreeMismatchError, match="negative"):
-        integrate_ambient(p2(), (1,), insertion, WeightSpec(1, 2))
+        integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
 
 
 def test_virtual_degenerate_sizes():
     spec = WeightSpec(3, 5)
-    assert integrate_virtual(p2(), (0, 0), Insertion(()), spec) == 1
+    assert integrate_virtual_batch(p2(), (0, 0), [Insertion(())], spec)[0] == 1
 
 
 def test_virtual_spec_independence():
     insertion = Insertion((TautFactor(0, "O(1)", 3),))
-    values = {integrate_virtual(p2(), (2, 1), insertion, spec) for spec in sample_specs(9, 3)}
+    values = {
+        integrate_virtual_batch(p2(), (2, 1), [insertion], spec)[0] for spec in sample_specs(9, 3)
+    }
     assert len(values) == 1
 
 
@@ -252,8 +252,8 @@ def test_pushforward_known_value_diagonal_taut_pair():
     # P^2 x P^2 localizes to the diagonal: both routes give int h^2 = 1
     insertion = Insertion((TautFactor(0, "O(1)", 1), TautFactor(1, "O(1)", 1)))
     for spec in sample_specs(37, 3):
-        ambient = integrate_ambient(p2(), (1, 1), insertion, spec, [CoFactor(0, 2)])
-        virtual = integrate_virtual(p2(), (1, 1), insertion, spec)
+        ambient = integrate_ambient_batch(p2(), (1, 1), [insertion], spec, [CoFactor(0, 2)])[0]
+        virtual = integrate_virtual_batch(p2(), (1, 1), [insertion], spec)[0]
         assert ambient == virtual == 1
 
 
@@ -288,7 +288,7 @@ def test_insertion_basis_counts_golden():
 def test_consistency_run_fixed_point_count():
     insertion = Insertion((TangentFactor(0, 4),))
     value = consistency_run(
-        lambda spec: integrate_ambient(p2(), (2,), insertion, spec), sample_specs(17, 3)
+        lambda spec: integrate_ambient_batch(p2(), (2,), [insertion], spec)[0], sample_specs(17, 3)
     )
     assert value == 9
 

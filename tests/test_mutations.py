@@ -6,6 +6,7 @@ line in CHANGES.md; a missed row is a blind spot listed in the README.
 """
 
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -14,6 +15,8 @@ from nestloc import chern, combinatorics, integrals, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.chern import FormalBundle
 from nestloc.harness import Scenario, default_battery_scenarios, run_scenario
+from nestloc.series import binomial
+from nestloc.toric import SURFACES, bundle_by_label, line_bundle
 from nestloc.vertex import GlobalCharacter
 from test_golden_characters import golden_mismatches
 from test_integrals import CARLSSON_OKOUNKOV, carlsson_okounkov_mismatches
@@ -79,7 +82,7 @@ def test_co_class_without_twist_is_caught_by_carlsson_okounkov(mutate):
     original = vertex.co_class
 
     def untwisted(surface, mp1, mp2, bundle):
-        return original(surface, mp1, mp2, vertex._trivial_bundle(surface))
+        return original(surface, mp1, mp2, bundle_by_label(surface, "O"))
 
     mutate(vertex, "co_class", untwisted)
     assert carlsson_okounkov_failures() == TWISTED_ROWS
@@ -197,3 +200,59 @@ def test_whitney_difference_times_c_e0_is_caught_by_symbolic_tp(mutate):
 
     mutate(chern, "whitney_difference", times)
     assert failing_identities(Scenario(kind="symbolic-tp")) == higher_tp_rows(1)
+
+
+def test_hrr_chi_without_linear_term_is_caught_by_hrr_check(mutate):
+    """chi(L) without its m(v1+v2)/2 term: every bundle but O fails
+    `hrr-check`, whose K-theoretic cross-check does not read hrr_chi."""
+
+    def no_linear_term(surface, bundle, spec):
+        total = Fraction(0)
+        for chart, mu in zip(surface.charts, bundle.weights):
+            v1, v2, m = spec.pairing(chart[0]), spec.pairing(chart[1]), spec.pairing(mu)
+            total += (Fraction(m * m, 2) + Fraction((v1 + v2) ** 2 + v1 * v2, 12)) / (v1 * v2)
+        return total
+
+    mutate(integrals, "hrr_chi", no_linear_term)
+    for surface in SURFACES.values():
+        report = run_scenario(Scenario(kind="hrr-check", surface=surface.name))
+        failed = {c["inputs"]["bundle"] for c in report["cases"] if c["verdict"] != "pass"}
+        assert failed == {line_bundle(surface, *d).label for d in surface.hrr_degrees} - {"O"}
+
+
+def test_twist_by_line_with_unshifted_binomial_is_caught_by_symbolic_tp(mutate):
+    """c_k(F (x) M) with binom(rank, k - j) in place of binom(rank - j, k - j):
+    the two agree for j = 0, and for j >= 1 also where both vanish, so the
+    k = 1 rows and r = 1 with k > 2 pass and the ten others fail."""
+
+    def unshifted(f, m, k):
+        powers = [f.ring.one()]
+        for _ in range(k):
+            powers.append(powers[-1] * m)
+        out = f.ring.zero()
+        for j in range(k + 1):
+            out = out + binomial(f.rank, k - j) * f.chern(j) * powers[k - j]
+        return out
+
+    mutate(chern, "twist_by_line", unshifted)
+    expected = {(1, 2)} | {(r, k) for r in range(2, 5) for k in range(2, 5)}
+    assert failing_identities(Scenario(kind="symbolic-tp")) == {
+        f"twist r={r} k={k}" for r, k in expected
+    }
+
+
+def test_thom_porteous_with_c0_zero_is_caught_by_symbolic_tp(mutate):
+    """Delta^a_b with c_0 read as 0: only Delta^a_0 has c_0 on its diagonal
+    (Delta^1_b = c_b never reads it), so the four Delta^a_0 = 1 rows fail."""
+
+    def c0_zero(a, b, c):
+        def entry(i, j):
+            k = b + j - i
+            return c.total_chern.degree_part(k) if k > 0 else c.ring.zero()
+
+        return chern._determinant([[entry(i, j) for j in range(a)] for i in range(a)], c.ring)
+
+    mutate(chern, "thom_porteous", c0_zero)
+    assert failing_identities(Scenario(kind="symbolic-tp")) == {
+        f"Delta^{a}_0 = 1" for a in range(1, 5)
+    }
