@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import __version__
@@ -342,9 +343,10 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
                   character_ok: bool = True, **extra) -> dict:
     """One case of a sampled kind: `values[j]` and `expected[j]` belong to
     `specs[j]`, and `virtual` shows the expected values as each sample's
-    `virtual`.  The case passes when its values are constant across specs,
-    equal the expected values, and `character_ok` holds; a failure names
-    the spec dependence first, then `mismatch`."""
+    `virtual`.  The case passes when its values (and virtual values) are
+    constant across specs, equal the expected values, and `character_ok`
+    holds; a failure names the spec dependence of the values first, then
+    that of the virtual values, then `mismatch`."""
     samples = []
     for spec, value, want in zip(specs, values, expected):
         samples.append({"s": list(spec.to_text()), "value": _fr(value)})
@@ -352,6 +354,8 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
             samples[-1]["virtual"] = _fr(want)
     if len(set(values)) > 1:
         diagnostic = "SpecDependence: values differ"
+    elif virtual and len(set(expected)) > 1:
+        diagnostic = "SpecDependence: virtual values differ"
     elif not character_ok or list(values) != list(expected):
         diagnostic = mismatch
     else:
@@ -662,10 +666,48 @@ def stable_copy(report: dict) -> dict:
     return {**report, "cases": cases, "elapsed_ms": 0}
 
 
+def _json_text(value, indent: str) -> str:
+    """The text `json.dumps(value, indent=2)` writes for `value` on a line
+    indented by `indent`, for the types a report holds: dict with `str`
+    keys, list, tuple, str, int, bool and None.  Strings go through the C
+    ASCII escaper; each container is joined from its items' texts."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {key!r}")
+            items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot render a {type(value).__name__} in a report: {value!r}")
+    separator = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
+
+
 def report_json(report: dict, stable: bool = False) -> str:
+    """The report as `json.dumps(report, indent=2)` plus a newline, without
+    the standard library's pure-Python indenting encoder."""
     if stable:
         report = stable_copy(report)
-    return json.dumps(report, indent=2) + "\n"
+    return _json_text(report, "") + "\n"
 
 
 def report_text(report: dict, stable: bool = False) -> str:

@@ -56,7 +56,11 @@ def chern_series(
     prod_w (1 + <w,s> tau)^{m_w}.
 
     Negative multiplicities invert the corresponding factor; weight-zero
-    terms contribute unity, so zero weights are legal here.
+    terms contribute unity, so zero weights are legal here.  The factors
+    with positive multiplicity are multiplied in first, each only up to
+    the degree reached so far, so an honest character of rank r costs
+    r(r+1)/2 multiply-adds whatever the order; the inverted factors follow
+    over the full order.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -67,10 +71,18 @@ def chern_series(
 def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
     pairing = spec.pairing
     coeffs = [1] + [0] * order
+    degree = 0
+    inverted = []
     for exp, mult in poly.terms():
         value = pairing(exp)
-        if value:
-            line_factor(coeffs, value, mult)
+        if not value:
+            continue
+        if mult > 0:
+            degree = line_factor(coeffs, value, mult, degree)
+        else:
+            inverted.append((value, mult))
+    for value, mult in inverted:
+        line_factor(coeffs, value, mult, degree)
     return tuple(coeffs)
 
 
@@ -306,17 +318,24 @@ def integrate_ambient_batch(
         if not 0 <= c.left < len(sizes) - 1:
             raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
     bundles = {c.bundle: bundle_by_label(surface, c.bundle) for c in co_factors}
+    # each factor's Euler classes, keyed by its fixed points in enumeration
+    # order; all are looked up, so a spec that is not generic for some fixed
+    # point raises even where every co-class factor vanishes
+    eulers = [
+        {mp: euler_class(tangent_char(surface, mp), spec) for mp in multipartitions(surface, n)}
+        for n in sizes
+    ]
 
     def points():
-        for mps in product(*(multipartitions(surface, n) for n in sizes)):
-            denom = Fraction(1)
-            for mp in mps:
-                denom *= euler_class(tangent_char(surface, mp), spec)
-            co_value = Fraction(1)
+        for mps in product(*eulers):
+            co_value = 1
             for c in co_factors:
                 char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
                 co_value *= chern_series(char, spec, c.degree)[c.degree]
-            if co_value != 0:
+            if co_value:
+                denom = Fraction(1)
+                for euler, mp in zip(eulers, mps):
+                    denom *= euler[mp]
                 yield mps, co_value / denom
 
     return _localize(surface, insertions, spec, points())

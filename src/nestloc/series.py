@@ -20,19 +20,25 @@ def binomial(x: int, k: int) -> int:
     return num // factorial(k)
 
 
-def line_factor(coeffs: list[int], weight_value: int, multiplicity: int) -> None:
-    """Multiply the truncated series `coeffs` in place by (1 + w tau)^m.
+def line_factor(coeffs: list[int], weight_value: int, multiplicity: int, degree: int) -> int:
+    """Multiply the truncated series `coeffs`, of degree at most `degree`,
+    in place by (1 + w tau)^m; return the degree of the product, capped at
+    the order len(coeffs) - 1.
 
-    m > 0 multiplies by (1 + w tau) m times, from the top degree down so
-    each step reads the old lower coefficient; m < 0 divides by it |m|
-    times, from degree 1 up, which is exact in integers since the
-    constant term of (1 + w tau) is 1."""
+    m > 0 multiplies by (1 + w tau) m times, each from the degree reached
+    so far down, so each step reads the old lower coefficient and skips
+    the coefficients that are still zero; m < 0 divides by it |m| times,
+    from degree 1 up through the order, which is exact in integers since
+    the constant term of (1 + w tau) is 1."""
     order = len(coeffs) - 1
     if multiplicity > 0:
         for _ in range(multiplicity):
-            for k in range(order, 0, -1):
+            if degree < order:
+                degree += 1
+            for k in range(degree, 0, -1):
                 coeffs[k] += weight_value * coeffs[k - 1]
-    else:
-        for _ in range(-multiplicity):
-            for k in range(1, order + 1):
-                coeffs[k] -= weight_value * coeffs[k - 1]
+        return degree
+    for _ in range(-multiplicity):
+        for k in range(1, order + 1):
+            coeffs[k] -= weight_value * coeffs[k - 1]
+    return order

@@ -6,10 +6,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestloc.cli as cli
 import nestloc.harness as harness
-from nestloc.errors import ConfigError, ZeroWeightError
+from nestloc.errors import ConfigError, NonGenericSpecError, ZeroWeightError
 from nestloc.harness import (
     Scenario,
     default_battery_scenarios,
@@ -115,6 +117,59 @@ def test_report_json_round_trip():
     assert parsed["version"]
 
 
+# quotes, backslashes, control, non-ASCII and astral characters; ints wider
+# than 64 bits of either sign
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "\u00e9\u2028", "\U0001f600\U00010000"]),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+def test_report_json_matches_indented_json_dumps(tree):
+    assert report_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, {"x": [0.0]}, {1: "a"}, {None: "a"}, {("a",): 1}, [set()]],
+    ids=["float", "nested-float", "int-key", "none-key", "tuple-key", "set"],
+)
+def test_report_json_refuses_what_a_report_never_holds(bad):
+    with pytest.raises(TypeError):
+        report_json(bad)
+
+
+def test_report_json_renders_a_failed_hrr_report_like_json_dumps(monkeypatch):
+    """A MathError in `hrr-check` puts the group, whose `degrees` is a
+    tuple, into the case's `inputs`."""
+
+    def boom(surface, bundle, spec):
+        raise NonGenericSpecError("synthetic")
+
+    monkeypatch.setattr(harness, "hrr_chi", boom)
+    report = run_scenario(Scenario(kind="hrr-check", surface="p1xp1"))
+    assert report["verdict"] == "fail"
+    assert {type(case["inputs"]["degrees"]) for case in report["cases"]} == {tuple}
+    for stable in (False, True):
+        expected = json.dumps(stable_copy(report) if stable else report, indent=2) + "\n"
+        assert report_json(report, stable=stable) == expected
+
+
 def test_rationals_serialized_as_strings():
     assert harness._fr(Fraction(22, 7)) == "22/7"
     report = run_scenario(Scenario(kind="euler-count", sizes=(2,)))
@@ -215,11 +270,19 @@ DIAGNOSTIC_ROWS = [
         "SpecDependence: values differ",
     ),
     ("pushforward", (1, 1), "integrate_virtual_batch", "constant", "ambient != virtual"),
-    ("pushforward", (1, 1), "integrate_virtual_batch", "spec-dependent", "ambient != virtual"),
+    (
+        "pushforward", (1, 1), "integrate_virtual_batch", "spec-dependent",
+        "SpecDependence: virtual values differ",
+    ),
     ("kstep", (1, 1, 1), "integrate_ambient_batch", "constant", "ambient != virtual"),
     (
         "kstep", (1, 1, 1), "integrate_ambient_batch", "spec-dependent",
         "SpecDependence: values differ",
+    ),
+    ("kstep", (1, 1, 1), "integrate_virtual_batch", "constant", "ambient != virtual"),
+    (
+        "kstep", (1, 1, 1), "integrate_virtual_batch", "spec-dependent",
+        "SpecDependence: virtual values differ",
     ),
     (
         "euler-count", (1,), "integrate_ambient_batch", "constant",
@@ -245,8 +308,8 @@ def test_sampled_case_verdicts_and_diagnostics(
     """Every case of a sampled kind fails with one named diagnostic when its
     sum returns wrong values, constant or depending on the spec.  Values that
     depend on the spec are named so even when they also miss the expected
-    values; only the `value` column is tested for constancy, so a virtual
-    sum that depends on the spec shows as a mismatch."""
+    values, and a virtual sum that depends on the spec is named as such, not
+    as a mismatch."""
     stub = (wrong_chi if patched == "hrr_chi" else wrong_sum)(WRONG_VALUES[wrong])
     monkeypatch.setattr(harness, patched, stub)
     report = run_scenario(Scenario(kind=kind, sizes=sizes))
@@ -339,6 +402,21 @@ def test_cli_non_generic_explicit_spec_exit_one():
     result = run_cli("euler-count", "--surface", "p2", "--n", "1", "--spec", "1,1")
     assert result.returncode == 1
     assert "NonGenericSpec" in result.stdout
+
+
+@pytest.mark.parametrize("kind", ["vanish", "twisted-vanish"])
+def test_cli_non_generic_spec_refused_where_every_co_class_factor_vanishes(kind, capsys):
+    # c_4 of a co-class of rank 3 vanishes at every fixed point, so no point
+    # reaches the sum; the Euler classes are still looked up, and (1, 1)
+    # kills the tangent weight (1, -1)
+    argv = [kind, "--surface", "p2", "--n", "2,1", "--i", "1", "--spec", "1,1", "--format", "json"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["cases"]
+    for case in report["cases"]:
+        assert case["verdict"] == "fail"
+        assert case["diagnostic"].startswith("NonGenericSpec: exponent (1, -1) pairs to zero")
 
 
 def test_cli_stable_reports_byte_identical(tmp_path):

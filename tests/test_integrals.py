@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nestloc import vertex
+from nestloc import integrals, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.combinatorics import MultiPartition, Partition, multipartitions, nested_chains
 from nestloc.errors import (
@@ -33,7 +33,7 @@ from nestloc.integrals import (
     integrate_virtual_batch,
     sample_specs,
 )
-from nestloc.series import binomial
+from nestloc.series import binomial, line_factor
 from nestloc.toric import bundle_by_label, line_bundle, p1xp1, p2
 from nestloc.vertex import co_class, tangent_char, taut_char, virtual_tangent_char
 from test_combinatorics import euler_product_coefficient
@@ -61,6 +61,26 @@ def test_chern_series_examples():
     spec23 = WeightSpec(2, 3)
     char = lp({(1, 0): 1, (0, 1): -1})
     assert chern_series(char, spec23, 2) == (1, -1, 3)
+    # (1+2t)^2 (1+3t) has rank 3: every coefficient above it is 0
+    char = lp({(1, 0): 2, (0, 1): 1})
+    assert chern_series(char, spec23, 6) == (1, 7, 16, 12, 0, 0, 0)
+    # multiplicity 3: (1+2t)^3
+    assert chern_series(lp({(1, 0): 3}), WeightSpec(2, 5), 4) == (1, 6, 12, 8, 0)
+    # (1+t) / (1+2t)^2, its inverted term first in `terms()`
+    char = lp({(0, 1): -2, (1, 0): 1})
+    assert [mult for _, mult in char.terms()] == [-2, 1]
+    assert chern_series(char, WeightSpec(1, 2), 4) == (1, -3, 8, -20, 48)
+    assert chern_series(char, WeightSpec(1, 2), 0) == (1,)
+
+
+def test_line_factor_updates_up_to_the_degree_reached():
+    coeffs = [1, 0, 0, 0]
+    assert line_factor(coeffs, 2, 2, 0) == 2
+    assert coeffs == [1, 4, 4, 0]
+    assert line_factor(coeffs, 1, 2, 2) == 3  # capped at the order
+    assert coeffs == [1, 6, 13, 12]
+    assert line_factor(coeffs, 1, -1, 3) == 3
+    assert coeffs == [1, 5, 8, 4]
 
 
 def test_chern_series_constant_term_is_one():
@@ -187,6 +207,24 @@ def test_euler_class_non_generic_spec_error():
     char = lp({(1, -1): 1})
     with pytest.raises(NonGenericSpecError):
         euler_class(char, WeightSpec(3, 3))
+
+
+def test_ambient_sum_looks_up_each_euler_class_once_per_factor(monkeypatch):
+    """c_7 of a co-class of rank 6 vanishes at all 22 x 22 fixed points of
+    p2 (3,3); the Euler class of each factor is still looked up once per
+    multipartition, not once per point."""
+    calls = []
+
+    def counted(char, spec):
+        calls.append(char)
+        return euler_class(char, spec)
+
+    monkeypatch.setattr(integrals, "euler_class", counted)
+    insertion = Insertion((TautFactor(0, "O", 5),))
+    co = [CoFactor(0, 7, "O(1)")]
+    assert integrate_ambient_batch(p2(), (3, 3), [insertion], WeightSpec(1013, 2027), co) == [0]
+    assert len(multipartitions(p2(), 3)) == 22
+    assert len(calls) == 44
 
 
 @pytest.mark.parametrize("surface", [p2(), p1xp1()])
