@@ -48,12 +48,14 @@ from .integrals import (
     TangentFactor,
     TautFactor,
     WeightSpec,
+    ambient_measure,
     hrr_chi,
     insertion_basis,
     integrate_ambient_batch,
     integrate_virtual_batch,
     k_theory_chi_sum,
     sample_specs,
+    virtual_measure,
 )
 from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle, surface_by_name
 from .vertex import co_class, vertex_V
@@ -383,13 +385,42 @@ def _pushforward_cases(s: Scenario) -> list[dict]:
     insertions = _load_insertions(s, sizes[0] + sizes[-1])
     specs = scenario_specs(s)
     co = [CoFactor(m, sizes[m] + sizes[m + 1]) for m in range(len(sizes) - 1)]
-    ambient = [integrate_ambient_batch(surface, sizes, insertions, spec, co) for spec in specs]
-    virtual = [integrate_virtual_batch(surface, sizes, insertions, spec) for spec in specs]
-    return [
-        _sampled_case({"insertion": ins.label()}, specs, values, expected, "ambient != virtual",
-                      virtual=True)
-        for ins, values, expected in zip(insertions, zip(*ambient), zip(*virtual))
-    ]
+    ambient, virtual = [], []
+    for spec in specs:
+        # the virtual sum right after the ambient one at the same spec, so
+        # it finds the equal measure in `_localize`'s slot
+        ambient.append(integrate_ambient_batch(surface, sizes, insertions, spec, co))
+        virtual.append(integrate_virtual_batch(surface, sizes, insertions, spec))
+    cases = []
+    located: dict[WeightSpec, str] = {}
+    for ins, values, expected in zip(insertions, zip(*ambient), zip(*virtual)):
+        case = _sampled_case({"insertion": ins.label()}, specs, values, expected,
+                             "ambient != virtual", virtual=True)
+        # a failure where the two sums differ at some spec, read as a
+        # mismatch or as a spec-dependent side, names the point they differ at
+        differ = [sp for sp, a, v in zip(specs, values, expected) if a != v]
+        if case["verdict"] == "fail" and differ:
+            if differ[0] not in located:
+                located[differ[0]] = _measure_difference(surface, sizes, differ[0], co)
+            case["diagnostic"] += located[differ[0]]
+        cases.append(case)
+    return cases
+
+
+def _measure_difference(surface: ToricSurface, sizes, spec: WeightSpec, co) -> str:
+    """The empty string when the ambient and virtual measures at `spec` are
+    equal, else a diagnostic suffix naming the first fixed point, in ambient
+    then chain order, where they differ, with both weights ("missing" where
+    a measure has no such point)."""
+    ambient = ambient_measure(surface, sizes, spec, co)
+    virtual = virtual_measure(surface, sizes, spec)
+    for steps in [*ambient, *(steps for steps in virtual if steps not in ambient)]:
+        weights = [_fr(m[steps]) if steps in m else "missing" for m in (ambient, virtual)]
+        if weights[0] != weights[1]:
+            point = "[" + ",".join(mp.to_text() for mp in steps) + "]"
+            return (f"; first differing point {point} at s={','.join(spec.to_text())}: "
+                    f"ambient {weights[0]}, virtual {weights[1]}")
+    return ""
 
 
 def _euler_count_cases(s: Scenario) -> list[dict]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, ClassVar, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
@@ -240,14 +240,45 @@ def _check_insertions(
                 raise DegreeMismatchError(f"negative factor degree in {ins.label()}")
 
 
+#: a point measure: {fixed point steps: weight}, one tuple of multipartitions
+#: per fixed point of a product of Hilbert schemes (or of a nested chain)
+Measure = dict[tuple[MultiPartition, ...], Fraction]
+
+
+class _LastSum:
+    """The key and totals of the most recent `_localize` call.
+
+    One slot, compared by equality: the ambient and virtual sums of a
+    pushforward spec build equal measures independently, so the second of
+    the two calls reads the first's totals.  The totals also depend on the
+    insertion characters, so a test that patches `taut_char`,
+    `tangent_char` or `chern_series` calls `cache_clear` around the patch."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.key: tuple | None = None
+        self.totals: list[Fraction] = []
+
+
+_LAST_SUM = _LastSum()
+
+
 def _localize(
     surface: ToricSurface,
     insertions: Sequence[Insertion],
     spec: WeightSpec,
-    points: Iterable[tuple[Sequence[MultiPartition], Fraction]],
+    measure: Measure,
 ) -> list[Fraction]:
     """sum_p weight_p * insertion(p) for every insertion, over the
-    (steps, weight) pairs of the fixed points p.
+    {steps: weight} measure of the fixed points p.
+
+    A call whose (surface, spec, insertions, measure) equals the previous
+    call's returns a copy of that call's totals without summing: equal
+    measures integrate every insertion to the same value, exactly.  The
+    key holds copies of the insertions and the measure, so a caller that
+    mutates its own afterwards does not change it.
 
     A factor's Chern series is keyed by (ambient factor, bundle label),
     None for the tangent bundle, and expanded once per fixed point to the
@@ -260,6 +291,9 @@ def _localize(
     their order.  At each fixed point the root holds the scaled weight,
     every other node its parent's value times one coefficient, and each
     insertion adds its leaf's value to its total."""
+    insertions = tuple(insertions)
+    if _LAST_SUM.key == (surface, spec, insertions, measure):
+        return list(_LAST_SUM.totals)
     orders: dict[tuple[int, str | None], int] = {}
     # trie node k >= 1 is nodes[k - 1] = (parent node, series key, degree);
     # node 0 is the root, the empty product
@@ -278,10 +312,9 @@ def _localize(
             node = child
         leaves.append(node)
     bundles = {label: bundle_by_label(surface, label) for _, label in orders if label is not None}
-    points = list(points)
-    common = math.lcm(*(weight.denominator for _, weight in points))
+    common = math.lcm(*(weight.denominator for weight in measure.values()))
     totals = [0] * len(leaves)
-    for steps, weight in points:
+    for steps, weight in measure.items():
         coeffs = {}
         for (m, label), order in orders.items():
             if label is None:
@@ -294,7 +327,72 @@ def _localize(
             values.append(values[parent] * coeffs[key][degree])
         for i, leaf in enumerate(leaves):
             totals[i] += values[leaf]
-    return [Fraction(total, common) for total in totals]
+    out = [Fraction(total, common) for total in totals]
+    _LAST_SUM.key = (surface, spec, insertions, dict(measure))
+    _LAST_SUM.totals = out
+    return list(out)
+
+
+def ambient_measure(
+    surface: ToricSurface,
+    sizes: Sequence[int],
+    spec: WeightSpec,
+    co_factors: Sequence[CoFactor] = (),
+) -> Measure:
+    """{(mp_1, ..., mp_k): co / e(T_1)...e(T_k)} over the fixed points of
+    S^[n_1] x ... x S^[n_k] whose co-class product co is nonzero.
+
+    Each factor's Euler classes are looked up once per fixed point of that
+    factor, before the product; all are looked up, so a spec that is not
+    generic for some fixed point raises even where every co-class factor
+    vanishes.  A co-class factor whose character is honest (every
+    multiplicity positive) and whose degree exceeds its rank is 0 without
+    expanding its Chern series, a product of rank factors (1 + w tau); a
+    character with a negative multiplicity is expanded in full.  The
+    factors of a point are read until one is 0."""
+    sizes = tuple(int(n) for n in sizes)
+    for c in co_factors:
+        if not 0 <= c.left < len(sizes) - 1:
+            raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
+    bundles = {c.bundle: bundle_by_label(surface, c.bundle) for c in co_factors}
+    eulers = [
+        {mp: euler_class(tangent_char(surface, mp), spec) for mp in multipartitions(surface, n)}
+        for n in sizes
+    ]
+    measure: Measure = {}
+    for mps in product(*eulers):
+        co_value = 1
+        for c in co_factors:
+            char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
+            if c.degree > char.rank and all(mult > 0 for _, mult in char.value.terms()):
+                co_value = 0
+            else:
+                co_value *= chern_series(char, spec, c.degree)[c.degree]
+            if not co_value:
+                break
+        if co_value:
+            denom = Fraction(1)
+            for euler, mp in zip(eulers, mps):
+                denom *= euler[mp]
+            measure[mps] = co_value / denom
+    return measure
+
+
+def virtual_measure(surface: ToricSurface, sizes: Sequence[int], spec: WeightSpec) -> Measure:
+    """{chain steps: 1 / e(T^vir)} over the nested chains of the given sizes.
+
+    A chain listed twice adds its weight twice, as a sum over the list
+    would.  A chain whose virtual tangent character carries net weight
+    zero aborts with the chain identified."""
+    measure: Measure = {}
+    for chain in nested_chains(surface, tuple(int(n) for n in sizes)):
+        vchar = virtual_tangent_char(surface, chain)
+        try:
+            denom = euler_class(vchar, spec)
+        except ZeroWeightError as exc:
+            raise ZeroWeightError(f"chain {chain.to_text()}: {exc}") from None
+        measure[chain.steps] = measure.get(chain.steps, 0) + 1 / denom
+    return measure
 
 
 def integrate_ambient_batch(
@@ -306,39 +404,18 @@ def integrate_ambient_batch(
 ) -> list[Fraction]:
     """Ambient localization sum over products of Hilbert schemes.
 
-    Every insertion is integrated against the common co-class factors in a
-    single pass over the fixed points, each weighted by co / e(T); the
-    degree condition (insertion + co degrees == complex dimension) is
+    Every insertion is integrated against the common co-class factors in
+    one `_localize` pass over `ambient_measure`: the fixed-point tuples
+    whose co-class product co is nonzero, each weighted by co / e(T), where
+    a factor above the rank of an honest co-class is 0 without its series.
+    The degree condition (insertion + co degrees == complex dimension) is
     checked per insertion.
     """
     sizes = tuple(int(n) for n in sizes)
     co_degree = sum(c.degree for c in co_factors)
     _check_insertions(insertions, len(sizes), co_degree, 2 * sum(sizes), ("integrand", "ambient"))
-    for c in co_factors:
-        if not 0 <= c.left < len(sizes) - 1:
-            raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
-    bundles = {c.bundle: bundle_by_label(surface, c.bundle) for c in co_factors}
-    # each factor's Euler classes, keyed by its fixed points in enumeration
-    # order; all are looked up, so a spec that is not generic for some fixed
-    # point raises even where every co-class factor vanishes
-    eulers = [
-        {mp: euler_class(tangent_char(surface, mp), spec) for mp in multipartitions(surface, n)}
-        for n in sizes
-    ]
-
-    def points():
-        for mps in product(*eulers):
-            co_value = 1
-            for c in co_factors:
-                char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
-                co_value *= chern_series(char, spec, c.degree)[c.degree]
-            if co_value:
-                denom = Fraction(1)
-                for euler, mp in zip(eulers, mps):
-                    denom *= euler[mp]
-                yield mps, co_value / denom
-
-    return _localize(surface, insertions, spec, points())
+    measure = ambient_measure(surface, sizes, spec, co_factors)
+    return _localize(surface, insertions, spec, measure)
 
 
 def integrate_virtual_batch(
@@ -355,17 +432,7 @@ def integrate_virtual_batch(
     """
     sizes = tuple(int(n) for n in sizes)
     _check_insertions(insertions, len(sizes), 0, sizes[0] + sizes[-1], ("insertion", "virtual"))
-
-    def points():
-        for chain in nested_chains(surface, sizes):
-            vchar = virtual_tangent_char(surface, chain)
-            try:
-                denom = euler_class(vchar, spec)
-            except ZeroWeightError as exc:
-                raise ZeroWeightError(f"chain {chain.to_text()}: {exc}") from None
-            yield chain.steps, 1 / denom
-
-    return _localize(surface, insertions, spec, points())
+    return _localize(surface, insertions, spec, virtual_measure(surface, sizes, spec))
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nestloc import integrals, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.combinatorics import MultiPartition, Partition, multipartitions, nested_chains
+from nestloc.harness import Scenario, run_scenario
 from nestloc.errors import (
     DegreeMismatchError,
     NonGenericSpecError,
@@ -419,22 +420,31 @@ def co_value(surface, mps, co_factors, spec):
     return out
 
 
-def reference_ambient(surface, sizes, insertions, spec, co_factors):
+def reference_ambient_points(surface, sizes, spec, co_factors):
+    """(steps, co / e(T)) at every tuple of fixed points, zero weights too."""
     points = []
     for mps in product(*(multipartitions(surface, n) for n in sizes)):
         denom = Fraction(1)
         for mp in mps:
             denom *= euler_class(tangent_char(surface, mp), spec)
         points.append((mps, co_value(surface, mps, co_factors, spec) / denom))
+    return points
+
+
+def reference_virtual_points(surface, sizes, spec):
+    return [
+        (chain.steps, 1 / euler_class(virtual_tangent_char(surface, chain), spec))
+        for chain in nested_chains(surface, sizes)
+    ]
+
+
+def reference_ambient(surface, sizes, insertions, spec, co_factors):
+    points = reference_ambient_points(surface, sizes, spec, co_factors)
     return reference_localize(surface, insertions, spec, points)
 
 
 def reference_virtual(surface, sizes, insertions, spec):
-    points = [
-        (chain.steps, 1 / euler_class(virtual_tangent_char(surface, chain), spec))
-        for chain in nested_chains(surface, sizes)
-    ]
-    return reference_localize(surface, insertions, spec, points)
+    return reference_localize(surface, insertions, spec, reference_virtual_points(surface, sizes, spec))
 
 
 def pushforward_co(sizes):
@@ -484,3 +494,130 @@ def test_integer_kernel_matches_reference_where_co_factor_vanishes():
     assert ambient[-2:] == [1, 2]
     assert ambient == reference_ambient(surface, sizes, insertions, spec, co)
     assert ambient == integrate_virtual_batch(surface, sizes, insertions, spec)
+
+
+POINTWISE = [(p2(), (2, 1)), (p2(), (3, 2)), (p2(), (1, 1, 1)), (p2(), (2, 1, 1)), (p1xp1(), (2, 2))]
+
+
+@pytest.mark.parametrize(
+    "surface,sizes", POINTWISE, ids=[f"{s.name}-{sizes}" for s, sizes in POINTWISE]
+)
+def test_ambient_measure_is_the_virtual_measure_point_by_point(surface, sizes):
+    """Thom-Porteous at the fixed points: the top co-class product vanishes
+    off the nested chains, and on a chain co / e(T_1)...e(T_k) is exactly
+    1 / e(T^vir).  This is why `_localize` may return the ambient totals
+    for the virtual sum; the kernel's measures must match the oracle's."""
+    spec = sample_specs(1729, 1)[0]
+    co = pushforward_co(sizes)
+    ambient = {steps: w for steps, w in reference_ambient_points(surface, sizes, spec, co) if w}
+    virtual = reference_virtual_points(surface, sizes, spec)
+    assert len(dict(virtual)) == len(virtual)
+    assert ambient == dict(virtual)
+    assert integrals.ambient_measure(surface, sizes, spec, co) == ambient
+    assert integrals.virtual_measure(surface, sizes, spec) == ambient
+
+
+def test_localize_sums_again_unless_the_measure_is_equal(monkeypatch):
+    surface, sizes = p2(), (2, 1)
+    spec = sample_specs(43, 1)[0]
+    insertions = insertion_basis(surface, sizes, 3)
+    points = reference_virtual_points(surface, sizes, spec)
+    reference = reference_localize(surface, insertions, spec, points)
+    calls = []
+
+    def counted(surface, bundle, mp):
+        calls.append(mp)
+        return taut_char(surface, bundle, mp)
+
+    monkeypatch.setattr(integrals, "taut_char", counted)
+    integrals._LAST_SUM.cache_clear()
+    measure = dict(points)
+    first = integrals._localize(surface, insertions, spec, measure)
+    assert first == reference and calls
+    # an equal measure built apart, in another order: nothing is summed again
+    calls.clear()
+    again = integrals._localize(surface, list(insertions), spec, dict(reversed(points)))
+    assert again == reference and not calls
+    # the caller owns the returned list: changing it changes no later hit
+    again[0] += 1
+    first.clear()
+    assert integrals._localize(surface, insertions, spec, dict(points)) == reference
+    assert not calls
+    steps, weight = points[0]
+    one_weight = {**measure, steps: weight * 2}
+    one_point_less = {k: w for k, w in measure.items() if k != steps}
+    # the measure of the first call, changed in place after it, and then
+    # measures that differ from the one before in one weight or one point
+    measure[steps] = weight * 3
+    for changed in (measure, one_weight, one_point_less):
+        calls.clear()
+        got = integrals._localize(surface, insertions, spec, changed)
+        assert calls
+        assert got == reference_localize(surface, insertions, spec, list(changed.items()))
+        assert got != reference
+
+
+# six twists per surface, among them negative and mixed degrees
+RANK_TWISTS = {
+    "p2": [(0,), (1,), (2,), (-1,), (-3,), (5,)],
+    "p1xp1": [(0, 0), (1, 0), (0, 1), (-2, -2), (3, -1), (-1, 2)],
+}
+
+
+@pytest.mark.parametrize("surface", [p2(), p1xp1()], ids=lambda s: s.name)
+def test_co_class_is_honest_of_rank_n1_plus_n2(surface):
+    """The certificate `ambient_measure` uses in place of a series: at every
+    pair of fixed points with n1, n2 <= 3 the co-class has no negative
+    multiplicity and rank n1 + n2, so its series stops at that degree."""
+    spec = WeightSpec(1013, 2027)
+    mps = [mp for n in range(4) for mp in multipartitions(surface, n)]
+    for degrees in RANK_TWISTS[surface.name]:
+        bundle = line_bundle(surface, *degrees)
+        for mp1, mp2 in product(mps, repeat=2):
+            char = co_class(surface, mp1, mp2, bundle)
+            assert all(mult > 0 for _, mult in char.value.terms()), (degrees, mp1, mp2)
+            assert char.rank == mp1.total + mp2.total
+            assert chern_series(char, spec, char.rank + 3)[char.rank + 1:] == (0, 0, 0)
+
+
+def co_class_series_calls(monkeypatch, co_class_fn, scenario):
+    """(report, co-class characters, the chern_series calls on them) of one
+    scenario run with `integrals.co_class` replaced by `co_class_fn`."""
+    made, expanded = [], []
+
+    def recorded(*args):
+        made.append(co_class_fn(*args))
+        return made[-1]
+
+    def counted(char, spec, order):
+        if any(char is co for co in made):
+            expanded.append(char)
+        return chern_series(char, spec, order)
+
+    monkeypatch.setattr(integrals, "co_class", recorded)
+    monkeypatch.setattr(integrals, "chern_series", counted)
+    return run_scenario(scenario), made, expanded
+
+
+def test_above_rank_co_class_factor_is_zero_without_a_series(monkeypatch):
+    scenario = Scenario(kind="vanish", sizes=(2, 1), i_values=(1,))
+    report, made, expanded = co_class_series_calls(monkeypatch, co_class, scenario)
+    assert report["verdict"] == "pass"
+    assert len(made) == 9 * 3 * 3  # every point pair, at each of three specs
+    assert expanded == []
+
+
+def test_dishonest_co_class_is_expanded_and_fails(monkeypatch):
+    """A co-class whose first term has its multiplicity negated has Chern
+    classes above its (smaller) rank: the series runs and vanish fails."""
+
+    def dishonest(surface, mp1, mp2, bundle):
+        char = co_class(surface, mp1, mp2, bundle).value
+        (exp, mult), *_ = char.terms()
+        flipped = char - lp({exp: 2 * mult})
+        return vertex.GlobalCharacter(flipped, flipped.rank_eval())
+
+    scenario = Scenario(kind="vanish", sizes=(2, 1), i_values=(1,))
+    report, made, expanded = co_class_series_calls(monkeypatch, dishonest, scenario)
+    assert len(expanded) == len(made)
+    assert report["verdict"] == "fail"

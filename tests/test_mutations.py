@@ -31,6 +31,7 @@ def mutate(monkeypatch):
     cached = [
         vertex._chart_term, vertex.vertex_V, vertex.co_class, vertex.tangent_char,
         vertex.virtual_tangent_char, integrals._chern_series_cached, integrals._euler_cached,
+        integrals._LAST_SUM,
     ]
 
     def clear():
@@ -154,6 +155,26 @@ def test_virtual_sum_dropping_a_chain_is_caught(mutate):
 
     mutate(combinatorics, "nested_chains", one_short)
     assert failing_battery_kinds() == {"pushforward", "kstep"}
+
+
+def test_dropped_chain_is_named_in_the_failing_cases(mutate):
+    """Under the one-short mutant every failing pushforward case names the
+    chain the virtual measure lacks, with its ambient weight."""
+    original = combinatorics.nested_chains
+    missing = original(SURFACES["p2"], (2, 1))[-1]
+
+    def one_short(surface, sizes):
+        return original(surface, sizes)[:-1]
+
+    mutate(combinatorics, "nested_chains", one_short)
+    report = run_scenario(Scenario(kind="pushforward", sizes=(2, 1)))
+    diagnostics = {c["diagnostic"] for c in report["cases"] if c["verdict"] == "fail"}
+    assert len(diagnostics) == 1
+    (diagnostic,) = diagnostics
+    assert diagnostic.startswith(
+        f"SpecDependence: virtual values differ; first differing point {missing.to_text()} at s="
+    )
+    assert diagnostic.endswith(", virtual missing")
 
 
 def test_inverted_chart_substitution_is_caught_only_by_pins(mutate):
