@@ -35,6 +35,7 @@ RUNGS = (
     ("pushforward-p1xp1-3_3", ("pushforward", "--surface", "p1xp1", "--n", "3,3")),
     ("kstep-p2-2_1_1", ("kstep", "--surface", "p2", "--n", "2,1,1")),
     ("vanish-p2-3_2", ("vanish", "--surface", "p2", "--n", "3,2", "--i", "1,2")),
+    ("serre-duality-p1xp1", ("serre-duality", "--surface", "p1xp1")),
 )
 
 

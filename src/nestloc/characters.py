@@ -124,6 +124,12 @@ class LaurentPoly:
         """The involution t -> t^{-1}: every exponent pair is negated."""
         return LaurentPoly({(-a, -b): c for (a, b), c in self._terms.items()})
 
+    def is_effective(self) -> bool:
+        """True iff no multiplicity is negative: the character of an honest
+        representation.  Canonical form holds no zero coefficient, so this
+        is also the test that every multiplicity is positive."""
+        return all(c > 0 for c in self._terms.values())
+
     def rank_eval(self) -> int:
         """Virtual rank: evaluation at t1 = t2 = 1, i.e. the coefficient sum."""
         return sum(self._terms.values())

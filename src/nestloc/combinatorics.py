@@ -90,6 +90,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return subpartitions(Partition((n,) * n), n)
 
 
+@lru_cache(maxsize=None)
 def contains(lam: Partition, mu: Partition) -> bool:
     """True iff the diagram of mu fits inside the diagram of lam."""
     if len(mu.parts) > len(lam.parts):
@@ -185,7 +186,7 @@ def multipartitions(surface: ToricSurface, n: int) -> tuple[MultiPartition, ...]
 
 def mp_contains(big: MultiPartition, small: MultiPartition) -> bool:
     """Pointwise diagram containment (small's diagrams inside big's)."""
-    return all(contains(l, m) for l, m in zip(big.parts, small.parts))
+    return all(map(contains, big.parts, small.parts))
 
 
 @dataclass(frozen=True)

@@ -318,7 +318,11 @@ def splitting_twist_oracle(r: int, k: int) -> bool:
 
 
 def _fr(value) -> str:
-    return str(Fraction(value))
+    """A report's exact number as text; an int or a Fraction only, so a
+    float can never be turned into a long exact fraction here."""
+    if type(value) is int or type(value) is Fraction:
+        return str(value)
+    raise TypeError(f"report values are int or Fraction, got {type(value).__name__}")
 
 
 def _case(inputs: dict, samples: list, verdict: bool, diagnostic: str = "", **extra) -> dict:
@@ -542,9 +546,7 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
                     if mp_contains(mp1, mp2):
                         # chi(O)/Hom trivial summands cancel: the class is
                         # the effective Ext^1 character, fully movable
-                        good = zero_mult == 0 and all(
-                            c >= 0 for _, c in value.terms()
-                        )
+                        good = zero_mult == 0 and value.is_effective()
                     else:
                         # jumping characterization: leftover weight-zero
                         # content detects the failure of nesting

@@ -364,7 +364,7 @@ def ambient_measure(
         co_value = 1
         for c in co_factors:
             char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
-            if c.degree > char.rank and all(mult > 0 for _, mult in char.value.terms()):
+            if c.degree > char.rank and char.value.is_effective():
                 co_value = 0
             else:
                 co_value *= chern_series(char, spec, c.degree)[c.degree]

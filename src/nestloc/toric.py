@@ -30,15 +30,20 @@ Weight = tuple[int, int]
 
 
 def _data(default=None):
-    """A table field: kept out of equality and hashing, so cache keys hash
-    only the name and the charts."""
+    """A table field: kept out of equality and hashing, so cache keys
+    compare only the name and the charts."""
     return field(default=default, compare=False)
 
 
 @dataclass(frozen=True)
 class ToricSurface:
     """Fixed points with tangent weight pairs, identified by name, plus the
-    surface's line bundles and the data its scenarios check against."""
+    surface's line bundles and the data its scenarios check against.
+
+    The hash is computed once, at construction, from the integer charts
+    alone, so it is the same in every process whatever PYTHONHASHSEED is;
+    surfaces key every character cache.
+    """
 
     name: str
     charts: tuple[tuple[Weight, Weight], ...]
@@ -55,6 +60,7 @@ class ToricSurface:
     chi: Callable[..., Fraction] = _data()
     #: weights of the monomial sections of O(degrees) for degrees >= 0
     sections: Callable[..., Iterable[Weight]] = _data()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.charts:
@@ -63,6 +69,10 @@ class ToricSurface:
             det = w1[0] * w2[1] - w1[1] * w2[0]
             if det not in (1, -1):
                 raise ValueError(f"tangent weights {w1}, {w2} are not a lattice basis")
+        object.__setattr__(self, "_hash", hash(self.charts))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def euler_number(self) -> int:
@@ -74,10 +84,21 @@ class ToricSurface:
 
 @dataclass(frozen=True)
 class EqLineBundle:
-    """Equivariant line bundle: one character per fixed point."""
+    """Equivariant line bundle: one character per fixed point.
+
+    As for ``ToricSurface``, the hash is computed once from the integer
+    weights alone; equality still compares the label too.
+    """
 
     label: str
     weights: tuple[Weight, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.weights))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"EqLineBundle({self.label!r})"

@@ -6,9 +6,12 @@ On a chart with box characters Q1, Q2 the vertex is
 
 the finite Laurent polynomial representing chi(O) - chi(I1, I2).  Global
 classes are assembled by substituting chart variables into the global
-torus and summing over fixed points: each chart's term is cached by
-(chart, twist weight, local character) as a tuple of terms, and a global
-character is one dict those tuples are added into.
+torus and summing over fixed points, one chart term per fixed point, as
+a tuple of terms; a global character is one dict those tuples are added
+into.  Co-class and tangent chart terms are cached by (chart, twist
+weight, partition pair), so a co-class miss is one lookup per chart;
+tautological chart terms are cached by (chart, twist weight, local
+character).
 
 Chart-to-global substitution, pinned by the hrr checks and the tangent
 oracle: u_k -> t^{-w_k} where (w_1, w_2) are the chart's tangent weights.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .characters import Exponent, LaurentPoly
-from .combinatorics import MultiPartition, NestedChain, box_character
+from .combinatorics import MultiPartition, NestedChain, Partition, box_character
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
 
 _INV_U1U2 = LaurentPoly.monomial(-1, -1)
@@ -59,6 +62,12 @@ def _chart_term(chart, mu, local: LaurentPoly) -> tuple[tuple[Exponent, int], ..
     (w1, w2) = chart
     global_char = local.substitute((-w1[0], -w1[1]), (-w2[0], -w2[1]))
     return (LaurentPoly.monomial(*mu) * global_char).terms()
+
+
+@lru_cache(maxsize=None)
+def _pair_term(chart, mu, lam1: Partition, lam2: Partition) -> tuple[tuple[Exponent, int], ...]:
+    """Terms of t^mu V(Q_lam1, Q_lam2) substituted into the global torus."""
+    return _chart_term(chart, mu, vertex_V(box_character(lam1), box_character(lam2)))
 
 
 def _fold(chart_terms) -> LaurentPoly:
@@ -97,10 +106,7 @@ def co_class(
     |mp1| + |mp2| independently of the twist.
     """
     _check_indexing(surface, mp1, mp2, bundle)
-    value = _fold(
-        _chart_term(chart, mu, vertex_V(box_character(lam1), box_character(lam2)))
-        for chart, lam1, lam2, mu in zip(surface.charts, mp1.parts, mp2.parts, bundle.weights)
-    )
+    value = _fold(map(_pair_term, surface.charts, bundle.weights, mp1.parts, mp2.parts))
     return GlobalCharacter(value, mp1.total + mp2.total)
 
 
@@ -109,8 +115,7 @@ def tangent_char(surface: ToricSurface, mp: MultiPartition) -> GlobalCharacter:
     """Tangent character of S^[n] at the fixed point mp; rank 2|mp|."""
     _check_indexing(surface, mp)
     value = _fold(
-        _chart_term(chart, (0, 0), vertex_V(box_character(lam), box_character(lam)))
-        for chart, lam in zip(surface.charts, mp.parts)
+        _pair_term(chart, (0, 0), lam, lam) for chart, lam in zip(surface.charts, mp.parts)
     )
     return GlobalCharacter(value, 2 * mp.total)
 

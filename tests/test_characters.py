@@ -100,3 +100,16 @@ def test_no_zero_coefficients_stored(p):
 def test_text_form_is_sorted():
     p = lp({(2, 0): -1, (-1, 3): 4, (0, 0): 2})
     assert p.to_text() == "4*t1^-1*t2^3 + 2*t1^0*t2^0 + -1*t1^2*t2^0"
+
+
+def test_is_effective_examples():
+    assert LaurentPoly.zero().is_effective()
+    assert lp({(0, 0): 2, (1, -1): 1}).is_effective()
+    assert not lp({(0, 0): 2, (1, -1): -1}).is_effective()
+    # a cancelled coefficient is gone, not a 0 that "all >= 0" would accept
+    assert (LaurentPoly.one() - LaurentPoly.one()).is_effective()
+
+
+@given(polys)
+def test_is_effective_is_every_coefficient_positive(p):
+    assert p.is_effective() == all(c > 0 for _, c in p.terms())

@@ -172,6 +172,11 @@ def test_report_json_renders_a_failed_hrr_report_like_json_dumps(monkeypatch):
 
 def test_rationals_serialized_as_strings():
     assert harness._fr(Fraction(22, 7)) == "22/7"
+    assert harness._fr(3) == "3"
+    assert harness._fr(Fraction(-4, 2)) == "-2"
+    for bad in (0.5, 1.0, True, "3"):
+        with pytest.raises(TypeError):
+            harness._fr(bad)
     report = run_scenario(Scenario(kind="euler-count", sizes=(2,)))
     for case in report["cases"]:
         for sample in case["samples"]:

@@ -27,16 +27,16 @@ TWISTED_ROWS = {(fn().name, degrees) for fn, degrees, _ in CARLSSON_OKOUNKOV if 
 @pytest.fixture
 def mutate(monkeypatch):
     """Replace `module.name` in every nestloc module that binds it, with
-    every character cache cleared around the patch."""
-    cached = [
-        vertex._chart_term, vertex.vertex_V, vertex.co_class, vertex.tangent_char,
-        vertex.virtual_tangent_char, integrals._chern_series_cached, integrals._euler_cached,
-        integrals._LAST_SUM,
-    ]
+    every cache that `vertex` and `integrals` bind (each `lru_cache` and
+    `_LAST_SUM`) cleared around the patch, so no value computed by the
+    other version of the code is read back."""
 
     def clear():
-        for fn in cached:
-            fn.cache_clear()
+        for module in (vertex, integrals):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_info"):
+                    value.cache_clear()
+        integrals._LAST_SUM.cache_clear()
 
     def apply(module, name, mutant):
         original = getattr(module, name)
@@ -112,6 +112,27 @@ def test_off_by_one_co_class_degree_is_caught_by_weight_zero_identity(mutate):
 
     mutate(vertex, "co_class", one_too_many)
     assert carlsson_okounkov_failures() == set()
+    assert failing_identities(Scenario(kind="serre-duality", surface="p2")) == {
+        "nested co_class effective; weight-zero detects nesting"
+    }
+
+
+def test_pair_term_with_swapped_partitions_is_caught_by_nesting_and_pushforward(mutate):
+    """V(Q_lam2, Q_lam1) in place of V(Q_lam1, Q_lam2): tangent characters
+    are unchanged (lam1 = lam2 there).  A nested pair's co-class is no
+    longer effective, so the serre-duality nesting identity fails, and the
+    virtual tangent character of a chain gets a net weight-zero term, so
+    pushforward fails with ZeroWeight.  The battery's kstep (1,1,1) passes:
+    consecutive steps of its chains are equal, so its virtual side does not
+    see the swap."""
+    original = vertex._pair_term
+
+    @lru_cache(maxsize=None)
+    def swapped(chart, mu, lam1, lam2):
+        return original(chart, mu, lam2, lam1)
+
+    mutate(vertex, "_pair_term", swapped)
+    assert failing_battery_kinds() == {"serre-duality", "pushforward"}
     assert failing_identities(Scenario(kind="serre-duality", surface="p2")) == {
         "nested co_class effective; weight-zero detects nesting"
     }

@@ -1,9 +1,15 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from nestloc.integrals import WeightSpec, hrr_chi, k_theory_chi_sum, sample_specs
 from nestloc.toric import ToricSurface, bundle_by_label, line_bundle, p1xp1, p2, surface_by_name
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def test_fixed_point_counts():
@@ -49,6 +55,36 @@ def test_bundle_by_label():
     assert bundle_by_label(p1xp1(), "O") == line_bundle(p1xp1(), 0, 0)
     with pytest.raises(ValueError):
         bundle_by_label(p2(), "K")
+
+
+def test_cache_keys_hash_equal_when_rebuilt_or_unpickled():
+    """Surfaces and bundles key every character cache: one built twice or
+    copied through pickle is the same key.  Multipartitions are checked in
+    test_combinatorics."""
+    for surface in (p2(), p1xp1()):
+        rebuilt = ToricSurface(surface.name, surface.charts)
+        assert rebuilt == surface and hash(rebuilt) == hash(surface)
+        for degrees in surface.hrr_degrees:
+            bundle = line_bundle(surface, *degrees)
+            again = line_bundle(surface, *degrees)
+            copy = pickle.loads(pickle.dumps(bundle))
+            assert bundle == again == copy
+            assert hash(bundle) == hash(again) == hash(copy) == hash(bundle.weights)
+
+
+def test_surface_and_bundle_hashes_do_not_depend_on_the_hash_seed():
+    code = (
+        "from nestloc.toric import bundle_by_label, p2\n"
+        "print(hash(bundle_by_label(p2(), 'O(1)')), hash(p2()))"
+    )
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("d", range(4))

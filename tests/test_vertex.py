@@ -19,6 +19,7 @@ from nestloc.vertex import (
     GlobalCharacter,
     _chart_term,
     _fold,
+    _pair_term,
     co_class,
     tangent_char,
     taut_char,
@@ -300,6 +301,25 @@ def test_folded_characters_match_reference_assembly(surface):
                 c = co_class(surface, mp1, mp2, bundle)
                 assert c.value == reference_co_class(surface, mp1, mp2, bundle)
                 assert c.rank == mp1.total + mp2.total
+
+
+@pytest.mark.parametrize("surface", [p2(), p1xp1()], ids=lambda s: s.name)
+def test_co_class_miss_reads_one_pair_term_per_chart(surface):
+    """A co-class miss is one `_pair_term` lookup per chart, and the tangent
+    character reads the same kernel: T(mp) is the untwisted co-class of
+    (mp, mp)."""
+    trivial = bundle_by_label(surface, "O")
+    twist = bundle_by_label(surface, surface.twists[0])
+    mps = [mp for n in range(4) for mp in multipartitions(surface, n)]
+    for mp in mps:
+        assert tangent_char(surface, mp) == co_class(surface, mp, mp, trivial)
+    mp1, mp2 = mps[-1], mps[len(mps) // 2]
+    co_class(surface, mp1, mp2, twist)
+    co_class.cache_clear()
+    before = _pair_term.cache_info()
+    co_class(surface, mp1, mp2, twist)
+    after = _pair_term.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (surface.euler_number, 0)
 
 
 _signed_locals = st.dictionaries(
