@@ -6,11 +6,13 @@ Usage: python scripts/ladder.py [--src DIR] [--out PATH]
 Each rung runs as its own interpreter, `python -m nestloc <rung> --stable
 --format json`, with the nestloc sources of `--src` (default: this
 checkout's `src`), so its seconds include interpreter start, imports and
-cold caches, as a one-shot CLI user pays them.  The rungs run in turn,
-REPEAT times over; each rung records every run's measured seconds,
-their median, its exit code and the sha256 of its report bytes, which
-must be the same in every run.  Pointing `--src` at another checkout's
-sources times that version with the same script on the same machine.
+cold caches, as a one-shot CLI user pays them.  The first rung,
+`import`, is `python -c "import nestloc.cli"` alone: the floor every
+other rung pays.  The rungs run in turn, REPEAT times over; each rung
+records every run's measured seconds, their median, min and max, its
+exit code and the sha256 of its stdout, which must be the same in every
+run.  Pointing `--src` at another checkout's sources times that version
+with the same script on the same machine.
 """
 
 import argparse
@@ -24,8 +26,8 @@ import time
 from statistics import median
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
-#: runs of each rung; the median of three damps one slow run on a shared machine
-REPEAT = 3
+#: runs of each rung; the median of five damps two slow runs on a shared machine
+REPEAT = 5
 
 #: (label, nestloc argv); p2 (5,3) is left out: one run of it outlasts the rest
 RUNGS = (
@@ -50,14 +52,19 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def ladder() -> list[tuple[str, tuple[str, ...]]]:
+    """(label, interpreter argv) of every rung, the import floor first."""
+    return [("import", ("-c", "import nestloc.cli"))] + [
+        (label, ("-m", "nestloc", *argv, "--stable", "--format", "json"))
+        for label, argv in RUNGS
+    ]
+
+
 def run_rung(argv, src: str) -> tuple[float, int, str]:
     """(measured seconds, exit code, sha256 of stdout) of one cold run."""
     env = dict(os.environ, PYTHONPATH=src)
     started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "nestloc", *argv, "--stable", "--format", "json"],
-        env=env, capture_output=True, check=False,
-    )
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=False)
     seconds = time.perf_counter() - started
     return seconds, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
@@ -71,14 +78,15 @@ def main() -> int:
     if not os.path.isdir(os.path.join(args.src, "nestloc")):
         parser.error(f"no nestloc package under {args.src}")
 
-    runs = {label: [] for label, _ in RUNGS}
+    commands = ladder()
+    runs = {label: [] for label, _ in commands}
     for _ in range(REPEAT):
-        for label, argv in RUNGS:
+        for label, argv in commands:
             runs[label].append(run_rung(argv, args.src))
 
     failures = 0
     rungs = []
-    for label, argv in RUNGS:
+    for label, argv in commands:
         seconds = [round(s, 3) for s, _, _ in runs[label]]
         exits = {code for _, code, _ in runs[label]}
         digests = {digest for _, _, digest in runs[label]}
@@ -89,10 +97,13 @@ def main() -> int:
             "argv": list(argv),
             "seconds": seconds,
             "median_s": round(median(seconds), 3),
+            "min_s": min(seconds),
+            "max_s": max(seconds),
             "exit": sorted(exits),
             "sha256": sorted(digests),
         })
-        print(f"{label}: median {median(seconds):.3f} s over {len(seconds)} runs"
+        print(f"{label}: median {median(seconds):.3f} s, min {min(seconds):.3f},"
+              f" max {max(seconds):.3f} over {len(seconds)} runs"
               f"{'' if ok else ' (FAILED: nonzero exit or unstable report)'}")
     result = {
         "context": {

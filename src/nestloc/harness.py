@@ -16,7 +16,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -672,6 +671,9 @@ def run_scenario(s: Scenario, jobs: int = 1) -> dict:
     started = time.perf_counter()
     groups = SCENARIO_KINDS[s.kind].groups(s)
     if jobs > 1 and len(groups) > 1:
+        # imported only here: its ~36 modules add ~25 ms to a run without a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         payloads = [(asdict(s), g) for g in groups]
         # the pool starts every worker it may use on the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:

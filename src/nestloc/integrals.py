@@ -292,6 +292,12 @@ def _localize(
     every other node its parent's value times one coefficient, and each
     insertion adds its leaf's value to its total."""
     insertions = tuple(insertions)
+    if not measure:
+        # nothing to sum, but a malformed bundle label still raises
+        for label in dict.fromkeys(f.bundle for ins in insertions for f in ins.factors):
+            if label is not None:
+                bundle_by_label(surface, label)
+        return [Fraction(0)] * len(insertions)
     if _LAST_SUM.key == (surface, spec, insertions, measure):
         return list(_LAST_SUM.totals)
     orders: dict[tuple[int, str | None], int] = {}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -691,11 +692,22 @@ class _RecordingExecutor:
 
 def test_jobs_capped_at_group_count(monkeypatch):
     monkeypatch.setattr(_RecordingExecutor, "created", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
     s = Scenario(kind="vanish", sizes=(2, 1), i_values=(1, 2))
     report = run_scenario(s, jobs=64)
     assert _RecordingExecutor.created == [2]
     assert report_json(stable_copy(report)) == report_json(stable_copy(run_scenario(s)))
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool and its modules are imported only when a pool starts
+    code = "import sys, nestloc.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    modules = result.stdout.split()
+    assert "nestloc.harness" in modules
+    assert [m for m in modules if m.startswith(("concurrent", "multiprocessing"))] == []
 
 
 def test_jobs_below_one_exit_two(capsys):

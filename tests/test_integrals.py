@@ -557,6 +557,29 @@ def test_localize_sums_again_unless_the_measure_is_equal(monkeypatch):
         assert got != reference
 
 
+def test_localize_over_an_empty_measure_is_zero_and_still_checks_labels(monkeypatch):
+    surface, spec = p2(), sample_specs(43, 1)[0]
+    insertions = insertion_basis(surface, (2, 1), 3)
+    labels = []
+
+    def counted(surface, label):
+        labels.append(label)
+        return bundle_by_label(surface, label)
+
+    monkeypatch.setattr(integrals, "bundle_by_label", counted)
+    monkeypatch.setattr(integrals, "taut_char", None)
+    monkeypatch.setattr(integrals, "tangent_char", None)
+    totals = integrals._localize(surface, insertions, spec, {})
+    assert totals == [0] * len(insertions)
+    assert all(type(t) is Fraction for t in totals)
+    # each distinct bundle label is parsed once, not once per factor
+    assert len(labels) > 1
+    assert sorted(labels) == sorted({f.bundle for ins in insertions for f in ins.factors} - {None})
+    bad = Insertion((TautFactor(0, "O(x)", 1),))
+    with pytest.raises(ValueError, match="malformed bundle label"):
+        integrals._localize(surface, insertions + (bad,), spec, {})
+
+
 # six twists per surface, among them negative and mixed degrees
 RANK_TWISTS = {
     "p2": [(0,), (1,), (2,), (-1,), (-3,), (5,)],
