@@ -48,8 +48,8 @@ class LaurentPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def monomial(cls, a: int, b: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({(a, b): coeff})
+    def monomial(cls, a: int, b: int) -> "LaurentPoly":
+        return cls({(a, b): 1})
 
     @classmethod
     def _wrap(cls, data: dict[Exponent, int]) -> "LaurentPoly":
@@ -100,9 +100,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         data: dict[Exponent, int] = {}
@@ -173,19 +171,6 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         return " + ".join(f"{c}*t1^{a}*t2^{b}" for (a, b), c in self.terms())
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms = []
-        for chunk in text.split(" + "):
-            cpart, t1part, t2part = chunk.split("*")
-            if not (t1part.startswith("t1^") and t2part.startswith("t2^")):
-                raise ValueError(f"malformed term {chunk!r}")
-            terms.append(((int(t1part[3:]), int(t2part[3:])), int(cpart)))
-        return cls(terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"

@@ -34,7 +34,6 @@ class FormalRing:
             raise ValueError("truncation must be nonnegative")
         self.truncation = truncation
         self._names: list[str] = []
-        self._degrees: list[int] = []
         self._index: dict[str, int] = {}
 
     def add_generator(self, name: str, degree: int) -> "Element":
@@ -44,7 +43,6 @@ class FormalRing:
             raise ValueError(f"generator {name!r} already exists")
         idx = len(self._names)
         self._names.append(name)
-        self._degrees.append(degree)
         self._index[name] = idx
         if degree > self.truncation:
             return self.zero()
@@ -275,13 +273,6 @@ def generic_bundle(ring: FormalRing, name: str, rank: int) -> FormalBundle:
     for j in range(1, top + 1):
         total = total + ring.add_generator(f"c{j}({name})", j)
     return FormalBundle(ring, rank, total, name)
-
-
-def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:
-    if a.ring is not b.ring:
-        raise ValueError("bundles belong to different rings")
-    return FormalBundle(a.ring, a.rank + b.rank, a.total_chern * b.total_chern,
-                        f"{a.name}+{b.name}")
 
 
 def whitney_difference(a: FormalBundle, b: FormalBundle) -> FormalBundle:

@@ -67,16 +67,6 @@ class Partition:
     def to_text(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"malformed partition {text!r}")
-        inner = body[1:-1].strip()
-        if not inner:
-            return cls()
-        return cls(tuple(int(p) for p in inner.split(",")))
-
     def __repr__(self) -> str:
         return f"Partition({self.to_text()})"
 

@@ -44,12 +44,6 @@ class DegreeMismatchError(MathError):
     name = "DegreeMismatch"
 
 
-class SpecDependenceError(MathError):
-    """A supposedly spec-independent value differed between specs."""
-
-    name = "SpecDependence"
-
-
 class TruncationOverflowError(MathError):
     """A symbolic computation needs degrees above the ring truncation."""
 

@@ -229,10 +229,10 @@ def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
             )
             for f in factors:
                 bundle_by_label(surface, f.bundle)
-                if f.factor < 0 or f.degree < 0:
+                if not 0 <= f.factor < len(s.sizes) or f.degree < 0:
                     raise ValueError(
-                        f"factors count from 1 and degrees from 0, got factor {f.factor + 1}, "
-                        f"degree {f.degree}"
+                        f"factors count from 1 and degrees from 0, and this scenario has "
+                        f"{len(s.sizes)} factors; got factor {f.factor + 1}, degree {f.degree}"
                     )
             out.append(Insertion(factors))
     except (KeyError, TypeError, ValueError) as exc:
@@ -253,7 +253,10 @@ def arm_leg_vertex(lam1, lam2) -> LaurentPoly:
     With a_nu(s) = nu_i - j - 1 and l_nu(s) = nu'_j - i - 1 for a box
     s = (i, j), both negative outside nu: each box of lam1 contributes
     u1^{-l_lam1(s)-1} u2^{a_lam2(s)}, each box of lam2 u1^{l_lam2(s)}
-    u2^{-a_lam1(s)-1}.
+    u2^{-a_lam1(s)-1}.  Its diagonal `arm_leg_vertex(lam, lam)` is the
+    arm/leg tangent character of the Hilbert scheme of points on C^2; that
+    convention was fixed by brute-force match with the diagonal vertex on
+    |lam| <= 2.
     """
 
     def arm(nu, i, j):
@@ -265,13 +268,6 @@ def arm_leg_vertex(lam1, lam2) -> LaurentPoly:
     terms = [((-leg(lam1, i, j) - 1, arm(lam2, i, j)), 1) for i, j in lam1.boxes()]
     terms += [((leg(lam2, i, j), -arm(lam1, i, j) - 1), 1) for i, j in lam2.boxes()]
     return LaurentPoly(terms)
-
-
-def arm_leg_tangent(lam) -> LaurentPoly:
-    """Arm/leg tangent character of the Hilbert scheme of points on C^2,
-    the diagonal of `arm_leg_vertex`; its convention was fixed by
-    brute-force match with the diagonal vertex on |lambda| <= 2."""
-    return arm_leg_vertex(lam, lam)
 
 
 def section_character(surface: ToricSurface, degrees: tuple[int, ...]) -> LaurentPoly:
@@ -530,7 +526,7 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
     for n in range(6):
         for lam in partitions_of(n):
             q = box_character(lam)
-            ok = ok and vertex_V(q, q) == arm_leg_tangent(lam)
+            ok = ok and vertex_V(q, q) == arm_leg_vertex(lam, lam)
             checked += 1
     cases.append(_case({"identity": "diagonal vertex = arm/leg", "shapes": checked}, [], ok))
     trivial = bundle_by_label(surface, "O")

@@ -15,16 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, ClassVar, Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
-from .errors import (
-    DegreeMismatchError,
-    NonGenericSpecError,
-    SpecDependenceError,
-    ZeroWeightError,
-)
+from .errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from .series import line_factor
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
 from .vertex import GlobalCharacter, co_class, tangent_char, taut_char, virtual_tangent_char
@@ -183,7 +178,6 @@ def insertion_basis(
     surface: ToricSurface,
     sizes: Sequence[int],
     degree: int,
-    battery: Sequence[str] | None = None,
 ) -> tuple[Insertion, ...]:
     """All monomials of the given total degree in {c_j(taut(L) on factor m)}.
 
@@ -192,12 +186,10 @@ def insertion_basis(
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if battery is None:
-        battery = surface.battery
     variables = [
         TautFactor(m, label, j)
         for m, n in enumerate(sizes)
-        for label in battery
+        for label in surface.battery
         for j in range(1, 2 * n + 1)
     ]
 
@@ -520,16 +512,3 @@ def sample_specs(seed: int, count: int) -> tuple[WeightSpec, ...]:
             specs.append(spec)
     return tuple(specs)
 
-
-def consistency_run(
-    computation: Callable[[WeightSpec], Fraction], specs: Sequence[WeightSpec]
-) -> Fraction:
-    """Run at every spec; all results must agree (degree-0 constancy)."""
-    if len(specs) < 2:
-        raise ValueError("need at least two specs to check consistency")
-    values = [computation(spec) for spec in specs]
-    first = values[0]
-    if any(v != first for v in values[1:]):
-        rendered = ", ".join(f"{s.to_text()} -> {v}" for s, v in zip(specs, values))
-        raise SpecDependenceError(f"values differ across specs: {rendered}")
-    return first

@@ -18,15 +18,14 @@ import pytest
 from nestloc.characters import LaurentPoly
 from nestloc.chern import FormalRing, generic_bundle, segre, thom_porteous, verify_higher_tp
 from nestloc.combinatorics import box_character, mp_contains, multipartitions, partitions_of
-from nestloc.errors import DegreeMismatchError, SpecDependenceError, ZeroWeightError
-from nestloc.harness import arm_leg_tangent, splitting_twist_oracle
+from nestloc.errors import DegreeMismatchError, ZeroWeightError
+from nestloc.harness import _sampled_case, arm_leg_vertex, splitting_twist_oracle
 from nestloc.integrals import (
     CoFactor,
     Insertion,
     TangentFactor,
     TautFactor,
     WeightSpec,
-    consistency_run,
     euler_class,
     hrr_chi,
     insertion_basis,
@@ -69,18 +68,13 @@ def test_criterion_2_hrr_convention_pinning():
     with criterion(2, "hrr-check chi values at >= 3 generic specs, exact"):
         for d in range(4):
             expected = Fraction((d + 1) * (d + 2), 2)
-            value = consistency_run(
-                lambda spec, d=d: hrr_chi(p2(), line_bundle(p2(), d), spec), SPECS
-            )
-            assert value == expected
+            values = {hrr_chi(p2(), line_bundle(p2(), d), spec) for spec in SPECS}
+            assert values == {expected}
         for a in range(3):
             for b in range(3):
                 expected = Fraction((a + 1) * (b + 1))
-                value = consistency_run(
-                    lambda spec, a=a, b=b: hrr_chi(p1xp1(), line_bundle(p1xp1(), a, b), spec),
-                    SPECS,
-                )
-                assert value == expected
+                values = {hrr_chi(p1xp1(), line_bundle(p1xp1(), a, b), spec) for spec in SPECS}
+                assert values == {expected}
 
 
 def _run_vanishing(surface, sizes, twists):
@@ -181,7 +175,7 @@ def test_criterion_8_vertex_property_suite():
         for k in range(6):
             for lam in partitions_of(k):
                 q = box_character(lam)
-                assert vertex_V(q, q) == arm_leg_tangent(lam)
+                assert vertex_V(q, q) == arm_leg_vertex(lam, lam)
         trivial = bundle_by_label(p2(), "O")
         for n1 in range(1, 5):
             for n2 in range(n1 + 1):
@@ -211,11 +205,10 @@ def test_criterion_9_robustness():
             integrate_ambient_batch(p2(), (1,), [wrong], SPECS[0])[0]
 
         # wrong-degree inputs that dodge the bookkeeping still trip the
-        # consistency check
-        with pytest.raises(SpecDependenceError):
-            consistency_run(
-                lambda spec: euler_class(LaurentPoly.monomial(1, 0), spec), SPECS
-            )
+        # scenarios' spec-dependence check
+        values = [euler_class(LaurentPoly.monomial(1, 0), spec) for spec in SPECS]
+        case = _sampled_case({}, SPECS, values, values, "mismatch")
+        assert case["diagnostic"] == "SpecDependence: values differ"
 
         # synthetic character with net zero weight
         with pytest.raises(ZeroWeightError):

@@ -88,11 +88,6 @@ def test_ring_axioms(p, q, r):
 
 
 @given(polys)
-def test_canonical_form_round_trip(p):
-    assert LaurentPoly.parse(p.to_text()) == p
-
-
-@given(polys)
 def test_no_zero_coefficients_stored(p):
     assert all(c != 0 for _, c in p.terms())
 

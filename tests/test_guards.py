@@ -7,8 +7,11 @@
   `symbolic-tp --truncation 12`, the benchmark's truncation.
 * The benchmark's span targets (`bench/spans.py`): every function it wraps
   must still exist and be bound in a `nestloc` module.
+* Every public top-level function and class of `src/nestloc` has a caller in
+  `src/nestloc` or `scripts/`, so no API lives on only for its own tests.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -91,3 +94,34 @@ def test_benchmark_trace_targets_resolve():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def _python_files(directory):
+    return sorted(
+        os.path.join(directory, name) for name in os.listdir(directory) if name.endswith(".py")
+    )
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def test_every_public_module_name_has_a_caller():
+    package = os.path.join(ROOT, "src", "nestloc")
+    defined = [
+        (os.path.basename(path)[:-3], node.name)
+        for path in _python_files(package)
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    # a read of the name, bare or as an attribute; import lines bind names
+    # but do not read them, so a re-export is not a caller
+    loaded = set()
+    for path in _python_files(package) + _python_files(os.path.join(ROOT, "scripts")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [f"{module}.{name}" for module, name in defined if name not in loaded] == []

@@ -649,7 +649,8 @@ def test_insertions_file_non_integer_exit_two(tmp_path, capsys, factor, degree):
     assert "expected an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("factor,degree", [(1, -1), (0, 1)], ids=["degree-1", "factor0"])
+@pytest.mark.parametrize("factor,degree", [(1, -1), (0, 1), (3, 1)],
+                         ids=["degree-1", "factor0", "factor3"])
 def test_insertions_file_out_of_range_exit_two(tmp_path, capsys, factor, degree):
     # total degree 2 matches pushforward --n 1,1; the second factor is out of range
     bad = tmp_path / "insertions.json"

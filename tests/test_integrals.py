@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 from nestloc import integrals, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.combinatorics import MultiPartition, Partition, multipartitions, nested_chains
-from nestloc.harness import Scenario, run_scenario
-from nestloc.errors import (
-    DegreeMismatchError,
-    NonGenericSpecError,
-    SpecDependenceError,
-    ZeroWeightError,
-)
+from nestloc.harness import Scenario, _sampled_case, run_scenario
+from nestloc.errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from nestloc.integrals import (
     SPEC_HIGH,
     SPEC_LOW,
@@ -27,7 +22,6 @@ from nestloc.integrals import (
     TautFactor,
     WeightSpec,
     chern_series,
-    consistency_run,
     euler_class,
     insertion_basis,
     integrate_ambient_batch,
@@ -301,8 +295,8 @@ def test_insertion_basis_degree_zero():
 
 
 def test_insertion_basis_restricted_battery():
-    got = insertion_basis(p2(), (1,), 1, battery=("O(1)",))
-    assert got == (Insertion((TautFactor(0, "O(1)", 1),)),)
+    got = insertion_basis(p2(), (1,), 1)
+    assert got == tuple(Insertion((TautFactor(0, label, 1),)) for label in p2().battery)
 
 
 def test_insertion_basis_deterministic_and_duplicate_free():
@@ -326,16 +320,18 @@ def test_insertion_basis_counts_golden():
 
 def test_consistency_run_fixed_point_count():
     insertion = Insertion((TangentFactor(0, 4),))
-    value = consistency_run(
-        lambda spec: integrate_ambient_batch(p2(), (2,), [insertion], spec)[0], sample_specs(17, 3)
-    )
-    assert value == 9
+    specs = sample_specs(17, 3)
+    values = {integrate_ambient_batch(p2(), (2,), [insertion], spec)[0] for spec in specs}
+    assert values == {9}
 
 
 def test_consistency_run_detects_spec_dependence():
     char = lp({(1, 0): 1, (0, 1): 1})
-    with pytest.raises(SpecDependenceError):
-        consistency_run(lambda spec: euler_class(char, spec), sample_specs(19, 3))
+    specs = sample_specs(19, 3)
+    values = [euler_class(char, spec) for spec in specs]
+    case = _sampled_case({}, specs, values, values, "mismatch")
+    assert case["verdict"] == "fail"
+    assert case["diagnostic"] == "SpecDependence: values differ"
 
 
 def test_sample_specs_deterministic_and_generic():
