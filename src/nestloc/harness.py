@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -178,16 +179,26 @@ def validate_scenario(s: Scenario) -> Scenario:
                 raise ConfigError("vanishing index i must be >= 1")
             if sum(s.sizes) - i < 0:
                 raise ConfigError(f"i={i} exceeds n1+n2={sum(s.sizes)}")
-    for label in s.bundles:
-        try:
-            bundle_by_label(surface_by_name(s.surface), label)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    for text in s.specs:
-        _parse_spec_text(text)
+        _refuse_repeats("i (--i)", s.i_values, s.i_values, "repeat one vanishing index")
+    try:
+        bundles = [bundle_by_label(surface_by_name(s.surface), label) for label in s.bundles]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    _refuse_repeats("bundles (--bundles)", s.bundles, bundles, "name one line bundle")
+    specs = [_parse_spec_text(text) for text in s.specs]
+    _refuse_repeats("specs (--spec)", s.specs, specs,
+                    "are proportional, and every integral is homogeneous of degree 0",
+                    same=lambda p, q: p.s1 * q.s2 == p.s2 * q.s1)
     if s.insertions != "auto" and not s.insertions.startswith("file:"):
         raise ConfigError("insertions must be 'auto' or 'file:<path>'")
     return s
+
+
+def _refuse_repeats(name: str, texts, values, reason: str, same=operator.eq) -> None:
+    """ConfigError naming the first two inputs whose values are `same`."""
+    for (text1, value1), (text2, value2) in combinations(zip(texts, values), 2):
+        if same(value1, value2):
+            raise ConfigError(f"{name}: {text1!r} and {text2!r} {reason}")
 
 
 def _parse_spec_text(text: str) -> WeightSpec:
@@ -536,7 +547,7 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
         for n2 in range(n1 + 1):
             for mp1 in multipartitions(surface, n1):
                 for mp2 in multipartitions(surface, n2):
-                    value = co_class(surface, mp1, mp2, trivial).value
+                    value = co_class(surface, mp1, mp2, trivial)
                     zero_mult = value.coefficient((0, 0))
                     if mp_contains(mp1, mp2):
                         # chi(O)/Hom trivial summands cancel: the class is

@@ -22,7 +22,7 @@ from .combinatorics import MultiPartition, multipartitions, nested_chains
 from .errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from .series import line_factor
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
-from .vertex import GlobalCharacter, co_class, tangent_char, taut_char, virtual_tangent_char
+from .vertex import co_class, tangent_char, taut_char, virtual_tangent_char
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,7 @@ class WeightSpec:
         return (str(self.s1), str(self.s2))
 
 
-def _char_value(char: Union[GlobalCharacter, LaurentPoly]) -> LaurentPoly:
-    return char.value if isinstance(char, GlobalCharacter) else char
-
-
-def chern_series(
-    char: Union[GlobalCharacter, LaurentPoly], spec: WeightSpec, order: int
-) -> tuple[int, ...]:
+def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
     """Coefficients of degrees 0..order of the total Chern series
     prod_w (1 + <w,s> tau)^{m_w}.
 
@@ -59,7 +53,7 @@ def chern_series(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _chern_series_cached(_char_value(char), spec, order)
+    return _chern_series_cached(char, spec, order)
 
 
 @lru_cache(maxsize=65536)
@@ -81,14 +75,14 @@ def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tup
     return tuple(coeffs)
 
 
-def euler_class(char: Union[GlobalCharacter, LaurentPoly], spec: WeightSpec) -> Fraction:
+def euler_class(char: LaurentPoly, spec: WeightSpec) -> Fraction:
     """prod_w <w,s>^{m_w} over the nonzero exponents of the character.
 
     Raises ZeroWeightError when the zero exponent has nonzero net
     multiplicity (non-isolated virtual fixed locus) and NonGenericSpecError
     when some nonzero exponent pairs to 0.
     """
-    return _euler_cached(_char_value(char), spec)
+    return _euler_cached(char, spec)
 
 
 @lru_cache(maxsize=65536)
@@ -362,7 +356,7 @@ def ambient_measure(
         co_value = 1
         for c in co_factors:
             char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
-            if c.degree > char.rank and char.value.is_effective():
+            if c.degree > sizes[c.left] + sizes[c.left + 1] and char.is_effective():
                 co_value = 0
             else:
                 co_value *= chern_series(char, spec, c.degree)[c.degree]

@@ -182,7 +182,7 @@ def test_criterion_8_vertex_property_suite():
                 for mp1 in multipartitions(p2(), n1):
                     for mp2 in multipartitions(p2(), n2):
                         if mp_contains(mp1, mp2):
-                            value = co_class(p2(), mp1, mp2, trivial).value
+                            value = co_class(p2(), mp1, mp2, trivial)
                             assert value.coefficient((0, 0)) == 0
                             assert all(c >= 0 for _, c in value.terms())
         assert time.perf_counter() - started < 10.0

@@ -35,12 +35,12 @@ def golden_mismatches():
         mp = parse_mp(row["mp"])
         if "tangent" in row:
             got = {
-                "tangent": vertex.tangent_char(surface, mp).value.to_text(),
-                "taut_twisted": vertex.taut_char(surface, twist, mp).value.to_text(),
+                "tangent": vertex.tangent_char(surface, mp).to_text(),
+                "taut_twisted": vertex.taut_char(surface, twist, mp).to_text(),
             }
         else:
             mp2 = parse_mp(row["mp2"])
-            got = {"co_twisted": vertex.co_class(surface, mp, mp2, twist).value.to_text()}
+            got = {"co_twisted": vertex.co_class(surface, mp, mp2, twist).to_text()}
         if any(row[key] != text for key, text in got.items()):
             bad.append(row)
     return bad

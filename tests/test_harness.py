@@ -402,6 +402,14 @@ def test_cli_wrong_degree_insertion_file_exit_one(tmp_path):
     assert "DegreeMismatch" in result.stdout
 
 
+def test_cli_lone_zero_spec_is_run_and_fails():
+    # proportional specs are refused, but a lone 0,0 has nothing to repeat:
+    # it runs, and every tangent weight pairs to zero
+    result = run_cli("euler-count", "--surface", "p2", "--n", "1", "--spec", "0,0")
+    assert result.returncode == 1
+    assert "NonGenericSpec" in result.stdout
+
+
 def test_cli_non_generic_explicit_spec_exit_one():
     # s = (1, 1) kills the tangent weight (1, -1) on p2, so the failure
     # surfaces with its diagnostic
@@ -565,6 +573,24 @@ _UNREAD_OR_UNKNOWN = [
     ),
     ("twisted-vanish --n 1,1 --bundles=", None, "--bundles"),
     ("all --config <config>", {"kind": "twisted-vanish", "n": [1, 1], "bundles": []}, "'bundles'"),
+    # a repeated case is refused: i values and twists compare as parsed,
+    # specs up to scale, since every integral is homogeneous of degree 0
+    ("vanish --n 1,1 --i 1,1", None, "i (--i): 1 and 1"),
+    ("twisted-vanish --n 2,1 --i 1,2,1", None, "i (--i): 1 and 1"),
+    ("twisted-vanish --n 1,1 --bundles O(1),O(1)", None, "bundles (--bundles): 'O(1)' and 'O(1)'"),
+    (
+        "all --config <config>",
+        {
+            "kind": "twisted-vanish",
+            "surface": "p1xp1",
+            "n": [1, 1],
+            "bundles": ["O(1,0)", " O(1, 0)"],
+        },
+        "bundles (--bundles): 'O(1,0)' and ' O(1, 0)'",
+    ),
+    ("euler-count --n 2 --spec 2,3 --spec 2,3", None, "specs (--spec): '2,3' and '2,3'"),
+    ("euler-count --n 2 --spec 2,3 --spec=-2,-3", None, "specs (--spec): '2,3' and '-2,-3'"),
+    ("hrr-check --spec 1/2,1/3 --spec 5,7 --spec 3,2", None, "specs (--spec): '1/2,1/3' and '3,2'"),
 ]
 
 

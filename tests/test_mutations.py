@@ -17,7 +17,6 @@ from nestloc.chern import FormalBundle
 from nestloc.harness import Scenario, default_battery_scenarios, run_scenario
 from nestloc.series import binomial
 from nestloc.toric import SURFACES, bundle_by_label, line_bundle
-from nestloc.vertex import GlobalCharacter
 from test_golden_characters import golden_mismatches
 from test_integrals import CARLSSON_OKOUNKOV, carlsson_okounkov_mismatches
 
@@ -90,13 +89,13 @@ def test_co_class_without_twist_is_caught_by_carlsson_okounkov(mutate):
 
 
 def test_chart_term_ignoring_twist_is_caught_by_carlsson_okounkov(mutate):
-    original = vertex._chart_term
+    original = vertex._pair_term
 
     @lru_cache(maxsize=None)
-    def untwisted(chart, mu, local):
-        return original(chart, (0, 0), local)
+    def untwisted(chart, mu, lam1, lam2):
+        return original(chart, (0, 0), lam1, lam2)
 
-    mutate(vertex, "_chart_term", untwisted)
+    mutate(vertex, "_pair_term", untwisted)
     assert carlsson_okounkov_failures() == TWISTED_ROWS
 
 
@@ -107,8 +106,7 @@ def test_off_by_one_co_class_degree_is_caught_by_weight_zero_identity(mutate):
     original = vertex.co_class
 
     def one_too_many(surface, mp1, mp2, bundle):
-        char = original(surface, mp1, mp2, bundle)
-        return GlobalCharacter(char.value + LaurentPoly.one(), char.rank + 1)
+        return original(surface, mp1, mp2, bundle) + LaurentPoly.one()
 
     mutate(vertex, "co_class", one_too_many)
     assert carlsson_okounkov_failures() == set()
@@ -119,7 +117,9 @@ def test_off_by_one_co_class_degree_is_caught_by_weight_zero_identity(mutate):
 
 def test_pair_term_with_swapped_partitions_is_caught_by_nesting_and_pushforward(mutate):
     """V(Q_lam2, Q_lam1) in place of V(Q_lam1, Q_lam2): tangent characters
-    are unchanged (lam1 = lam2 there).  A nested pair's co-class is no
+    are unchanged (lam1 = lam2 there), and a tautological character
+    E_L(empty, mp) reads V(Q_lam, 0) = bar(Q_lam)/(u1 u2), of the same rank,
+    which the pushforward identity holds for.  A nested pair's co-class is no
     longer effective, so the serre-duality nesting identity fails, and the
     virtual tangent character of a chain gets a net weight-zero term, so
     pushforward fails with ZeroWeight.  The battery's kstep (1,1,1) passes:
@@ -145,8 +145,7 @@ def test_dualized_taut_char_is_a_recorded_miss(mutate):
     original = vertex.taut_char
 
     def dualized(surface, bundle, mp):
-        char = original(surface, bundle, mp)
-        return GlobalCharacter(char.value.bar(), char.rank)
+        return original(surface, bundle, mp).bar()
 
     mutate(vertex, "taut_char", dualized)
     for scenario in default_battery_scenarios():
@@ -203,14 +202,14 @@ def test_inverted_chart_substitution_is_caught_only_by_pins(mutate):
     With the line-bundle weights left as they are, every `all` scenario
     passes (hrr-check reads the charts directly, not the chart term); the
     golden characters and the twisted Carlsson-Okounkov rows catch it."""
-    original = vertex._chart_term
+    original = vertex._pair_term
 
     @lru_cache(maxsize=None)
-    def inverted(chart, mu, local):
+    def inverted(chart, mu, lam1, lam2):
         (w1, w2) = chart
-        return original(((-w1[0], -w1[1]), (-w2[0], -w2[1])), mu, local)
+        return original(((-w1[0], -w1[1]), (-w2[0], -w2[1])), mu, lam1, lam2)
 
-    mutate(vertex, "_chart_term", inverted)
+    mutate(vertex, "_pair_term", inverted)
     assert failing_battery_kinds() == set()
     assert golden_mismatches()
     assert carlsson_okounkov_failures() == TWISTED_ROWS

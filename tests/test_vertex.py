@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from nestloc import vertex
 from nestloc.characters import LaurentPoly
 from nestloc.combinatorics import (
     MultiPartition,
@@ -16,8 +17,6 @@ from nestloc.combinatorics import (
 from nestloc.harness import arm_leg_vertex
 from nestloc.toric import bundle_by_label, line_bundle, p1xp1, p2
 from nestloc.vertex import (
-    GlobalCharacter,
-    _chart_term,
     _fold,
     _pair_term,
     co_class,
@@ -113,14 +112,14 @@ def test_tangent_char_single_box():
     got = tangent_char(surface, mp)
     # pinned convention: u_k -> t^{-w_k}, so the single box at p0 gives the
     # honest tangent weights t^{w1} + t^{w2}
-    assert got.value == lp({(1, 0): 1, (0, 1): 1})
-    assert got.rank == 2
+    assert got == lp({(1, 0): 1, (0, 1): 1})
+    assert got.rank_eval() == 2
 
 
 def test_tangent_char_empty():
     surface = p2()
     mp = MultiPartition((Partition(()),) * 3)
-    assert tangent_char(surface, mp).value == LaurentPoly.zero()
+    assert tangent_char(surface, mp) == LaurentPoly.zero()
 
 
 @pytest.mark.parametrize("surface", [p2(), p1xp1()])
@@ -128,15 +127,15 @@ def test_tangent_char_empty():
 def test_tangent_rank_and_no_zero_weights(surface, n):
     for mp in multipartitions(surface, n):
         t = tangent_char(surface, mp)
-        assert t.rank == 2 * n
-        assert t.value.coefficient((0, 0)) == 0
+        assert t.rank_eval() == 2 * n
+        assert t.coefficient((0, 0)) == 0
 
 
 def test_co_class_empty_pair_is_zero():
     surface = p2()
     empty = MultiPartition((Partition(()),) * 3)
     trivial = bundle_by_label(surface, "O")
-    assert co_class(surface, empty, empty, trivial).value == LaurentPoly.zero()
+    assert co_class(surface, empty, empty, trivial) == LaurentPoly.zero()
 
 
 def test_co_class_single_box_example():
@@ -147,7 +146,7 @@ def test_co_class_single_box_example():
     # vertex_V(1, 0) = (u1 u2)^{-1}, substituted at chart p0
     w1, w2 = surface.charts[0]
     expected = lp({(w1[0] + w2[0], w1[1] + w2[1]): 1})
-    assert co_class(surface, mp1, empty, trivial).value == expected
+    assert co_class(surface, mp1, empty, trivial) == expected
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
@@ -156,9 +155,7 @@ def test_co_class_rank_independent_of_twist(d):
     bundle = line_bundle(surface, d)
     for mp1 in multipartitions(surface, 2):
         for mp2 in multipartitions(surface, 1):
-            c = co_class(surface, mp1, mp2, bundle)
-            assert c.rank == 3
-            assert c.value.rank_eval() == 3
+            assert co_class(surface, mp1, mp2, bundle).rank_eval() == 3
 
 
 def test_diagonal_co_class_is_tangent():
@@ -166,7 +163,7 @@ def test_diagonal_co_class_is_tangent():
     trivial = bundle_by_label(surface, "O")
     for n in (1, 2, 3):
         for mp in multipartitions(surface, n):
-            assert co_class(surface, mp, mp, trivial).value == tangent_char(surface, mp).value
+            assert co_class(surface, mp, mp, trivial) == tangent_char(surface, mp)
 
 
 @pytest.mark.parametrize("surface", [p2(), p1xp1()])
@@ -177,7 +174,7 @@ def test_nested_effectivity_and_zero_weight_detection(surface):
         for n2 in range(n1 + 1):
             for mp1 in multipartitions(surface, n1):
                 for mp2 in multipartitions(surface, n2):
-                    value = co_class(surface, mp1, mp2, trivial).value
+                    value = co_class(surface, mp1, mp2, trivial)
                     zero = value.coefficient((0, 0))
                     if mp_contains(mp1, mp2):
                         assert zero == 0
@@ -190,9 +187,9 @@ def test_taut_char_examples():
     surface = p2()
     mp = MultiPartition((Partition((1,)), Partition(()), Partition(())))
     trivial = bundle_by_label(surface, "O")
-    assert taut_char(surface, trivial, mp).value == LaurentPoly.one()
+    assert taut_char(surface, trivial, mp) == LaurentPoly.one()
     o1 = line_bundle(surface, 1)
-    assert taut_char(surface, o1, mp).value == lp({o1.weights[0]: 1})
+    assert taut_char(surface, o1, mp) == lp({o1.weights[0]: 1})
 
 
 @pytest.mark.parametrize("surface", [p2(), p1xp1()])
@@ -201,8 +198,8 @@ def test_taut_char_effective_with_rank_n(surface):
     for n in (1, 2, 3):
         for mp in multipartitions(surface, n):
             t = taut_char(surface, bundle, mp)
-            assert t.rank == n
-            assert all(c > 0 for _, c in t.value.terms())
+            assert t.rank_eval() == n
+            assert all(c > 0 for _, c in t.terms())
 
 
 def test_virtual_tangent_diagonal_chain_is_tangent():
@@ -210,17 +207,15 @@ def test_virtual_tangent_diagonal_chain_is_tangent():
     for mp in multipartitions(surface, 2):
         chain = NestedChain((mp, mp))
         v = virtual_tangent_char(surface, chain)
-        assert v.value == tangent_char(surface, mp).value
-        assert v.rank == 4
+        assert v == tangent_char(surface, mp)
+        assert v.rank_eval() == 4
 
 
 def test_virtual_tangent_rank_is_n1_plus_nk():
     surface = p2()
     for sizes in ((2, 1), (3, 2), (2, 1, 1)):
         for chain in nested_chains(surface, sizes):
-            v = virtual_tangent_char(surface, chain)
-            assert v.rank == sizes[0] + sizes[-1]
-            assert v.value.rank_eval() == sizes[0] + sizes[-1]
+            assert virtual_tangent_char(surface, chain).rank_eval() == sizes[0] + sizes[-1]
 
 
 def test_virtual_tangent_box_over_empty():
@@ -229,14 +224,56 @@ def test_virtual_tangent_box_over_empty():
     empty = MultiPartition((Partition(()),) * 3)
     chain = NestedChain((box, empty))
     v = virtual_tangent_char(surface, chain)
-    assert v.rank == 1
+    assert v.rank_eval() == 1
     # tangent(box) - co_class(box, empty): t^{w1} + t^{w2} - t^{w1+w2}
-    assert v.value == lp({(1, 0): 1, (0, 1): 1, (1, 1): -1})
+    assert v == lp({(1, 0): 1, (0, 1): 1, (1, 1): -1})
 
 
-def test_global_character_validates_rank():
-    with pytest.raises(ValueError):
-        GlobalCharacter(LaurentPoly.one(), 2)
+def test_global_character_validates_rank(monkeypatch):
+    """A chart term with one weight-zero summand too many folds to rank
+    |lams1| + |lams2| + 1; every global character refuses it, naming both
+    ranks.  So does the virtual tangent character for a co-class of rank
+    |mp1| + |mp2| + 1."""
+    original = vertex._pair_term
+
+    def one_too_many(chart, mu, lam1, lam2):
+        return original(chart, mu, lam1, lam2) + (((0, 0), 1),)
+
+    surface = p2()
+    box = MultiPartition((Partition((1,)), Partition(()), Partition(())))
+    trivial = bundle_by_label(surface, "O")
+    monkeypatch.setattr(vertex, "_pair_term", one_too_many)
+    for build, rank in (
+        (lambda: vertex.co_class.__wrapped__(surface, box, box, trivial), 2),
+        (lambda: vertex.tangent_char.__wrapped__(surface, box), 2),
+        (lambda: vertex.taut_char(surface, trivial, box), 1),
+    ):
+        with pytest.raises(ValueError, match=f"folded rank {rank + 3} is not .* = {rank}$"):
+            build()
+    # the virtual tangent character keeps its own n_1 + n_k check
+    monkeypatch.setattr(vertex, "_pair_term", original)
+    co_class = vertex.co_class
+    monkeypatch.setattr(vertex, "co_class", lambda *args: co_class(*args) + LaurentPoly.one())
+    empty = MultiPartition((Partition(()),) * 3)
+    with pytest.raises(ValueError, match="virtual rank 0 is not n_1 \\+ n_k = 1$"):
+        vertex.virtual_tangent_char.__wrapped__(surface, NestedChain((box, empty)))
+
+
+@pytest.mark.parametrize("surface,other", [(p2(), p1xp1()), (p1xp1(), p2())], ids=["p2", "p1xp1"])
+def test_global_character_refuses_data_of_another_surface(surface, other):
+    mp = next(iter(multipartitions(surface, 1)))
+    alien = next(iter(multipartitions(other, 1)))
+    bundle, alien_bundle = bundle_by_label(surface, "O"), bundle_by_label(other, "O")
+    for build in (
+        lambda: co_class(surface, mp, alien, bundle),
+        lambda: co_class(surface, alien, mp, bundle),
+        lambda: co_class(surface, mp, mp, alien_bundle),
+        lambda: tangent_char(surface, alien),
+        lambda: taut_char(surface, bundle, alien),
+        lambda: taut_char(surface, alien_bundle, mp),
+    ):
+        with pytest.raises(ValueError, match=f"not indexed by the fixed points of {surface.name}"):
+            build()
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
@@ -289,30 +326,33 @@ def test_folded_characters_match_reference_assembly(surface):
     mps = [mp for n in range(4) for mp in multipartitions(surface, n)]
     for mp in mps:
         t = tangent_char(surface, mp)
-        assert t.value == reference_tangent_char(surface, mp)
-        assert t.rank == 2 * mp.total
+        assert t == reference_tangent_char(surface, mp)
+        assert t.rank_eval() == 2 * mp.total
         for bundle in bundles:
             t = taut_char(surface, bundle, mp)
-            assert t.value == reference_taut_char(surface, bundle, mp)
-            assert t.rank == mp.total
+            assert t == reference_taut_char(surface, bundle, mp)
+            assert t.rank_eval() == mp.total
     for bundle in bundles:
         for mp1 in mps:
             for mp2 in mps:
                 c = co_class(surface, mp1, mp2, bundle)
-                assert c.value == reference_co_class(surface, mp1, mp2, bundle)
-                assert c.rank == mp1.total + mp2.total
+                assert c == reference_co_class(surface, mp1, mp2, bundle)
+                assert c.rank_eval() == mp1.total + mp2.total
 
 
 @pytest.mark.parametrize("surface", [p2(), p1xp1()], ids=lambda s: s.name)
 def test_co_class_miss_reads_one_pair_term_per_chart(surface):
     """A co-class miss is one `_pair_term` lookup per chart, and the tangent
-    character reads the same kernel: T(mp) is the untwisted co-class of
-    (mp, mp)."""
+    and tautological characters read the same kernel: T(mp) is the
+    untwisted co-class of (mp, mp), and L^[n] at mp the co-class of
+    (empty, mp) twisted by L."""
     trivial = bundle_by_label(surface, "O")
     twist = bundle_by_label(surface, surface.twists[0])
     mps = [mp for n in range(4) for mp in multipartitions(surface, n)]
+    empty = mps[0]
     for mp in mps:
         assert tangent_char(surface, mp) == co_class(surface, mp, mp, trivial)
+        assert taut_char(surface, twist, mp) == co_class(surface, empty, mp, twist)
     mp1, mp2 = mps[-1], mps[len(mps) // 2]
     co_class(surface, mp1, mp2, twist)
     co_class.cache_clear()
@@ -340,6 +380,6 @@ def test_fold_of_chart_terms_matches_laurent_arithmetic(pieces):
     expected = LaurentPoly.zero()
     for chart, mu, local in pieces:
         expected = expected + _reference_chart(local, chart, mu)
-    got = _fold(_chart_term(chart, mu, local) for chart, mu, local in pieces)
+    got = _fold(_reference_chart(local, chart, mu).terms() for chart, mu, local in pieces)
     # dict equality: a zero coefficient left in the fold would also fail it
     assert got == expected
