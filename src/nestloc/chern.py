@@ -1,7 +1,11 @@
 """Symbolic intersection theory in a truncated graded polynomial ring.
 
-Elements are rational-coefficient polynomials in named generators of
-positive degree, truncated above the ring's total degree N.  Identity
+Elements are polynomials in named generators of positive degree,
+truncated above the ring's total degree N.  Coefficients are plain `int`s:
+generators and integer scalars build every element of the identity
+checks, and `int` arithmetic is exact.  A `Fraction` enters only through
+a rational scalar; mixed `int`/`Fraction` arithmetic stays exact, and
+1 == Fraction(1), so tables compare by value either way.  Identity
 checks run over generic bundles whose Chern components are free
 generators, so a polynomial identity here is an identity for all bundles;
 no randomization is needed on the symbolic side.
@@ -46,7 +50,7 @@ class FormalRing:
         self._index[name] = idx
         if degree > self.truncation:
             return self.zero()
-        return Element(self, {degree: {((idx, 1),): Fraction(1)}})
+        return Element(self, {degree: {((idx, 1),): 1}})
 
     def zero(self) -> "Element":
         return Element(self, {})
@@ -55,7 +59,7 @@ class FormalRing:
         return self.scalar(1)
 
     def scalar(self, value: Scalar) -> "Element":
-        value = Fraction(value)
+        value = _exact(value)
         if value == 0:
             return self.zero()
         return Element(self, {0: {(): value}})
@@ -75,9 +79,9 @@ class Element:
 
     __slots__ = ("ring", "table")
 
-    def __init__(self, ring: FormalRing, table: Mapping[int, Mapping[Monomial, Fraction]]):
+    def __init__(self, ring: FormalRing, table: Mapping[int, Mapping[Monomial, Scalar]]):
         self.ring = ring
-        clean: dict[int, dict[Monomial, Fraction]] = {}
+        clean: dict[int, dict[Monomial, Scalar]] = {}
         for degree, monos in table.items():
             if degree > ring.truncation:
                 continue
@@ -105,7 +109,7 @@ class Element:
         for degree, monos in other.table.items():
             dst = table.setdefault(degree, {})
             for mono, coeff in monos.items():
-                new = dst.get(mono, Fraction(0)) + coeff
+                new = dst.get(mono, 0) + coeff
                 if new:
                     dst[mono] = new
                 elif mono in dst:
@@ -131,7 +135,7 @@ class Element:
         if other is None:
             return NotImplemented
         limit = self.ring.truncation
-        table: dict[int, dict[Monomial, Fraction]] = {}
+        table: dict[int, dict[Monomial, Scalar]] = {}
         for d1, monos1 in self.table.items():
             for d2, monos2 in other.table.items():
                 degree = d1 + d2
@@ -141,7 +145,7 @@ class Element:
                 for m1, c1 in monos1.items():
                     for m2, c2 in monos2.items():
                         mono = _merge_monomials(m1, m2)
-                        new = dst.get(mono, Fraction(0)) + c1 * c2
+                        new = dst.get(mono, 0) + c1 * c2
                         if new:
                             dst[mono] = new
                         elif mono in dst:
@@ -157,8 +161,8 @@ class Element:
             return Element(self.ring, {degree: self.table[degree]})
         return self.ring.zero()
 
-    def constant_term(self) -> Fraction:
-        return self.table.get(0, {}).get((), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.table.get(0, {}).get((), 0)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -181,7 +185,7 @@ class Element:
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Evaluate with generators bound to rational numbers."""
-        bound = {self.ring._index[name]: Fraction(v) for name, v in values.items()}
+        bound = {self.ring._index[name]: _exact(v) for name, v in values.items()}
         total = Fraction(0)
         for monos in self.table.values():
             for mono, coeff in monos.items():
@@ -223,6 +227,14 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.to_text()})"
+
+
+def _exact(value: Scalar) -> Scalar:
+    """`value` itself if it is an `int` or a `Fraction`; anything else, a
+    float above all, would enter the ring as a long inexact fraction."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    raise TypeError(f"symbolic values are int or Fraction, got {type(value).__name__}")
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:

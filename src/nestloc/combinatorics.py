@@ -174,6 +174,22 @@ def multipartitions(surface: ToricSurface, n: int) -> tuple[MultiPartition, ...]
     return tuple(_fill_slots((None,) * surface.euler_number, n))
 
 
+def euler_product_coefficient(e: int, n: int) -> int:
+    """Coefficient of q^n in prod_{m>=1} (1-q^m)^(-e), by series arithmetic.
+
+    Goettsche's count of the fixed points of S^[n] for e = e(S), and an
+    oracle independent of the enumeration: multiply out the geometric
+    series (1 + q^m + q^2m + ...) e times per m, truncated at degree n.
+    """
+    series = [1] + [0] * n
+    for m in range(1, n + 1):
+        for _ in range(e):
+            # multiply by 1/(1 - q^m)
+            for k in range(m, n + 1):
+                series[k] += series[k - m]
+    return series[n]
+
+
 def mp_contains(big: MultiPartition, small: MultiPartition) -> bool:
     """Pointwise diagram containment (small's diagrams inside big's)."""
     return all(map(contains, big.parts, small.parts))

@@ -36,6 +36,7 @@ from .chern import (
 )
 from .combinatorics import (
     box_character,
+    euler_product_coefficient,
     mp_contains,
     multipartitions,
     nested_chains,
@@ -436,7 +437,7 @@ def _measure_difference(surface: ToricSurface, sizes, spec: WeightSpec, co) -> s
 def _euler_count_cases(s: Scenario) -> list[dict]:
     surface = surface_by_name(s.surface)
     (n,) = s.sizes
-    expected = len(multipartitions(surface, n))
+    expected = euler_product_coefficient(surface.euler_number, n)
     specs = scenario_specs(s)
     insertion = Insertion((TangentFactor(0, 2 * n),)) if n else Insertion(())
     values = [integrate_ambient_batch(surface, s.sizes, [insertion], spec)[0] for spec in specs]

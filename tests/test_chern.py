@@ -243,6 +243,61 @@ def test_element_evaluate():
     assert expr.evaluate({"x": 2, "y": Fraction(1, 3)}) == 4
 
 
+def test_float_is_refused_by_scalar_and_evaluate():
+    ring = FormalRing(3)
+    x = ring.add_generator("x", 1)
+    with pytest.raises(TypeError, match="float"):
+        ring.scalar(0.1)
+    with pytest.raises(TypeError, match="float"):
+        x.evaluate({"x": 0.5})
+    with pytest.raises(TypeError):
+        x * 0.5
+
+
+class FractionRing(FormalRing):
+    """The ring with `Fraction` coefficients throughout: the unit and every
+    generator carry Fraction(1), so every product and sum is a Fraction."""
+
+    def add_generator(self, name, degree):
+        return super().add_generator(name, degree) * Fraction(1)
+
+    def one(self):
+        return Element(self, {0: {(): Fraction(1)}})
+
+
+def symbolic_identity_tables(ring_class, truncation=8):
+    """Coefficient tables of the `symbolic-tp` constructions over generic
+    bundles: Segre classes, Delta^a_b, twists c_k(F (x) M), c(E1 - E0) and
+    the projective-bundle pushforward of the higher-tp route."""
+    ring = ring_class(truncation)
+    e = generic_bundle(ring, "E", -1)
+    e0 = generic_bundle(ring, "E0", 2)
+    e1 = generic_bundle(ring, "E1", 4)
+    f = generic_bundle(ring, "F", 3)
+    m = ring.add_generator("m", 1)
+    elements = list(segre(e))
+    elements += [thom_porteous(a, b, e) for a in range(1, 5) for b in range(truncation + 1)
+                 if a * b <= truncation]
+    elements += [twist_by_line(f, m, k) for k in range(1, 5)]
+    elements.append(whitney_difference(e1, e0).total_chern)
+    elements.append(proj_pushforward({2 + 4 - j: e1.chern(j) for j in range(5)}, e0))
+    return [element.table for element in elements]
+
+
+def test_int_coefficients_match_the_fraction_ring():
+    shipped = symbolic_identity_tables(FormalRing)
+    oracle = symbolic_identity_tables(FractionRing)
+    assert shipped == oracle
+
+    def coefficients(tables):
+        return [c for table in tables for monos in table.values() for c in monos.values()]
+
+    assert {type(c) for c in coefficients(shipped)} == {int}
+    assert {type(c) for c in coefficients(oracle)} == {Fraction}
+    ring = FormalRing(2)
+    assert ring.scalar(Fraction(1, 3)) * 3 == ring.one()
+
+
 def test_cross_module_consistency_with_chern_series():
     # generators bound to elementary symmetric functions of specialized
     # weights reproduce the numeric Chern coefficients of the character

@@ -12,6 +12,7 @@ from nestloc.combinatorics import (
     Partition,
     box_character,
     contains,
+    euler_product_coefficient,
     mp_contains,
     multipartitions,
     nested_chains,
@@ -19,21 +20,6 @@ from nestloc.combinatorics import (
     subpartitions,
 )
 from nestloc.toric import p1xp1, p2
-
-
-def euler_product_coefficient(e: int, n: int) -> int:
-    """Coefficient of q^n in prod_{m>=1} (1-q^m)^(-e), by series arithmetic.
-
-    Independent oracle for fixed-point counts: multiply out the geometric
-    series (1 + q^m + q^2m + ...) e times per m, truncated at degree n.
-    """
-    series = [1] + [0] * n
-    for m in range(1, n + 1):
-        for _ in range(e):
-            # multiply by 1/(1 - q^m)
-            for k in range(m, n + 1):
-                series[k] += series[k - m]
-    return series[n]
 
 
 partition_sizes = st.integers(0, 8)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from nestloc import integrals, vertex
 from nestloc.characters import LaurentPoly
-from nestloc.combinatorics import MultiPartition, Partition, multipartitions, nested_chains
+from nestloc.combinatorics import (
+    MultiPartition,
+    Partition,
+    euler_product_coefficient,
+    multipartitions,
+    nested_chains,
+)
 from nestloc.harness import Scenario, _sampled_case, run_scenario
 from nestloc.errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from nestloc.integrals import (
@@ -26,12 +32,12 @@ from nestloc.integrals import (
     insertion_basis,
     integrate_ambient_batch,
     integrate_virtual_batch,
+    k_theory_chi_sum,
     sample_specs,
 )
 from nestloc.series import binomial, line_factor
 from nestloc.toric import bundle_by_label, line_bundle, p1xp1, p2
 from nestloc.vertex import co_class, tangent_char, taut_char, virtual_tangent_char
-from test_combinatorics import euler_product_coefficient
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -185,6 +191,55 @@ def carlsson_okounkov_mismatches(surface, degrees, expected):
         if tuple(got) != expected:
             bad.append(spec.to_text())
     return bad
+
+
+# Danila (2001), Scala (2009): H*(S^[n], L^[n]) = H*(S, L) (x) S^{n-1} H*(S, O_S),
+# and H*(S, O_S) is the trivial character 1 on these toric surfaces, so the
+# equivariant chi(S^[n], L^[n]) equals chi(S, L) for every n >= 1.
+TAUTOLOGICAL_CHI = [
+    (p2, (0,)), (p2, (1,)), (p2, (2,)), (p2, (-1,)), (p2, (-4,)),
+    (p1xp1, (0, 0)), (p1xp1, (1, 0)), (p1xp1, (2, 1)), (p1xp1, (-1, 3)),
+]
+#: a rational point of the torus where t^w = 1 only for w = 0 (2, 3, 5, 7 are distinct primes)
+CHI_POINT = (Fraction(2, 3), Fraction(5, 7))
+
+
+def tautological_chi(surface, bundle, n):
+    """sum_mp ch(L^[n]_mp) / prod_w (1 - t^{-w})^{m_w} at t = CHI_POINT, over
+    the fixed points mp of S^[n], the w running over the tangent weights at mp.
+
+    The characters are read from the `vertex` module at call time, so a
+    monkeypatched `taut_char` or chart term is the one checked."""
+    t1, t2 = CHI_POINT
+
+    def power(exp):
+        return t1 ** exp[0] * t2 ** exp[1]
+
+    total = Fraction(0)
+    for mp in multipartitions(surface, n):
+        numerator = sum(c * power(exp) for exp, c in vertex.taut_char(surface, bundle, mp).terms())
+        denominator = Fraction(1)
+        for (a, b), m in vertex.tangent_char(surface, mp).terms():
+            denominator *= (1 - power((-a, -b))) ** m
+        total += numerator / denominator
+    return total
+
+
+def tautological_chi_mismatches(surface, degrees):
+    """(n, chi(S^[n], L^[n]), chi(S, L)) for each n = 1..4 where the two differ."""
+    bundle = line_bundle(surface, *degrees)
+    want = k_theory_chi_sum(surface, bundle, *CHI_POINT)
+    return [(n, got, want) for n in range(1, 5)
+            if (got := tautological_chi(surface, bundle, n)) != want]
+
+
+@pytest.mark.parametrize(
+    "surface_fn,degrees",
+    TAUTOLOGICAL_CHI,
+    ids=[f"{fn.__name__}-O{degrees}".replace(",)", ")") for fn, degrees in TAUTOLOGICAL_CHI],
+)
+def test_tautological_chi_matches_danila_scala(surface_fn, degrees):
+    assert tautological_chi_mismatches(surface_fn(), degrees) == []
 
 
 def test_euler_class_examples():

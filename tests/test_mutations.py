@@ -18,9 +18,15 @@ from nestloc.harness import Scenario, default_battery_scenarios, run_scenario
 from nestloc.series import binomial
 from nestloc.toric import SURFACES, bundle_by_label, line_bundle
 from test_golden_characters import golden_mismatches
-from test_integrals import CARLSSON_OKOUNKOV, carlsson_okounkov_mismatches
+from test_integrals import (
+    CARLSSON_OKOUNKOV,
+    TAUTOLOGICAL_CHI,
+    carlsson_okounkov_mismatches,
+    tautological_chi_mismatches,
+)
 
 TWISTED_ROWS = {(fn().name, degrees) for fn, degrees, _ in CARLSSON_OKOUNKOV if any(degrees)}
+TWISTED_CHI_ROWS = {(fn().name, degrees) for fn, degrees in TAUTOLOGICAL_CHI if any(degrees)}
 
 
 @pytest.fixture
@@ -54,6 +60,14 @@ def carlsson_okounkov_failures():
         (fn().name, degrees)
         for fn, degrees, expected in CARLSSON_OKOUNKOV
         if carlsson_okounkov_mismatches(fn(), degrees, expected)
+    }
+
+
+def tautological_chi_failures():
+    return {
+        (fn().name, degrees)
+        for fn, degrees in TAUTOLOGICAL_CHI
+        if tautological_chi_mismatches(fn(), degrees)
     }
 
 
@@ -139,9 +153,11 @@ def test_pair_term_with_swapped_partitions_is_caught_by_nesting_and_pushforward(
 
 
 def test_dualized_taut_char_is_a_recorded_miss(mutate):
-    """Blind spot: the pushforward identity holds for any insertion
-    classes, so the `all` battery passes; only the golden characters and
-    the reference assembly in test_vertex pin taut_char."""
+    """Blind spot of the scenarios: the pushforward identity holds for any
+    insertion classes, so the `all` battery passes.  The closed form
+    chi(S^[n], L^[n]) = chi(S, L) fails for every nontrivial bundle (p2
+    O(1) reads 0 in place of 39/10), as do the golden characters and the
+    reference assembly in test_vertex."""
     original = vertex.taut_char
 
     def dualized(surface, bundle, mp):
@@ -150,6 +166,8 @@ def test_dualized_taut_char_is_a_recorded_miss(mutate):
     mutate(vertex, "taut_char", dualized)
     for scenario in default_battery_scenarios():
         assert failing_identities(scenario) == set(), scenario.kind
+    assert tautological_chi_failures() == TWISTED_CHI_ROWS
+    assert (2, 0, Fraction(39, 10)) in tautological_chi_mismatches(SURFACES["p2"], (1,))
 
 
 def test_sign_flip_in_euler_class_is_caught(mutate):
@@ -197,11 +215,13 @@ def test_dropped_chain_is_named_in_the_failing_cases(mutate):
     assert diagnostic.endswith(", virtual missing")
 
 
-def test_inverted_chart_substitution_is_caught_only_by_pins(mutate):
+def test_inverted_chart_substitution_is_caught_by_pins_and_tautological_chi(mutate):
     """Blind spot of the scenarios: u_k -> t^{w_k} in place of t^{-w_k}.
     With the line-bundle weights left as they are, every `all` scenario
     passes (hrr-check reads the charts directly, not the chart term); the
-    golden characters and the twisted Carlsson-Okounkov rows catch it."""
+    golden characters, the twisted Carlsson-Okounkov rows and the closed
+    form chi(S^[n], L^[n]) = chi(S, L) catch it (p2 O(-4) reads
+    1219261/194481 in place of 500/441)."""
     original = vertex._pair_term
 
     @lru_cache(maxsize=None)
@@ -213,6 +233,10 @@ def test_inverted_chart_substitution_is_caught_only_by_pins(mutate):
     assert failing_battery_kinds() == set()
     assert golden_mismatches()
     assert carlsson_okounkov_failures() == TWISTED_ROWS
+    assert tautological_chi_failures() == TWISTED_CHI_ROWS
+    assert (1, Fraction(1219261, 194481), Fraction(500, 441)) in tautological_chi_mismatches(
+        SURFACES["p2"], (-4,)
+    )
 
 
 def test_segre_index_off_by_one_is_caught_by_symbolic_tp(mutate):
