@@ -6,7 +6,10 @@ Usage: python scripts/ladder.py [--src DIR] [--out PATH]
 Each rung runs as its own interpreter, `python -m nestloc <rung> --stable
 --format json`, with the nestloc sources of `--src` (default: this
 checkout's `src`), so its seconds include interpreter start, imports and
-cold caches, as a one-shot CLI user pays them.  The first rung,
+cold caches, as a one-shot CLI user pays them.  Every run has
+PYTHONDONTWRITEBYTECODE=1, the setting the benchmark runs under, so no
+run writes bytecode that would spare a later run compiling the sources.
+The first rung,
 `import`, is `python -c "import nestloc.cli"` alone: the floor every
 other rung pays.  The rungs run in turn, REPEAT times over; each rung
 records every run's measured seconds, their median, min and max, its
@@ -63,7 +66,7 @@ def ladder() -> list[tuple[str, tuple[str, ...]]]:
 
 def run_rung(argv, src: str) -> tuple[float, int, str]:
     """(measured seconds, exit code, sha256 of stdout) of one cold run."""
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=False)
     seconds = time.perf_counter() - started

@@ -7,7 +7,6 @@ Usage: python scripts/run_battery.py [outdir] [--seed N] [--jobs K]
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -25,7 +24,7 @@ def main() -> int:
     failures = 0
     for index, scenario in enumerate(default_battery_scenarios()):
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+            scenario = scenario.replace(seed=args.seed)
         report = run_scenario(scenario, jobs=args.jobs)
         name = f"{index:02d}_{scenario.kind}_{scenario.surface}.json"
         with open(os.path.join(args.outdir, name), "w", encoding="utf-8") as fh:

@@ -17,13 +17,12 @@ convention x(x-1)...(x-k+1)/k!.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import TruncationOverflowError
 from .series import binomial
+from .value import Value, _set
 
 # a monomial is a sorted tuple of (generator index, positive exponent)
 Monomial = tuple[tuple[int, int], ...]
@@ -248,23 +247,29 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-@dataclass(frozen=True)
-class FormalBundle:
-    """A K-theory class: integer rank plus a unit total Chern element."""
+class FormalBundle(Value):
+    """A K-theory class: integer rank plus a unit total Chern element.
 
-    ring: FormalRing
-    rank: int
-    total_chern: Element
-    name: str = ""
+    Unhashable, as its `Element` is."""
 
-    def __post_init__(self):
-        if self.total_chern.constant_term() != 1:
+    __slots__ = ("ring", "rank", "total_chern", "name", "_inverse")
+    _fields = ("ring", "rank", "total_chern", "name")
+    __hash__ = None
+
+    def __init__(self, ring: FormalRing, rank: int, total_chern: Element, name: str = ""):
+        if total_chern.constant_term() != 1:
             raise ValueError("total Chern class must have constant term 1")
+        # no `_init`: an Element has no hash
+        for field, value in zip(self._fields, (ring, rank, total_chern, name)):
+            _set(self, field, value)
+        _set(self, "_inverse", None)
 
-    @cached_property
+    @property
     def inverse_chern(self) -> Element:
         """c(E)^-1, the total Segre class, inverted at most once per bundle."""
-        return self.total_chern.inverse()
+        if self._inverse is None:
+            _set(self, "_inverse", self.total_chern.inverse())
+        return self._inverse
 
     def chern(self, j: int) -> Element:
         if j == 0:

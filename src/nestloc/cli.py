@@ -1,4 +1,4 @@
-"""Command-line harness: `nestloc <scenario> [options]`.
+"""Command-line harness: `nestloc KIND [flags]`.
 
 Exit codes: 0 all cases pass; 1 mathematical failure (an identity was
 violated or a math error was diagnosed); 2 configuration error; 3
@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, NestlocError
 from .harness import (
+    DEFAULT_SCENARIO,
     ENTRY_KEYS,
     REPORT_FORMATS,
     SCENARIO_KINDS,
@@ -59,7 +59,21 @@ def _bundle_labels(text: str) -> tuple[str, ...]:
     return labels
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the kind is a positional, every kind takes the same
+    flags, and what a kind reads is checked by `validate_scenario`."""
+    parser = argparse.ArgumentParser(
+        prog="nestloc",
+        usage="%(prog)s KIND [flags]",
+        description="exact localization checks for nested Hilbert scheme identities",
+    )
+    parser.add_argument("--version", action="version", version=f"nestloc {__version__}")
+    parser.add_argument(
+        "command",
+        choices=(*SCENARIO_KINDS, "all"),
+        metavar="KIND",
+        help=f"one of {', '.join(SCENARIO_KINDS)}; or all, the default battery or --config's",
+    )
     # scenario flags have no argparse defaults: only the flags given reach
     # the scenario entry, and Scenario fills in the rest
     parser.add_argument("--surface", choices=tuple(SURFACES))
@@ -67,11 +81,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--i", type=_i_values, help="vanishing index: int, comma list, or a..b")
     parser.add_argument("--bundles", type=_bundle_labels, help="comma-separated twist labels")
     parser.add_argument(
-        "--samples", type=int, help=f"number of weight specs (default {Scenario.samples})"
+        "--samples", type=int, help=f"number of weight specs (default {DEFAULT_SCENARIO.samples})"
     )
-    parser.add_argument("--seed", type=int, help=f"sampling seed (default {Scenario.seed})")
+    parser.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SCENARIO.seed})")
     parser.add_argument(
-        "--truncation", type=int, help=f"symbolic ring truncation (default {Scenario.truncation})"
+        "--truncation",
+        type=int,
+        help=f"symbolic ring truncation (default {DEFAULT_SCENARIO.truncation})",
     )
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="", help="write the report here instead of stdout")
@@ -89,21 +105,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="zero wall-clock fields for byte-reproducible reports",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nestloc",
-        description="exact localization checks for nested Hilbert scheme identities",
-    )
-    parser.add_argument("--version", action="version", version=f"nestloc {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for kind in SCENARIO_KINDS:
-        sub = subparsers.add_parser(kind, help=f"run the {kind} suite")
-        _add_common_flags(sub)
-    all_parser = subparsers.add_parser("all", help="run the default battery or a config file")
-    _add_common_flags(all_parser)
-    all_parser.add_argument("--config", default="", help="JSON config with a scenario list")
+    parser.add_argument("--config", help="all only: JSON config with a scenario list")
     return parser
 
 
@@ -120,7 +122,7 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
         )
     scenarios = parse_config(args.config) if args.config else default_battery_scenarios()
     # the keys `all` takes are named as their Scenario fields
-    return [validate_scenario(replace(s, **given)) for s in scenarios]
+    return [validate_scenario(s.replace(**given)) for s in scenarios]
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -143,6 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None and args.command != "all":
+            parser.error(f"argument --config: only all reads a config, not {args.command}")
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help/--version
         return int(exc.code or 0)

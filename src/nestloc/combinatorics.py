@@ -16,38 +16,33 @@ Box convention, pinned once and inherited everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .characters import LaurentPoly
 from .toric import ToricSurface
+from .value import Value, _set
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Partition:
+class Partition(Value):
     """Weakly decreasing tuple of positive integers; () is the empty partition.
 
     ``size`` and the hash are computed once at construction: partitions key
     every character cache, so both are read far more often than built.
-    Equality, order and hash depend on ``parts`` alone, as for the plain
-    frozen dataclass.
+    Equality, order and hash depend on ``parts`` alone.
     """
 
-    parts: tuple[int, ...] = ()
-    size: int = field(init=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("parts", "size")
+    _fields = ("parts",)
+    _ordered = True
 
-    def __post_init__(self):
-        for i, part in enumerate(self.parts):
+    def __init__(self, parts: tuple[int, ...] = ()):
+        for i, part in enumerate(parts):
             if part <= 0:
-                raise ValueError(f"parts must be positive, got {self.parts}")
-            if i and self.parts[i - 1] < part:
-                raise ValueError(f"parts must weakly decrease, got {self.parts}")
-        object.__setattr__(self, "size", sum(self.parts))
-        object.__setattr__(self, "_hash", hash((self.parts,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+                raise ValueError(f"parts must be positive, got {parts}")
+            if i and parts[i - 1] < part:
+                raise ValueError(f"parts must weakly decrease, got {parts}")
+        self._init(parts)
+        _set(self, "size", sum(parts))
 
     def conjugate(self) -> "Partition":
         if not self.parts:
@@ -113,24 +108,19 @@ def box_character(lam: Partition) -> LaurentPoly:
     return LaurentPoly({(i, j): 1 for i, j in lam.boxes()})
 
 
-@dataclass(frozen=True, slots=True)
-class MultiPartition:
+class MultiPartition(Value):
     """One partition per fixed point of a toric surface, in chart order.
 
     ``total`` and the hash are computed once at construction, as for
     ``Partition``; equality and hash depend on ``parts`` alone.
     """
 
-    parts: tuple[Partition, ...]
-    total: int = field(init=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("parts", "total")
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "total", sum(p.size for p in self.parts))
-        object.__setattr__(self, "_hash", hash((self.parts,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, parts: tuple[Partition, ...]):
+        self._init(parts)
+        _set(self, "total", sum(p.size for p in parts))
 
     def to_text(self) -> str:
         return "[" + ",".join(p.to_text() for p in self.parts) + "]"
@@ -195,18 +185,19 @@ def mp_contains(big: MultiPartition, small: MultiPartition) -> bool:
     return all(map(contains, big.parts, small.parts))
 
 
-@dataclass(frozen=True)
-class NestedChain:
+class NestedChain(Value):
     """Fixed point of a nested Hilbert scheme: pointwise shrinking diagrams."""
 
-    steps: tuple[MultiPartition, ...]
+    __slots__ = ("steps",)
+    _fields = ("steps",)
 
-    def __post_init__(self):
-        for a, b in zip(self.steps, self.steps[1:]):
+    def __init__(self, steps: tuple[MultiPartition, ...]):
+        for a, b in zip(steps, steps[1:]):
             if len(a.parts) != len(b.parts):
                 raise ValueError("chain steps indexed by different surfaces")
             if not mp_contains(a, b):
                 raise ValueError(f"chain violates containment: {a} !> {b}")
+        self._init(steps)
 
     @property
     def sizes(self) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ import math
 import operator
 import random
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
@@ -59,24 +58,44 @@ from .integrals import (
     virtual_measure,
 )
 from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle, surface_by_name
+from .value import Value
 from .vertex import co_class, vertex_V
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One named verification suite plus its validated parameters; its field
-    defaults are the only defaults of every input."""
+class Scenario(Value):
+    """One named verification suite plus its validated parameters; the
+    defaults of `__init__` are the only defaults of every input, and
+    `DEFAULT_SCENARIO` holds them."""
 
-    kind: str
-    surface: str = "p2"
-    sizes: tuple[int, ...] = ()
-    i_values: tuple[int, ...] = (1,)
-    bundles: tuple[str, ...] = ()
-    samples: int = 3
-    seed: int = 1729
-    truncation: int = 8
-    insertions: str = "auto"
-    specs: tuple[str, ...] = ()
+    __slots__ = ("kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
+                 "truncation", "insertions", "specs")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        kind: str,
+        surface: str = "p2",
+        sizes: tuple[int, ...] = (),
+        i_values: tuple[int, ...] = (1,),
+        bundles: tuple[str, ...] = (),
+        samples: int = 3,
+        seed: int = 1729,
+        truncation: int = 8,
+        insertions: str = "auto",
+        specs: tuple[str, ...] = (),
+    ):
+        self._init(kind, surface, sizes, i_values, bundles, samples, seed, truncation,
+                   insertions, specs)
+
+    def replace(self, **changes) -> "Scenario":
+        """This scenario with the named fields changed, not yet validated."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return Scenario(**values)
+
+
+#: a scenario of no kind, every field at its default
+DEFAULT_SCENARIO = Scenario("")
 
 
 def _integer(value) -> int:
@@ -152,7 +171,7 @@ def validate_scenario(s: Scenario) -> Scenario:
     unread = [
         name
         for field, name in _OPTIONAL_INPUTS.items()
-        if field not in reads and getattr(s, field) != getattr(Scenario, field)
+        if field not in reads and getattr(s, field) != getattr(DEFAULT_SCENARIO, field)
     ]
     if unread:
         raise ConfigError(f"{s.kind} does not read {', '.join(unread)}")
@@ -234,7 +253,7 @@ def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
     out = []
     try:
-        for monomial in raw:
+        for index, monomial in enumerate(raw, 1):
             factors = tuple(
                 TautFactor(_integer(f["factor"]) - 1, str(f["bundle"]), _integer(f["degree"]))
                 for f in monomial
@@ -246,7 +265,13 @@ def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
                         f"factors count from 1 and degrees from 0, and this scenario has "
                         f"{len(s.sizes)} factors; got factor {f.factor + 1}, degree {f.degree}"
                     )
-            out.append(Insertion(factors))
+            insertion = Insertion(factors)
+            if insertion.total_degree != degree:
+                raise ValueError(
+                    f"monomial {index} has degree {insertion.total_degree}, "
+                    f"and this integrand needs degree {degree}"
+                )
+            out.append(insertion)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
     if not out:
@@ -576,22 +601,28 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioKind:
+class ScenarioKind(Value):
     """How one scenario kind splits into work groups, runs them, and which
     inputs and report parameters it has."""
 
-    #: deterministic work units of a scenario; each yields a list of cases
-    groups: Callable[[Scenario], list[dict]]
-    #: runs one group as cases(scenario, **group)
-    cases: Callable[..., list[dict]]
-    #: (fewest, most, rule) for the number of sizes; None if the kind reads none
-    sizes: tuple[int, float, str] | None = None
-    #: the Scenario fields among surface, i_values, bundles, specs and
-    #: insertions that the kind reads; any other one must keep its default
-    reads: frozenset[str] = frozenset()
-    #: echoes the number of nested chains (kinds with a virtual side)
-    chains: bool = False
+    __slots__ = ("groups", "cases", "sizes", "reads", "chains")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        #: deterministic work units of a scenario; each yields a list of cases
+        groups: Callable[[Scenario], list[dict]],
+        #: runs one group as cases(scenario, **group)
+        cases: Callable[..., list[dict]],
+        #: (fewest, most, rule) for the number of sizes; None if the kind reads none
+        sizes: tuple[int, float, str] | None = None,
+        #: the Scenario fields among surface, i_values, bundles, specs and
+        #: insertions that the kind reads; any other one must keep its default
+        reads: frozenset[str] = frozenset(),
+        #: echoes the number of nested chains (kinds with a virtual side)
+        chains: bool = False,
+    ):
+        self._init(groups, cases, sizes, reads, chains)
 
 
 def _single_group(s: Scenario) -> list[dict]:
@@ -666,9 +697,7 @@ def _params_echo(s: Scenario) -> dict:
 
 
 def _group_worker(payload):
-    scenario_dict, group = payload
-    scenario = Scenario(**scenario_dict)
-    return _run_group(scenario, group)
+    return _run_group(*payload)
 
 
 def run_scenario(s: Scenario, jobs: int = 1) -> dict:
@@ -682,7 +711,7 @@ def run_scenario(s: Scenario, jobs: int = 1) -> dict:
         # imported only here: its ~36 modules add ~25 ms to a run without a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [(asdict(s), g) for g in groups]
+        payloads = [(s, g) for g in groups]
         # the pool starts every worker it may use on the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             results = list(pool.map(_group_worker, payloads))

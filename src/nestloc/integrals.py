@@ -11,27 +11,29 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import ClassVar, Sequence, Union
+from typing import Sequence, Union
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
 from .errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from .series import line_factor
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
+from .value import Value
 from .vertex import co_class, tangent_char, taut_char, virtual_tangent_char
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Value):
     """Specialization of the equivariant parameters at an integer point:
     (a, b) -> a s1 + b s2."""
 
-    s1: int
-    s2: int
+    __slots__ = ("s1", "s2")
+    _fields = __slots__
+
+    def __init__(self, s1: int, s2: int):
+        self._init(s1, s2)
 
     def pairing(self, exponent: tuple[int, int]) -> int:
         return exponent[0] * self.s1 + exponent[1] * self.s2
@@ -111,26 +113,29 @@ def _euler_cached(poly: LaurentPoly, spec: WeightSpec) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class TautFactor:
+class TautFactor(Value):
     """c_degree of the tautological bundle of `bundle` on ambient factor `factor` (0-based)."""
 
-    factor: int
-    bundle: str
-    degree: int
+    __slots__ = ("factor", "bundle", "degree")
+    _fields = __slots__
+
+    def __init__(self, factor: int, bundle: str, degree: int):
+        self._init(factor, bundle, degree)
 
     def label(self) -> str:
         return f"c{self.degree}({self.bundle}@{self.factor + 1})"
 
 
-@dataclass(frozen=True, order=True)
-class TangentFactor:
+class TangentFactor(Value):
     """c_degree of the tangent bundle of ambient factor `factor` (0-based)."""
 
-    factor: int
-    degree: int
+    __slots__ = ("factor", "degree")
+    _fields = __slots__
     #: no line-bundle label: (factor, bundle) keys a factor's Chern series
-    bundle: ClassVar[None] = None
+    bundle = None
+
+    def __init__(self, factor: int, degree: int):
+        self._init(factor, degree)
 
     def label(self) -> str:
         return f"c{self.degree}(T@{self.factor + 1})"
@@ -139,11 +144,14 @@ class TangentFactor:
 Factor = Union[TautFactor, TangentFactor]
 
 
-@dataclass(frozen=True)
-class Insertion:
+class Insertion(Value):
     """A monomial in tautological/tangent Chern classes of the ambient factors."""
 
-    factors: tuple[Factor, ...] = ()
+    __slots__ = ("factors",)
+    _fields = __slots__
+
+    def __init__(self, factors: tuple[Factor, ...] = ()):
+        self._init(factors)
 
     @property
     def total_degree(self) -> int:
@@ -155,14 +163,15 @@ class Insertion:
         return "*".join(f.label() for f in self.factors)
 
 
-@dataclass(frozen=True)
-class CoFactor:
+class CoFactor(Value):
     """c_degree of the co-class between ambient factors `left` and `left+1`,
     twisted by `bundle`."""
 
-    left: int
-    degree: int
-    bundle: str = "O"
+    __slots__ = ("left", "degree", "bundle")
+    _fields = __slots__
+
+    def __init__(self, left: int, degree: int, bundle: str = "O"):
+        self._init(left, degree, bundle)
 
     def label(self) -> str:
         return f"c{self.degree}(CO[{self.bundle}]@{self.left + 1}{self.left + 2})"

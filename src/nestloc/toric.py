@@ -21,58 +21,55 @@ a surface means adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
+from .value import Value, _set
+
 Weight = tuple[int, int]
 
 
-def _data(default=None):
-    """A table field: kept out of equality and hashing, so cache keys
-    compare only the name and the charts."""
-    return field(default=default, compare=False)
-
-
-@dataclass(frozen=True)
-class ToricSurface:
+class ToricSurface(Value):
     """Fixed points with tangent weight pairs, identified by name, plus the
     surface's line bundles and the data its scenarios check against.
 
-    The hash is computed once, at construction, from the integer charts
-    alone, so it is the same in every process whatever PYTHONHASHSEED is;
-    surfaces key every character cache.
+    Equality compares the name and the charts only.  The hash is computed
+    once, at construction, from the integer charts alone, so it is the same
+    in every process whatever PYTHONHASHSEED is; surfaces key every
+    character cache.
     """
 
-    name: str
-    charts: tuple[tuple[Weight, Weight], ...]
-    #: fiber weights of O(e_k) at each chart, one row per degree coordinate k;
-    #: their number is the arity of a line-bundle degree
-    fibers: tuple[tuple[Weight, ...], ...] = _data(())
-    #: line bundles whose tautological classes generate the insertions
-    battery: tuple[str, ...] = _data(())
-    #: nontrivial twists of the twisted-vanishing scenario
-    twists: tuple[str, ...] = _data(())
-    #: degrees the hrr-check scenario pins
-    hrr_degrees: tuple[tuple[int, ...], ...] = _data(())
-    #: chi(O(degrees)), counted by monomials
-    chi: Callable[..., Fraction] = _data()
-    #: weights of the monomial sections of O(degrees) for degrees >= 0
-    sections: Callable[..., Iterable[Weight]] = _data()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "charts", "fibers", "battery", "twists", "hrr_degrees", "chi", "sections")
+    _fields = __slots__
+    _compare = ("name", "charts")
 
-    def __post_init__(self):
-        if not self.charts:
+    def __init__(
+        self,
+        name: str,
+        charts: tuple[tuple[Weight, Weight], ...],
+        #: fiber weights of O(e_k) at each chart, one row per degree coordinate k;
+        #: their number is the arity of a line-bundle degree
+        fibers: tuple[tuple[Weight, ...], ...] = (),
+        #: line bundles whose tautological classes generate the insertions
+        battery: tuple[str, ...] = (),
+        #: nontrivial twists of the twisted-vanishing scenario
+        twists: tuple[str, ...] = (),
+        #: degrees the hrr-check scenario pins
+        hrr_degrees: tuple[tuple[int, ...], ...] = (),
+        #: chi(O(degrees)), counted by monomials
+        chi: Callable[..., Fraction] | None = None,
+        #: weights of the monomial sections of O(degrees) for degrees >= 0
+        sections: Callable[..., Iterable[Weight]] | None = None,
+    ):
+        if not charts:
             raise ValueError("a toric surface needs at least one fixed point")
-        for w1, w2 in self.charts:
+        for w1, w2 in charts:
             det = w1[0] * w2[1] - w1[1] * w2[0]
             if det not in (1, -1):
                 raise ValueError(f"tangent weights {w1}, {w2} are not a lattice basis")
-        object.__setattr__(self, "_hash", hash(self.charts))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._init(name, charts, fibers, battery, twists, hrr_degrees, chi, sections)
+        _set(self, "_hash", hash(charts))
 
     @property
     def euler_number(self) -> int:
@@ -82,23 +79,19 @@ class ToricSurface:
         return f"ToricSurface({self.name!r}, {self.euler_number} fixed points)"
 
 
-@dataclass(frozen=True)
-class EqLineBundle:
+class EqLineBundle(Value):
     """Equivariant line bundle: one character per fixed point.
 
     As for ``ToricSurface``, the hash is computed once from the integer
     weights alone; equality still compares the label too.
     """
 
-    label: str
-    weights: tuple[Weight, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("label", "weights")
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.weights))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, label: str, weights: tuple[Weight, ...]):
+        self._init(label, weights)
+        _set(self, "_hash", hash(weights))
 
     def __repr__(self) -> str:
         return f"EqLineBundle({self.label!r})"

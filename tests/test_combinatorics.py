@@ -1,6 +1,6 @@
 import hashlib
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, make_dataclass
 
 import pytest
 from hypothesis import given
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nestloc.characters import LaurentPoly
 from nestloc.combinatorics import (
     MultiPartition,
+    NestedChain,
     Partition,
     box_character,
     contains,
@@ -19,7 +20,23 @@ from nestloc.combinatorics import (
     partitions_of,
     subpartitions,
 )
-from nestloc.toric import p1xp1, p2
+from nestloc.chern import FormalRing, generic_bundle
+from nestloc.harness import (
+    SCENARIO_KINDS,
+    Scenario,
+    default_battery_scenarios,
+    scenario_from_entry,
+)
+from nestloc.integrals import (
+    CoFactor,
+    Insertion,
+    TangentFactor,
+    TautFactor,
+    WeightSpec,
+    insertion_basis,
+    sample_specs,
+)
+from nestloc.toric import line_bundle, p1xp1, p2
 
 
 partition_sizes = st.integers(0, 8)
@@ -176,36 +193,133 @@ class PlainMultiPartition:
     parts: tuple[PlainPartition, ...]
 
 
+@dataclass(frozen=True)
+class PlainChain:
+    steps: tuple[PlainMultiPartition, ...]
+
+
+#: named as the class it stands for, so that the reprs compare
+PlainInsertion = make_dataclass("Insertion", ["factors"], frozen=True)
+
+
+#: the reference frozen dataclass of each record whose fields are plain
+#: data, its fields named here and not read from the class under test
+REFERENCE = {
+    cls: make_dataclass(cls.__name__, names, frozen=True)
+    for cls, names in (
+        (WeightSpec, ["s1", "s2"]),
+        (TautFactor, ["factor", "bundle", "degree"]),
+        (TangentFactor, ["factor", "degree"]),
+        (CoFactor, ["left", "degree", "bundle"]),
+        (Scenario, ["kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
+                    "truncation", "insertions", "specs"]),
+    )
+}
+
+
+def plain(value):
+    """The reference frozen dataclass value of a record."""
+    if isinstance(value, Partition):
+        return PlainPartition(value.parts)
+    if isinstance(value, MultiPartition):
+        return PlainMultiPartition(tuple(map(plain, value.parts)))
+    if isinstance(value, NestedChain):
+        return PlainChain(tuple(map(plain, value.steps)))
+    if isinstance(value, Insertion):
+        return PlainInsertion(tuple(map(plain, value.factors)))
+    reference = REFERENCE[type(value)]
+    return reference(*(getattr(value, field.name) for field in fields(reference)))
+
+
+def record_groups():
+    """Enumerated records, one list per class."""
+    chains = [ch for sizes in [(2, 1), (3, 2), (2, 1, 1)] for ch in nested_chains(p2(), sizes)]
+    chains += [ch for sizes in [(2, 1), (2, 2)] for ch in nested_chains(p1xp1(), sizes)]
+    insertions = list(insertion_basis(p2(), (2, 1), 3)) + list(insertion_basis(p1xp1(), (1, 1), 2))
+    insertions += [Insertion(), Insertion((TangentFactor(0, 4),))]
+    entries = [
+        {"kind": "pushforward", "surface": "p1xp1", "n": [2, 1], "seed": 7},
+        {"kind": "vanish", "n": [2, 1], "i": [1, 2], "specs": ["2,3", "1/2,5"]},
+        {"kind": "twisted-vanish", "n": [1, 1], "bundles": ["O(1)"], "insertions": "file:x"},
+        {"kind": "symbolic-tp", "truncation": 12, "samples": 5},
+    ]
+    return {
+        "factor": sorted({f for ins in insertions for f in ins.factors}, key=repr),
+        "insertion": insertions,
+        "co-factor": [CoFactor(0, d, b) for d in range(4) for b in ("O", "O(1)")]
+        + [CoFactor(1, 2)],
+        "spec": list(sample_specs(1729, 4))
+        + [WeightSpec(2, 3), WeightSpec(3, 2), WeightSpec(2, 3)],
+        "chain": chains,
+        "scenario": default_battery_scenarios() + [scenario_from_entry(e) for e in entries],
+    }
+
+
 def test_cached_sizes_and_hashes_match_recomputed_values():
     """size/total and the hash are computed once at construction; every
     observable value must equal one recomputed from `parts` by a plain
-    frozen dataclass, so every cache key is unchanged."""
+    frozen dataclass, so every cache key is unchanged.  The other records
+    (chains, factors, insertions, specs, scenarios) are checked against
+    reference frozen dataclasses the same way: equality, hash, repr where
+    the class keeps the dataclass repr, pickling and refused assignment."""
     partitions = [lam for n in range(9) for lam in partitions_of(n)]
     mps = [mp for n in range(5) for mp in multipartitions(p2(), n)]
     mps += [mp for n in range(4) for mp in multipartitions(p1xp1(), n)]
-    plain = {lam: PlainPartition(lam.parts) for lam in partitions}
+    plain_of = {lam: PlainPartition(lam.parts) for lam in partitions}
     for lam in partitions:
         assert lam.size == sum(lam.parts)
-        assert hash(lam) == hash(plain[lam])
+        assert hash(lam) == hash(plain_of[lam])
         assert lam == Partition(lam.parts)
         assert repr(lam) == "Partition([" + ",".join(map(str, lam.parts)) + "])"
         copy = pickle.loads(pickle.dumps(lam))
         assert (copy, copy.size, hash(copy)) == (lam, lam.size, hash(lam))
     shuffled = partitions[::-1]
-    assert [plain[lam] for lam in sorted(shuffled)] == sorted(plain[lam] for lam in shuffled)
+    assert [plain_of[lam] for lam in sorted(shuffled)] == sorted(plain_of[lam] for lam in shuffled)
     pairs = [(a, b) for a in partitions for b in partitions]
     assert [(a < b, a <= b, a == b) for a, b in pairs] == [
-        (plain[a] < plain[b], plain[a] <= plain[b], plain[a] == plain[b]) for a, b in pairs
+        (plain_of[a] < plain_of[b], plain_of[a] <= plain_of[b], plain_of[a] == plain_of[b])
+        for a, b in pairs
     ]
     for mp in mps:
         assert mp.total == sum(sum(lam.parts) for lam in mp.parts)
-        assert hash(mp) == hash(PlainMultiPartition(tuple(plain[lam] for lam in mp.parts)))
+        assert hash(mp) == hash(PlainMultiPartition(tuple(plain_of[lam] for lam in mp.parts)))
         assert mp == MultiPartition(mp.parts)
         assert repr(mp) == f"MultiPartition({mp.to_text()})"
         copy = pickle.loads(pickle.dumps(mp))
         assert (copy, copy.total, hash(copy)) == (mp, mp.total, hash(mp))
     assert len(set(partitions)) == len(partitions)
     assert len(set(mps)) == len(mps)
+
+    groups = record_groups()
+    groups.update(partition=partitions, multipartition=mps)
+    for name, values in groups.items():
+        references = [plain(value) for value in values]
+        assert len(set(references)) > 1, name
+        assert [hash(value) for value in values] == [hash(ref) for ref in references], name
+        assert [a == b for a in values for b in values] == [
+            a == b for a in references for b in references
+        ], name
+        for value, reference in zip(values, references):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and hash(copy) == hash(value)
+            field = fields(reference)[0].name
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            if type(value) in REFERENCE or type(value) is Insertion:
+                assert repr(value) == repr(reference)
+    # records of different classes are never equal, and only partitions order
+    assert WeightSpec(2, 3) != (2, 3) and TangentFactor(0, 2) != TautFactor(0, "O", 2)
+    with pytest.raises(TypeError):
+        WeightSpec(2, 3) < WeightSpec(3, 2)
+    # the records that hold functions or ring elements are immutable too, and
+    # a bundle of the symbolic ring is unhashable, as its Element is
+    bundle = generic_bundle(FormalRing(2), "E", 1)
+    for record, field in [(p2(), "charts"), (line_bundle(p2(), 1), "label"), (bundle, "rank"),
+                          (SCENARIO_KINDS["vanish"], "cases")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(TypeError):
+        hash(bundle)
 
 
 #: sha256 of every enumeration order below, recorded from the separate

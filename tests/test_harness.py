@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ import nestloc.cli as cli
 import nestloc.harness as harness
 from nestloc.errors import ConfigError, NonGenericSpecError, ZeroWeightError
 from nestloc.harness import (
+    DEFAULT_SCENARIO,
     Scenario,
     default_battery_scenarios,
     emit_report,
@@ -114,7 +114,7 @@ def test_report_json_round_trip():
     assert parsed == json.loads(report_json(parsed))
     assert parsed["scenario"] == "euler-count"
     assert parsed["verdict"] == "pass"
-    assert parsed["seed"] == Scenario.seed
+    assert parsed["seed"] == DEFAULT_SCENARIO.seed
     assert parsed["version"]
 
 
@@ -230,7 +230,8 @@ def test_math_error_becomes_failed_case(monkeypatch):
         raise ZeroWeightError("chain [[1],[]]: synthetic")
 
     entry = harness.SCENARIO_KINDS["euler-count"]
-    monkeypatch.setitem(harness.SCENARIO_KINDS, "euler-count", replace(entry, cases=boom))
+    row = harness.ScenarioKind(entry.groups, boom, entry.sizes, entry.reads, entry.chains)
+    monkeypatch.setitem(harness.SCENARIO_KINDS, "euler-count", row)
     report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
     assert report["verdict"] == "fail"
     assert report["cases"][0]["verdict"] == "fail"
@@ -391,17 +392,6 @@ def test_cli_pushforward_lists_both_sides(tmp_path):
     assert "value" in sample and "virtual" in sample
 
 
-def test_cli_wrong_degree_insertion_file_exit_one(tmp_path):
-    bad = tmp_path / "insertions.json"
-    bad.write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 1}]]))
-    result = run_cli(
-        "pushforward", "--surface", "p2", "--n", "1,1",
-        "--insertions", f"file:{bad}",
-    )
-    assert result.returncode == 1
-    assert "DegreeMismatch" in result.stdout
-
-
 def test_cli_lone_zero_spec_is_run_and_fails():
     # proportional specs are refused, but a lone 0,0 has nothing to repeat:
     # it runs, and every tangent weight pairs to zero
@@ -490,15 +480,15 @@ def test_cli_explicit_flags_override_config_even_at_defaults(tmp_path, capsys):
     (kept,) = _json_reports(capsys.readouterr().out)
     assert (kept["seed"], kept["params"]["samples"], kept["params"]["truncation"]) == (5, 2, 4)
     defaults = [
-        "--seed", str(Scenario.seed),
-        "--samples", str(Scenario.samples),
-        "--truncation", str(Scenario.truncation),
+        "--seed", str(DEFAULT_SCENARIO.seed),
+        "--samples", str(DEFAULT_SCENARIO.samples),
+        "--truncation", str(DEFAULT_SCENARIO.truncation),
     ]
     assert cli.main(["all", "--config", str(config), "--format", "json", *defaults]) == 0
     (report,) = _json_reports(capsys.readouterr().out)
-    assert report["seed"] == Scenario.seed
-    assert report["params"]["samples"] == Scenario.samples
-    assert report["params"]["truncation"] == Scenario.truncation
+    assert report["seed"] == DEFAULT_SCENARIO.seed
+    assert report["params"]["samples"] == DEFAULT_SCENARIO.samples
+    assert report["params"]["truncation"] == DEFAULT_SCENARIO.truncation
 
 
 def test_cli_all_battery_honours_samples_and_truncation(capsys):
@@ -524,7 +514,7 @@ def test_cli_rational_spec_is_scaled_to_integers(capsys):
     assert params["specs"] == ["1013/7,2027/5"]
     assert [sample["s"] for sample in scaled] == [["5065", "14189"]]
     _, sampled = samples()
-    assert len(sampled) == Scenario.samples
+    assert len(sampled) == DEFAULT_SCENARIO.samples
     assert {sample["value"] for sample in scaled + sampled} == {"9"}
 
 
@@ -638,7 +628,91 @@ def test_cli_config_missing_file_exit_two():
 def test_cli_version():
     result = run_cli("--version")
     assert result.returncode == 0
-    assert "nestloc" in result.stdout
+    assert result.stdout == f"nestloc {cli.__version__}\n"
+
+
+#: (argv, the scenarios it runs); "{config}" names a config file holding
+#: CLI_CONFIG
+CLI_SCENARIOS = [
+    (["vanish", "--n", "2,1"], [Scenario("vanish", sizes=(2, 1))]),
+    (
+        ["vanish", "--surface", "p1xp1", "--n", "2,1", "--i", "1..2", "--spec", "2,3",
+         "--spec", "5,7"],
+        [Scenario("vanish", "p1xp1", (2, 1), (1, 2), specs=("2,3", "5,7"))],
+    ),
+    (
+        ["twisted-vanish", "--n", "1,1", "--i", "1,2", "--bundles", "O(1),O(2)",
+         "--insertions", "file:x.json"],
+        [Scenario("twisted-vanish", sizes=(1, 1), i_values=(1, 2), bundles=("O(1)", "O(2)"),
+                  insertions="file:x.json")],
+    ),
+    (
+        ["pushforward", "--surface", "p1xp1", "--n", "3,2", "--samples", "2", "--seed", "7"],
+        [Scenario("pushforward", "p1xp1", (3, 2), samples=2, seed=7)],
+    ),
+    (["kstep", "--n", "2,1,1", "--truncation", "4"],
+     [Scenario("kstep", sizes=(2, 1, 1), truncation=4)]),
+    (["symbolic-tp", "--truncation", "12"], [Scenario("symbolic-tp", truncation=12)]),
+    (["euler-count", "--n", "8", "--spec", "1/2,3"],
+     [Scenario("euler-count", sizes=(8,), specs=("1/2,3",))]),
+    (["hrr-check", "--surface", "p1xp1"], [Scenario("hrr-check", "p1xp1")]),
+    (["serre-duality"], [Scenario("serre-duality")]),
+    # the kind need not come first
+    (["--n", "2,1", "pushforward"], [Scenario("pushforward", sizes=(2, 1))]),
+    (
+        ["all", "--config", "{config}", "--samples", "4"],
+        [Scenario("euler-count", sizes=(1,), samples=4),
+         Scenario("pushforward", "p1xp1", (2, 1), samples=4, seed=7)],
+    ),
+    (["all", "--config", "{config}"],
+     [Scenario("euler-count", sizes=(1,)), Scenario("pushforward", "p1xp1", (2, 1), seed=7)]),
+]
+CLI_CONFIG = {"scenarios": [
+    {"kind": "euler-count", "n": [1]},
+    {"kind": "pushforward", "surface": "p1xp1", "n": [2, 1], "seed": 7},
+]}
+
+
+@pytest.mark.parametrize(
+    "argv,expected", CLI_SCENARIOS, ids=[" ".join(argv) for argv, _ in CLI_SCENARIOS]
+)
+def test_cli_argv_maps_to_scenarios(tmp_path, argv, expected):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(CLI_CONFIG))
+    args = cli.build_parser().parse_args([a.replace("{config}", str(config)) for a in argv])
+    assert cli._scenarios(args) == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "5", "--truncation", "6"]])
+def test_cli_all_runs_the_default_battery_with_its_flags(flags):
+    # `all` without --config: the default battery, with only the flags given changed
+    args = cli.build_parser().parse_args(["all", *flags])
+    got = cli._scenarios(args)
+    battery = default_battery_scenarios()
+    assert [s.kind for s in got] == [s.kind for s in battery]
+    changed = {"seed": 5, "truncation": 6} if flags else {}
+    assert got == [s.replace(**changed) for s in battery]
+
+
+@pytest.mark.parametrize("kind", list(harness.SCENARIO_KINDS))
+def test_cli_config_on_a_kind_other_than_all_exit_two(kind, capsys):
+    assert cli.main([kind, "--n", "1,1", "--config", "x.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--config" in captured.err
+
+
+def test_cli_unknown_kind_exit_two(capsys):
+    assert cli.main(["vanishh", "--n", "2,1"]) == 2
+    assert "invalid choice: 'vanishh'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pushforward", "--help"]])
+def test_cli_help_exit_zero(argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: nestloc ")
+    assert "--config" in out and "pushforward" in out
 
 
 def test_cli_bundles_split_only_at_top_level_commas(tmp_path):
@@ -690,6 +764,27 @@ def test_insertions_file_out_of_range_exit_two(tmp_path, capsys, factor, degree)
     assert "factors count from 1 and degrees from 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,needed,jobs",
+    [("pushforward", 2, "1"), ("twisted-vanish", 1, "1"), ("twisted-vanish", 1, "2")],
+    ids=["pushforward-jobs1", "twisted-vanish-jobs1", "twisted-vanish-jobs2"],
+)
+def test_insertions_file_wrong_degree_exit_two(tmp_path, capsys, kind, needed, jobs):
+    # --n 1,1: pushforward integrates degree 2, twisted-vanish --i 1 degree 1
+    # in each of its two groups, which --jobs 2 runs in a pool; monomial 2
+    # is one degree too high, and no case of the file runs
+    bad = tmp_path / "insertions.json"
+    fits = [{"factor": 1, "bundle": "O(1)", "degree": needed}]
+    bad.write_text(json.dumps([fits, fits + [{"factor": 2, "bundle": "O(1)", "degree": 1}]]))
+    argv = [kind, "--n", "1,1", "--insertions", f"file:{bad}", "--jobs", jobs]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"monomial 2 has degree {needed + 1}, and this integrand needs degree {needed}" in (
+        captured.err
+    )
+
+
 def test_samples_beside_specs_where_read(tmp_path, capsys):
     # `all --samples` overrides every scenario, those with specs included
     config = tmp_path / "c.json"
@@ -735,6 +830,21 @@ def test_cli_import_loads_no_process_pool():
     modules = result.stdout.split()
     assert "nestloc.harness" in modules
     assert [m for m in modules if m.startswith(("concurrent", "multiprocessing"))] == []
+
+
+def test_cli_import_loads_no_dataclasses_chain():
+    # records are plain __slots__ classes: importing `dataclasses` would load
+    # inspect, ast, dis and tokenize and exec source for every record class
+    code = (
+        "import sys; before = set(sys.modules); import nestloc.cli; "
+        "print(*set(sys.modules) - before)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    added = result.stdout.split()
+    assert "nestloc.harness" in added
+    assert sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)) == []
 
 
 def test_jobs_below_one_exit_two(capsys):
