@@ -114,8 +114,6 @@ class LaurentPoly:
                     del data[key]
         return LaurentPoly._wrap(data)
 
-    __rmul__ = __mul__
-
     # -- character operations ----------------------------------------------
 
     def bar(self) -> "LaurentPoly":

@@ -120,9 +120,10 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
             f"all takes no {', '.join(others)}; of the scenario flags it takes only "
             f"{', '.join(ENTRY_KEYS[key][2] for key in _ALL_KEYS)}"
         )
-    scenarios = parse_config(args.config) if args.config else default_battery_scenarios()
+    if args.config:
+        return parse_config(args.config, given)
     # the keys `all` takes are named as their Scenario fields
-    return [validate_scenario(s.replace(**given)) for s in scenarios]
+    return [validate_scenario(s.replace(**given)) for s in default_battery_scenarios()]
 
 
 def _run(args: argparse.Namespace) -> int:

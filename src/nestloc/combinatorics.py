@@ -28,12 +28,11 @@ class Partition(Value):
 
     ``size`` and the hash are computed once at construction: partitions key
     every character cache, so both are read far more often than built.
-    Equality, order and hash depend on ``parts`` alone.
+    Equality and hash depend on ``parts`` alone.
     """
 
     __slots__ = ("parts", "size")
     _fields = ("parts",)
-    _ordered = True
 
     def __init__(self, parts: tuple[int, ...] = ()):
         for i, part in enumerate(parts):

@@ -139,11 +139,13 @@ _OPTIONAL_INPUTS = {
 }
 
 
-def scenario_from_entry(entry) -> Scenario:
+def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
     """One config entry, or the flags given on the command line, as a
-    validated Scenario; absent keys keep the Scenario defaults."""
+    validated Scenario; the keys of `overrides` replace the entry's, and
+    absent keys keep the Scenario defaults."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError("missing 'kind'")
+    entry = {**entry, **(overrides or {})}
     unknown = sorted(set(entry) - set(ENTRY_KEYS))
     if unknown:
         names = ", ".join(map(repr, unknown))
@@ -200,6 +202,11 @@ def validate_scenario(s: Scenario) -> Scenario:
             if sum(s.sizes) - i < 0:
                 raise ConfigError(f"i={i} exceeds n1+n2={sum(s.sizes)}")
         _refuse_repeats("i (--i)", s.i_values, s.i_values, "repeat one vanishing index")
+        if s.insertions.startswith("file:") and len(s.i_values) > 1:
+            raise ConfigError(
+                f"an insertions file (--insertions) fixes one degree n1+n2-i, so it takes one "
+                f"i (--i); got i = {', '.join(map(str, s.i_values))}"
+            )
     try:
         bundles = [bundle_by_label(surface_by_name(s.surface), label) for label in s.bundles]
     except ValueError as exc:
@@ -816,8 +823,9 @@ def emit_report(report: dict, fmt: str = "json", stable: bool = False) -> str:
     return REPORT_FORMATS[fmt](report, stable=stable)
 
 
-def parse_config(path: str) -> list[Scenario]:
-    """Load a scenario list from a JSON config file."""
+def parse_config(path: str, overrides: dict | None = None) -> list[Scenario]:
+    """Load a scenario list from a JSON config file; the keys of
+    `overrides` replace those of every entry."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -833,7 +841,7 @@ def parse_config(path: str) -> list[Scenario]:
     out = []
     for index, entry in enumerate(entries):
         try:
-            out.append(scenario_from_entry(entry))
+            out.append(scenario_from_entry(entry, overrides))
         except ConfigError as exc:
             raise ConfigError(f"scenario #{index + 1}: {exc}") from None
     return out

@@ -442,26 +442,21 @@ def integrate_virtual_batch(
 
 
 def hrr_chi(surface: ToricSurface, bundle: EqLineBundle, spec: WeightSpec) -> Fraction:
-    """chi(L) by cohomological localization of ch(L) td(S) at one spec.
+    """chi(L) = int_S ch(L) td(S) at one spec, by the localization kernel.
 
-    Degree-2 integrand per fixed point: m^2/2 + m(v1+v2)/2 +
-    ((v1+v2)^2 + v1 v2)/12, divided by v1 v2.
+    S^[1] = S, so the degree-2 part c1(L)^2/2 + c1(L) c1(T)/2 +
+    (c1(T)^2 + c2(T))/12 of ch(L) td(S) is integrated over S^[1], with
+    c1(L) read from L^[1] = L by `taut_char` (L named by its label) and
+    c(T) by `tangent_char`: the value reads the characters, not the chart
+    weights, so it pins the chart substitution and the tautological
+    character too.
     """
-    pairing = spec.pairing
-    total = Fraction(0)
-    for chart, mu in zip(surface.charts, bundle.weights):
-        v1 = pairing(chart[0])
-        v2 = pairing(chart[1])
-        if v1 == 0 or v2 == 0:
-            raise NonGenericSpecError(f"tangent weight pairs to zero at {spec.to_text()}")
-        m = pairing(mu)
-        numerator = (
-            Fraction(m * m, 2)
-            + Fraction(m * (v1 + v2), 2)
-            + Fraction((v1 + v2) ** 2 + v1 * v2, 12)
-        )
-        total += numerator / (v1 * v2)
-    return total
+    line = TautFactor(0, bundle.label, 1)
+    tangent = TangentFactor(0, 1)
+    monomials = [(line, line), (line, tangent), (tangent, tangent), (TangentFactor(0, 2),)]
+    insertions = [Insertion(factors) for factors in monomials]
+    l2, lt, t2, c2 = integrate_ambient_batch(surface, (1,), insertions, spec)
+    return l2 / 2 + lt / 2 + (t2 + c2) / 12
 
 
 def k_theory_chi_sum(surface: ToricSurface, bundle: EqLineBundle, t1: Fraction, t2: Fraction) -> Fraction:

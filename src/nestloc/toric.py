@@ -5,7 +5,10 @@ of tangent weights in Z^2; smoothness means every pair is a lattice basis
 (determinant +-1).  Equivariant line bundles assign one character per
 fixed point.
 
-Conventions (pinned by the hrr checks in :mod:`nestloc.integrals`):
+Conventions (pinned by hrr-check: :func:`nestloc.integrals.hrr_chi`
+integrates ch(L) td(S) through the localization kernel, so it reads the
+tangent and tautological characters built from these weights, and
+:func:`nestloc.integrals.k_theory_chi_sum` reads the weights directly):
 
 * tangent weights are the geometric point-movement weights of the torus
   action on T_p S;

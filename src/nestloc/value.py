@@ -8,8 +8,8 @@ them after it with `_set`.  From `_fields`, and `_compare` where equality and
 the hash read fewer fields, `Value` gives what a frozen dataclass gives:
 equality with an instance of the same class, the hash of the tuple of
 compared fields, a `Name(field=value, ...)` repr, pickling by calling the
-class on the fields again, an `AttributeError` on assignment and, where
-`_ordered` is set, `<`, `<=`, `>` and `>=` by the compared fields.
+class on the fields again and an `AttributeError` on assignment.  Records
+do not order.
 
 Records do not use `dataclasses`: importing it loads `inspect`, `ast`,
 `dis` and `tokenize`, and each decorated class execs generated source,
@@ -28,9 +28,8 @@ class Value:
     __slots__ = ("_hash",)
     #: the fields, in `__init__` order: repr and pickling read them all
     _fields: tuple[str, ...] = ()
-    #: the fields equality, the hash and the order read; None for all
+    #: the fields equality and the hash read; None for all
     _compare: tuple[str, ...] | None = None
-    _ordered = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -53,23 +52,6 @@ class Value:
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)
         return NotImplemented
-
-    def _order(self, other, op):
-        if self._ordered and other.__class__ is self.__class__:
-            return op(self._key(self), self._key(other))
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self._order(other, operator.lt)
-
-    def __le__(self, other):
-        return self._order(other, operator.le)
-
-    def __gt__(self, other):
-        return self._order(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._order(other, operator.ge)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")

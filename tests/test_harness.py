@@ -641,14 +641,13 @@ CLI_SCENARIOS = [
         [Scenario("vanish", "p1xp1", (2, 1), (1, 2), specs=("2,3", "5,7"))],
     ),
     (
-        ["twisted-vanish", "--n", "1,1", "--i", "1,2", "--bundles", "O(1),O(2)",
-         "--insertions", "file:x.json"],
-        [Scenario("twisted-vanish", sizes=(1, 1), i_values=(1, 2), bundles=("O(1)", "O(2)"),
-                  insertions="file:x.json")],
+        ["twisted-vanish", "--n", "1,1", "--i", "1,2", "--bundles", "O(1),O(2)"],
+        [Scenario("twisted-vanish", sizes=(1, 1), i_values=(1, 2), bundles=("O(1)", "O(2)"))],
     ),
     (
-        ["pushforward", "--surface", "p1xp1", "--n", "3,2", "--samples", "2", "--seed", "7"],
-        [Scenario("pushforward", "p1xp1", (3, 2), samples=2, seed=7)],
+        ["pushforward", "--surface", "p1xp1", "--n", "3,2", "--samples", "2", "--seed", "7",
+         "--insertions", "file:x.json"],
+        [Scenario("pushforward", "p1xp1", (3, 2), samples=2, seed=7, insertions="file:x.json")],
     ),
     (["kstep", "--n", "2,1,1", "--truncation", "4"],
      [Scenario("kstep", sizes=(2, 1, 1), truncation=4)]),
@@ -785,13 +784,43 @@ def test_insertions_file_wrong_degree_exit_two(tmp_path, capsys, kind, needed, j
     )
 
 
+@pytest.mark.parametrize("kind", ["vanish", "twisted-vanish"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_insertions_file_with_several_i_values_exit_two(tmp_path, capsys, kind, jobs):
+    # each i needs degree n1 + n2 - i, so one file fits one i: --i 1,2 is
+    # refused before any sum, and --i 1 runs the same file
+    path = tmp_path / "insertions.json"
+    path.write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 2}]]))
+    argv = [kind, "--n", "2,1", "--insertions", f"file:{path}", "--jobs", jobs]
+    assert cli.main([*argv, "--i", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        "an insertions file (--insertions) fixes one degree n1+n2-i, so it takes one i (--i); "
+        "got i = 1, 2"
+    ) in captured.err
+    assert cli.main([*argv, "--i", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_samples_beside_specs_where_read(tmp_path, capsys):
-    # `all --samples` overrides every scenario, those with specs included
+    # `all --samples` overrides every scenario of a config, so beside a
+    # scenario with specs it is refused as `--samples` beside `--spec` is
     config = tmp_path / "c.json"
     entry = {"kind": "euler-count", "n": [1], "specs": ["2,3"]}
-    config.write_text(json.dumps({"scenarios": [entry]}))
-    assert cli.main(["all", "--config", str(config), "--samples", "2"]) == 0
-    capsys.readouterr()
+    config.write_text(json.dumps({"scenarios": [{"kind": "hrr-check"}, entry]}))
+    assert cli.main(["all", "--config", str(config), "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario #2: samples (--samples) is refused beside explicit specs" in captured.err
+    assert cli.main(["all", "--config", str(config), "--format", "json"]) == 0
+    assert [r["params"].get("specs") for r in _json_reports(capsys.readouterr().out)] == [
+        None, ["2,3"]
+    ]
+    config.write_text(json.dumps({"scenarios": [{"kind": "hrr-check"}]}))
+    assert cli.main(["all", "--config", str(config), "--samples", "2", "--format", "json"]) == 0
+    (report,) = _json_reports(capsys.readouterr().out)
+    assert report["params"]["samples"] == 2
 
 
 class _RecordingExecutor:

@@ -27,6 +27,13 @@ from test_integrals import (
 
 TWISTED_ROWS = {(fn().name, degrees) for fn, degrees, _ in CARLSSON_OKOUNKOV if any(degrees)}
 TWISTED_CHI_ROWS = {(fn().name, degrees) for fn, degrees in TAUTOLOGICAL_CHI if any(degrees)}
+#: the (surface, bundle) rows of `hrr-check`, and those but O: 3 on p2, 8 on p1xp1
+HRR_ROWS = {
+    (surface.name, line_bundle(surface, *degrees).label)
+    for surface in SURFACES.values()
+    for degrees in surface.hrr_degrees
+}
+TWISTED_HRR_ROWS = {(name, label) for name, label in HRR_ROWS if label != "O"}
 
 
 @pytest.fixture
@@ -78,6 +85,16 @@ def failing_identities(scenario):
 
 def failing_battery_kinds():
     return {s.kind for s in default_battery_scenarios() if failing_identities(s)}
+
+
+def hrr_failures():
+    """(surface, bundle) of every failing `hrr-check` case on both surfaces."""
+    return {
+        (name, case["inputs"]["bundle"])
+        for name in SURFACES
+        for case in run_scenario(Scenario(kind="hrr-check", surface=name))["cases"]
+        if case["verdict"] != "pass"
+    }
 
 
 def higher_tp_rows(min_degree):
@@ -136,9 +153,10 @@ def test_pair_term_with_swapped_partitions_is_caught_by_nesting_and_pushforward(
     which the pushforward identity holds for.  A nested pair's co-class is no
     longer effective, so the serre-duality nesting identity fails, and the
     virtual tangent character of a chain gets a net weight-zero term, so
-    pushforward fails with ZeroWeight.  The battery's kstep (1,1,1) passes:
-    consecutive steps of its chains are equal, so its virtual side does not
-    see the swap."""
+    pushforward fails with ZeroWeight.  hrr-check reads c1(L^[1]) as
+    c1(L) + c1(T), so every bundle fails it, O too.  The battery's
+    kstep (1,1,1) passes: consecutive steps of its chains are equal, so
+    its virtual side does not see the swap."""
     original = vertex._pair_term
 
     @lru_cache(maxsize=None)
@@ -146,41 +164,44 @@ def test_pair_term_with_swapped_partitions_is_caught_by_nesting_and_pushforward(
         return original(chart, mu, lam2, lam1)
 
     mutate(vertex, "_pair_term", swapped)
-    assert failing_battery_kinds() == {"serre-duality", "pushforward"}
+    assert failing_battery_kinds() == {"serre-duality", "pushforward", "hrr-check"}
     assert failing_identities(Scenario(kind="serre-duality", surface="p2")) == {
         "nested co_class effective; weight-zero detects nesting"
     }
+    assert hrr_failures() == HRR_ROWS
 
 
-def test_dualized_taut_char_is_a_recorded_miss(mutate):
-    """Blind spot of the scenarios: the pushforward identity holds for any
-    insertion classes, so the `all` battery passes.  The closed form
-    chi(S^[n], L^[n]) = chi(S, L) fails for every nontrivial bundle (p2
-    O(1) reads 0 in place of 39/10), as do the golden characters and the
-    reference assembly in test_vertex."""
+def test_dualized_taut_char_is_caught_by_hrr_check_and_tautological_chi(mutate):
+    """The pushforward identity holds for any insertion classes, so of the
+    `all` battery only hrr-check fails, on every nontrivial bundle: it
+    reads c1(L) from L^[1], whose weight is negated.  The closed form
+    chi(S^[n], L^[n]) = chi(S, L) fails for every nontrivial bundle too
+    (p2 O(1) reads 0 in place of 39/10), as do the golden characters and
+    the reference assembly in test_vertex."""
     original = vertex.taut_char
 
     def dualized(surface, bundle, mp):
         return original(surface, bundle, mp).bar()
 
     mutate(vertex, "taut_char", dualized)
-    for scenario in default_battery_scenarios():
-        assert failing_identities(scenario) == set(), scenario.kind
+    assert failing_battery_kinds() == {"hrr-check"}
+    assert hrr_failures() == TWISTED_HRR_ROWS
     assert tautological_chi_failures() == TWISTED_CHI_ROWS
     assert (2, 0, Fraction(39, 10)) in tautological_chi_mismatches(SURFACES["p2"], (1,))
 
 
 def test_sign_flip_in_euler_class_is_caught(mutate):
-    """e(T) negated: euler-count's integral changes sign, and pushforward's
-    ambient sum over two factors keeps its sign while the virtual sum
-    flips.  kstep's three factors flip with the virtual sum, so it passes."""
+    """e(T) negated: euler-count's and hrr-check's integrals over one
+    factor change sign, and pushforward's ambient sum over two factors
+    keeps its sign while the virtual sum flips.  kstep's three factors
+    flip with the virtual sum, so it passes."""
     original = integrals.euler_class
 
     def negated(char, spec):
         return -original(char, spec)
 
     mutate(integrals, "euler_class", negated)
-    assert failing_battery_kinds() == {"euler-count", "pushforward"}
+    assert failing_battery_kinds() == {"euler-count", "pushforward", "hrr-check"}
 
 
 def test_virtual_sum_dropping_a_chain_is_caught(mutate):
@@ -215,12 +236,13 @@ def test_dropped_chain_is_named_in_the_failing_cases(mutate):
     assert diagnostic.endswith(", virtual missing")
 
 
-def test_inverted_chart_substitution_is_caught_by_pins_and_tautological_chi(mutate):
-    """Blind spot of the scenarios: u_k -> t^{w_k} in place of t^{-w_k}.
-    With the line-bundle weights left as they are, every `all` scenario
-    passes (hrr-check reads the charts directly, not the chart term); the
-    golden characters, the twisted Carlsson-Okounkov rows and the closed
-    form chi(S^[n], L^[n]) = chi(S, L) catch it (p2 O(-4) reads
+def test_inverted_chart_substitution_is_caught_by_hrr_check_and_pins(mutate):
+    """u_k -> t^{w_k} in place of t^{-w_k}, the line-bundle weights left as
+    they are.  Of the `all` battery only hrr-check fails, on every
+    nontrivial bundle: it reads c(T) from the tangent character, whose
+    weights are negated, against c1(L) from the fiber weights.  The golden
+    characters, the twisted Carlsson-Okounkov rows and the closed form
+    chi(S^[n], L^[n]) = chi(S, L) catch it too (p2 O(-4) reads
     1219261/194481 in place of 500/441)."""
     original = vertex._pair_term
 
@@ -230,7 +252,8 @@ def test_inverted_chart_substitution_is_caught_by_pins_and_tautological_chi(muta
         return original(((-w1[0], -w1[1]), (-w2[0], -w2[1])), mu, lam1, lam2)
 
     mutate(vertex, "_pair_term", inverted)
-    assert failing_battery_kinds() == set()
+    assert failing_battery_kinds() == {"hrr-check"}
+    assert hrr_failures() == TWISTED_HRR_ROWS
     assert golden_mismatches()
     assert carlsson_okounkov_failures() == TWISTED_ROWS
     assert tautological_chi_failures() == TWISTED_CHI_ROWS
@@ -268,21 +291,18 @@ def test_whitney_difference_times_c_e0_is_caught_by_symbolic_tp(mutate):
 
 
 def test_hrr_chi_without_linear_term_is_caught_by_hrr_check(mutate):
-    """chi(L) without its m(v1+v2)/2 term: every bundle but O fails
+    """chi(L) without its c1(L) c1(T)/2 term: every bundle but O fails
     `hrr-check`, whose K-theoretic cross-check does not read hrr_chi."""
 
     def no_linear_term(surface, bundle, spec):
-        total = Fraction(0)
-        for chart, mu in zip(surface.charts, bundle.weights):
-            v1, v2, m = spec.pairing(chart[0]), spec.pairing(chart[1]), spec.pairing(mu)
-            total += (Fraction(m * m, 2) + Fraction((v1 + v2) ** 2 + v1 * v2, 12)) / (v1 * v2)
-        return total
+        line, tangent = integrals.TautFactor(0, bundle.label, 1), integrals.TangentFactor(0, 1)
+        monomials = [(line, line), (tangent, tangent), (integrals.TangentFactor(0, 2),)]
+        insertions = [integrals.Insertion(factors) for factors in monomials]
+        l2, t2, c2 = integrals.integrate_ambient_batch(surface, (1,), insertions, spec)
+        return l2 / 2 + (t2 + c2) / 12
 
     mutate(integrals, "hrr_chi", no_linear_term)
-    for surface in SURFACES.values():
-        report = run_scenario(Scenario(kind="hrr-check", surface=surface.name))
-        failed = {c["inputs"]["bundle"] for c in report["cases"] if c["verdict"] != "pass"}
-        assert failed == {line_bundle(surface, *d).label for d in surface.hrr_degrees} - {"O"}
+    assert hrr_failures() == TWISTED_HRR_ROWS
 
 
 def test_twist_by_line_with_unshifted_binomial_is_caught_by_symbolic_tp(mutate):

@@ -87,19 +87,27 @@ def test_surface_and_bundle_hashes_do_not_depend_on_the_hash_seed():
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("d", range(4))
+#: sampled specs and explicit ones, one with a negative coordinate
+HRR_SPECS = (WeightSpec(2, 3), WeightSpec(-5, 7))
+
+
+# hrr_degrees, then negative and large degrees beyond them
+@pytest.mark.parametrize("d", [*range(4), -4, -1, 5])
 def test_hrr_p2_pins_conventions(d):
     # chi(O(d)) = (d+1)(d+2)/2 by monomial count
     expected = Fraction((d + 1) * (d + 2), 2)
-    for spec in sample_specs(7, 3):
+    assert p2().chi(d) == expected
+    for spec in sample_specs(7, 3) + HRR_SPECS:
         assert hrr_chi(p2(), line_bundle(p2(), d), spec) == expected
 
 
-@pytest.mark.parametrize("a", range(3))
-@pytest.mark.parametrize("b", range(3))
+@pytest.mark.parametrize(
+    "a,b", [(a, b) for a in range(3) for b in range(3)] + [(3, -2), (-1, -1), (4, 1)]
+)
 def test_hrr_p1xp1(a, b):
     expected = Fraction((a + 1) * (b + 1))
-    for spec in sample_specs(11, 3):
+    assert p1xp1().chi(a, b) == expected
+    for spec in sample_specs(11, 3) + HRR_SPECS:
         assert hrr_chi(p1xp1(), line_bundle(p1xp1(), a, b), spec) == expected
 
 
