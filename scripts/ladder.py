@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the ROADMAP ladder of `nestloc` scenarios cold and write BENCH_ladder.json.
+"""Time the ROADMAP ladder of `nestloc` scenarios cold and add them to BENCH_ladder.json.
 
-Usage: python scripts/ladder.py [--src DIR] [--out PATH]
+Usage: python scripts/ladder.py [--src DIR] [--commit NAME] [--out PATH]
 
 Each rung runs as its own interpreter, `python -m nestloc <rung> --stable
 --format json`, with the nestloc sources of `--src` (default: this
@@ -16,6 +16,19 @@ records every run's measured seconds, their median, min and max, its
 exit code and the sha256 of its stdout, which must be the same in every
 run.  Pointing `--src` at another checkout's sources times that version
 with the same script on the same machine.
+
+Beside the measured seconds each run records reference seconds, as
+`bench/run.py` computes them: the calibration loop of `bench/child.py`
+runs in this process before the first run and after each run, and a run's
+seconds are scaled by `bench/run.py`'s CALIBRATION_REFERENCE_S over the
+median loop time of the loops just before and just after it.  The loop
+slows with a shared machine, and nestloc's code does not change it.
+
+BENCH_ladder.json maps a commit name to that commit's ladder, so the file
+keeps a trajectory; a run replaces only the entry of its own commit.  The
+name is `--commit`, or by default `git describe --always --dirty` of the
+checkout holding `--src` (`<commit>-dirty`: that commit's tree with
+uncommitted changes).
 """
 
 import argparse
@@ -29,6 +42,7 @@ import time
 from statistics import median
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+BENCH = os.path.join(ROOT, "bench")
 #: runs of each rung; the median of five damps two slow runs on a shared machine
 REPEAT = 5
 
@@ -73,27 +87,59 @@ def run_rung(argv, src: str) -> tuple[float, int, str]:
     return seconds, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
+def calibration(src: str):
+    """(the bench/child.py module, bench/run.py's CALIBRATION_REFERENCE_S).
+
+    `child` imports `nestloc.cli` first, here from `src`, without writing
+    bytecode that a timed run would then read."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [src, BENCH]
+    import child
+    from run import CALIBRATION_REFERENCE_S
+
+    return child, CALIBRATION_REFERENCE_S
+
+
+def commit_name(src: str) -> str | None:
+    proc = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the nestloc package to time")
+    parser.add_argument("--commit", help="name of the entry to write (default: git describe)")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_ladder.json"))
     args = parser.parse_args()
     if not os.path.isdir(os.path.join(args.src, "nestloc")):
         parser.error(f"no nestloc package under {args.src}")
+    commit = args.commit or commit_name(args.src)
+    if not commit:
+        parser.error(f"{args.src} is not in a git checkout; name it with --commit")
 
+    child, reference_s = calibration(args.src)
+    loops: list[tuple[int, int]] = []
+    child.calibrate(loops)
     commands = ladder()
     runs = {label: [] for label, _ in commands}
     for _ in range(REPEAT):
         for label, argv in commands:
-            runs[label].append(run_rung(argv, args.src))
+            seconds, code, digest = run_rung(argv, args.src)
+            child.calibrate(loops)
+            # the loops just before and just after this run
+            around = loops[-2 * child.CALIBRATION_REPEATS:]
+            loop_s = median((end - start) / 1e9 for start, end in around)
+            runs[label].append((seconds, code, digest, seconds * reference_s / loop_s))
 
     failures = 0
     rungs = []
     for label, argv in commands:
-        seconds = [round(s, 3) for s, _, _ in runs[label]]
-        exits = {code for _, code, _ in runs[label]}
-        digests = {digest for _, _, digest in runs[label]}
+        seconds = [round(s, 3) for s, _, _, _ in runs[label]]
+        reference = [round(r, 3) for _, _, _, r in runs[label]]
+        exits = {code for _, code, _, _ in runs[label]}
+        digests = {digest for _, _, digest, _ in runs[label]}
         ok = exits == {0} and len(digests) == 1
         failures += not ok
         rungs.append({
@@ -103,23 +149,32 @@ def main() -> int:
             "median_s": round(median(seconds), 3),
             "min_s": min(seconds),
             "max_s": max(seconds),
+            "reference_s": reference,
+            "median_reference_s": round(median(reference), 3),
             "exit": sorted(exits),
             "sha256": sorted(digests),
         })
         print(f"{label}: median {median(seconds):.3f} s, min {min(seconds):.3f},"
-              f" max {max(seconds):.3f} over {len(seconds)} runs"
+              f" max {max(seconds):.3f} over {len(seconds)} runs;"
+              f" median {median(reference):.3f} reference s"
               f"{'' if ok else ' (FAILED: nonzero exit or unstable report)'}")
-    result = {
+    trajectory = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            trajectory = json.load(fh)
+    trajectory[commit] = {
         "context": {
             "nproc": os.cpu_count(),
             "cpu": cpu_model(),
             "python": platform.python_version(),
             "repeat": REPEAT,
+            "calibration_reference_s": reference_s,
+            "calibration_median_s": round(median((e - s) / 1e9 for s, e in loops), 4),
         },
         "rungs": rungs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
+        json.dump(trajectory, fh, indent=2)
         fh.write("\n")
     return 0 if not failures else 1
 

@@ -110,16 +110,19 @@ def box_character(lam: Partition) -> LaurentPoly:
 class MultiPartition(Value):
     """One partition per fixed point of a toric surface, in chart order.
 
-    ``total`` and the hash are computed once at construction, as for
-    ``Partition``; equality and hash depend on ``parts`` alone.
+    ``total``, ``shape`` and the hash are computed once at construction, as
+    for ``Partition``; equality and hash depend on ``parts`` alone.
+    ``shape`` is the parts of each partition, the int-only form in which
+    the character kernel keys its chart terms.
     """
 
-    __slots__ = ("parts", "total")
+    __slots__ = ("parts", "total", "shape")
     _fields = ("parts",)
 
     def __init__(self, parts: tuple[Partition, ...]):
         self._init(parts)
         _set(self, "total", sum(p.size for p in parts))
+        _set(self, "shape", tuple(p.parts for p in parts))
 
     def to_text(self) -> str:
         return "[" + ",".join(p.to_text() for p in self.parts) + "]"

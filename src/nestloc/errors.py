@@ -48,3 +48,9 @@ class TruncationOverflowError(MathError):
     """A symbolic computation needs degrees above the ring truncation."""
 
     name = "TruncationOverflow"
+
+
+class BundleMismatchError(MathError):
+    """A line bundle's weights are not the weights its label names."""
+
+    name = "BundleMismatch"

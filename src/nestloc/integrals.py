@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
-from .errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
+from .errors import BundleMismatchError, DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from .series import line_factor
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
 from .value import Value
@@ -34,9 +34,6 @@ class WeightSpec(Value):
 
     def __init__(self, s1: int, s2: int):
         self._init(s1, s2)
-
-    def pairing(self, exponent: tuple[int, int]) -> int:
-        return exponent[0] * self.s1 + exponent[1] * self.s2
 
     def to_text(self) -> tuple[str, str]:
         return (str(self.s1), str(self.s2))
@@ -60,12 +57,12 @@ def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, 
 
 @lru_cache(maxsize=65536)
 def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
-    pairing = spec.pairing
+    s1, s2 = spec.s1, spec.s2
     coeffs = [1] + [0] * order
     degree = 0
     inverted = []
-    for exp, mult in poly.terms():
-        value = pairing(exp)
+    for (a, b), mult in poly.terms():
+        value = a * s1 + b * s2
         if not value:
             continue
         if mult > 0:
@@ -94,11 +91,11 @@ def _euler_cached(poly: LaurentPoly, spec: WeightSpec) -> Fraction:
             f"character has net weight-zero multiplicity {poly.coefficient((0, 0))}: "
             f"{poly.to_text()}"
         )
-    pairing = spec.pairing
+    s1, s2 = spec.s1, spec.s2
     num = 1
     den = 1
     for exp, mult in poly.terms():
-        value = pairing(exp)
+        value = exp[0] * s1 + exp[1] * s2
         if value == 0:
             raise NonGenericSpecError(f"exponent {exp} pairs to zero at spec {spec.to_text()}")
         if mult > 0:
@@ -372,10 +369,13 @@ def ambient_measure(
             if not co_value:
                 break
         if co_value:
-            denom = Fraction(1)
+            # co / prod (n_i / d_i) = co * prod d_i / prod n_i, one gcd
+            num, den = co_value, 1
             for euler, mp in zip(eulers, mps):
-                denom *= euler[mp]
-            measure[mps] = co_value / denom
+                e = euler[mp]
+                num *= e.denominator
+                den *= e.numerator
+            measure[mps] = Fraction(num, den)
     return measure
 
 
@@ -450,7 +450,21 @@ def hrr_chi(surface: ToricSurface, bundle: EqLineBundle, spec: WeightSpec) -> Fr
     c(T) by `tangent_char`: the value reads the characters, not the chart
     weights, so it pins the chart substitution and the tautological
     character too.
+
+    Since the kernel reads L by its label, a bundle whose weights are not
+    those of `bundle_by_label(surface, bundle.label)`, or whose label names
+    no bundle, raises BundleMismatchError rather than integrate another L.
     """
+    try:
+        named = bundle_by_label(surface, bundle.label).weights
+    except ValueError:
+        named = None
+    if named != bundle.weights:
+        found = "no line bundle" if named is None else f"weights {named}"
+        raise BundleMismatchError(
+            f"bundle {bundle.label!r} has weights {bundle.weights}, "
+            f"but on {surface.name} its label names {found}"
+        )
     line = TautFactor(0, bundle.label, 1)
     tangent = TangentFactor(0, 1)
     monomials = [(line, line), (line, tangent), (tangent, tangent), (TangentFactor(0, 2),)]

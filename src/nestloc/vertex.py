@@ -9,8 +9,8 @@ global character is one Ext class E_L(mp1, mp2) = chi(L) - chi(I_1, I_2 (x) L),
 the sum over fixed points p of t^{mu_p} V(Q_lam1, Q_lam2), mu_p the fiber
 weight of L at p: the co-class is E_L(mp1, mp2), the tangent character at
 mp is E_O(mp, mp), and L^[n] at mp is E_L(empty, mp), since V(0, Q) = Q.
-One kernel folds the chart terms, cached by (chart, mu, partition pair),
-into one dict and checks the rank |mp1| + |mp2|.
+One kernel folds the chart terms, cached by (chart, mu, parts pair) in
+ints, into one dict and checks the rank |mp1| + |mp2| its caller gives.
 
 Chart-to-global substitution, pinned by the hrr checks and the tangent
 oracle: u_k -> t^{-w_k} where (w_1, w_2) are the chart's tangent weights.
@@ -31,7 +31,6 @@ from .toric import EqLineBundle, ToricSurface, bundle_by_label
 _INV_U1U2 = LaurentPoly.monomial(-1, -1)
 # (1-u1)(1-u2)/(u1 u2), the chart Euler factor of the vertex
 _EULER_FACTOR = LaurentPoly({(-1, -1): 1, (0, -1): -1, (-1, 0): -1, (0, 0): 1})
-_EMPTY = Partition(())
 
 
 @lru_cache(maxsize=65536)
@@ -42,10 +41,14 @@ def vertex_V(q1: LaurentPoly, q2: LaurentPoly) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _pair_term(chart, mu, lam1: Partition, lam2: Partition) -> tuple[tuple[Exponent, int], ...]:
-    """Terms of t^mu V(Q_lam1, Q_lam2) substituted into the global torus."""
+def _pair_term(
+    chart, mu, parts1: tuple[int, ...], parts2: tuple[int, ...]
+) -> tuple[tuple[Exponent, int], ...]:
+    """Terms of t^mu V(Q_lam1, Q_lam2) substituted into the global torus,
+    lam_i = Partition(parts_i).  The key holds ints and tuples only, so it
+    hashes in C; the partitions are built on a miss alone."""
     (w1, w2) = chart
-    local = vertex_V(box_character(lam1), box_character(lam2))
+    local = vertex_V(box_character(Partition(parts1)), box_character(Partition(parts2)))
     global_char = local.substitute((-w1[0], -w1[1]), (-w2[0], -w2[1]))
     return (LaurentPoly.monomial(*mu) * global_char).terms()
 
@@ -64,18 +67,22 @@ def _fold(chart_terms) -> LaurentPoly:
     return LaurentPoly._wrap(total)
 
 
-def _ext_class(surface: ToricSurface, lams1, lams2, weights) -> LaurentPoly:
-    """sum_p t^{mu_p} V(Q_lams1[p], Q_lams2[p]) over the fixed points p.
+def _ext_class(surface: ToricSurface, shape1, shape2, weights, rank: int) -> LaurentPoly:
+    """sum_p t^{mu_p} V(Q_lam1[p], Q_lam2[p]) over the fixed points p, the
+    partitions given by their parts (`MultiPartition.shape`).
 
     Raises ValueError when a tuple is not indexed by the fixed points, or
-    when the folded rank is not |lams1| + |lams2|."""
-    for indexed in (lams1, lams2, weights):
-        if len(indexed) != surface.euler_number:
+    when the folded rank is not `rank`, which the caller gives as
+    |lams1| + |lams2|."""
+    charts = surface.charts
+    points = len(charts)
+    for indexed in (shape1, shape2, weights):
+        if len(indexed) != points:
             raise ValueError(f"{indexed!r} is not indexed by the fixed points of {surface.name}")
-    value = _fold(map(_pair_term, surface.charts, weights, lams1, lams2))
-    rank = sum(lam.size for lam in lams1) + sum(lam.size for lam in lams2)
-    if value.rank_eval() != rank:
-        raise ValueError(f"folded rank {value.rank_eval()} is not |lams1| + |lams2| = {rank}")
+    value = _fold(map(_pair_term, charts, weights, shape1, shape2))
+    folded = value.rank_eval()
+    if folded != rank:
+        raise ValueError(f"folded rank {folded} is not |lams1| + |lams2| = {rank}")
     return value
 
 
@@ -89,18 +96,18 @@ def co_class(
     weight-zero trivial summand, which changes no Chern class.  Rank is
     |mp1| + |mp2| independently of the twist.
     """
-    return _ext_class(surface, mp1.parts, mp2.parts, bundle.weights)
+    return _ext_class(surface, mp1.shape, mp2.shape, bundle.weights, mp1.total + mp2.total)
 
 
 @lru_cache(maxsize=65536)
 def tangent_char(surface: ToricSurface, mp: MultiPartition) -> LaurentPoly:
     """Tangent character E_O(mp, mp) of S^[n] at the fixed point mp; rank 2|mp|."""
-    return _ext_class(surface, mp.parts, mp.parts, ((0, 0),) * surface.euler_number)
+    return _ext_class(surface, mp.shape, mp.shape, ((0, 0),) * surface.euler_number, 2 * mp.total)
 
 
 def taut_char(surface: ToricSurface, bundle: EqLineBundle, mp: MultiPartition) -> LaurentPoly:
     """Tautological bundle L^[n] at mp, as E_L(empty, mp); effective, rank |mp|."""
-    return _ext_class(surface, (_EMPTY,) * surface.euler_number, mp.parts, bundle.weights)
+    return _ext_class(surface, ((),) * surface.euler_number, mp.shape, bundle.weights, mp.total)
 
 
 @lru_cache(maxsize=65536)

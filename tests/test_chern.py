@@ -323,8 +323,8 @@ def test_cross_module_consistency_with_chern_series():
             total += prod
         return total
 
-    aw = [Fraction(spec.pairing(exp)) for exp in w]
-    bw = [Fraction(spec.pairing(exp)) for exp in v]
+    aw = [Fraction(a * spec.s1 + b * spec.s2) for a, b in w]
+    bw = [Fraction(a * spec.s1 + b * spec.s2) for a, b in v]
     binding = {f"c{j}(A)": esym(aw, j) for j in (1, 2, 3)}
     binding["c1(B)"] = esym(bw, 1)
 

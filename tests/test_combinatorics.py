@@ -256,7 +256,7 @@ def record_groups():
 
 
 def test_cached_sizes_and_hashes_match_recomputed_values():
-    """size/total and the hash are computed once at construction; every
+    """size/total, shape and the hash are computed once at construction; every
     observable value must equal one recomputed from `parts` by a plain
     frozen dataclass, so every cache key is unchanged.  The other records
     (chains, factors, insertions, specs, scenarios) are checked against
@@ -275,11 +275,12 @@ def test_cached_sizes_and_hashes_match_recomputed_values():
         assert (copy, copy.size, hash(copy)) == (lam, lam.size, hash(lam))
     for mp in mps:
         assert mp.total == sum(sum(lam.parts) for lam in mp.parts)
+        assert mp.shape == tuple(lam.parts for lam in mp.parts)
         assert hash(mp) == hash(PlainMultiPartition(tuple(plain_of[lam] for lam in mp.parts)))
         assert mp == MultiPartition(mp.parts)
         assert repr(mp) == f"MultiPartition({mp.to_text()})"
         copy = pickle.loads(pickle.dumps(mp))
-        assert (copy, copy.total, hash(copy)) == (mp, mp.total, hash(mp))
+        assert (copy, copy.total, copy.shape, hash(copy)) == (mp, mp.total, mp.shape, hash(mp))
     assert len(set(partitions)) == len(partitions)
     assert len(set(mps)) == len(mps)
 

@@ -109,8 +109,8 @@ def reference_chern_series(char, spec, order):
     """The product the in-place update replaced: one binomial line factor
     per nonzero weight, multiplied in by a dense truncated product."""
     out = [1] + [0] * order
-    for exp, mult in char.terms():
-        value = spec.pairing(exp)
+    for (a, b), mult in char.terms():
+        value = a * spec.s1 + b * spec.s2
         if value == 0:
             continue
         b = reference_line_factor(value, mult, order)

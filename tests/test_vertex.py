@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestloc import vertex
@@ -360,6 +360,59 @@ def test_co_class_miss_reads_one_pair_term_per_chart(surface):
     co_class(surface, mp1, mp2, twist)
     after = _pair_term.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (surface.euler_number, 0)
+
+
+@st.composite
+def _pairs_and_bundles(draw):
+    """A surface, two of its fixed points of size up to 5 and one of its
+    battery or twist bundles."""
+    surface = draw(st.sampled_from([p2(), p1xp1()]))
+    mp1, mp2 = (
+        draw(st.integers(0, 5).flatmap(lambda n: st.sampled_from(multipartitions(surface, n))))
+        for _ in range(2)
+    )
+    label = draw(st.sampled_from(sorted(set(surface.battery + surface.twists))))
+    return surface, mp1, mp2, bundle_by_label(surface, label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs_and_bundles())
+def test_kernel_matches_reference_assembly_property(case):
+    """Each character, built by the kernel past its cache, equals the
+    LaurentPoly assembly chart by chart."""
+    surface, mp1, mp2, bundle = case
+    assert co_class.__wrapped__(surface, mp1, mp2, bundle) == reference_co_class(
+        surface, mp1, mp2, bundle
+    )
+    assert tangent_char.__wrapped__(surface, mp1) == reference_tangent_char(surface, mp1)
+    assert taut_char(surface, bundle, mp2) == reference_taut_char(surface, bundle, mp2)
+
+
+def test_pair_term_keys_hold_ints_and_tuples_only(monkeypatch):
+    """`_pair_term` is keyed on (chart, mu, parts1, parts2) in ints, so its
+    key hashes in C; no record (Partition, MultiPartition, bundle) is in it."""
+    keys = []
+    original = vertex._pair_term
+
+    def recording(*key):
+        keys.append(key)
+        return original(*key)
+
+    def ints_and_tuples(value):
+        return type(value) is int or (type(value) is tuple and all(map(ints_and_tuples, value)))
+
+    monkeypatch.setattr(vertex, "_pair_term", recording)
+    lookups = 0
+    for surface in (p2(), p1xp1()):
+        twist = bundle_by_label(surface, surface.twists[0])
+        mps = [mp for n in range(4) for mp in multipartitions(surface, n)]
+        for mp in mps:
+            vertex.co_class.__wrapped__(surface, mps[-1], mp, twist)
+            vertex.tangent_char.__wrapped__(surface, mp)
+            vertex.taut_char(surface, twist, mp)
+        lookups += 3 * len(mps) * surface.euler_number
+    assert len(keys) == lookups
+    assert [key for key in keys if not ints_and_tuples(key)] == []
 
 
 _signed_locals = st.dictionaries(
