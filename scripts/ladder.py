@@ -55,6 +55,8 @@ RUNGS = (
     ("kstep-p2-2_1_1", ("kstep", "--surface", "p2", "--n", "2,1,1")),
     ("vanish-p2-3_2", ("vanish", "--surface", "p2", "--n", "3,2", "--i", "1,2")),
     ("serre-duality-p1xp1", ("serre-duality", "--surface", "p1xp1")),
+    ("twisted-vanish-p2-3_3", ("twisted-vanish", "--surface", "p2", "--n", "3,3", "--i", "1..3")),
+    ("hrr-check-p1xp1", ("hrr-check", "--surface", "p1xp1")),
     ("symbolic-tp-t12", ("symbolic-tp", "--truncation", "12")),
 )
 

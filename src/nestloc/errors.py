@@ -49,8 +49,3 @@ class TruncationOverflowError(MathError):
 
     name = "TruncationOverflow"
 
-
-class BundleMismatchError(MathError):
-    """A line bundle's weights are not the weights its label names."""
-
-    name = "BundleMismatch"

@@ -262,11 +262,14 @@ def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
     try:
         for index, monomial in enumerate(raw, 1):
             factors = tuple(
-                TautFactor(_integer(f["factor"]) - 1, str(f["bundle"]), _integer(f["degree"]))
+                TautFactor(
+                    _integer(f["factor"]) - 1,
+                    bundle_by_label(surface, str(f["bundle"])),
+                    _integer(f["degree"]),
+                )
                 for f in monomial
             )
             for f in factors:
-                bundle_by_label(surface, f.bundle)
                 if not 0 <= f.factor < len(s.sizes) or f.degree < 0:
                     raise ValueError(
                         f"factors count from 1 and degrees from 0, and this scenario has "
@@ -413,7 +416,7 @@ def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
     n1, n2 = s.sizes
     insertions = _load_insertions(s, n1 + n2 - i)
     specs = scenario_specs(s)
-    co = [CoFactor(0, n1 + n2 + i, bundle)]
+    co = [CoFactor(0, n1 + n2 + i, bundle_by_label(surface, bundle))]
     per_spec = [integrate_ambient_batch(surface, s.sizes, insertions, spec, co) for spec in specs]
     return [
         _sampled_case({"i": i, "twist": bundle, "insertion": ins.label()}, specs, values,
@@ -427,7 +430,8 @@ def _pushforward_cases(s: Scenario) -> list[dict]:
     sizes = s.sizes
     insertions = _load_insertions(s, sizes[0] + sizes[-1])
     specs = scenario_specs(s)
-    co = [CoFactor(m, sizes[m] + sizes[m + 1]) for m in range(len(sizes) - 1)]
+    trivial = bundle_by_label(surface, "O")
+    co = [CoFactor(m, sizes[m] + sizes[m + 1], trivial) for m in range(len(sizes) - 1)]
     ambient, virtual = [], []
     for spec in specs:
         # the virtual sum right after the ambient one at the same spec, so
@@ -543,6 +547,8 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
     surface = surface_by_name(s.surface)
     u1u2 = LaurentPoly.monomial(1, 1)
     cases = []
+    rank_ok = True
+    rank_checked = 0
     for n1 in range(5):
         for n2 in range(5):
             ok = True
@@ -550,21 +556,15 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
             for lam in partitions_of(n1):
                 for mu in partitions_of(n2):
                     q1, q2 = box_character(lam), box_character(mu)
-                    ok = ok and vertex_V(q1, q2).bar() == u1u2 * vertex_V(q2, q1)
+                    v = vertex_V(q1, q2)
+                    ok = ok and v.bar() == u1u2 * vertex_V(q2, q1)
+                    rank_ok = rank_ok and v.rank_eval() == n1 + n2
                     checked += 1
             cases.append(
                 _case({"identity": f"serre |l|={n1} |m|={n2}", "pairs": checked}, [], ok)
             )
-    ok = True
-    checked = 0
-    for n1 in range(5):
-        for n2 in range(5):
-            for lam in partitions_of(n1):
-                for mu in partitions_of(n2):
-                    value = vertex_V(box_character(lam), box_character(mu)).rank_eval()
-                    ok = ok and value == n1 + n2
-                    checked += 1
-    cases.append(_case({"identity": "rank_eval(V) = |l|+|m|", "pairs": checked}, [], ok))
+            rank_checked += checked
+    cases.append(_case({"identity": "rank_eval(V) = |l|+|m|", "pairs": rank_checked}, [], rank_ok))
     ok = True
     checked = 0
     for n in range(6):

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
-from .errors import BundleMismatchError, DegreeMismatchError, NonGenericSpecError, ZeroWeightError
+from .errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from .series import line_factor
 from .toric import EqLineBundle, ToricSurface, bundle_by_label
 from .value import Value
@@ -116,11 +116,11 @@ class TautFactor(Value):
     __slots__ = ("factor", "bundle", "degree")
     _fields = __slots__
 
-    def __init__(self, factor: int, bundle: str, degree: int):
+    def __init__(self, factor: int, bundle: EqLineBundle, degree: int):
         self._init(factor, bundle, degree)
 
     def label(self) -> str:
-        return f"c{self.degree}({self.bundle}@{self.factor + 1})"
+        return f"c{self.degree}({self.bundle.label}@{self.factor + 1})"
 
 
 class TangentFactor(Value):
@@ -128,7 +128,7 @@ class TangentFactor(Value):
 
     __slots__ = ("factor", "degree")
     _fields = __slots__
-    #: no line-bundle label: (factor, bundle) keys a factor's Chern series
+    #: no line bundle: (factor, bundle) keys a factor's Chern series
     bundle = None
 
     def __init__(self, factor: int, degree: int):
@@ -167,11 +167,11 @@ class CoFactor(Value):
     __slots__ = ("left", "degree", "bundle")
     _fields = __slots__
 
-    def __init__(self, left: int, degree: int, bundle: str = "O"):
+    def __init__(self, left: int, degree: int, bundle: EqLineBundle):
         self._init(left, degree, bundle)
 
     def label(self) -> str:
-        return f"c{self.degree}(CO[{self.bundle}]@{self.left + 1}{self.left + 2})"
+        return f"c{self.degree}(CO[{self.bundle.label}]@{self.left + 1}{self.left + 2})"
 
 
 def insertion_basis(
@@ -186,10 +186,11 @@ def insertion_basis(
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    battery = [bundle_by_label(surface, label) for label in surface.battery]
     variables = [
-        TautFactor(m, label, j)
+        TautFactor(m, bundle, j)
         for m, n in enumerate(sizes)
-        for label in surface.battery
+        for bundle in battery
         for j in range(1, 2 * n + 1)
     ]
 
@@ -272,9 +273,11 @@ def _localize(
     key holds copies of the insertions and the measure, so a caller that
     mutates its own afterwards does not change it.
 
-    A factor's Chern series is keyed by (ambient factor, bundle label),
-    None for the tangent bundle, and expanded once per fixed point to the
-    highest degree any insertion asks of it.
+    A factor's Chern series is keyed by (ambient factor, bundle), None
+    for the tangent bundle, and expanded once per fixed point to the
+    highest degree any insertion asks of it.  Each key gets an int slot as
+    the trie is built, and a point's series are a list indexed by slot, so
+    no key is hashed per point.
 
     The sums are held in `int`s: each weight is scaled to the lcm of the
     weights' denominators, and Chern coefficients are `int`s because specs
@@ -285,44 +288,45 @@ def _localize(
     insertion adds its leaf's value to its total."""
     insertions = tuple(insertions)
     if not measure:
-        # nothing to sum, but a malformed bundle label still raises
-        for label in dict.fromkeys(f.bundle for ins in insertions for f in ins.factors):
-            if label is not None:
-                bundle_by_label(surface, label)
         return [Fraction(0)] * len(insertions)
     if _LAST_SUM.key == (surface, spec, insertions, measure):
         return list(_LAST_SUM.totals)
-    orders: dict[tuple[int, str | None], int] = {}
-    # trie node k >= 1 is nodes[k - 1] = (parent node, series key, degree);
+    slots: dict[tuple[int, EqLineBundle | None], int] = {}
+    # the highest degree asked of each slot's series
+    orders: list[int] = []
+    # trie node k >= 1 is nodes[k - 1] = (parent node, series slot, degree);
     # node 0 is the root, the empty product
-    nodes: list[tuple[int, tuple[int, str | None], int]] = []
+    nodes: list[tuple[int, int, int]] = []
     children: dict[tuple[int, Factor], int] = {}
     leaves = []
     for ins in insertions:
         node = 0
         for f in ins.factors:
-            key = (f.factor, f.bundle)
-            orders[key] = max(orders.get(key, 0), f.degree)
             child = children.get((node, f))
             if child is None:
+                key = (f.factor, f.bundle)
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(orders)
+                    orders.append(0)
+                orders[slot] = max(orders[slot], f.degree)
                 child = children[node, f] = len(nodes) + 1
-                nodes.append((node, key, f.degree))
+                nodes.append((node, slot, f.degree))
             node = child
         leaves.append(node)
-    bundles = {label: bundle_by_label(surface, label) for _, label in orders if label is not None}
     common = math.lcm(*(weight.denominator for weight in measure.values()))
     totals = [0] * len(leaves)
     for steps, weight in measure.items():
-        coeffs = {}
-        for (m, label), order in orders.items():
-            if label is None:
+        coeffs = []
+        for (m, bundle), order in zip(slots, orders):
+            if bundle is None:
                 char = tangent_char(surface, steps[m])
             else:
-                char = taut_char(surface, bundles[label], steps[m])
-            coeffs[m, label] = chern_series(char, spec, order)
+                char = taut_char(surface, bundle, steps[m])
+            coeffs.append(chern_series(char, spec, order))
         values = [weight.numerator * (common // weight.denominator)]
-        for parent, key, degree in nodes:
-            values.append(values[parent] * coeffs[key][degree])
+        for parent, slot, degree in nodes:
+            values.append(values[parent] * coeffs[slot][degree])
         for i, leaf in enumerate(leaves):
             totals[i] += values[leaf]
     out = [Fraction(total, common) for total in totals]
@@ -352,7 +356,6 @@ def ambient_measure(
     for c in co_factors:
         if not 0 <= c.left < len(sizes) - 1:
             raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
-    bundles = {c.bundle: bundle_by_label(surface, c.bundle) for c in co_factors}
     eulers = [
         {mp: euler_class(tangent_char(surface, mp), spec) for mp in multipartitions(surface, n)}
         for n in sizes
@@ -361,7 +364,7 @@ def ambient_measure(
     for mps in product(*eulers):
         co_value = 1
         for c in co_factors:
-            char = co_class(surface, mps[c.left], mps[c.left + 1], bundles[c.bundle])
+            char = co_class(surface, mps[c.left], mps[c.left + 1], c.bundle)
             if c.degree > sizes[c.left] + sizes[c.left + 1] and char.is_effective():
                 co_value = 0
             else:
@@ -446,26 +449,11 @@ def hrr_chi(surface: ToricSurface, bundle: EqLineBundle, spec: WeightSpec) -> Fr
 
     S^[1] = S, so the degree-2 part c1(L)^2/2 + c1(L) c1(T)/2 +
     (c1(T)^2 + c2(T))/12 of ch(L) td(S) is integrated over S^[1], with
-    c1(L) read from L^[1] = L by `taut_char` (L named by its label) and
-    c(T) by `tangent_char`: the value reads the characters, not the chart
-    weights, so it pins the chart substitution and the tautological
-    character too.
-
-    Since the kernel reads L by its label, a bundle whose weights are not
-    those of `bundle_by_label(surface, bundle.label)`, or whose label names
-    no bundle, raises BundleMismatchError rather than integrate another L.
+    c1(L) read from L^[1] = L by `taut_char` and c(T) by `tangent_char`:
+    the value reads the characters, not the chart weights, so it pins the
+    chart substitution and the tautological character too.
     """
-    try:
-        named = bundle_by_label(surface, bundle.label).weights
-    except ValueError:
-        named = None
-    if named != bundle.weights:
-        found = "no line bundle" if named is None else f"weights {named}"
-        raise BundleMismatchError(
-            f"bundle {bundle.label!r} has weights {bundle.weights}, "
-            f"but on {surface.name} its label names {found}"
-        )
-    line = TautFactor(0, bundle.label, 1)
+    line = TautFactor(0, bundle, 1)
     tangent = TangentFactor(0, 1)
     monomials = [(line, line), (line, tangent), (tangent, tangent), (TangentFactor(0, 2),)]
     insertions = [Insertion(factors) for factors in monomials]

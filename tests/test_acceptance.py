@@ -82,7 +82,7 @@ def _run_vanishing(surface, sizes, twists):
     for twist in twists:
         for i in (1, 2):
             basis = insertion_basis(surface, sizes, n1 + n2 - i)
-            co = [CoFactor(0, n1 + n2 + i, twist)]
+            co = [CoFactor(0, n1 + n2 + i, bundle_by_label(surface, twist))]
             for spec in SPECS:
                 values = integrate_ambient_batch(surface, sizes, basis, spec, co)
                 assert all(v == 0 for v in values), (surface.name, sizes, twist, i)
@@ -101,7 +101,7 @@ def test_criterion_4_pushforward_identity():
             for sizes in PAIR_SIZES:
                 degree = sum(sizes)
                 basis = insertion_basis(surface, sizes, degree)
-                co = [CoFactor(0, degree)]
+                co = [CoFactor(0, degree, bundle_by_label(surface, "O"))]
                 per_spec = []
                 for spec in SPECS:
                     ambient = integrate_ambient_batch(surface, sizes, basis, spec, co)
@@ -117,7 +117,8 @@ def test_criterion_5_kstep_product_formula():
         for sizes in ((2, 1, 1), (1, 1, 1)):
             degree = sizes[0] + sizes[-1]
             basis = insertion_basis(p2(), sizes, degree)
-            co = [CoFactor(m, sizes[m] + sizes[m + 1]) for m in range(len(sizes) - 1)]
+            trivial = bundle_by_label(p2(), "O")
+            co = [CoFactor(m, sizes[m] + sizes[m + 1], trivial) for m in range(len(sizes) - 1)]
             per_spec = []
             for spec in SPECS:
                 ambient = integrate_ambient_batch(p2(), sizes, basis, spec, co)
@@ -192,7 +193,7 @@ def test_criterion_9_robustness():
     with criterion(9, "robustness: seeds, degree errors, zero weight, parallel bytes"):
         # spec independence across 3 seeds for a representative integral
         basis = insertion_basis(p2(), (2, 1), 3)
-        co = [CoFactor(0, 3)]
+        co = [CoFactor(0, 3, bundle_by_label(p2(), "O"))]
         per_seed = []
         for seed in (1, 2, 3):
             spec = sample_specs(seed, 1)[0]
@@ -200,7 +201,7 @@ def test_criterion_9_robustness():
         assert per_seed[0] == per_seed[1] == per_seed[2]
 
         # deliberately wrong-degree integrand
-        wrong = Insertion((TautFactor(0, "O(1)", 1),))
+        wrong = Insertion((TautFactor(0, line_bundle(p2(), 1), 1),))
         with pytest.raises(DegreeMismatchError):
             integrate_ambient_batch(p2(), (1,), [wrong], SPECS[0])[0]
 

@@ -246,8 +246,8 @@ def record_groups():
     return {
         "factor": sorted({f for ins in insertions for f in ins.factors}, key=repr),
         "insertion": insertions,
-        "co-factor": [CoFactor(0, d, b) for d in range(4) for b in ("O", "O(1)")]
-        + [CoFactor(1, 2)],
+        "co-factor": [CoFactor(0, d, line_bundle(p2(), b)) for d in range(4) for b in (0, 1)]
+        + [CoFactor(1, 2, line_bundle(p2(), 0))],
         "spec": list(sample_specs(1729, 4))
         + [WeightSpec(2, 3), WeightSpec(3, 2), WeightSpec(2, 3)],
         "chain": chains,
@@ -302,7 +302,8 @@ def test_cached_sizes_and_hashes_match_recomputed_values():
             if type(value) in REFERENCE or type(value) is Insertion:
                 assert repr(value) == repr(reference)
     # records of different classes are never equal, and no record orders
-    assert WeightSpec(2, 3) != (2, 3) and TangentFactor(0, 2) != TautFactor(0, "O", 2)
+    assert WeightSpec(2, 3) != (2, 3)
+    assert TangentFactor(0, 2) != TautFactor(0, line_bundle(p2(), 0), 2)
     with pytest.raises(TypeError):
         WeightSpec(2, 3) < WeightSpec(3, 2)
     with pytest.raises(TypeError):

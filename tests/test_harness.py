@@ -608,18 +608,6 @@ def test_cli_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
     assert out.read_bytes() == printed.encode()
 
 
-def test_run_battery_script_writes_one_passing_report_per_scenario(tmp_path):
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_battery.py")
-    result = subprocess.run(
-        [sys.executable, script, str(tmp_path)], capture_output=True, text=True, timeout=300
-    )
-    assert result.returncode == 0, result.stderr
-    written = sorted(tmp_path.glob("*.json"))
-    assert len(written) == len(default_battery_scenarios())
-    for path in written:
-        assert json.loads(path.read_text())["verdict"] == "pass"
-
-
 def test_cli_config_missing_file_exit_two():
     result = run_cli("all", "--config", "/nonexistent/config.json")
     assert result.returncode == 2
@@ -737,6 +725,21 @@ def test_insertions_file_bad_bundle_exit_two(tmp_path, capsys):
     code = cli.main(["pushforward", "--surface", "p2", "--n", "1,1", "--insertions", f"file:{bad}"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_insertions_file_spellings_of_one_bundle_get_one_label(tmp_path):
+    # a factor holds the parsed bundle, so its label is the canonical one
+    # whatever spacing the file used
+    path = tmp_path / "insertions.json"
+    monomials = [
+        [{"factor": 1, "bundle": spelling, "degree": 3},
+         {"factor": 2, "bundle": "O(0,1)", "degree": 1}]
+        for spelling in ("O(1, 0)", "O(1,0)")
+    ]
+    path.write_text(json.dumps(monomials))
+    scenario = Scenario("pushforward", "p1xp1", (2, 2), insertions=f"file:{path}")
+    labels = [case["inputs"]["insertion"] for case in run_scenario(scenario)["cases"]]
+    assert labels == ["c3(O(1,0)@1)*c1(O(0,1)@2)"] * 2
 
 
 @pytest.mark.parametrize("factor,degree", [(1.9, 2), (True, 2), (1, 2.0)])

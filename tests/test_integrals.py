@@ -41,6 +41,9 @@ from nestloc.vertex import co_class, tangent_char, taut_char, virtual_tangent_ch
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
+#: O, O(1) and O(2) on p2
+O, O1, O2 = (line_bundle(p2(), d) for d in range(3))
+
 
 def lp(terms):
     return LaurentPoly(terms)
@@ -270,8 +273,8 @@ def test_ambient_sum_looks_up_each_euler_class_once_per_factor(monkeypatch):
         return euler_class(char, spec)
 
     monkeypatch.setattr(integrals, "euler_class", counted)
-    insertion = Insertion((TautFactor(0, "O", 5),))
-    co = [CoFactor(0, 7, "O(1)")]
+    insertion = Insertion((TautFactor(0, O, 5),))
+    co = [CoFactor(0, 7, O1)]
     assert integrate_ambient_batch(p2(), (3, 3), [insertion], WeightSpec(1013, 2027), co) == [0]
     assert len(multipartitions(p2(), 3)) == 22
     assert len(calls) == 44
@@ -288,26 +291,26 @@ def test_euler_count_localization(surface, n):
 
 def test_taut_square_on_p2():
     # S^[1] = P^2 and taut(O(1))^[1] = O(1): int h^2 = 1
-    insertion = Insertion((TautFactor(0, "O(1)", 1), TautFactor(0, "O(1)", 1)))
+    insertion = Insertion((TautFactor(0, O1, 1), TautFactor(0, O1, 1)))
     spec = sample_specs(5, 1)[0]
     assert integrate_ambient_batch(p2(), (1,), [insertion], spec)[0] == 1
 
 
 def test_degree_mismatch_ambient():
-    insertion = Insertion((TautFactor(0, "O(1)", 1),))
+    insertion = Insertion((TautFactor(0, O1, 1),))
     with pytest.raises(DegreeMismatchError):
         integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
 
 
 def test_degree_mismatch_virtual():
-    insertion = Insertion((TautFactor(0, "O(1)", 1),))
+    insertion = Insertion((TautFactor(0, O1, 1),))
     with pytest.raises(DegreeMismatchError):
         integrate_virtual_batch(p2(), (1, 1), [insertion], WeightSpec(1, 2))[0]
 
 
 def test_negative_factor_degree_is_refused():
     # total degree 2 = dim S^[1], but c_{-1} is not a Chern class
-    insertion = Insertion((TautFactor(0, "O(1)", 3), TautFactor(0, "O(1)", -1)))
+    insertion = Insertion((TautFactor(0, O1, 3), TautFactor(0, O1, -1)))
     with pytest.raises(DegreeMismatchError, match="negative"):
         integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
 
@@ -318,7 +321,7 @@ def test_virtual_degenerate_sizes():
 
 
 def test_virtual_spec_independence():
-    insertion = Insertion((TautFactor(0, "O(1)", 3),))
+    insertion = Insertion((TautFactor(0, O1, 3),))
     values = {
         integrate_virtual_batch(p2(), (2, 1), [insertion], spec)[0] for spec in sample_specs(9, 3)
     }
@@ -329,7 +332,7 @@ def test_pushforward_identity_small():
     # the acceptance identity at (1,1): ambient with c_2(co) equals virtual
     basis = insertion_basis(p2(), (1, 1), 2)
     spec = sample_specs(13, 1)[0]
-    ambient = integrate_ambient_batch(p2(), (1, 1), basis, spec, [CoFactor(0, 2)])
+    ambient = integrate_ambient_batch(p2(), (1, 1), basis, spec, [CoFactor(0, 2, O)])
     virtual = integrate_virtual_batch(p2(), (1, 1), basis, spec)
     assert ambient == virtual
     assert any(v != 0 for v in virtual)
@@ -338,9 +341,9 @@ def test_pushforward_identity_small():
 def test_pushforward_known_value_diagonal_taut_pair():
     # c_2(co) . c1(taut O(1) on factor 1) . c1(taut O(1) on factor 2) over
     # P^2 x P^2 localizes to the diagonal: both routes give int h^2 = 1
-    insertion = Insertion((TautFactor(0, "O(1)", 1), TautFactor(1, "O(1)", 1)))
+    insertion = Insertion((TautFactor(0, O1, 1), TautFactor(1, O1, 1)))
     for spec in sample_specs(37, 3):
-        ambient = integrate_ambient_batch(p2(), (1, 1), [insertion], spec, [CoFactor(0, 2)])[0]
+        ambient = integrate_ambient_batch(p2(), (1, 1), [insertion], spec, [CoFactor(0, 2, O)])[0]
         virtual = integrate_virtual_batch(p2(), (1, 1), [insertion], spec)[0]
         assert ambient == virtual == 1
 
@@ -351,7 +354,8 @@ def test_insertion_basis_degree_zero():
 
 def test_insertion_basis_restricted_battery():
     got = insertion_basis(p2(), (1,), 1)
-    assert got == tuple(Insertion((TautFactor(0, label, 1),)) for label in p2().battery)
+    assert got == tuple(Insertion((TautFactor(0, b, 1),)) for b in (O, O1, O2))
+    assert [ins.label() for ins in got] == [f"c1({label}@1)" for label in p2().battery]
 
 
 def test_insertion_basis_deterministic_and_duplicate_free():
@@ -419,16 +423,16 @@ def test_linearity_of_localization_sums():
 
     surface = p2()
     spec = sample_specs(31, 1)[0]
-    phi1 = Insertion((TautFactor(0, "O(1)", 4), TautFactor(1, "O(1)", 2)))
+    phi1 = Insertion((TautFactor(0, O1, 4), TautFactor(1, O1, 2)))
     phi2 = Insertion(
-        (TautFactor(0, "O(1)", 3), TautFactor(0, "O(2)", 1), TautFactor(1, "O(2)", 2))
+        (TautFactor(0, O1, 3), TautFactor(0, O2, 1), TautFactor(1, O2, 2))
     )
     a, b = Fraction(3), Fraction(-5, 2)
 
     def value_of(ins, mps):
         out = Fraction(1)
         for f in ins.factors:
-            char = taut_char(surface, bundle_by_label(surface, f.bundle), mps[f.factor])
+            char = taut_char(surface, f.bundle, mps[f.factor])
             out *= chern_series(char, spec, f.degree)[f.degree]
         return out
 
@@ -457,7 +461,7 @@ def reference_localize(surface, insertions, spec, points):
                 if isinstance(f, TangentFactor):
                     char = tangent_char(surface, steps[f.factor])
                 else:
-                    char = taut_char(surface, bundle_by_label(surface, f.bundle), steps[f.factor])
+                    char = taut_char(surface, f.bundle, steps[f.factor])
                 value *= chern_series(char, spec, f.degree)[f.degree]
             totals[i] += value
     return totals
@@ -466,7 +470,7 @@ def reference_localize(surface, insertions, spec, points):
 def co_value(surface, mps, co_factors, spec):
     out = 1
     for c in co_factors:
-        char = co_class(surface, mps[c.left], mps[c.left + 1], bundle_by_label(surface, c.bundle))
+        char = co_class(surface, mps[c.left], mps[c.left + 1], c.bundle)
         out *= chern_series(char, spec, c.degree)[c.degree]
     return out
 
@@ -498,8 +502,9 @@ def reference_virtual(surface, sizes, insertions, spec):
     return reference_localize(surface, insertions, spec, reference_virtual_points(surface, sizes, spec))
 
 
-def pushforward_co(sizes):
-    return [CoFactor(m, sizes[m] + sizes[m + 1]) for m in range(len(sizes) - 1)]
+def pushforward_co(surface, sizes):
+    trivial = bundle_by_label(surface, "O")
+    return [CoFactor(m, sizes[m] + sizes[m + 1], trivial) for m in range(len(sizes) - 1)]
 
 
 spec_parts = st.tuples(st.integers(SPEC_LOW, SPEC_HIGH), st.sampled_from((1, -1)))
@@ -520,7 +525,7 @@ def test_integer_kernel_matches_fraction_reference(data, surface, sizes, a, b):
     basis = insertion_basis(surface, sizes, sizes[0] + sizes[-1])
     # shuffled, with duplicates: trie prefixes out of order and shared leaves
     insertions = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=16))
-    co = pushforward_co(sizes)
+    co = pushforward_co(surface, sizes)
     assert integrate_ambient_batch(surface, sizes, insertions, spec, co) == reference_ambient(
         surface, sizes, insertions, spec, co
     )
@@ -532,12 +537,12 @@ def test_integer_kernel_matches_fraction_reference(data, surface, sizes, a, b):
 def test_integer_kernel_matches_reference_where_co_factor_vanishes():
     # c_2(co) vanishes at the non-nested pairs of S^[1] x S^[1]: those fixed
     # points drop out of the kernel's sum and add 0 to the reference's
-    surface, sizes, co = p2(), (1, 1), pushforward_co((1, 1))
+    surface, sizes, co = p2(), (1, 1), pushforward_co(p2(), (1, 1))
     spec = sample_specs(41, 1)[0]
     points = list(product(multipartitions(surface, 1), repeat=2))
     values = [co_value(surface, mps, co, spec) for mps in points]
     assert 0 in values and any(values)
-    h, h2 = TautFactor(0, "O(1)", 1), TautFactor(0, "O(2)", 1)
+    h, h2 = TautFactor(0, O1, 1), TautFactor(0, O2, 1)
     # the basis reversed, then c1(O(1)@1)^2 = 1 and c1(O(1)@1)*c1(O(2)@1) = 2,
     # which the basis also holds
     insertions = insertion_basis(surface, sizes, 2)[::-1] + (Insertion((h, h)), Insertion((h, h2)))
@@ -559,7 +564,7 @@ def test_ambient_measure_is_the_virtual_measure_point_by_point(surface, sizes):
     1 / e(T^vir).  This is why `_localize` may return the ambient totals
     for the virtual sum; the kernel's measures must match the oracle's."""
     spec = sample_specs(1729, 1)[0]
-    co = pushforward_co(sizes)
+    co = pushforward_co(surface, sizes)
     ambient = {steps: w for steps, w in reference_ambient_points(surface, sizes, spec, co) if w}
     virtual = reference_virtual_points(surface, sizes, spec)
     assert len(dict(virtual)) == len(virtual)
@@ -608,27 +613,14 @@ def test_localize_sums_again_unless_the_measure_is_equal(monkeypatch):
         assert got != reference
 
 
-def test_localize_over_an_empty_measure_is_zero_and_still_checks_labels(monkeypatch):
+def test_localize_over_an_empty_measure_is_zero(monkeypatch):
     surface, spec = p2(), sample_specs(43, 1)[0]
     insertions = insertion_basis(surface, (2, 1), 3)
-    labels = []
-
-    def counted(surface, label):
-        labels.append(label)
-        return bundle_by_label(surface, label)
-
-    monkeypatch.setattr(integrals, "bundle_by_label", counted)
     monkeypatch.setattr(integrals, "taut_char", None)
     monkeypatch.setattr(integrals, "tangent_char", None)
     totals = integrals._localize(surface, insertions, spec, {})
     assert totals == [0] * len(insertions)
     assert all(type(t) is Fraction for t in totals)
-    # each distinct bundle label is parsed once, not once per factor
-    assert len(labels) > 1
-    assert sorted(labels) == sorted({f.bundle for ins in insertions for f in ins.factors} - {None})
-    bad = Insertion((TautFactor(0, "O(x)", 1),))
-    with pytest.raises(ValueError, match="malformed bundle label"):
-        integrals._localize(surface, insertions + (bad,), spec, {})
 
 
 # six twists per surface, among them negative and mixed degrees

@@ -295,7 +295,7 @@ def test_hrr_chi_without_linear_term_is_caught_by_hrr_check(mutate):
     `hrr-check`, whose K-theoretic cross-check does not read hrr_chi."""
 
     def no_linear_term(surface, bundle, spec):
-        line, tangent = integrals.TautFactor(0, bundle.label, 1), integrals.TangentFactor(0, 1)
+        line, tangent = integrals.TautFactor(0, bundle, 1), integrals.TangentFactor(0, 1)
         monomials = [(line, line), (tangent, tangent), (integrals.TangentFactor(0, 2),)]
         insertions = [integrals.Insertion(factors) for factors in monomials]
         l2, t2, c2 = integrals.integrate_ambient_batch(surface, (1,), insertions, spec)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from nestloc.errors import BundleMismatchError, MathError
 from nestloc.integrals import WeightSpec, hrr_chi, k_theory_chi_sum, sample_specs
 from nestloc.toric import (
     EqLineBundle,
@@ -126,25 +125,13 @@ def test_hrr_chi_of_structure_sheaf_is_one():
         assert hrr_chi(surface, trivial, WeightSpec(1, 2)) == 1
 
 
-def test_hrr_chi_refuses_a_bundle_its_label_does_not_name():
-    """The kernel reads L by its label, so O(2)'s weights under the label
-    O(1) would integrate O(1) (3, not 6); both that and a label naming no
-    bundle are refused with the label and the weights, as a MathError."""
+def test_hrr_chi_integrates_the_weights_it_is_given():
+    """The kernel reads L's weights, not its label: O(2)'s weights give
+    chi(O(2)) = 6 under the label O(1) and under a label naming no bundle."""
     weights = line_bundle(p2(), 2).weights
     spec = WeightSpec(2, 3)
-    with pytest.raises(BundleMismatchError) as mismatch:
-        hrr_chi(p2(), EqLineBundle("O(1)", weights), spec)
-    assert str(mismatch.value) == (
-        "bundle 'O(1)' has weights ((0, 0), (-2, 0), (0, -2)), "
-        "but on p2 its label names weights ((0, 0), (-1, 0), (0, -1))"
-    )
-    with pytest.raises(BundleMismatchError) as unnamed:
-        hrr_chi(p2(), EqLineBundle("L", weights), spec)
-    assert str(unnamed.value) == (
-        "bundle 'L' has weights ((0, 0), (-2, 0), (0, -2)), but on p2 its label names no line bundle"
-    )
-    assert isinstance(unnamed.value, MathError) and unnamed.value.name == "BundleMismatch"
-    assert hrr_chi(p2(), EqLineBundle("O(2)", weights), spec) == 6
+    assert hrr_chi(p2(), EqLineBundle("O(1)", weights), spec) == 6
+    assert hrr_chi(p2(), EqLineBundle("L", weights), spec) == 6
 
 
 def lattice_character_value(surface_name, degrees, t1, t2):
