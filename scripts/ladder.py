@@ -17,6 +17,13 @@ exit code and the sha256 of its stdout, which must be the same in every
 run.  Pointing `--src` at another checkout's sources times that version
 with the same script on the same machine.
 
+Each run also records its peak resident set size, the `ru_maxrss` that
+`os.wait4` returns for it.  Linux starts the peak of a child made by vfork
+and exec at the peak of the process that spawned it, and `subprocess`
+spawns by vfork, so a run's figure is at least this runner's own peak; the
+context records that floor, and the runner hashes each run's stdout as it
+reads it rather than holding it.
+
 Beside the measured seconds each run records reference seconds, as
 `bench/run.py` computes them: the calibration loop of `bench/child.py`
 runs in this process before the first run and after each run, and a run's
@@ -36,6 +43,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -46,12 +54,14 @@ BENCH = os.path.join(ROOT, "bench")
 #: runs of each rung; the median of five damps two slow runs on a shared machine
 REPEAT = 5
 
-#: (label, nestloc argv); p2 (5,3) is left out: one run of it outlasts the rest
+#: (label, nestloc argv)
 RUNGS = (
     ("all", ("all",)),
     ("pushforward-p2-3_2", ("pushforward", "--surface", "p2", "--n", "3,2")),
     ("pushforward-p2-4_2", ("pushforward", "--surface", "p2", "--n", "4,2")),
     ("pushforward-p1xp1-3_3", ("pushforward", "--surface", "p1xp1", "--n", "3,3")),
+    ("pushforward-p1xp1-4_4", ("pushforward", "--surface", "p1xp1", "--n", "4,4")),
+    ("pushforward-p2-5_3", ("pushforward", "--surface", "p2", "--n", "5,3")),
     ("kstep-p2-2_1_1", ("kstep", "--surface", "p2", "--n", "2,1,1")),
     ("vanish-p2-3_2", ("vanish", "--surface", "p2", "--n", "3,2", "--i", "1,2")),
     ("serre-duality-p1xp1", ("serre-duality", "--surface", "p1xp1")),
@@ -80,13 +90,27 @@ def ladder() -> list[tuple[str, tuple[str, ...]]]:
     ]
 
 
-def run_rung(argv, src: str) -> tuple[float, int, str]:
-    """(measured seconds, exit code, sha256 of stdout) of one cold run."""
+def megabytes(kib: int) -> float:
+    """`ru_maxrss`, in KiB on Linux, over 1024, as `bench/run.py` reads it."""
+    return round(kib / 1024, 1)
+
+
+def run_rung(argv, src: str) -> tuple[float, int, str, float]:
+    """(measured seconds, exit code, sha256 of stdout, peak RSS in MB) of one
+    cold run."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    digest = hashlib.sha256()
     started = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=False)
+    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+    _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - started
-    return seconds, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+    # reaped here, so the Popen object must not wait for it again
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return seconds, proc.returncode, digest.hexdigest(), megabytes(usage.ru_maxrss)
 
 
 def calibration(src: str):
@@ -125,23 +149,25 @@ def main() -> int:
     loops: list[tuple[int, int]] = []
     child.calibrate(loops)
     commands = ladder()
-    runs = {label: [] for label, _ in commands}
+    # label -> one list per field of its runs
+    runs = {label: ([], [], [], [], []) for label, _ in commands}
     for _ in range(REPEAT):
         for label, argv in commands:
-            seconds, code, digest = run_rung(argv, args.src)
+            seconds, code, digest, peak = run_rung(argv, args.src)
             child.calibrate(loops)
             # the loops just before and just after this run
             around = loops[-2 * child.CALIBRATION_REPEATS:]
             loop_s = median((end - start) / 1e9 for start, end in around)
-            runs[label].append((seconds, code, digest, seconds * reference_s / loop_s))
+            row = (round(seconds, 3), code, digest, round(seconds * reference_s / loop_s, 3), peak)
+            for column, value in zip(runs[label], row):
+                column.append(value)
+    runner_peak = megabytes(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
     failures = 0
     rungs = []
     for label, argv in commands:
-        seconds = [round(s, 3) for s, _, _, _ in runs[label]]
-        reference = [round(r, 3) for _, _, _, r in runs[label]]
-        exits = {code for _, code, _, _ in runs[label]}
-        digests = {digest for _, _, digest, _ in runs[label]}
+        seconds, exits, digests, reference, peaks = runs[label]
+        exits, digests = set(exits), set(digests)
         ok = exits == {0} and len(digests) == 1
         failures += not ok
         rungs.append({
@@ -153,12 +179,15 @@ def main() -> int:
             "max_s": max(seconds),
             "reference_s": reference,
             "median_reference_s": round(median(reference), 3),
+            "peak_rss_mb": peaks,
+            "median_peak_rss_mb": median(peaks),
             "exit": sorted(exits),
             "sha256": sorted(digests),
         })
         print(f"{label}: median {median(seconds):.3f} s, min {min(seconds):.3f},"
               f" max {max(seconds):.3f} over {len(seconds)} runs;"
-              f" median {median(reference):.3f} reference s"
+              f" median {median(reference):.3f} reference s,"
+              f" peak RSS median {median(peaks):.1f} MB"
               f"{'' if ok else ' (FAILED: nonzero exit or unstable report)'}")
     trajectory = {}
     if os.path.exists(args.out):
@@ -172,6 +201,8 @@ def main() -> int:
             "repeat": REPEAT,
             "calibration_reference_s": reference_s,
             "calibration_median_s": round(median((e - s) / 1e9 for s, e in loops), 4),
+            # the floor of every run's peak_rss_mb (see the module docstring)
+            "runner_peak_rss_mb": runner_peak,
         },
         "rungs": rungs,
     }

@@ -126,20 +126,30 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
     return [validate_scenario(s.replace(**given)) for s in default_battery_scenarios()]
 
 
+def _write_reports(scenarios: list[Scenario], args: argparse.Namespace, out) -> list[str]:
+    """Run each scenario and write its report to `out` as soon as it
+    finishes; keep only the verdicts."""
+    verdicts = []
+    for s in scenarios:
+        report = run_scenario(s, jobs=args.jobs)
+        emit_report(report, args.format, args.stable, out=out)
+        verdicts.append(report["verdict"])
+    return verdicts
+
+
 def _run(args: argparse.Namespace) -> int:
-    reports = [run_scenario(s, jobs=args.jobs) for s in _scenarios(args)]
-    rendered = "".join(emit_report(r, fmt=args.format, stable=args.stable) for r in reports)
+    scenarios = _scenarios(args)
     if not args.out:
-        sys.stdout.write(rendered)
+        verdicts = _write_reports(scenarios, args, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        failed = sum(1 for r in reports if r["verdict"] != "pass")
+            verdicts = _write_reports(scenarios, args, fh)
+        failed = sum(1 for v in verdicts if v != "pass")
         sys.stdout.write(
-            f"wrote {len(reports)} report(s) to {args.out}; "
+            f"wrote {len(verdicts)} report(s) to {args.out}; "
             f"{'all pass' if not failed else f'{failed} failed'}\n"
         )
-    return 0 if all(r["verdict"] == "pass" for r in reports) else 1
+    return 0 if all(v == "pass" for v in verdicts) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 from . import __version__
 from .characters import LaurentPoly
@@ -394,17 +394,24 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
     `virtual`.  The case passes when its values (and virtual values) are
     constant across specs, equal the expected values, and `character_ok`
     holds; a failure names the spec dependence of the values first, then
-    that of the virtual values, then `mismatch`."""
+    that of the virtual values, then `mismatch`.
+
+    Each value is rendered once, and the texts are compared: the text of
+    an int or a reduced Fraction is canonical, so equal texts are equal
+    values.  Every sample shares its spec's text tuple."""
+    texts = [_fr(value) for value in values]
+    wants = [_fr(want) for want in expected]
     samples = []
-    for spec, value, want in zip(specs, values, expected):
-        samples.append({"s": list(spec.to_text()), "value": _fr(value)})
+    for spec, text, want in zip(specs, texts, wants):
+        sample = {"s": spec.to_text(), "value": text}
         if virtual:
-            samples[-1]["virtual"] = _fr(want)
-    if len(set(values)) > 1:
+            sample["virtual"] = want
+        samples.append(sample)
+    if len(set(texts)) > 1:
         diagnostic = "SpecDependence: values differ"
-    elif virtual and len(set(expected)) > 1:
+    elif virtual and len(set(wants)) > 1:
         diagnostic = "SpecDependence: virtual values differ"
-    elif not character_ok or list(values) != list(expected):
+    elif not character_ok or texts != wants:
         diagnostic = mismatch
     else:
         diagnostic = ""
@@ -430,8 +437,7 @@ def _pushforward_cases(s: Scenario) -> list[dict]:
     sizes = s.sizes
     insertions = _load_insertions(s, sizes[0] + sizes[-1])
     specs = scenario_specs(s)
-    trivial = bundle_by_label(surface, "O")
-    co = [CoFactor(m, sizes[m] + sizes[m + 1], trivial) for m in range(len(sizes) - 1)]
+    co = [CoFactor(m, sizes[m] + sizes[m + 1], surface.trivial) for m in range(len(sizes) - 1)]
     ambient, virtual = [], []
     for spec in specs:
         # the virtual sum right after the ambient one at the same spec, so
@@ -573,14 +579,13 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
             ok = ok and vertex_V(q, q) == arm_leg_vertex(lam, lam)
             checked += 1
     cases.append(_case({"identity": "diagonal vertex = arm/leg", "shapes": checked}, [], ok))
-    trivial = bundle_by_label(surface, "O")
     ok = True
     checked = 0
     for n1 in range(1, 5):
         for n2 in range(n1 + 1):
             for mp1 in multipartitions(surface, n1):
                 for mp2 in multipartitions(surface, n2):
-                    value = co_class(surface, mp1, mp2, trivial)
+                    value = co_class(surface, mp1, mp2, surface.trivial)
                     zero_mult = value.coefficient((0, 0))
                     if mp_contains(mp1, mp2):
                         # chi(O)/Hom trivial summands cancel: the class is
@@ -637,8 +642,10 @@ def _single_group(s: Scenario) -> list[dict]:
 
 
 def _twist_groups(s: Scenario) -> list[dict]:
-    bundles = s.bundles or surface_by_name(s.surface).twists
-    return [{"i": i, "bundle": b} for b in bundles for i in s.i_values]
+    # each group names its twist by the canonical label, as insertions do
+    surface = surface_by_name(s.surface)
+    labels = [bundle_by_label(surface, b).label for b in s.bundles or surface.twists]
+    return [{"i": i, "bundle": label} for label in labels for i in s.i_values]
 
 
 _TWO_SIZES = (2, 2, "needs exactly two sizes")
@@ -781,21 +788,38 @@ def _json_text(value, indent: str) -> str:
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
 
 
-def report_json(report: dict, stable: bool = False) -> str:
-    """The report as `json.dumps(report, indent=2)` plus a newline, without
-    the standard library's pure-Python indenting encoder."""
-    if stable:
-        report = stable_copy(report)
-    return _json_text(report, "") + "\n"
+def _json_pieces(report) -> Iterator[str]:
+    """The text of `report_json` in pieces: each top-level item of a
+    report, and each item of a nonempty top-level list (the cases) on its
+    own, so a writer never holds the whole text."""
+    if not isinstance(report, dict) or not report:
+        yield _json_text(report, "") + "\n"
+        return
+    separator = "{\n  "
+    for key, value in report.items():
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, got {key!r}")
+        yield f"{separator}{encode_basestring_ascii(key)}: "
+        separator = ",\n  "
+        if not isinstance(value, (list, tuple)) or not value:
+            yield _json_text(value, "  ")
+            continue
+        opening = "["
+        for item in value:
+            yield f"{opening}\n    {_json_text(item, '    ')}"
+            opening = ","
+        yield "\n  ]"
+    yield "\n}\n"
 
 
-def report_text(report: dict, stable: bool = False) -> str:
-    if stable:
-        report = stable_copy(report)
-    lines = [
-        f"scenario: {report['scenario']}  params: {json.dumps(report['params'])}",
-        f"seed: {report['seed']}  version: {report['version']}",
-    ]
+def _text_pieces(report: dict) -> Iterator[str]:
+    """The text of `report_text` in lines: the header, one line per case,
+    the verdict line."""
+    yield (
+        f"scenario: {report['scenario']}  params: {json.dumps(report['params'])}\n"
+        f"seed: {report['seed']}  version: {report['version']}\n"
+    )
+    failed = 0
     for case in report["cases"]:
         inputs = ", ".join(f"{k}={v}" for k, v in case["inputs"].items())
         line = f"  [{case['verdict']:4}] {inputs}"
@@ -803,24 +827,52 @@ def report_text(report: dict, stable: bool = False) -> str:
             line += "  values: " + ", ".join(sm["value"] for sm in case["samples"][:3])
         if case.get("diagnostic"):
             line += f"  !! {case['diagnostic']}"
-        lines.append(line)
-    failed = sum(1 for c in report["cases"] if c["verdict"] != "pass")
-    lines.append(
+        yield line + "\n"
+        failed += case["verdict"] != "pass"
+    yield (
         f"verdict: {report['verdict']} ({len(report['cases'])} cases, {failed} failed)"
-        f"  elapsed: {report['elapsed_ms']} ms"
+        f"  elapsed: {report['elapsed_ms']} ms\n"
     )
-    return "\n".join(lines) + "\n"
+
+
+def _render(pieces: Iterator[str], out: TextIO | None) -> str | None:
+    """The joined pieces, or None once each is written to `out`."""
+    if out is None:
+        return "".join(pieces)
+    write = out.write
+    for piece in pieces:
+        write(piece)
+    return None
+
+
+def report_json(report: dict, stable: bool = False, out: TextIO | None = None) -> str | None:
+    """The report as `json.dumps(report, indent=2)` plus a newline, without
+    the standard library's pure-Python indenting encoder; written to `out`
+    piece by piece when one is given."""
+    if stable:
+        report = stable_copy(report)
+    return _render(_json_pieces(report), out)
+
+
+def report_text(report: dict, stable: bool = False, out: TextIO | None = None) -> str | None:
+    """The report as a verdict table; written to `out` line by line when
+    one is given."""
+    if stable:
+        report = stable_copy(report)
+    return _render(_text_pieces(report), out)
 
 
 #: report format name -> renderer; the CLI's --format choices read the table
 REPORT_FORMATS = {"json": report_json, "text": report_text}
 
 
-def emit_report(report: dict, fmt: str = "json", stable: bool = False) -> str:
-    """Render a report; bit-stable for identical inputs."""
+def emit_report(report: dict, fmt: str = "json", stable: bool = False, *, out: TextIO) -> None:
+    """Write a report to `out` piece by piece, as it renders; bit-stable
+    for identical inputs.  An error while rendering leaves the pieces
+    written before it."""
     if fmt not in REPORT_FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}")
-    return REPORT_FORMATS[fmt](report, stable=stable)
+    REPORT_FORMATS[fmt](report, stable, out)
 
 
 def parse_config(path: str, overrides: dict | None = None) -> list[Scenario]:

@@ -20,23 +20,25 @@ from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
 from .errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from .series import line_factor
-from .toric import EqLineBundle, ToricSurface, bundle_by_label
-from .value import Value
+from .toric import EqLineBundle, ToricSurface
+from .value import Value, _set
 from .vertex import co_class, tangent_char, taut_char, virtual_tangent_char
 
 
 class WeightSpec(Value):
     """Specialization of the equivariant parameters at an integer point:
-    (a, b) -> a s1 + b s2."""
+    (a, b) -> a s1 + b s2.  Its text is built once, so every sample of a
+    report that echoes the spec shares one tuple."""
 
-    __slots__ = ("s1", "s2")
-    _fields = __slots__
+    _fields = ("s1", "s2")
+    __slots__ = _fields + ("_text",)
 
     def __init__(self, s1: int, s2: int):
         self._init(s1, s2)
+        _set(self, "_text", (str(s1), str(s2)))
 
     def to_text(self) -> tuple[str, str]:
-        return (str(self.s1), str(self.s2))
+        return self._text
 
 
 def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
@@ -55,7 +57,10 @@ def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, 
     return _chern_series_cached(char, spec, order)
 
 
-@lru_cache(maxsize=65536)
+# maxsize=0 stores nothing: no series is read twice in a one-shot run, and
+# a kept series only held memory.  It stays an lru_cache, counting its
+# calls, because `bench/spans.py` reads its cache_info().
+@lru_cache(maxsize=0)
 def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
     s1, s2 = spec.s1, spec.s2
     coeffs = [1] + [0] * order
@@ -186,11 +191,10 @@ def insertion_basis(
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    battery = [bundle_by_label(surface, label) for label in surface.battery]
     variables = [
         TautFactor(m, bundle, j)
         for m, n in enumerate(sizes)
-        for bundle in battery
+        for bundle in surface.battery_bundles
         for j in range(1, 2 * n + 1)
     ]
 

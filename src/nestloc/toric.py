@@ -40,11 +40,12 @@ class ToricSurface(Value):
     Equality compares the name and the charts only.  The hash is computed
     once, at construction, from the integer charts alone, so it is the same
     in every process whatever PYTHONHASHSEED is; surfaces key every
-    character cache.
+    character cache.  The trivial bundle and the battery are parsed once,
+    at construction, into `trivial` and `battery_bundles`.
     """
 
-    __slots__ = ("name", "charts", "fibers", "battery", "twists", "hrr_degrees", "chi", "sections")
-    _fields = __slots__
+    _fields = ("name", "charts", "fibers", "battery", "twists", "hrr_degrees", "chi", "sections")
+    __slots__ = _fields + ("trivial", "battery_bundles")
     _compare = ("name", "charts")
 
     def __init__(
@@ -73,6 +74,8 @@ class ToricSurface(Value):
                 raise ValueError(f"tangent weights {w1}, {w2} are not a lattice basis")
         self._init(name, charts, fibers, battery, twists, hrr_degrees, chi, sections)
         _set(self, "_hash", hash(charts))
+        _set(self, "trivial", line_bundle(self, *(0 for _ in fibers)))
+        _set(self, "battery_bundles", tuple(bundle_by_label(self, label) for label in battery))
 
     @property
     def euler_number(self) -> int:
@@ -140,9 +143,6 @@ def p1xp1() -> ToricSurface:
     )
 
 
-SURFACES = {surface.name: surface for surface in (p2(), p1xp1())}
-
-
 def surface_by_name(name: str) -> ToricSurface:
     try:
         return SURFACES[name]
@@ -172,7 +172,7 @@ def bundle_by_label(surface: ToricSurface, label: str) -> EqLineBundle:
     """Parse labels like ``O``, ``O(2)``, ``O(1,0)`` for the given surface."""
     label = label.strip()
     if label == "O":
-        return line_bundle(surface, *(0 for _ in surface.fibers))
+        return surface.trivial
     if label.startswith("O(") and label.endswith(")"):
         try:
             degrees = tuple(int(part) for part in label[2:-1].split(","))
@@ -180,3 +180,7 @@ def bundle_by_label(surface: ToricSurface, label: str) -> EqLineBundle:
             raise ValueError(f"malformed bundle label {label!r}") from None
         return line_bundle(surface, *degrees)
     raise ValueError(f"malformed bundle label {label!r}")
+
+
+# built after `line_bundle`, which every surface calls for its trivial bundle
+SURFACES = {surface.name: surface for surface in (p2(), p1xp1())}

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .characters import Exponent, LaurentPoly
 from .combinatorics import MultiPartition, NestedChain, Partition, box_character
-from .toric import EqLineBundle, ToricSurface, bundle_by_label
+from .toric import EqLineBundle, ToricSurface
 
 _INV_U1U2 = LaurentPoly.monomial(-1, -1)
 # (1-u1)(1-u2)/(u1 u2), the chart Euler factor of the vertex
@@ -120,9 +120,8 @@ def virtual_tangent_char(surface: ToricSurface, chain: NestedChain) -> LaurentPo
     total = LaurentPoly.zero()
     for mp in chain.steps:
         total = total + tangent_char(surface, mp)
-    trivial = bundle_by_label(surface, "O")
     for mp_a, mp_b in zip(chain.steps, chain.steps[1:]):
-        total = total - co_class(surface, mp_a, mp_b, trivial)
+        total = total - co_class(surface, mp_a, mp_b, surface.trivial)
     rank = chain.sizes[0] + chain.sizes[-1]
     if total.rank_eval() != rank:
         raise ValueError(f"virtual rank {total.rank_eval()} is not n_1 + n_k = {rank}")

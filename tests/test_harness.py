@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 import nestloc.cli as cli
 import nestloc.harness as harness
 from nestloc.errors import ConfigError, NonGenericSpecError, ZeroWeightError
+from nestloc.integrals import sample_specs
+from nestloc.toric import SURFACES, bundle_by_label
 from nestloc.harness import (
     DEFAULT_SCENARIO,
     Scenario,
@@ -146,6 +149,66 @@ def test_report_json_matches_indented_json_dumps(tree):
     assert report_json(tree) == json.dumps(tree, indent=2) + "\n"
 
 
+report_keys = st.one_of(st.sampled_from(["elapsed_ms", "verdict", "s"]), st.text(max_size=6))
+report_cases = st.lists(st.dictionaries(report_keys, json_trees, max_size=4), max_size=4)
+# a report's top-level items around its cases, which may be empty or a tuple
+report_trees = st.builds(
+    lambda head, cases, tail: {**head, "cases": cases, **tail},
+    st.dictionaries(report_keys, json_trees, max_size=3),
+    st.one_of(report_cases, report_cases.map(tuple)),
+    st.dictionaries(report_keys.filter(lambda key: key != "cases"), json_trees, max_size=3),
+)
+
+
+class _Pieces(list):
+    """A stream that keeps each write as one item."""
+
+    write = list.append
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_trees, st.booleans())
+def test_emit_report_pieces_join_to_indented_json_dumps(tree, stable):
+    pieces = _Pieces()
+    emit_report(tree, "json", stable, out=pieces)
+    text = "".join(pieces)
+    assert text == json.dumps(stable_copy(tree) if stable else tree, indent=2) + "\n"
+    assert text == report_json(tree, stable=stable)
+    # written as it renders: with two cases, no one write holds the report
+    if len(tree["cases"]) > 1:
+        assert max(map(len, pieces)) < len(text)
+
+
+#: values a case compares: ints and Fractions, where 2 and Fraction(4, 2) are equal
+case_values = st.one_of(
+    st.sampled_from([0, 2, -2, Fraction(4, 2), Fraction(1, 2), Fraction(-2, 4)]),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+value_triples = st.lists(case_values, min_size=3, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_triples, value_triples, st.booleans(), st.booleans())
+def test_sampled_case_compares_texts_as_the_values_compare(values, expected, virtual, char_ok):
+    specs = sample_specs(3, 3)
+    if len(set(values)) > 1:
+        want = "SpecDependence: values differ"
+    elif virtual and len(set(expected)) > 1:
+        want = "SpecDependence: virtual values differ"
+    elif not char_ok or values != expected:
+        want = "mismatch"
+    else:
+        want = ""
+    case = harness._sampled_case({}, specs, values, expected, "mismatch", virtual=virtual,
+                                 character_ok=char_ok)
+    assert case.get("diagnostic", "") == want
+    assert case["verdict"] == ("fail" if want else "pass")
+    assert [sample["value"] for sample in case["samples"]] == [str(v) for v in values]
+    # every sample shares its spec's one text tuple
+    assert all(sample["s"] is spec.to_text() for sample, spec in zip(case["samples"], specs))
+
+
 @pytest.mark.parametrize(
     "bad", [1.5, {"x": [0.0]}, {1: "a"}, {None: "a"}, {("a",): 1}, [set()]],
     ids=["float", "nested-float", "int-key", "none-key", "tuple-key", "set"],
@@ -189,15 +252,19 @@ def test_rationals_serialized_as_strings():
 
 def test_text_report_contains_verdict_table():
     report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
-    rendered = emit_report(report, fmt="text")
+    out = io.StringIO()
+    emit_report(report, fmt="text", out=out)
+    rendered = out.getvalue()
     assert "[pass]" in rendered
     assert "verdict: pass" in rendered
 
 
 def test_emit_report_unknown_format():
     report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
+    out = io.StringIO()
     with pytest.raises(ConfigError):
-        emit_report(report, fmt="yaml")
+        emit_report(report, fmt="yaml", out=out)
+    assert out.getvalue() == ""
 
 
 def test_run_scenario_deterministic_given_seed():
@@ -608,6 +675,20 @@ def test_cli_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
     assert out.read_bytes() == printed.encode()
 
 
+def test_cli_all_out_file_holds_the_bytes_a_real_stdout_gets(tmp_path):
+    # reports are written to the stream as each scenario finishes; the file
+    # and a pipe get the same bytes, and --out prints only the summary
+    args = ("all", "--format", "json", "--stable")
+    printed = run_cli(*args)
+    assert printed.returncode == 0
+    out = tmp_path / "all.json"
+    summary = run_cli(*args, "--out", str(out))
+    assert summary.returncode == 0
+    assert out.read_bytes() == printed.stdout.encode()
+    count = len(default_battery_scenarios())
+    assert summary.stdout == f"wrote {count} report(s) to {out}; all pass\n"
+
+
 def test_cli_config_missing_file_exit_two():
     result = run_cli("all", "--config", "/nonexistent/config.json")
     assert result.returncode == 2
@@ -712,6 +793,41 @@ def test_cli_bundles_split_only_at_top_level_commas(tmp_path):
     report = json.loads(out.read_text())
     assert report["params"]["bundles"] == ["O(1,0)", "O(0,1)"]
     assert {case["inputs"]["twist"] for case in report["cases"]} == {"O(1,0)", "O(0,1)"}
+
+
+def test_twist_echoes_the_canonical_bundle_label(capsys):
+    # a spaced --bundles label runs and echoes as the insertion labels spell
+    # it; only params.bundles keeps the text given
+    def report(bundles, fmt):
+        argv = ["twisted-vanish", "--surface", "p1xp1", "--n", "1,1", "--bundles", bundles]
+        assert cli.main([*argv, "--format", fmt, "--stable"]) == 0
+        return capsys.readouterr().out
+
+    spaced = json.loads(report("O(1, 0)", "json"))
+    assert spaced["params"]["bundles"] == ["O(1, 0)"]
+    assert {case["inputs"]["twist"] for case in spaced["cases"]} == {"O(1,0)"}
+    assert spaced["cases"] == json.loads(report("O(1,0)", "json"))["cases"]
+    assert "twist=O(1,0), insertion=c1(O(1,0)@1)" in report("O(1, 0)", "text")
+
+
+def test_scenarios_read_the_parsed_trivial_bundle_and_battery(monkeypatch):
+    # the surface holds both parsed; pushforward, kstep and serre-duality
+    # parse no label
+    for surface in SURFACES.values():
+        assert surface.trivial == bundle_by_label(surface, "O")
+        assert surface.battery_bundles == tuple(
+            bundle_by_label(surface, label) for label in surface.battery
+        )
+
+    def refuse(surface, label):
+        raise AssertionError(f"parsed {label!r} again")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nestloc") and hasattr(module, "bundle_by_label"):
+            monkeypatch.setattr(module, "bundle_by_label", refuse)
+    for kind, sizes in (("pushforward", (2, 1)), ("kstep", (1, 1, 1)), ("serre-duality", ())):
+        for surface in SURFACES:
+            assert run_scenario(Scenario(kind, surface, sizes))["verdict"] == "pass"
 
 
 def test_cli_bad_bundle_label_exit_two(capsys):

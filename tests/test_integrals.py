@@ -150,6 +150,26 @@ def test_chern_series_matches_binomial_product(char_spec, order):
     assert chern_series(char, spec, order) == reference_chern_series(char, spec, order)
 
 
+def test_chern_series_cache_stores_nothing_after_a_run():
+    # a one-shot run reads no series twice, so the cache only counts calls
+    integrals._chern_series_cached.cache_clear()
+    report = run_scenario(Scenario("pushforward", sizes=(2, 1)))
+    assert report["verdict"] == "pass"
+    info = integrals._chern_series_cached.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+    assert info.misses > 0
+    spec = sample_specs(1729, 1)[0]
+    trivial = p2().trivial
+    for mp1 in multipartitions(p2(), 2):
+        for mp2 in multipartitions(p2(), 1):
+            char = co_class(p2(), mp1, mp2, trivial)
+            for order in (3, 5):
+                assert chern_series(char, spec, order) == reference_chern_series(char, spec, order)
+        char = tangent_char(p2(), mp1)
+        assert chern_series(char, spec, 4) == reference_chern_series(char, spec, 4)
+    assert integrals._chern_series_cached.cache_info().currsize == 0
+
+
 # Carlsson-Okounkov: sum_n q^n int_{S^[n]} c_2n(E_L) = prod_m (1-q^m)^(2-2chi(L)-e(S))
 # for the twisted diagonal class E_L = co_class(S, mp, mp, L) of rank 2n.
 # At these points E_L is an honest representation (no negative
