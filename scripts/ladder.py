@@ -17,12 +17,15 @@ exit code and the sha256 of its stdout, which must be the same in every
 run.  Pointing `--src` at another checkout's sources times that version
 with the same script on the same machine.
 
-Each run also records its peak resident set size, the `ru_maxrss` that
-`os.wait4` returns for it.  Linux starts the peak of a child made by vfork
-and exec at the peak of the process that spawned it, and `subprocess`
-spawns by vfork, so a run's figure is at least this runner's own peak; the
-context records that floor, and the runner hashes each run's stdout as it
-reads it rather than holding it.
+Each run also records its own peak resident set size.  `ru_maxrss` will
+not do: Linux starts it, for a child made by vfork and exec as `subprocess`
+makes it, at the peak of the process that spawned it, so every rung below
+this runner's own peak would read that floor.  `VmHWM` in
+/proc/self/status starts afresh at exec, so each rung's interpreter runs
+PEAK_HOOK first, which writes that figure at exit to the file named by
+the environment variable PEAK_FILE_ENV; `python -m nestloc ...` runs as
+`python -c '<hook>; runpy.run_module("nestloc", ...)' ...`, the same
+module with the same arguments.
 
 Beside the measured seconds each run records reference seconds, as
 `bench/run.py` computes them: the calibration loop of `bench/child.py`
@@ -43,9 +46,9 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
+import tempfile
 import time
 from statistics import median
 
@@ -53,6 +56,21 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 BENCH = os.path.join(ROOT, "bench")
 #: runs of each rung; the median of five damps two slow runs on a shared machine
 REPEAT = 5
+
+#: names the file a rung's PEAK_HOOK writes its peak to
+PEAK_FILE_ENV = "NESTLOC_LADDER_PEAK_FILE"
+#: runs first in every rung: at exit, the interpreter's VmHWM in KiB
+PEAK_HOOK = f"""\
+import atexit, os
+
+def _write_peak():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    with open(os.environ["{PEAK_FILE_ENV}"], "w", encoding="ascii") as fh:
+        fh.write(kib)
+
+atexit.register(_write_peak)
+"""
 
 #: (label, nestloc argv)
 RUNGS = (
@@ -90,27 +108,35 @@ def ladder() -> list[tuple[str, tuple[str, ...]]]:
     ]
 
 
-def megabytes(kib: int) -> float:
-    """`ru_maxrss`, in KiB on Linux, over 1024, as `bench/run.py` reads it."""
-    return round(kib / 1024, 1)
+def hooked(argv) -> list[str]:
+    """The interpreter argv of a rung, `-c CODE ...` or `-m MODULE ...`, as
+    one `-c` with PEAK_HOOK run first."""
+    option, target, *rest = argv
+    if option == "-m":
+        target = f"import runpy\nrunpy.run_module({target!r}, run_name='__main__', alter_sys=True)"
+    return ["-c", PEAK_HOOK + target, *rest]
 
 
-def run_rung(argv, src: str) -> tuple[float, int, str, float]:
+def run_rung(argv, src: str, peak_file: str) -> tuple[float, int, str, float | None]:
     """(measured seconds, exit code, sha256 of stdout, peak RSS in MB) of one
-    cold run."""
+    cold run; the peak is None when the run wrote none.  The runner hashes
+    stdout as it reads it rather than holding it."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    env[PEAK_FILE_ENV] = peak_file
+    with open(peak_file, "w", encoding="ascii"):
+        pass
     digest = hashlib.sha256()
     started = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+    proc = subprocess.Popen([sys.executable, *hooked(argv)], env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.DEVNULL)
     with proc.stdout:
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
-    _, status, usage = os.wait4(proc.pid, 0)
+    code = proc.wait()
     seconds = time.perf_counter() - started
-    # reaped here, so the Popen object must not wait for it again
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return seconds, proc.returncode, digest.hexdigest(), megabytes(usage.ru_maxrss)
+    with open(peak_file, encoding="ascii") as fh:
+        kib = fh.read()
+    return seconds, code, digest.hexdigest(), round(int(kib) / 1024, 1) if kib else None
 
 
 def calibration(src: str):
@@ -151,24 +177,27 @@ def main() -> int:
     commands = ladder()
     # label -> one list per field of its runs
     runs = {label: ([], [], [], [], []) for label, _ in commands}
-    for _ in range(REPEAT):
-        for label, argv in commands:
-            seconds, code, digest, peak = run_rung(argv, args.src)
-            child.calibrate(loops)
-            # the loops just before and just after this run
-            around = loops[-2 * child.CALIBRATION_REPEATS:]
-            loop_s = median((end - start) / 1e9 for start, end in around)
-            row = (round(seconds, 3), code, digest, round(seconds * reference_s / loop_s, 3), peak)
-            for column, value in zip(runs[label], row):
-                column.append(value)
-    runner_peak = megabytes(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    with tempfile.TemporaryDirectory(prefix="ladder-peak-") as peak_dir:
+        peak_file = os.path.join(peak_dir, "peak")
+        for _ in range(REPEAT):
+            for label, argv in commands:
+                seconds, code, digest, peak = run_rung(argv, args.src, peak_file)
+                child.calibrate(loops)
+                # the loops just before and just after this run
+                around = loops[-2 * child.CALIBRATION_REPEATS:]
+                loop_s = median((end - start) / 1e9 for start, end in around)
+                row = (round(seconds, 3), code, digest, round(seconds * reference_s / loop_s, 3),
+                       peak)
+                for column, value in zip(runs[label], row):
+                    column.append(value)
 
     failures = 0
     rungs = []
     for label, argv in commands:
         seconds, exits, digests, reference, peaks = runs[label]
         exits, digests = set(exits), set(digests)
-        ok = exits == {0} and len(digests) == 1
+        known = [peak for peak in peaks if peak is not None]
+        ok = exits == {0} and len(digests) == 1 and len(known) == len(peaks)
         failures += not ok
         rungs.append({
             "label": label,
@@ -180,15 +209,15 @@ def main() -> int:
             "reference_s": reference,
             "median_reference_s": round(median(reference), 3),
             "peak_rss_mb": peaks,
-            "median_peak_rss_mb": median(peaks),
+            "median_peak_rss_mb": median(known) if known else None,
             "exit": sorted(exits),
             "sha256": sorted(digests),
         })
         print(f"{label}: median {median(seconds):.3f} s, min {min(seconds):.3f},"
               f" max {max(seconds):.3f} over {len(seconds)} runs;"
               f" median {median(reference):.3f} reference s,"
-              f" peak RSS median {median(peaks):.1f} MB"
-              f"{'' if ok else ' (FAILED: nonzero exit or unstable report)'}")
+              f" peak RSS median {median(known) if known else 'unread'} MB"
+              f"{'' if ok else ' (FAILED: nonzero exit, unstable report or unread peak)'}")
     trajectory = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -201,8 +230,6 @@ def main() -> int:
             "repeat": REPEAT,
             "calibration_reference_s": reference_s,
             "calibration_median_s": round(median((e - s) / 1e9 for s, e in loops), 4),
-            # the floor of every run's peak_rss_mb (see the module docstring)
-            "runner_peak_rss_mb": runner_peak,
         },
         "rungs": rungs,
     }

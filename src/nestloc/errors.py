@@ -44,6 +44,12 @@ class DegreeMismatchError(MathError):
     name = "DegreeMismatch"
 
 
+class DishonestClassError(MathError):
+    """A co-class has a negative multiplicity; every true one is honest."""
+
+    name = "DishonestClass"
+
+
 class TruncationOverflowError(MathError):
     """A symbolic computation needs degrees above the ring truncation."""
 

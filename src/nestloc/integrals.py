@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
-from .errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
+from .errors import DegreeMismatchError, DishonestClassError, NonGenericSpecError, ZeroWeightError
 from .series import line_factor
 from .toric import EqLineBundle, ToricSurface
 from .value import Value, _set
@@ -42,16 +42,11 @@ class WeightSpec(Value):
 
 
 def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
-    """Coefficients of degrees 0..order of the total Chern series
-    prod_w (1 + <w,s> tau)^{m_w}.
-
-    Negative multiplicities invert the corresponding factor; weight-zero
-    terms contribute unity, so zero weights are legal here.  The factors
-    with positive multiplicity are multiplied in first, each only up to
-    the degree reached so far, so an honest character of rank r costs
-    r(r+1)/2 multiply-adds whatever the order; the inverted factors follow
-    over the full order.
-    """
+    """Coefficients of degrees 0..order of prod_w (1 + <w,s> tau)^{m_w} for
+    an honest character, an Ext-class fold of `vertex`: a nonzero weight of
+    negative multiplicity raises ValueError, and weight-zero terms
+    contribute unity.  Each factor is multiplied in only up to the degree
+    reached so far, so rank r costs r(r+1)/2 multiply-adds at any order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     return _chern_series_cached(char, spec, order)
@@ -65,17 +60,10 @@ def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tup
     s1, s2 = spec.s1, spec.s2
     coeffs = [1] + [0] * order
     degree = 0
-    inverted = []
     for (a, b), mult in poly.terms():
         value = a * s1 + b * s2
-        if not value:
-            continue
-        if mult > 0:
+        if value:
             degree = line_factor(coeffs, value, mult, degree)
-        else:
-            inverted.append((value, mult))
-    for value, mult in inverted:
-        line_factor(coeffs, value, mult, degree)
     return tuple(coeffs)
 
 
@@ -348,31 +336,41 @@ def ambient_measure(
     """{(mp_1, ..., mp_k): co / e(T_1)...e(T_k)} over the fixed points of
     S^[n_1] x ... x S^[n_k] whose co-class product co is nonzero.
 
-    Each factor's Euler classes are looked up once per fixed point of that
-    factor, before the product; all are looked up, so a spec that is not
-    generic for some fixed point raises even where every co-class factor
-    vanishes.  A co-class factor whose character is honest (every
-    multiplicity positive) and whose degree exceeds its rank is 0 without
-    expanding its Chern series, a product of rank factors (1 + w tau); a
-    character with a negative multiplicity is expanded in full.  The
-    factors of a point are read until one is 0."""
+    The co-class between factors m and m + 1 is, at every pair of fixed
+    points, the arm/leg character of an honest bundle of rank
+    r = n_m + n_{m+1}.  So a factor c_d reads no Chern series: it is 0 for
+    d > r and the weight product prod <w,s>^m for d = r (0 if a weight
+    pairs to 0).  d < r raises DegreeMismatchError before any sum, and a
+    negative multiplicity raises DishonestClassError.  The factors of a
+    point are read until one is 0.  Every factor's Euler classes are
+    looked up once per fixed point, before the product, so a spec that is
+    not generic for some fixed point raises even where every co-class
+    factor vanishes."""
     sizes = tuple(int(n) for n in sizes)
     for c in co_factors:
         if not 0 <= c.left < len(sizes) - 1:
             raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
+        if c.degree < sizes[c.left] + sizes[c.left + 1]:
+            raise DegreeMismatchError(f"co-class factor {c.label()} is below its rank")
     eulers = [
         {mp: euler_class(tangent_char(surface, mp), spec) for mp in multipartitions(surface, n)}
         for n in sizes
     ]
+    s1, s2 = spec.s1, spec.s2
     measure: Measure = {}
     for mps in product(*eulers):
         co_value = 1
         for c in co_factors:
-            char = co_class(surface, mps[c.left], mps[c.left + 1], c.bundle)
-            if c.degree > sizes[c.left] + sizes[c.left + 1] and char.is_effective():
+            mp1, mp2 = mps[c.left], mps[c.left + 1]
+            char = co_class(surface, mp1, mp2, c.bundle)
+            if not char.is_effective():
+                raise DishonestClassError(f"co-class factor {c.label()} at ({mp1.to_text()}, "
+                                          f"{mp2.to_text()}) has a negative multiplicity")
+            if c.degree > mp1.total + mp2.total:
                 co_value = 0
-            else:
-                co_value *= chern_series(char, spec, c.degree)[c.degree]
+                break
+            for (a, b), mult in char.terms():
+                co_value *= (a * s1 + b * s2) ** mult
             if not co_value:
                 break
         if co_value:
@@ -413,11 +411,8 @@ def integrate_ambient_batch(
     """Ambient localization sum over products of Hilbert schemes.
 
     Every insertion is integrated against the common co-class factors in
-    one `_localize` pass over `ambient_measure`: the fixed-point tuples
-    whose co-class product co is nonzero, each weighted by co / e(T), where
-    a factor above the rank of an honest co-class is 0 without its series.
-    The degree condition (insertion + co degrees == complex dimension) is
-    checked per insertion.
+    one `_localize` pass over `ambient_measure`.  The degree condition
+    (insertion + co degrees == complex dimension) is checked per insertion.
     """
     sizes = tuple(int(n) for n in sizes)
     co_degree = sum(c.degree for c in co_factors)

@@ -22,23 +22,19 @@ def binomial(x: int, k: int) -> int:
 
 def line_factor(coeffs: list[int], weight_value: int, multiplicity: int, degree: int) -> int:
     """Multiply the truncated series `coeffs`, of degree at most `degree`,
-    in place by (1 + w tau)^m; return the degree of the product, capped at
-    the order len(coeffs) - 1.
+    in place by (1 + w tau)^m, m >= 0; return the degree of the product,
+    capped at the order len(coeffs) - 1.
 
-    m > 0 multiplies by (1 + w tau) m times, each from the degree reached
-    so far down, so each step reads the old lower coefficient and skips
-    the coefficients that are still zero; m < 0 divides by it |m| times,
-    from degree 1 up through the order, which is exact in integers since
-    the constant term of (1 + w tau) is 1."""
+    Each of the m steps runs from the degree reached so far down, so it
+    reads the old lower coefficient and skips the coefficients that are
+    still zero.  A negative m raises ValueError: every series is of an
+    honest character."""
+    if multiplicity < 0:
+        raise ValueError(f"negative multiplicity {multiplicity}")
     order = len(coeffs) - 1
-    if multiplicity > 0:
-        for _ in range(multiplicity):
-            if degree < order:
-                degree += 1
-            for k in range(degree, 0, -1):
-                coeffs[k] += weight_value * coeffs[k - 1]
-        return degree
-    for _ in range(-multiplicity):
-        for k in range(1, order + 1):
-            coeffs[k] -= weight_value * coeffs[k - 1]
-    return order
+    for _ in range(multiplicity):
+        if degree < order:
+            degree += 1
+        for k in range(degree, 0, -1):
+            coeffs[k] += weight_value * coeffs[k - 1]
+    return degree

@@ -61,20 +61,21 @@ def test_chern_series_examples():
     spec = WeightSpec(1, 0)
     assert chern_series(LaurentPoly.zero(), spec, 3) == (1, 0, 0, 0)
     assert chern_series(LaurentPoly.monomial(1, 0), spec, 2) == (1, 1, 0)
-    # (1+2t)/(1+3t) = 1 - t + 3t^2
     spec23 = WeightSpec(2, 3)
-    char = lp({(1, 0): 1, (0, 1): -1})
-    assert chern_series(char, spec23, 2) == (1, -1, 3)
     # (1+2t)^2 (1+3t) has rank 3: every coefficient above it is 0
     char = lp({(1, 0): 2, (0, 1): 1})
     assert chern_series(char, spec23, 6) == (1, 7, 16, 12, 0, 0, 0)
     # multiplicity 3: (1+2t)^3
     assert chern_series(lp({(1, 0): 3}), WeightSpec(2, 5), 4) == (1, 6, 12, 8, 0)
-    # (1+t) / (1+2t)^2, its inverted term first in `terms()`
+    # a series is of an honest character: (1+2t)/(1+3t) and (1+t)/(1+2t)^2,
+    # the negative term first in `terms()`, are refused
+    with pytest.raises(ValueError):
+        chern_series(lp({(1, 0): 1, (0, 1): -1}), spec23, 2)
     char = lp({(0, 1): -2, (1, 0): 1})
     assert [mult for _, mult in char.terms()] == [-2, 1]
-    assert chern_series(char, WeightSpec(1, 2), 4) == (1, -3, 8, -20, 48)
-    assert chern_series(char, WeightSpec(1, 2), 0) == (1,)
+    for order in (4, 0):
+        with pytest.raises(ValueError):
+            chern_series(char, WeightSpec(1, 2), order)
 
 
 def test_line_factor_updates_up_to_the_degree_reached():
@@ -83,15 +84,17 @@ def test_line_factor_updates_up_to_the_degree_reached():
     assert coeffs == [1, 4, 4, 0]
     assert line_factor(coeffs, 1, 2, 2) == 3  # capped at the order
     assert coeffs == [1, 6, 13, 12]
-    assert line_factor(coeffs, 1, -1, 3) == 3
-    assert coeffs == [1, 5, 8, 4]
+    with pytest.raises(ValueError):
+        line_factor(coeffs, 1, -1, 3)
+    assert coeffs == [1, 6, 13, 12]
 
 
 def test_chern_series_constant_term_is_one():
     spec = WeightSpec(5, 7)
-    char = lp({(1, 0): 2, (0, 1): -3, (1, 1): 1, (0, 0): 4})
-    series = chern_series(char, spec, 5)
-    assert series[0] == 1
+    char = lp({(1, 0): 2, (0, 1): 3, (1, 1): 1, (0, 0): 4})
+    assert chern_series(char, spec, 5)[0] == 1
+    with pytest.raises(ValueError):
+        chern_series(lp({(1, 0): 2, (0, 1): -3, (1, 1): 1, (0, 0): 4}), spec, 5)
 
 
 # -- slow oracle for the in-place Chern series --------------------------------
@@ -99,7 +102,7 @@ def test_chern_series_constant_term_is_one():
 
 def reference_line_factor(weight_value, multiplicity, order):
     """(1 + w tau)^m truncated at tau^order; m may be negative (generalized
-    binomials)."""
+    binomials), as it may in no series of the engine."""
     coeffs = [1]
     power = 1
     for j in range(1, order + 1):
@@ -146,8 +149,38 @@ def characters_at_spec(draw):
 @settings(max_examples=300, deadline=None)
 @given(characters_at_spec(), st.integers(0, 12))
 def test_chern_series_matches_binomial_product(char_spec, order):
+    """The honest part of a character matches the binomial product; the
+    whole character is refused where a nonzero weight has a negative
+    multiplicity, and a weight-zero term of any sign contributes unity."""
     char, spec = char_spec
-    assert chern_series(char, spec, order) == reference_chern_series(char, spec, order)
+    honest = lp([(exp, mult) for exp, mult in char.terms() if mult > 0])
+    assert chern_series(honest, spec, order) == reference_chern_series(honest, spec, order)
+    if any(mult < 0 and a * spec.s1 + b * spec.s2 for (a, b), mult in char.terms()):
+        with pytest.raises(ValueError):
+            chern_series(char, spec, order)
+    else:
+        assert chern_series(char, spec, order) == reference_chern_series(char, spec, order)
+
+
+@st.composite
+def honest_characters_at_spec(draw):
+    """An honest character, weight-zero terms and exponents that pair to 0
+    at the spec among its terms, and a signed integer spec."""
+    char, spec = draw(characters_at_spec())
+    return lp([(exp, abs(mult)) for exp, mult in char.terms()]), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_characters_at_spec())
+def test_top_class_of_an_honest_character_is_its_weight_product(char_spec):
+    """What `ambient_measure` reads for c_r of a co-class of rank r: the
+    weight product, 0 where a term pairs to 0, is the top coefficient of
+    the series and of the binomial product."""
+    char, spec = char_spec
+    rank = char.rank_eval()
+    top = math.prod((a * spec.s1 + b * spec.s2) ** mult for (a, b), mult in char.terms())
+    assert chern_series(char, spec, rank)[rank] == top
+    assert reference_chern_series(char, spec, rank)[rank] == top
 
 
 def test_chern_series_cache_stores_nothing_after_a_run():
@@ -173,7 +206,7 @@ def test_chern_series_cache_stores_nothing_after_a_run():
 # Carlsson-Okounkov: sum_n q^n int_{S^[n]} c_2n(E_L) = prod_m (1-q^m)^(2-2chi(L)-e(S))
 # for the twisted diagonal class E_L = co_class(S, mp, mp, L) of rank 2n.
 # At these points E_L is an honest representation (no negative
-# multiplicity), so only the binomial oracle above reaches the division.
+# multiplicity), as `chern_series` requires.
 CARLSSON_OKOUNKOV = [
     (p2, (0,), (1, 3, 9, 22, 51)),
     (p2, (1,), (1, 7, 35, 140, 490)),
@@ -578,17 +611,20 @@ POINTWISE = [(p2(), (2, 1)), (p2(), (3, 2)), (p2(), (1, 1, 1)), (p2(), (2, 1, 1)
 @pytest.mark.parametrize(
     "surface,sizes", POINTWISE, ids=[f"{s.name}-{sizes}" for s, sizes in POINTWISE]
 )
-def test_ambient_measure_is_the_virtual_measure_point_by_point(surface, sizes):
+def test_ambient_measure_is_the_virtual_measure_point_by_point(monkeypatch, surface, sizes):
     """Thom-Porteous at the fixed points: the top co-class product vanishes
     off the nested chains, and on a chain co / e(T_1)...e(T_k) is exactly
     1 / e(T^vir).  This is why `_localize` may return the ambient totals
-    for the virtual sum; the kernel's measures must match the oracle's."""
+    for the virtual sum; the kernel's measures must match the oracle's,
+    which reads each top class from a Chern series, while the kernel's
+    ambient measure expands no series at all."""
     spec = sample_specs(1729, 1)[0]
     co = pushforward_co(surface, sizes)
     ambient = {steps: w for steps, w in reference_ambient_points(surface, sizes, spec, co) if w}
     virtual = reference_virtual_points(surface, sizes, spec)
     assert len(dict(virtual)) == len(virtual)
     assert ambient == dict(virtual)
+    monkeypatch.setattr(integrals, "chern_series", None)
     assert integrals.ambient_measure(surface, sizes, spec, co) == ambient
     assert integrals.virtual_measure(surface, sizes, spec) == ambient
 
@@ -694,16 +730,43 @@ def test_above_rank_co_class_factor_is_zero_without_a_series(monkeypatch):
     assert expanded == []
 
 
-def test_dishonest_co_class_is_expanded_and_fails(monkeypatch):
-    """A co-class whose first term has its multiplicity negated has Chern
-    classes above the rank n1 + n2: the series runs and vanish fails."""
+@pytest.mark.parametrize("kind,sizes", [("pushforward", (2, 1)), ("kstep", (1, 1, 1))])
+def test_co_class_factor_at_its_rank_is_a_weight_product_without_a_series(monkeypatch, kind,
+                                                                            sizes):
+    scenario = Scenario(kind, sizes=sizes)
+    report, made, expanded = co_class_series_calls(monkeypatch, co_class, scenario)
+    assert report["verdict"] == "pass"
+    assert made and expanded == []
+
+
+def test_below_rank_co_class_factor_is_refused_before_any_sum(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("read a character")
+
+    for name in ("co_class", "tangent_char", "euler_class"):
+        monkeypatch.setattr(integrals, name, unreachable)
+    with pytest.raises(DegreeMismatchError, match="below its rank"):
+        integrals.ambient_measure(p2(), (2, 1), WeightSpec(1013, 2027), [CoFactor(0, 2, O)])
+
+
+def test_dishonest_co_class_is_refused_by_name(monkeypatch):
+    """A co-class whose first term has its multiplicity negated would have
+    Chern classes above the rank n1 + n2.  Both kinds that read co-classes
+    fail, each failing case naming the first point pair, and no series is
+    expanded."""
 
     def dishonest(surface, mp1, mp2, bundle):
         char = co_class(surface, mp1, mp2, bundle)
         (exp, mult), *_ = char.terms()
         return char - lp({exp: 2 * mult})
 
-    scenario = Scenario(kind="vanish", sizes=(2, 1), i_values=(1,))
-    report, made, expanded = co_class_series_calls(monkeypatch, dishonest, scenario)
-    assert len(expanded) == len(made)
-    assert report["verdict"] == "fail"
+    first = tuple(multipartitions(p2(), n)[0].to_text() for n in (2, 1))
+    for scenario, degree in ((Scenario(kind="vanish", sizes=(2, 1), i_values=(1,)), 4),
+                             (Scenario(kind="pushforward", sizes=(2, 1)), 3)):
+        report, made, expanded = co_class_series_calls(monkeypatch, dishonest, scenario)
+        assert report["verdict"] == "fail" and made and expanded == []
+        diagnostics = {c["diagnostic"] for c in report["cases"] if c["verdict"] == "fail"}
+        assert diagnostics == {
+            f"DishonestClass: co-class factor c{degree}(CO[O]@12) at ({first[0]}, {first[1]}) "
+            "has a negative multiplicity"
+        }

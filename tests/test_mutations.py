@@ -18,6 +18,7 @@ from nestloc.harness import Scenario, default_battery_scenarios, run_scenario
 from nestloc.series import binomial
 from nestloc.toric import SURFACES, bundle_by_label, line_bundle
 from test_golden_characters import golden_mismatches
+from test_guards import REPORT_DIGESTS, SIZE_FLAGS, stable_report_digest
 from test_integrals import (
     CARLSSON_OKOUNKOV,
     TAUTOLOGICAL_CHI,
@@ -260,6 +261,34 @@ def test_inverted_chart_substitution_is_caught_by_hrr_check_and_pins(mutate):
     assert (1, Fraction(1219261, 194481), Fraction(500, 441)) in tautological_chi_mismatches(
         SURFACES["p2"], (-4,)
     )
+
+
+def test_kernel_reading_every_factor_at_factor_0_is_caught_only_by_pins(mutate):
+    """`_localize` reading each factor's character at steps[0] in place of
+    steps[m], applied as a measure whose points are (steps[0],) * k with
+    the weights of points that collapse together added, which sums the
+    same.  A blind spot of every scenario: `pushforward` and `kstep` put
+    both of their equal measures through the same kernel, every `vanish`
+    measure is empty, and `euler-count` and `hrr-check` have one factor.
+    Only the pinned report digests see it."""
+    original = integrals._localize
+
+    def factor_0_only(surface, insertions, spec, measure):
+        collapsed = {}
+        for steps, weight in measure.items():
+            key = (steps[0],) * len(steps)
+            collapsed[key] = collapsed.get(key, 0) + weight
+        return original(surface, insertions, spec, collapsed)
+
+    mutate(integrals, "_localize", factor_0_only)
+    assert failing_battery_kinds() == set()
+    for kind, surface, sizes in (("pushforward", "p2", (3, 2)), ("pushforward", "p1xp1", (3, 3)),
+                                 ("kstep", "p2", (2, 1, 1))):
+        assert run_scenario(Scenario(kind=kind, surface=surface, sizes=sizes))["verdict"] == "pass"
+    assert stable_report_digest(["all"]) != REPORT_DIGESTS["all", None]
+    for surface in SURFACES:
+        argv = ["pushforward", *SIZE_FLAGS["pushforward"], "--surface", surface]
+        assert stable_report_digest(argv) != REPORT_DIGESTS["pushforward", surface]
 
 
 def test_segre_index_off_by_one_is_caught_by_symbolic_tp(mutate):

@@ -284,10 +284,15 @@ def test_vertex_rank_property(n1, n2):
 
 
 def test_vertex_matches_off_diagonal_arm_leg_oracle():
+    """The arm/leg form has one term of multiplicity +1 per box, so every
+    chart term, and every co-class `integrals.ambient_measure` reads, is
+    honest of rank |lam1| + |lam2|."""
     pairs = [(lam1, lam2) for lam1 in all_partitions_up_to(5) for lam2 in all_partitions_up_to(5)]
     assert len(pairs) == 361
     for lam1, lam2 in pairs:
-        assert vertex_V(box_character(lam1), box_character(lam2)) == arm_leg_vertex(lam1, lam2)
+        v = vertex_V(box_character(lam1), box_character(lam2))
+        assert v == arm_leg_vertex(lam1, lam2)
+        assert v.is_effective() and v.rank_eval() == lam1.size + lam2.size
 
 
 # Reference assembly of the global characters by LaurentPoly arithmetic, one
