@@ -57,19 +57,22 @@ from .integrals import (
     sample_specs,
     virtual_measure,
 )
-from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle, surface_by_name
-from .value import Value
+from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle
+from .value import Value, _set
 from .vertex import co_class, vertex_V
 
 
 class Scenario(Value):
     """One named verification suite plus its validated parameters; the
     defaults of `__init__` are the only defaults of every input, and
-    `DEFAULT_SCENARIO` holds them."""
+    `DEFAULT_SCENARIO` holds them.  The fields hold the inputs as given;
+    `validate_scenario` sets what the cases read: the surface `toric`, the
+    `twists` by canonical label (O where the kind reads no bundles), the
+    `weight_specs`, and the `file_insertions` (None for the auto basis)."""
 
-    __slots__ = ("kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
-                 "truncation", "insertions", "specs")
-    _fields = __slots__
+    _fields = ("kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
+               "truncation", "insertions", "specs")
+    __slots__ = _fields + ("toric", "twists", "weight_specs", "file_insertions")
 
     def __init__(
         self,
@@ -166,6 +169,11 @@ def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
 
 
 def validate_scenario(s: Scenario) -> Scenario:
+    """`s` with the values its cases read set from its text inputs (see
+    `Scenario`), or ConfigError naming the first bad input; the insertions
+    file is read here, once.  A validated scenario is returned as it is."""
+    if hasattr(s, "file_insertions"):
+        return s
     if s.kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {s.kind!r}; choose from {tuple(SCENARIO_KINDS)}")
     kind = SCENARIO_KINDS[s.kind]
@@ -207,17 +215,33 @@ def validate_scenario(s: Scenario) -> Scenario:
                 f"an insertions file (--insertions) fixes one degree n1+n2-i, so it takes one "
                 f"i (--i); got i = {', '.join(map(str, s.i_values))}"
             )
+    surface = SURFACES[s.surface]
     try:
-        bundles = [bundle_by_label(surface_by_name(s.surface), label) for label in s.bundles]
+        bundles = [bundle_by_label(surface, label) for label in s.bundles]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _refuse_repeats("bundles (--bundles)", s.bundles, bundles, "name one line bundle")
     specs = [_parse_spec_text(text) for text in s.specs]
+    # the zero spec has no direction: it repeats only itself
     _refuse_repeats("specs (--spec)", s.specs, specs,
                     "are proportional, and every integral is homogeneous of degree 0",
-                    same=lambda p, q: p.s1 * q.s2 == p.s2 * q.s1)
-    if s.insertions != "auto" and not s.insertions.startswith("file:"):
+                    same=lambda p, q: p == q or p.s1 * q.s2 == p.s2 * q.s1
+                    and WeightSpec(0, 0) not in (p, q))
+    if s.insertions == "auto":
+        insertions = None
+    elif s.insertions.startswith("file:"):
+        # the integrand's degree: n1 + n_k, less i where the kind reads i
+        degree = s.sizes[0] + s.sizes[-1] - (s.i_values[0] if "i_values" in kind.reads else 0)
+        insertions = _read_insertions(s, surface, degree)
+    else:
         raise ConfigError("insertions must be 'auto' or 'file:<path>'")
+    if "bundles" not in kind.reads:
+        bundles = [surface.trivial]
+    _set(s, "toric", surface)
+    _set(s, "twists", {b.label: b for b in bundles or surface.twist_bundles})
+    _set(s, "weight_specs",
+         tuple(specs) or (sample_specs(s.seed, s.samples) if "specs" in kind.reads else ()))
+    _set(s, "file_insertions", insertions)
     return s
 
 
@@ -239,24 +263,15 @@ def _parse_spec_text(text: str) -> WeightSpec:
     return WeightSpec(int(a * scale), int(b * scale))
 
 
-def scenario_specs(s: Scenario) -> tuple[WeightSpec, ...]:
-    """Explicit specs if given, else seeded generic samples."""
-    if s.specs:
-        return tuple(_parse_spec_text(t) for t in s.specs)
-    return sample_specs(s.seed, s.samples)
-
-
-def _load_insertions(s: Scenario, degree: int) -> tuple[Insertion, ...]:
-    surface = surface_by_name(s.surface)
-    if s.insertions == "auto":
-        return insertion_basis(surface, s.sizes, degree)
+def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[Insertion, ...]:
+    """The monomials of the scenario's insertions file, each of degree `degree`."""
     path = s.insertions[len("file:") :]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read insertions file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
     out = []
     try:
@@ -419,12 +434,11 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
 
 
 def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
-    surface = surface_by_name(s.surface)
     n1, n2 = s.sizes
-    insertions = _load_insertions(s, n1 + n2 - i)
-    specs = scenario_specs(s)
-    co = [CoFactor(0, n1 + n2 + i, bundle_by_label(surface, bundle))]
-    per_spec = [integrate_ambient_batch(surface, s.sizes, insertions, spec, co) for spec in specs]
+    insertions = s.file_insertions or insertion_basis(s.toric, s.sizes, n1 + n2 - i)
+    specs = s.weight_specs
+    co = [CoFactor(0, n1 + n2 + i, s.twists[bundle])]
+    per_spec = [integrate_ambient_batch(s.toric, s.sizes, insertions, spec, co) for spec in specs]
     return [
         _sampled_case({"i": i, "twist": bundle, "insertion": ins.label()}, specs, values,
                       [0] * len(specs), "nonzero integral")
@@ -433,10 +447,8 @@ def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
 
 
 def _pushforward_cases(s: Scenario) -> list[dict]:
-    surface = surface_by_name(s.surface)
-    sizes = s.sizes
-    insertions = _load_insertions(s, sizes[0] + sizes[-1])
-    specs = scenario_specs(s)
+    surface, sizes, specs = s.toric, s.sizes, s.weight_specs
+    insertions = s.file_insertions or insertion_basis(surface, sizes, sizes[0] + sizes[-1])
     co = [CoFactor(m, sizes[m] + sizes[m + 1], surface.trivial) for m in range(len(sizes) - 1)]
     ambient, virtual = [], []
     for spec in specs:
@@ -477,10 +489,9 @@ def _measure_difference(surface: ToricSurface, sizes, spec: WeightSpec, co) -> s
 
 
 def _euler_count_cases(s: Scenario) -> list[dict]:
-    surface = surface_by_name(s.surface)
+    surface, specs = s.toric, s.weight_specs
     (n,) = s.sizes
     expected = euler_product_coefficient(surface.euler_number, n)
-    specs = scenario_specs(s)
     insertion = Insertion((TangentFactor(0, 2 * n),)) if n else Insertion(())
     values = [integrate_ambient_batch(surface, s.sizes, [insertion], spec)[0] for spec in specs]
     inputs = {"n": n, "insertion": insertion.label(), "expected": str(expected)}
@@ -489,10 +500,9 @@ def _euler_count_cases(s: Scenario) -> list[dict]:
 
 
 def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
-    surface = surface_by_name(s.surface)
+    surface, specs = s.toric, s.weight_specs
     bundle = line_bundle(surface, *degrees)
     expected = surface.chi(*degrees)
-    specs = scenario_specs(s)
     values = [hrr_chi(surface, bundle, spec) for spec in specs]
 
     # independent K-theoretic route: localization sum vs direct H^0 character
@@ -550,7 +560,7 @@ def _symbolic_cases(s: Scenario) -> list[dict]:
 
 
 def _vertex_suite_cases(s: Scenario) -> list[dict]:
-    surface = surface_by_name(s.surface)
+    surface = s.toric
     u1u2 = LaurentPoly.monomial(1, 1)
     cases = []
     rank_ok = True
@@ -643,9 +653,7 @@ def _single_group(s: Scenario) -> list[dict]:
 
 def _twist_groups(s: Scenario) -> list[dict]:
     # each group names its twist by the canonical label, as insertions do
-    surface = surface_by_name(s.surface)
-    labels = [bundle_by_label(surface, b).label for b in s.bundles or surface.twists]
-    return [{"i": i, "bundle": label} for label in labels for i in s.i_values]
+    return [{"i": i, "bundle": label} for label in s.twists for i in s.i_values]
 
 
 _TWO_SIZES = (2, 2, "needs exactly two sizes")
@@ -654,10 +662,7 @@ _INTEGRATED = _SAMPLED | {"insertions"}
 
 SCENARIO_KINDS = {
     "vanish": ScenarioKind(
-        lambda s: [{"i": i, "bundle": "O"} for i in s.i_values],
-        _vanish_cases,
-        _TWO_SIZES,
-        reads=_INTEGRATED | {"i_values"},
+        _twist_groups, _vanish_cases, _TWO_SIZES, reads=_INTEGRATED | {"i_values"}
     ),
     "twisted-vanish": ScenarioKind(
         _twist_groups, _vanish_cases, _TWO_SIZES, reads=_INTEGRATED | {"i_values", "bundles"}
@@ -677,7 +682,7 @@ SCENARIO_KINDS = {
         _single_group, _euler_count_cases, (1, 1, "takes a single size"), reads=_SAMPLED
     ),
     "hrr-check": ScenarioKind(
-        lambda s: [{"degrees": d} for d in surface_by_name(s.surface).hrr_degrees],
+        lambda s: [{"degrees": d} for d in s.toric.hrr_degrees],
         _hrr_cases,
         reads=_SAMPLED,
     ),
@@ -703,15 +708,15 @@ def _params_echo(s: Scenario) -> dict:
     if s.specs:
         out["specs"] = list(s.specs)
     if kind.sizes:
-        surface = surface_by_name(s.surface)
-        out["fixed_points"] = [len(multipartitions(surface, n)) for n in s.sizes]
+        out["fixed_points"] = [len(multipartitions(s.toric, n)) for n in s.sizes]
         if kind.chains:
-            out["chains"] = len(nested_chains(surface, s.sizes))
+            out["chains"] = len(nested_chains(s.toric, s.sizes))
     return out
 
 
 def _group_worker(payload):
-    return _run_group(*payload)
+    # a pickled scenario carries its text fields only, so it is validated again
+    return _run_group(validate_scenario(payload[0]), payload[1])
 
 
 def run_scenario(s: Scenario, jobs: int = 1) -> dict:
@@ -885,6 +890,8 @@ def parse_config(path: str, overrides: dict | None = None) -> list[Scenario]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict) or "scenarios" not in raw:
         raise ConfigError(f"config {path!r} must be an object with a 'scenarios' list")
     entries = raw["scenarios"]

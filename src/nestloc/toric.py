@@ -40,12 +40,12 @@ class ToricSurface(Value):
     Equality compares the name and the charts only.  The hash is computed
     once, at construction, from the integer charts alone, so it is the same
     in every process whatever PYTHONHASHSEED is; surfaces key every
-    character cache.  The trivial bundle and the battery are parsed once,
-    at construction, into `trivial` and `battery_bundles`.
+    character cache.  Its bundle labels are parsed once, at construction,
+    into `trivial`, `battery_bundles` and `twist_bundles`.
     """
 
     _fields = ("name", "charts", "fibers", "battery", "twists", "hrr_degrees", "chi", "sections")
-    __slots__ = _fields + ("trivial", "battery_bundles")
+    __slots__ = _fields + ("trivial", "battery_bundles", "twist_bundles")
     _compare = ("name", "charts")
 
     def __init__(
@@ -76,6 +76,7 @@ class ToricSurface(Value):
         _set(self, "_hash", hash(charts))
         _set(self, "trivial", line_bundle(self, *(0 for _ in fibers)))
         _set(self, "battery_bundles", tuple(bundle_by_label(self, label) for label in battery))
+        _set(self, "twist_bundles", tuple(bundle_by_label(self, label) for label in twists))
 
     @property
     def euler_number(self) -> int:
@@ -141,13 +142,6 @@ def p1xp1() -> ToricSurface:
         chi=lambda a, b: Fraction((a + 1) * (b + 1)),
         sections=lambda a, b: ((-i, -j) for i in range(a + 1) for j in range(b + 1)),
     )
-
-
-def surface_by_name(name: str) -> ToricSurface:
-    try:
-        return SURFACES[name]
-    except KeyError:
-        raise ValueError(f"unknown surface {name!r}; choose from {sorted(SURFACES)}") from None
 
 
 def line_bundle(surface: ToricSurface, *degrees: int) -> EqLineBundle:

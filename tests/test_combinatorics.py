@@ -1,4 +1,5 @@
 import hashlib
+import json
 import pickle
 from dataclasses import dataclass, fields, make_dataclass
 
@@ -255,13 +256,16 @@ def record_groups():
     }
 
 
-def test_cached_sizes_and_hashes_match_recomputed_values():
+def test_cached_sizes_and_hashes_match_recomputed_values(tmp_path, monkeypatch):
     """size/total, shape and the hash are computed once at construction; every
     observable value must equal one recomputed from `parts` by a plain
     frozen dataclass, so every cache key is unchanged.  The other records
     (chains, factors, insertions, specs, scenarios) are checked against
     reference frozen dataclasses the same way: equality, hash, repr where
     the class keeps the dataclass repr, pickling and refused assignment."""
+    # validation reads the insertions file `x` one scenario names
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x").write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 1}]]))
     partitions = [lam for n in range(9) for lam in partitions_of(n)]
     mps = [mp for n in range(5) for mp in multipartitions(p2(), n)]
     mps += [mp for n in range(4) for mp in multipartitions(p1xp1(), n)]

@@ -6,7 +6,7 @@ import os
 
 from nestloc import vertex
 from nestloc.combinatorics import MultiPartition, Partition, multipartitions
-from nestloc.toric import bundle_by_label, surface_by_name
+from nestloc.toric import SURFACES, bundle_by_label
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "characters.json")
 
@@ -30,7 +30,7 @@ def golden_mismatches():
     assert rows
     bad = []
     for row in rows:
-        surface = surface_by_name(row["surface"])
+        surface = SURFACES[row["surface"]]
         twist = bundle_by_label(surface, "O(1)" if surface.name == "p2" else "O(1,0)")
         mp = parse_mp(row["mp"])
         if "tangent" in row:

@@ -467,6 +467,13 @@ def test_cli_lone_zero_spec_is_run_and_fails():
     assert "NonGenericSpec" in result.stdout
 
 
+def test_cli_zero_spec_beside_another_is_run_and_fails(capsys):
+    # the zero spec has no direction, so it is proportional to no other
+    # spec: beside 2,3 it runs and fails as it does alone
+    assert cli.main(["euler-count", "--n", "1", "--spec", "0,0", "--spec", "2,3"]) == 1
+    assert "NonGenericSpec" in capsys.readouterr().out
+
+
 def test_cli_non_generic_explicit_spec_exit_one():
     # s = (1, 1) kills the tangent weight (1, -1) on p2, so the failure
     # surfaces with its diagnostic
@@ -607,6 +614,8 @@ _UNREAD_OR_UNKNOWN = [
     ("euler-count --n 1 --insertions file:/nonexistent.json", None, "--insertions"),
     ("hrr-check --insertions file:x", None, "--insertions"),
     ("all --config <config>", {"kind": "euler-count", "n": [1], "seeds": 5}, "'seeds'"),
+    ("all --config <config>", {"kind": "euler-count", "surface": "p3", "n": [1]},
+     "unknown surface 'p3'"),
     ("all --config <config>", {"kind": "twisted-vanish", "n": "11"}, "'n'"),
     # JSON numbers other than integers are refused, not truncated
     (
@@ -647,6 +656,7 @@ _UNREAD_OR_UNKNOWN = [
     ),
     ("euler-count --n 2 --spec 2,3 --spec 2,3", None, "specs (--spec): '2,3' and '2,3'"),
     ("euler-count --n 2 --spec 2,3 --spec=-2,-3", None, "specs (--spec): '2,3' and '-2,-3'"),
+    ("euler-count --n 2 --spec 0,0 --spec 0/5,0", None, "specs (--spec): '0,0' and '0/5,0'"),
     ("hrr-check --spec 1/2,1/3 --spec 5,7 --spec 3,2", None, "specs (--spec): '1/2,1/3' and '3,2'"),
 ]
 
@@ -692,6 +702,13 @@ def test_cli_all_out_file_holds_the_bytes_a_real_stdout_gets(tmp_path):
 def test_cli_config_missing_file_exit_two():
     result = run_cli("all", "--config", "/nonexistent/config.json")
     assert result.returncode == 2
+
+
+def test_cli_config_not_utf8_exit_two(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b"\xff{}")
+    assert cli.main(["all", "--config", str(config)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cli_version():
@@ -744,9 +761,14 @@ CLI_CONFIG = {"scenarios": [
 @pytest.mark.parametrize(
     "argv,expected", CLI_SCENARIOS, ids=[" ".join(argv) for argv, _ in CLI_SCENARIOS]
 )
-def test_cli_argv_maps_to_scenarios(tmp_path, argv, expected):
+def test_cli_argv_maps_to_scenarios(tmp_path, monkeypatch, argv, expected):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(CLI_CONFIG))
+    # validation reads the insertions file one row names, x.json
+    monkeypatch.chdir(tmp_path)
+    monomial = [{"factor": 1, "bundle": "O(1,0)", "degree": 3},
+                {"factor": 2, "bundle": "O(0,1)", "degree": 2}]
+    (tmp_path / "x.json").write_text(json.dumps([monomial]))
     args = cli.build_parser().parse_args([a.replace("{config}", str(config)) for a in argv])
     assert cli._scenarios(args) == expected
 
@@ -920,6 +942,76 @@ def test_insertions_file_with_several_i_values_exit_two(tmp_path, capsys, kind, 
     ) in captured.err
     assert cli.main([*argv, "--i", "1"]) == 0
     capsys.readouterr()
+
+
+#: a bad insertions file for `pushforward --n 1,1`: missing, not JSON, not
+#: UTF-8, or holding a monomial of degree 3 where degree 2 is needed
+_BAD_INSERTIONS = {
+    "missing": (None, "cannot read insertions file"),
+    "malformed": ("[[{", "malformed insertions file"),
+    "not-utf8": (b"\xff[[", "malformed insertions file"),
+    "wrong-degree": (
+        [[{"factor": 1, "bundle": "O(1)", "degree": 3}]],
+        "monomial 1 has degree 3, and this integrand needs degree 2",
+    ),
+}
+
+
+def _bad_insertions(tmp_path, case):
+    content, message = _BAD_INSERTIONS[case]
+    path = tmp_path / "insertions.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return path, message
+
+
+@pytest.mark.parametrize("case", list(_BAD_INSERTIONS))
+def test_bad_insertions_file_in_a_config_refused_before_any_report(tmp_path, capsys, case):
+    # every scenario of a config is validated, its file read, before the
+    # first one runs
+    path, message = _bad_insertions(tmp_path, case)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scenarios": [
+        {"kind": "euler-count", "n": [2]},
+        {"kind": "pushforward", "n": [1, 1], "insertions": f"file:{path}"},
+    ]}))
+    assert cli.main(["all", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario #2: " in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("case", list(_BAD_INSERTIONS))
+def test_bad_insertions_file_leaves_the_out_file_untouched(tmp_path, capsys, case):
+    path, message = _bad_insertions(tmp_path, case)
+    out = tmp_path / "r.json"
+    out.write_bytes(b"an earlier report\n")
+    argv = ["pushforward", "--n", "1,1", "--insertions", f"file:{path}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+def test_serial_run_reads_the_insertions_file_once(tmp_path, capsys, monkeypatch):
+    # validated in the CLI, then again (a no-op) in run_scenario; each of the
+    # two twist groups reads the parsed monomials
+    path = tmp_path / "insertions.json"
+    path.write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 1}]]))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", counting_open, raising=False)
+    argv = ["twisted-vanish", "--n", "1,1", "--bundles", "O(1),O(2)",
+            "--insertions", f"file:{path}", "--format", "json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [case["inputs"]["twist"] for case in report["cases"]] == ["O(1)", "O(2)"]
+    assert opened == [str(path)]
 
 
 def test_samples_beside_specs_where_read(tmp_path, capsys):

@@ -36,7 +36,7 @@ from nestloc.integrals import (
     sample_specs,
 )
 from nestloc.series import binomial, line_factor
-from nestloc.toric import bundle_by_label, line_bundle, p1xp1, p2
+from nestloc.toric import SURFACES, bundle_by_label, line_bundle, p1xp1, p2
 from nestloc.vertex import co_class, tangent_char, taut_char, virtual_tangent_char
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -342,6 +342,41 @@ def test_euler_count_localization(surface, n):
         assert integrate_ambient_batch(surface, (n,), [insertion], spec)[0] == expected
 
 
+#: sizes of the Fubini rows: ambient products of two and three factors
+FUBINI_SIZES = [(1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1)]
+
+
+def fubini_rows():
+    """(surface, sizes, spec) of every Fubini row: both surfaces, each of
+    FUBINI_SIZES, two sampled specs."""
+    return [(surface, sizes, spec) for surface in (p2(), p1xp1()) for sizes in FUBINI_SIZES
+            for spec in sample_specs(47, 2)]
+
+
+def fubini_mismatches():
+    """(surface, sizes, spec, value) of each Fubini row where the kernel's
+    integral of prod_m c_2n_m(T@m) over S^[n_1] x ... x S^[n_k] differs
+    from prod_m e(S^[n_m]), Goettsche's counts.  Each factor's Euler class
+    reads its own factor's tangent character, so a kernel that reads a
+    factor's character at the wrong point is seen here.
+
+    `integrals.integrate_ambient_batch` is read at call time, so a
+    monkeypatched kernel is the one checked."""
+    bad = []
+    for surface, sizes, spec in fubini_rows():
+        insertion = Insertion(tuple(TangentFactor(m, 2 * n) for m, n in enumerate(sizes)))
+        expected = math.prod(euler_product_coefficient(surface.euler_number, n) for n in sizes)
+        (value,) = integrals.integrate_ambient_batch(surface, sizes, [insertion], spec)
+        if value != expected:
+            bad.append((surface.name, sizes, spec, value))
+    return bad
+
+
+def test_product_of_top_tangent_classes_is_the_product_of_euler_counts():
+    assert len(fubini_rows()) == 20
+    assert fubini_mismatches() == []
+
+
 def test_taut_square_on_p2():
     # S^[1] = P^2 and taut(O(1))^[1] = O(1): int h^2 = 1
     insertion = Insertion((TautFactor(0, O1, 1), TautFactor(0, O1, 1)))
@@ -422,10 +457,8 @@ def test_insertion_basis_deterministic_and_duplicate_free():
 def test_insertion_basis_counts_golden():
     with open(os.path.join(GOLDEN, "insertion_basis_counts.json"), encoding="utf-8") as fh:
         table = json.load(fh)
-    from nestloc.toric import surface_by_name
-
     for row in table:
-        surface = surface_by_name(row["surface"])
+        surface = SURFACES[row["surface"]]
         got = len(insertion_basis(surface, tuple(row["n"]), row["degree"]))
         assert got == row["count"], row
 

@@ -23,6 +23,8 @@ from test_integrals import (
     CARLSSON_OKOUNKOV,
     TAUTOLOGICAL_CHI,
     carlsson_okounkov_mismatches,
+    fubini_mismatches,
+    fubini_rows,
     tautological_chi_mismatches,
 )
 
@@ -263,14 +265,15 @@ def test_inverted_chart_substitution_is_caught_by_hrr_check_and_pins(mutate):
     )
 
 
-def test_kernel_reading_every_factor_at_factor_0_is_caught_only_by_pins(mutate):
+def test_kernel_reading_every_factor_at_factor_0_is_caught_by_fubini_and_pins(mutate):
     """`_localize` reading each factor's character at steps[0] in place of
     steps[m], applied as a measure whose points are (steps[0],) * k with
     the weights of points that collapse together added, which sums the
     same.  A blind spot of every scenario: `pushforward` and `kstep` put
     both of their equal measures through the same kernel, every `vanish`
     measure is empty, and `euler-count` and `hrr-check` have one factor.
-    Only the pinned report digests see it."""
+    The Fubini rows (every one reads 0) and the pinned report digests see
+    it."""
     original = integrals._localize
 
     def factor_0_only(surface, insertions, spec, measure):
@@ -281,6 +284,7 @@ def test_kernel_reading_every_factor_at_factor_0_is_caught_only_by_pins(mutate):
         return original(surface, insertions, spec, collapsed)
 
     mutate(integrals, "_localize", factor_0_only)
+    assert [row[3] for row in fubini_mismatches()] == [0] * len(fubini_rows())
     assert failing_battery_kinds() == set()
     for kind, surface, sizes in (("pushforward", "p2", (3, 2)), ("pushforward", "p1xp1", (3, 3)),
                                  ("kstep", "p2", (2, 1, 1))):

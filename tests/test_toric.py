@@ -14,7 +14,6 @@ from nestloc.toric import (
     line_bundle,
     p1xp1,
     p2,
-    surface_by_name,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -36,13 +35,6 @@ def test_surface_validation():
         ToricSurface("bad", (((2, 0), (0, 1)),))
     with pytest.raises(ValueError):
         ToricSurface("empty", ())
-
-
-def test_surface_by_name():
-    assert surface_by_name("p2") is p2()
-    assert surface_by_name("p1xp1") is p1xp1()
-    with pytest.raises(ValueError):
-        surface_by_name("p3")
 
 
 def test_line_bundle_weights():
