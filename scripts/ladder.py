@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the ROADMAP ladder of `nestloc` scenarios cold and add them to BENCH_ladder.json.
 
-Usage: python scripts/ladder.py [--src DIR] [--commit NAME] [--out PATH]
+Usage: python scripts/ladder.py [--src DIR [--src DIR]] [--commit NAME ...] [--out PATH]
 
 Each rung runs as its own interpreter, `python -m nestloc <rung> --stable
 --format json`, with the nestloc sources of `--src` (default: this
@@ -15,7 +15,12 @@ other rung pays.  The rungs run in turn, REPEAT times over; each rung
 records every run's measured seconds, their median, min and max, its
 exit code and the sha256 of its stdout, which must be the same in every
 run.  Pointing `--src` at another checkout's sources times that version
-with the same script on the same machine.
+with the same script on the same machine.  Given twice, `--src` times two
+versions in one invocation: each run of a rung runs both sources back to
+back, the first one first on even repeats and second on odd ones, so a
+parent and a change share the machine's drift and the calibration loops
+between their runs, and their reference seconds move as their measured
+seconds do.
 
 Each run also records its own peak resident set size.  `ru_maxrss` will
 not do: Linux starts it, for a child made by vfork and exec as `subprocess`
@@ -35,10 +40,11 @@ median loop time of the loops just before and just after it.  The loop
 slows with a shared machine, and nestloc's code does not change it.
 
 BENCH_ladder.json maps a commit name to that commit's ladder, so the file
-keeps a trajectory; a run replaces only the entry of its own commit.  The
-name is `--commit`, or by default `git describe --always --dirty` of the
-checkout holding `--src` (`<commit>-dirty`: that commit's tree with
-uncommitted changes).
+keeps a trajectory; a run replaces only the entries of its own commits.
+Each source's name is its `--commit`, given once per `--src` in the same
+order, or by default `git describe --always --dirty` of the checkout
+holding it (`<commit>-dirty`: that commit's tree with uncommitted
+changes).
 """
 
 import argparse
@@ -160,79 +166,95 @@ def commit_name(src: str) -> str | None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the nestloc package to time")
-    parser.add_argument("--commit", help="name of the entry to write (default: git describe)")
+    parser.add_argument("--src", action="append",
+                        help="directory holding a nestloc package to time (at most twice; "
+                             "default: this checkout's src)")
+    parser.add_argument("--commit", action="append",
+                        help="name of the entry to write, once per --src (default: git describe)")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_ladder.json"))
     args = parser.parse_args()
-    if not os.path.isdir(os.path.join(args.src, "nestloc")):
-        parser.error(f"no nestloc package under {args.src}")
-    commit = args.commit or commit_name(args.src)
-    if not commit:
-        parser.error(f"{args.src} is not in a git checkout; name it with --commit")
+    sources = args.src or [os.path.join(ROOT, "src")]
+    if len(sources) > 2:
+        parser.error("--src is given at most twice")
+    for src in sources:
+        if not os.path.isdir(os.path.join(src, "nestloc")):
+            parser.error(f"no nestloc package under {src}")
+    if args.commit is not None and len(args.commit) != len(sources):
+        parser.error("give --commit once per --src, or not at all")
+    commits = args.commit or [commit_name(src) for src in sources]
+    for src, commit in zip(sources, commits):
+        if not commit:
+            parser.error(f"{src} is not in a git checkout; name it with --commit")
+    if len(set(commits)) < len(commits):
+        parser.error(f"both sources are named {commits[0]}; name them with --commit")
 
-    child, reference_s = calibration(args.src)
+    child, reference_s = calibration(sources[0])
     loops: list[tuple[int, int]] = []
     child.calibrate(loops)
     commands = ladder()
-    # label -> one list per field of its runs
-    runs = {label: ([], [], [], [], []) for label, _ in commands}
+    # source -> label -> one list per field of its runs
+    runs = {src: {label: ([], [], [], [], []) for label, _ in commands} for src in sources}
     with tempfile.TemporaryDirectory(prefix="ladder-peak-") as peak_dir:
         peak_file = os.path.join(peak_dir, "peak")
-        for _ in range(REPEAT):
+        for repeat in range(REPEAT):
+            # the sources take turns at running first
+            order = sources if repeat % 2 == 0 else sources[::-1]
             for label, argv in commands:
-                seconds, code, digest, peak = run_rung(argv, args.src, peak_file)
-                child.calibrate(loops)
-                # the loops just before and just after this run
-                around = loops[-2 * child.CALIBRATION_REPEATS:]
-                loop_s = median((end - start) / 1e9 for start, end in around)
-                row = (round(seconds, 3), code, digest, round(seconds * reference_s / loop_s, 3),
-                       peak)
-                for column, value in zip(runs[label], row):
-                    column.append(value)
+                for src in order:
+                    seconds, code, digest, peak = run_rung(argv, src, peak_file)
+                    child.calibrate(loops)
+                    # the loops just before and just after this run
+                    around = loops[-2 * child.CALIBRATION_REPEATS:]
+                    loop_s = median((end - start) / 1e9 for start, end in around)
+                    row = (round(seconds, 3), code, digest,
+                           round(seconds * reference_s / loop_s, 3), peak)
+                    for column, value in zip(runs[src][label], row):
+                        column.append(value)
 
-    failures = 0
-    rungs = []
-    for label, argv in commands:
-        seconds, exits, digests, reference, peaks = runs[label]
-        exits, digests = set(exits), set(digests)
-        known = [peak for peak in peaks if peak is not None]
-        ok = exits == {0} and len(digests) == 1 and len(known) == len(peaks)
-        failures += not ok
-        rungs.append({
-            "label": label,
-            "argv": list(argv),
-            "seconds": seconds,
-            "median_s": round(median(seconds), 3),
-            "min_s": min(seconds),
-            "max_s": max(seconds),
-            "reference_s": reference,
-            "median_reference_s": round(median(reference), 3),
-            "peak_rss_mb": peaks,
-            "median_peak_rss_mb": median(known) if known else None,
-            "exit": sorted(exits),
-            "sha256": sorted(digests),
-        })
-        print(f"{label}: median {median(seconds):.3f} s, min {min(seconds):.3f},"
-              f" max {max(seconds):.3f} over {len(seconds)} runs;"
-              f" median {median(reference):.3f} reference s,"
-              f" peak RSS median {median(known) if known else 'unread'} MB"
-              f"{'' if ok else ' (FAILED: nonzero exit, unstable report or unread peak)'}")
     trajectory = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             trajectory = json.load(fh)
-    trajectory[commit] = {
-        "context": {
-            "nproc": os.cpu_count(),
-            "cpu": cpu_model(),
-            "python": platform.python_version(),
-            "repeat": REPEAT,
-            "calibration_reference_s": reference_s,
-            "calibration_median_s": round(median((e - s) / 1e9 for s, e in loops), 4),
-        },
-        "rungs": rungs,
+    context = {
+        "nproc": os.cpu_count(),
+        "cpu": cpu_model(),
+        "python": platform.python_version(),
+        "repeat": REPEAT,
+        "calibration_reference_s": reference_s,
+        "calibration_median_s": round(median((e - s) / 1e9 for s, e in loops), 4),
     }
+    if len(commits) > 1:
+        context["alternated"] = commits
+    failures = 0
+    for src, commit in zip(sources, commits):
+        print(f"== {commit} ({src})")
+        rungs = []
+        for label, argv in commands:
+            seconds, exits, digests, reference, peaks = runs[src][label]
+            exits, digests = set(exits), set(digests)
+            known = [peak for peak in peaks if peak is not None]
+            ok = exits == {0} and len(digests) == 1 and len(known) == len(peaks)
+            failures += not ok
+            rungs.append({
+                "label": label,
+                "argv": list(argv),
+                "seconds": seconds,
+                "median_s": round(median(seconds), 3),
+                "min_s": min(seconds),
+                "max_s": max(seconds),
+                "reference_s": reference,
+                "median_reference_s": round(median(reference), 3),
+                "peak_rss_mb": peaks,
+                "median_peak_rss_mb": median(known) if known else None,
+                "exit": sorted(exits),
+                "sha256": sorted(digests),
+            })
+            print(f"{label}: median {median(seconds):.3f} s, min {min(seconds):.3f},"
+                  f" max {max(seconds):.3f} over {len(seconds)} runs;"
+                  f" median {median(reference):.3f} reference s,"
+                  f" peak RSS median {median(known) if known else 'unread'} MB"
+                  f"{'' if ok else ' (FAILED: nonzero exit, unstable report or unread peak)'}")
+        trajectory[commit] = {"context": context, "rungs": rungs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(trajectory, fh, indent=2)
         fh.write("\n")

@@ -18,18 +18,14 @@ from .harness import (
     ENTRY_KEYS,
     REPORT_FORMATS,
     SCENARIO_KINDS,
+    SHARED_KEYS,
     Scenario,
-    default_battery_scenarios,
     emit_report,
     parse_config,
     run_scenario,
     scenario_from_entry,
-    validate_scenario,
 )
 from .toric import SURFACES
-
-#: the scenario flags `all` takes; it applies them to every scenario it runs
-_ALL_KEYS = ("seed", "samples", "truncation")
 
 
 def _sizes(text: str) -> tuple[int, ...]:
@@ -110,20 +106,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenarios(args: argparse.Namespace) -> list[Scenario]:
+    """The validated scenarios `args` names; every input, `--jobs` too, is
+    checked here, before a report or an `--out` file is written."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     flags = {key: getattr(args, key) for key in ENTRY_KEYS if key != "kind"}
     given = {key: value for key, value in flags.items() if value is not None}
     if args.command != "all":
         return [scenario_from_entry({"kind": args.command, **given})]
-    others = [ENTRY_KEYS[key][2] for key in given if key not in _ALL_KEYS]
+    others = [ENTRY_KEYS[key][2] for key in given if key not in SHARED_KEYS]
     if others:
         raise ConfigError(
             f"all takes no {', '.join(others)}; of the scenario flags it takes only "
-            f"{', '.join(ENTRY_KEYS[key][2] for key in _ALL_KEYS)}"
+            f"{', '.join(ENTRY_KEYS[key][2] for key in SHARED_KEYS)}"
         )
-    if args.config:
-        return parse_config(args.config, given)
-    # the keys `all` takes are named as their Scenario fields
-    return [validate_scenario(s.replace(**given)) for s in default_battery_scenarios()]
+    # the curated battery without --config
+    return parse_config(args.config, given)
 
 
 def _write_reports(scenarios: list[Scenario], args: argparse.Namespace, out) -> list[str]:

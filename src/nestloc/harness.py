@@ -17,6 +17,7 @@ import math
 import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
@@ -90,12 +91,6 @@ class Scenario(Value):
         self._init(kind, surface, sizes, i_values, bundles, samples, seed, truncation,
                    insertions, specs)
 
-    def replace(self, **changes) -> "Scenario":
-        """This scenario with the named fields changed, not yet validated."""
-        values = {name: getattr(self, name) for name in self._fields}
-        values.update(changes)
-        return Scenario(**values)
-
 
 #: a scenario of no kind, every field at its default
 DEFAULT_SCENARIO = Scenario("")
@@ -140,6 +135,24 @@ _OPTIONAL_INPUTS = {
     for key, (field, _, flag) in ENTRY_KEYS.items()
     if field in ("surface", "sizes", "i_values", "bundles", "specs", "insertions")
 }
+
+#: the keys every kind reads, so `all` may apply them to each scenario it runs
+SHARED_KEYS = tuple(
+    key for key, (field, _, _) in ENTRY_KEYS.items()
+    if key != "kind" and field not in _OPTIONAL_INPUTS
+)
+
+#: the `all` subcommand's curated battery (small sizes, fast), as config entries
+BATTERY = [
+    *({"kind": "hrr-check", "surface": name} for name in SURFACES),
+    *({"kind": "euler-count", "surface": name, "n": [2]} for name in SURFACES),
+    {"kind": "serre-duality", "surface": "p2"},
+    {"kind": "symbolic-tp"},
+    {"kind": "vanish", "surface": "p2", "n": [2, 1], "i": [1, 2]},
+    {"kind": "twisted-vanish", "surface": "p2", "n": [2, 1], "i": [1]},
+    {"kind": "pushforward", "surface": "p2", "n": [2, 1]},
+    {"kind": "kstep", "surface": "p2", "n": [1, 1, 1]},
+]
 
 
 def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
@@ -263,16 +276,25 @@ def _parse_spec_text(text: str) -> WeightSpec:
     return WeightSpec(int(a * scale), int(b * scale))
 
 
-def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[Insertion, ...]:
-    """The monomials of the scenario's insertions file, each of degree `degree`."""
-    path = s.insertions[len("file:") :]
+def _read_json(path: str, what: str):
+    """The JSON value of the file at `path`, or ConfigError naming it as
+    `what` (and, for text that is not JSON, the line)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read insertions file {path!r}: {exc}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path!r} is not UTF-8 text: {exc}") from None
+
+
+def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[Insertion, ...]:
+    """The monomials of the scenario's insertions file, each of degree
+    `degree` and no two multiplying the same factors."""
+    path = s.insertions[len("file:") :]
+    raw = _read_json(path, "insertions file")
     out = []
     try:
         for index, monomial in enumerate(raw, 1):
@@ -301,6 +323,9 @@ def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[I
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
     if not out:
         raise ConfigError(f"insertions file {path!r} contains no monomials")
+    _refuse_repeats("monomials (--insertions)", range(1, len(out) + 1), out,
+                    "multiply the same factors",
+                    same=lambda p, q: Counter(p.factors) == Counter(q.factors))
     return tuple(out)
 
 
@@ -794,9 +819,10 @@ def _json_text(value, indent: str) -> str:
 
 
 def _json_pieces(report) -> Iterator[str]:
-    """The text of `report_json` in pieces: each top-level item of a
-    report, and each item of a nonempty top-level list (the cases) on its
-    own, so a writer never holds the whole text."""
+    """The report as `json.dumps(report, indent=2)` plus a newline, without
+    the standard library's pure-Python indenting encoder, in pieces: each
+    top-level item, and each item of a nonempty top-level list (the cases)
+    on its own, so a writer never holds the whole text."""
     if not isinstance(report, dict) or not report:
         yield _json_text(report, "") + "\n"
         return
@@ -818,8 +844,8 @@ def _json_pieces(report) -> Iterator[str]:
 
 
 def _text_pieces(report: dict) -> Iterator[str]:
-    """The text of `report_text` in lines: the header, one line per case,
-    the verdict line."""
+    """The report as a verdict table, in lines: the header, one line per
+    case, the verdict line."""
     yield (
         f"scenario: {report['scenario']}  params: {json.dumps(report['params'])}\n"
         f"seed: {report['seed']}  version: {report['version']}\n"
@@ -840,35 +866,8 @@ def _text_pieces(report: dict) -> Iterator[str]:
     )
 
 
-def _render(pieces: Iterator[str], out: TextIO | None) -> str | None:
-    """The joined pieces, or None once each is written to `out`."""
-    if out is None:
-        return "".join(pieces)
-    write = out.write
-    for piece in pieces:
-        write(piece)
-    return None
-
-
-def report_json(report: dict, stable: bool = False, out: TextIO | None = None) -> str | None:
-    """The report as `json.dumps(report, indent=2)` plus a newline, without
-    the standard library's pure-Python indenting encoder; written to `out`
-    piece by piece when one is given."""
-    if stable:
-        report = stable_copy(report)
-    return _render(_json_pieces(report), out)
-
-
-def report_text(report: dict, stable: bool = False, out: TextIO | None = None) -> str | None:
-    """The report as a verdict table; written to `out` line by line when
-    one is given."""
-    if stable:
-        report = stable_copy(report)
-    return _render(_text_pieces(report), out)
-
-
-#: report format name -> renderer; the CLI's --format choices read the table
-REPORT_FORMATS = {"json": report_json, "text": report_text}
+#: report format name -> its piece generator; the CLI's --format choices read the table
+REPORT_FORMATS = {"json": _json_pieces, "text": _text_pieces}
 
 
 def emit_report(report: dict, fmt: str = "json", stable: bool = False, *, out: TextIO) -> None:
@@ -877,21 +876,17 @@ def emit_report(report: dict, fmt: str = "json", stable: bool = False, *, out: T
     written before it."""
     if fmt not in REPORT_FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}")
-    REPORT_FORMATS[fmt](report, stable, out)
+    if stable:
+        report = stable_copy(report)
+    write = out.write
+    for piece in REPORT_FORMATS[fmt](report):
+        write(piece)
 
 
-def parse_config(path: str, overrides: dict | None = None) -> list[Scenario]:
-    """Load a scenario list from a JSON config file; the keys of
-    `overrides` replace those of every entry."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: line {exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
+def parse_config(path: str | None, overrides: dict | None = None) -> list[Scenario]:
+    """The scenarios of a JSON config file, or of `BATTERY` without a path;
+    the keys of `overrides` replace those of every entry."""
+    raw = _read_json(path, "config") if path else {"scenarios": BATTERY}
     if not isinstance(raw, dict) or "scenarios" not in raw:
         raise ConfigError(f"config {path!r} must be an object with a 'scenarios' list")
     entries = raw["scenarios"]
@@ -904,17 +899,3 @@ def parse_config(path: str, overrides: dict | None = None) -> list[Scenario]:
         except ConfigError as exc:
             raise ConfigError(f"scenario #{index + 1}: {exc}") from None
     return out
-
-
-def default_battery_scenarios() -> list[Scenario]:
-    """The `all` subcommand's curated battery (small sizes, fast)."""
-    return [
-        *(Scenario(kind="hrr-check", surface=name) for name in SURFACES),
-        *(Scenario(kind="euler-count", surface=name, sizes=(2,)) for name in SURFACES),
-        Scenario(kind="serre-duality", surface="p2"),
-        Scenario(kind="symbolic-tp"),
-        Scenario(kind="vanish", surface="p2", sizes=(2, 1), i_values=(1, 2)),
-        Scenario(kind="twisted-vanish", surface="p2", sizes=(2, 1), i_values=(1,)),
-        Scenario(kind="pushforward", surface="p2", sizes=(2, 1)),
-        Scenario(kind="kstep", surface="p2", sizes=(1, 1, 1)),
-    ]

@@ -23,9 +23,9 @@ from nestloc.combinatorics import (
 )
 from nestloc.chern import FormalRing, generic_bundle
 from nestloc.harness import (
+    BATTERY,
     SCENARIO_KINDS,
     Scenario,
-    default_battery_scenarios,
     scenario_from_entry,
 )
 from nestloc.integrals import (
@@ -252,7 +252,7 @@ def record_groups():
         "spec": list(sample_specs(1729, 4))
         + [WeightSpec(2, 3), WeightSpec(3, 2), WeightSpec(2, 3)],
         "chain": chains,
-        "scenario": default_battery_scenarios() + [scenario_from_entry(e) for e in entries],
+        "scenario": [scenario_from_entry(e) for e in BATTERY + entries],
     }
 
 

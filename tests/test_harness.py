@@ -16,13 +16,13 @@ from nestloc.errors import ConfigError, NonGenericSpecError, ZeroWeightError
 from nestloc.integrals import sample_specs
 from nestloc.toric import SURFACES, bundle_by_label
 from nestloc.harness import (
+    BATTERY,
     DEFAULT_SCENARIO,
     Scenario,
-    default_battery_scenarios,
     emit_report,
     parse_config,
-    report_json,
     run_scenario,
+    scenario_from_entry,
     stable_copy,
     validate_scenario,
 )
@@ -111,6 +111,13 @@ def test_parse_config_bad_json(tmp_path):
 # -- reports ------------------------------------------------------------------
 
 
+def report_json(report, stable=False):
+    """The JSON text `emit_report` writes for `report`."""
+    out = io.StringIO()
+    emit_report(report, "json", stable, out=out)
+    return out.getvalue()
+
+
 def test_report_json_round_trip():
     report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
     parsed = json.loads(report_json(report))
@@ -173,7 +180,6 @@ def test_emit_report_pieces_join_to_indented_json_dumps(tree, stable):
     emit_report(tree, "json", stable, out=pieces)
     text = "".join(pieces)
     assert text == json.dumps(stable_copy(tree) if stable else tree, indent=2) + "\n"
-    assert text == report_json(tree, stable=stable)
     # written as it renders: with two cases, no one write holds the report
     if len(tree["cases"]) > 1:
         assert max(map(len, pieces)) < len(text)
@@ -395,8 +401,8 @@ def test_sampled_case_verdicts_and_diagnostics(
 
 
 def test_default_battery_is_valid():
-    for scenario in default_battery_scenarios():
-        validate_scenario(scenario)
+    for entry in BATTERY:
+        scenario_from_entry(entry)
 
 
 def test_internal_error_exit_three(monkeypatch):
@@ -569,7 +575,7 @@ def test_cli_all_battery_honours_samples_and_truncation(capsys):
     argv = ["all", "--samples", "4", "--truncation", "6", "--seed", "7", "--format", "json"]
     assert cli.main(argv) == 0
     reports = _json_reports(capsys.readouterr().out)
-    assert len(reports) == len(default_battery_scenarios())
+    assert len(reports) == len(BATTERY)
     for report in reports:
         assert report["seed"] == 7
         assert report["params"]["samples"] == 4
@@ -604,7 +610,12 @@ def test_sizes_rejected_where_kind_takes_none(capsys):
     assert "--n" in capsys.readouterr().err
 
 
-# (command, config entry written to <config>, the flag or key the error names)
+#: c2(O(1)@1)*c1(O@2), for the degree 3 of `pushforward --n 2,1`
+_MONOMIAL = [{"factor": 1, "bundle": "O(1)", "degree": 2},
+             {"factor": 2, "bundle": "O", "degree": 1}]
+
+# (command, what <config> holds: a config entry, or a list of monomials for
+# an insertions file, the flag or key the error names)
 _UNREAD_OR_UNKNOWN = [
     ("all --spec 1,1", None, "--spec"),
     ("all --n 3,2", None, "--n"),
@@ -658,6 +669,12 @@ _UNREAD_OR_UNKNOWN = [
     ("euler-count --n 2 --spec 2,3 --spec=-2,-3", None, "specs (--spec): '2,3' and '-2,-3'"),
     ("euler-count --n 2 --spec 0,0 --spec 0/5,0", None, "specs (--spec): '0,0' and '0/5,0'"),
     ("hrr-check --spec 1/2,1/3 --spec 5,7 --spec 3,2", None, "specs (--spec): '1/2,1/3' and '3,2'"),
+    # monomials compare as multisets of factors, so a reordered one repeats
+    (
+        "pushforward --n 2,1 --insertions file:<config>",
+        [_MONOMIAL, _MONOMIAL[::-1], _MONOMIAL],
+        "monomials (--insertions): 1 and 2 multiply the same factors",
+    ),
 ]
 
 
@@ -668,8 +685,8 @@ _UNREAD_OR_UNKNOWN = [
 )
 def test_unread_or_unknown_input_exit_two(tmp_path, capsys, command, entry, named):
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"scenarios": [entry]}))
-    argv = [str(config) if arg == "<config>" else arg for arg in command.split()]
+    config.write_text(json.dumps(entry if isinstance(entry, list) else {"scenarios": [entry]}))
+    argv = [arg.replace("<config>", str(config)) for arg in command.split()]
     assert cli.main(argv) == 2
     assert named in capsys.readouterr().err
 
@@ -695,7 +712,7 @@ def test_cli_all_out_file_holds_the_bytes_a_real_stdout_gets(tmp_path):
     summary = run_cli(*args, "--out", str(out))
     assert summary.returncode == 0
     assert out.read_bytes() == printed.stdout.encode()
-    count = len(default_battery_scenarios())
+    count = len(BATTERY)
     assert summary.stdout == f"wrote {count} report(s) to {out}; all pass\n"
 
 
@@ -778,10 +795,13 @@ def test_cli_all_runs_the_default_battery_with_its_flags(flags):
     # `all` without --config: the default battery, with only the flags given changed
     args = cli.build_parser().parse_args(["all", *flags])
     got = cli._scenarios(args)
-    battery = default_battery_scenarios()
+    battery = [scenario_from_entry(entry) for entry in BATTERY]
     assert [s.kind for s in got] == [s.kind for s in battery]
     changed = {"seed": 5, "truncation": 6} if flags else {}
-    assert got == [s.replace(**changed) for s in battery]
+    for s, plain in zip(got, battery):
+        assert {f: getattr(s, f) for f in Scenario._fields} == {
+            f: changed.get(f, getattr(plain, f)) for f in Scenario._fields
+        }
 
 
 @pytest.mark.parametrize("kind", list(harness.SCENARIO_KINDS))
@@ -867,16 +887,15 @@ def test_insertions_file_bad_bundle_exit_two(tmp_path, capsys):
 
 def test_insertions_file_spellings_of_one_bundle_get_one_label(tmp_path):
     # a factor holds the parsed bundle, so its label is the canonical one
-    # whatever spacing the file used
-    path = tmp_path / "insertions.json"
-    monomials = [
-        [{"factor": 1, "bundle": spelling, "degree": 3},
-         {"factor": 2, "bundle": "O(0,1)", "degree": 1}]
-        for spelling in ("O(1, 0)", "O(1,0)")
-    ]
-    path.write_text(json.dumps(monomials))
-    scenario = Scenario("pushforward", "p1xp1", (2, 2), insertions=f"file:{path}")
-    labels = [case["inputs"]["insertion"] for case in run_scenario(scenario)["cases"]]
+    # whatever spacing the file used; one file holding both spellings would
+    # repeat a monomial, so each spelling has its own file
+    labels = []
+    for spelling in ("O(1, 0)", "O(1,0)"):
+        path = tmp_path / "insertions.json"
+        path.write_text(json.dumps([[{"factor": 1, "bundle": spelling, "degree": 3},
+                                     {"factor": 2, "bundle": "O(0,1)", "degree": 1}]]))
+        scenario = Scenario("pushforward", "p1xp1", (2, 2), insertions=f"file:{path}")
+        labels += [case["inputs"]["insertion"] for case in run_scenario(scenario)["cases"]]
     assert labels == ["c3(O(1,0)@1)*c1(O(0,1)@2)"] * 2
 
 
@@ -948,8 +967,8 @@ def test_insertions_file_with_several_i_values_exit_two(tmp_path, capsys, kind, 
 #: UTF-8, or holding a monomial of degree 3 where degree 2 is needed
 _BAD_INSERTIONS = {
     "missing": (None, "cannot read insertions file"),
-    "malformed": ("[[{", "malformed insertions file"),
-    "not-utf8": (b"\xff[[", "malformed insertions file"),
+    "malformed": ("[[{", "is not valid JSON: line 1"),
+    "not-utf8": (b"\xff[[", "is not UTF-8 text"),
     "wrong-degree": (
         [[{"factor": 1, "bundle": "O(1)", "degree": 3}]],
         "monomial 1 has degree 3, and this integrand needs degree 2",
@@ -1091,3 +1110,53 @@ def test_jobs_below_one_exit_two(capsys):
     with pytest.raises(ConfigError):
         run_scenario(Scenario(kind="euler-count", sizes=(1,)), jobs=0)
     assert cli.main(["euler-count", "--n", "1", "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["euler-count", "--n", "1"], ["all"]], ids=["euler-count", "all"])
+def test_jobs_below_one_leaves_the_out_file_untouched(tmp_path, capsys, argv, jobs):
+    # --jobs is refused with the other inputs, before --out is opened
+    out = tmp_path / "r.json"
+    out.write_bytes(b"an earlier report\n")
+    assert cli.main([*argv, f"--jobs={jobs}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--jobs must be >= 1, got {jobs}" in captured.err
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+def test_all_and_its_battery_as_a_config_run_the_same_scenarios(tmp_path, capsys):
+    # the battery's entries reach a Scenario through the parser every config
+    # entry goes through, with the same overrides
+    config = tmp_path / "battery.json"
+    config.write_text(json.dumps({"scenarios": BATTERY}))
+    parse = cli.build_parser().parse_args
+    direct = [scenario_from_entry(entry, {"seed": 7}) for entry in BATTERY]
+    assert cli._scenarios(parse(["all", "--seed", "7"])) == direct
+    assert cli._scenarios(parse(["all", "--config", str(config), "--seed", "7"])) == direct
+    for fmt in ("json", "text"):
+        printed = []
+        for argv in (["all"], ["all", "--config", str(config)]):
+            assert cli.main([*argv, "--format", fmt, "--stable"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("content,named", [
+    ('{"scenarios":\n  [{', "is not valid JSON: line 2"),
+    (b"\xff[[", "is not UTF-8 text"),
+], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("which", ["config", "insertions file"])
+def test_unreadable_json_file_named_with_its_line(tmp_path, capsys, content, named, which):
+    # the config and the insertions file share one reader and its errors
+    path = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    if which == "config":
+        argv = ["all", "--config", str(path)]
+    else:
+        argv = ["pushforward", "--n", "1,1", "--insertions", f"file:{path}"]
+    assert cli.main(argv) == 2
+    assert f"configuration error: {which} {str(path)!r} {named}" in capsys.readouterr().err

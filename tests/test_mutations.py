@@ -14,7 +14,7 @@ import pytest
 from nestloc import chern, combinatorics, integrals, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.chern import FormalBundle
-from nestloc.harness import Scenario, default_battery_scenarios, run_scenario
+from nestloc.harness import BATTERY, Scenario, run_scenario, scenario_from_entry
 from nestloc.series import binomial
 from nestloc.toric import SURFACES, bundle_by_label, line_bundle
 from test_golden_characters import golden_mismatches
@@ -87,7 +87,7 @@ def failing_identities(scenario):
 
 
 def failing_battery_kinds():
-    return {s.kind for s in default_battery_scenarios() if failing_identities(s)}
+    return {e["kind"] for e in BATTERY if failing_identities(scenario_from_entry(e))}
 
 
 def hrr_failures():
