@@ -14,7 +14,9 @@ The first rung,
 other rung pays.  The rungs run in turn, REPEAT times over; each rung
 records every run's measured seconds, their median, min and max, its
 exit code and the sha256 of its stdout, which must be the same in every
-run.  Pointing `--src` at another checkout's sources times that version
+run.  A rung labelled `<serial rung>-jobs2` runs that rung's scenario with
+`--jobs 2`, so the ladder times a process pool too; its stdout must hash
+as the serial rung's does.  Pointing `--src` at another checkout's sources times that version
 with the same script on the same machine.  Given twice, `--src` times two
 versions in one invocation: each run of a rung runs both sources back to
 back, the first one first on even repeats and second on odd ones, so a
@@ -90,6 +92,11 @@ RUNGS = (
     ("vanish-p2-3_2", ("vanish", "--surface", "p2", "--n", "3,2", "--i", "1,2")),
     ("serre-duality-p1xp1", ("serre-duality", "--surface", "p1xp1")),
     ("twisted-vanish-p2-3_3", ("twisted-vanish", "--surface", "p2", "--n", "3,3", "--i", "1..3")),
+    # six work groups (two twists x three i) in a pool of two workers
+    (
+        "twisted-vanish-p2-3_3-jobs2",
+        ("twisted-vanish", "--surface", "p2", "--n", "3,3", "--i", "1..3", "--jobs", "2"),
+    ),
     ("hrr-check-p1xp1", ("hrr-check", "--surface", "p1xp1")),
     ("symbolic-tp-t12", ("symbolic-tp", "--truncation", "12")),
 )
@@ -234,6 +241,9 @@ def main() -> int:
             exits, digests = set(exits), set(digests)
             known = [peak for peak in peaks if peak is not None]
             ok = exits == {0} and len(digests) == 1 and len(known) == len(peaks)
+            if label.endswith("-jobs2"):
+                # the serial rung's digests, which a --jobs 2 run must repeat
+                ok = ok and digests == set(runs[src][label.removesuffix("-jobs2")][2])
             failures += not ok
             rungs.append({
                 "label": label,
@@ -253,7 +263,8 @@ def main() -> int:
                   f" max {max(seconds):.3f} over {len(seconds)} runs;"
                   f" median {median(reference):.3f} reference s,"
                   f" peak RSS median {median(known) if known else 'unread'} MB"
-                  f"{'' if ok else ' (FAILED: nonzero exit, unstable report or unread peak)'}")
+                  + ("" if ok else " (FAILED: nonzero exit, unstable report, unread peak"
+                                   " or a --jobs report unlike the serial one)"))
         trajectory[commit] = {"context": context, "rungs": rungs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(trajectory, fh, indent=2)

@@ -96,7 +96,8 @@ def subpartitions(lam: Partition, m: int) -> tuple[Partition, ...]:
         for first in range(head, 0, -1):
             for rest in gen(parts[1:], remaining - first, first):
                 yield (first,) + rest
-        # mu may stop before lam does, covered by first reaching 0 -> remaining>0 fails
+        # no row of length 0: mu ends, maybe before lam does, where remaining
+        # reaches 0, and rows of lam run out with boxes left yield nothing
 
     return tuple(Partition(p) for p in gen(lam.parts, m, lam.size))
 

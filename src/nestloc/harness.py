@@ -19,6 +19,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, TextIO
@@ -42,13 +43,14 @@ from .combinatorics import (
     nested_chains,
     partitions_of,
 )
-from .errors import ConfigError, MathError
+from .errors import ConfigError, DegreeMismatchError, MathError
 from .integrals import (
     CoFactor,
     Insertion,
     TangentFactor,
     TautFactor,
     WeightSpec,
+    _check_insertions,
     ambient_measure,
     hrr_chi,
     insertion_basis,
@@ -69,7 +71,9 @@ class Scenario(Value):
     `DEFAULT_SCENARIO` holds them.  The fields hold the inputs as given;
     `validate_scenario` sets what the cases read: the surface `toric`, the
     `twists` by canonical label (O where the kind reads no bundles), the
-    `weight_specs`, and the `file_insertions` (None for the auto basis)."""
+    `weight_specs`, and the `file_insertions` (None for the auto basis).
+    A validated scenario pickles with those values, so a `--jobs` worker
+    gets it whole and reads no file."""
 
     _fields = ("kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
                "truncation", "insertions", "specs")
@@ -291,42 +295,30 @@ def _read_json(path: str, what: str):
 
 
 def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[Insertion, ...]:
-    """The monomials of the scenario's insertions file, each of degree
-    `degree` and no two multiplying the same factors."""
+    """The monomials of the scenario's insertions file, checked by the
+    kernel's own rule for an integrand of degree `degree`, no two
+    multiplying the same factors."""
     path = s.insertions[len("file:") :]
     raw = _read_json(path, "insertions file")
-    out = []
     try:
-        for index, monomial in enumerate(raw, 1):
-            factors = tuple(
-                TautFactor(
-                    _integer(f["factor"]) - 1,
-                    bundle_by_label(surface, str(f["bundle"])),
-                    _integer(f["degree"]),
-                )
+        out = tuple(
+            Insertion(tuple(
+                TautFactor(_integer(f["factor"]) - 1, bundle_by_label(surface, str(f["bundle"])),
+                           _integer(f["degree"]))
                 for f in monomial
-            )
-            for f in factors:
-                if not 0 <= f.factor < len(s.sizes) or f.degree < 0:
-                    raise ValueError(
-                        f"factors count from 1 and degrees from 0, and this scenario has "
-                        f"{len(s.sizes)} factors; got factor {f.factor + 1}, degree {f.degree}"
-                    )
-            insertion = Insertion(factors)
-            if insertion.total_degree != degree:
-                raise ValueError(
-                    f"monomial {index} has degree {insertion.total_degree}, "
-                    f"and this integrand needs degree {degree}"
-                )
-            out.append(insertion)
-    except (KeyError, TypeError, ValueError) as exc:
+            ))
+            for monomial in raw
+        )
+        _check_insertions(out, len(s.sizes), degree)
+    except (KeyError, TypeError, ValueError, DegreeMismatchError) as exc:
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
     if not out:
         raise ConfigError(f"insertions file {path!r} contains no monomials")
-    _refuse_repeats("monomials (--insertions)", range(1, len(out) + 1), out,
-                    "multiply the same factors",
-                    same=lambda p, q: Counter(p.factors) == Counter(q.factors))
-    return tuple(out)
+    # c_0 = 1: a monomial is the multiset of its factors of degree >= 1
+    _refuse_repeats("monomials (--insertions)", range(1, len(out) + 1),
+                    [Counter(f for f in ins.factors if f.degree) for ins in out],
+                    "multiply the same factors")
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -652,7 +644,7 @@ class ScenarioKind(Value):
     """How one scenario kind splits into work groups, runs them, and which
     inputs and report parameters it has."""
 
-    __slots__ = ("groups", "cases", "sizes", "reads", "chains")
+    __slots__ = ("groups", "cases", "sizes", "reads")
     _fields = __slots__
 
     def __init__(
@@ -666,10 +658,8 @@ class ScenarioKind(Value):
         #: the Scenario fields among surface, i_values, bundles, specs and
         #: insertions that the kind reads; any other one must keep its default
         reads: frozenset[str] = frozenset(),
-        #: echoes the number of nested chains (kinds with a virtual side)
-        chains: bool = False,
     ):
-        self._init(groups, cases, sizes, reads, chains)
+        self._init(groups, cases, sizes, reads)
 
 
 def _single_group(s: Scenario) -> list[dict]:
@@ -692,15 +682,10 @@ SCENARIO_KINDS = {
     "twisted-vanish": ScenarioKind(
         _twist_groups, _vanish_cases, _TWO_SIZES, reads=_INTEGRATED | {"i_values", "bundles"}
     ),
-    "pushforward": ScenarioKind(
-        _single_group, _pushforward_cases, _TWO_SIZES, reads=_INTEGRATED, chains=True
-    ),
+    "pushforward": ScenarioKind(_single_group, _pushforward_cases, _TWO_SIZES, reads=_INTEGRATED),
     "kstep": ScenarioKind(
-        _single_group,
-        _pushforward_cases,
-        (2, math.inf, "needs at least two sizes"),
+        _single_group, _pushforward_cases, (2, math.inf, "needs at least two sizes"),
         reads=_INTEGRATED,
-        chains=True,
     ),
     "symbolic-tp": ScenarioKind(_single_group, _symbolic_cases),
     "euler-count": ScenarioKind(
@@ -734,14 +719,10 @@ def _params_echo(s: Scenario) -> dict:
         out["specs"] = list(s.specs)
     if kind.sizes:
         out["fixed_points"] = [len(multipartitions(s.toric, n)) for n in s.sizes]
-        if kind.chains:
+        # the kinds whose cases compare a virtual side echo its chains
+        if kind.cases is _pushforward_cases:
             out["chains"] = len(nested_chains(s.toric, s.sizes))
     return out
-
-
-def _group_worker(payload):
-    # a pickled scenario carries its text fields only, so it is validated again
-    return _run_group(validate_scenario(payload[0]), payload[1])
 
 
 def run_scenario(s: Scenario, jobs: int = 1) -> dict:
@@ -755,10 +736,10 @@ def run_scenario(s: Scenario, jobs: int = 1) -> dict:
         # imported only here: its ~36 modules add ~25 ms to a run without a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [(s, g) for g in groups]
-        # the pool starts every worker it may use on the first submit
+        # the pool starts every worker it may use on the first submit; the
+        # validated scenario crosses to each worker whole, its file read once
         with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            results = list(pool.map(_group_worker, payloads))
+            results = list(pool.map(partial(_run_group, s), groups))
     else:
         results = [_run_group(s, g) for g in groups]
     cases = [case for group_cases in results for case in group_cases]

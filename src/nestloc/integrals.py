@@ -2,9 +2,9 @@
 
 Equivariant parameters are specialized at generic integer points; an
 integral whose integrand degree equals the (virtual) dimension is a
-degree-0 equivariant constant, so its value is spec-independent and
-agreement across >= 3 samples is a sound exactness check.  All arithmetic
-is exact; there is no floating point anywhere in the core.
+degree-0 equivariant constant, so its value is spec-independent; agreement
+across the sampled specs is a sampled check of that, not a certificate
+(ROADMAP item 3).  All arithmetic is exact, with no floating point.
 """
 
 from __future__ import annotations
@@ -206,23 +206,22 @@ def insertion_basis(
 # --------------------------------------------------------------------------
 
 
-def _check_insertions(
-    insertions: Sequence[Insertion], factors: int, extra: int, dim: int, sides: tuple[str, str]
-) -> None:
-    """Every insertion must reach degree `dim` together with `extra` and name
-    one of `factors` ambient factors; `sides` names the integrand and the
-    space in the error."""
-    for ins in insertions:
-        if ins.total_degree + extra != dim:
-            raise DegreeMismatchError(
-                f"{sides[0]} degree {ins.total_degree + extra} != {sides[1]} dimension {dim} "
-                f"for insertion {ins.label()}"
-            )
+def _check_insertions(insertions: Sequence[Insertion], factors: int, degree: int) -> None:
+    """DegreeMismatchError naming the first insertion, counted from 1, that
+    names a factor outside the `factors` ambient ones, a negative degree,
+    or a total degree other than `degree`, the one the integrand needs."""
+    for index, ins in enumerate(insertions, 1):
         for f in ins.factors:
-            if not 0 <= f.factor < factors:
-                raise DegreeMismatchError(f"factor index out of range in {ins.label()}")
-            if f.degree < 0:
-                raise DegreeMismatchError(f"negative factor degree in {ins.label()}")
+            if not 0 <= f.factor < factors or f.degree < 0:
+                raise DegreeMismatchError(
+                    f"factors count from 1 and degrees from 0, and this integrand has {factors} "
+                    f"factors; got factor {f.factor + 1}, degree {f.degree} in monomial {index}"
+                )
+        if ins.total_degree != degree:
+            raise DegreeMismatchError(
+                f"monomial {index} has degree {ins.total_degree}, "
+                f"and this integrand needs degree {degree}"
+            )
 
 
 #: a point measure: {fixed point steps: weight}, one tuple of multipartitions
@@ -415,8 +414,7 @@ def integrate_ambient_batch(
     (insertion + co degrees == complex dimension) is checked per insertion.
     """
     sizes = tuple(int(n) for n in sizes)
-    co_degree = sum(c.degree for c in co_factors)
-    _check_insertions(insertions, len(sizes), co_degree, 2 * sum(sizes), ("integrand", "ambient"))
+    _check_insertions(insertions, len(sizes), 2 * sum(sizes) - sum(c.degree for c in co_factors))
     measure = ambient_measure(surface, sizes, spec, co_factors)
     return _localize(surface, insertions, spec, measure)
 
@@ -434,7 +432,7 @@ def integrate_virtual_batch(
     the chain identified.
     """
     sizes = tuple(int(n) for n in sizes)
-    _check_insertions(insertions, len(sizes), 0, sizes[0] + sizes[-1], ("insertion", "virtual"))
+    _check_insertions(insertions, len(sizes), sizes[0] + sizes[-1])
     return _localize(surface, insertions, spec, virtual_measure(surface, sizes, spec))
 
 

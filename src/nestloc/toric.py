@@ -41,7 +41,9 @@ class ToricSurface(Value):
     once, at construction, from the integer charts alone, so it is the same
     in every process whatever PYTHONHASHSEED is; surfaces key every
     character cache.  Its bundle labels are parsed once, at construction,
-    into `trivial`, `battery_bundles` and `twist_bundles`.
+    into `trivial`, `battery_bundles` and `twist_bundles`.  As `chi` and
+    `sections` are lambdas, it pickles as its name, and unpickles as its
+    `SURFACES` entry itself, so every cache keyed by it still hits.
     """
 
     _fields = ("name", "charts", "fibers", "battery", "twists", "hrr_degrees", "chi", "sections")
@@ -84,6 +86,9 @@ class ToricSurface(Value):
 
     def __repr__(self) -> str:
         return f"ToricSurface({self.name!r}, {self.euler_number} fixed points)"
+
+    def __reduce__(self):
+        return _surface, (self.name,)
 
 
 class EqLineBundle(Value):
@@ -178,3 +183,7 @@ def bundle_by_label(surface: ToricSurface, label: str) -> EqLineBundle:
 
 # built after `line_bundle`, which every surface calls for its trivial bundle
 SURFACES = {surface.name: surface for surface in (p2(), p1xp1())}
+
+
+def _surface(name: str) -> ToricSurface:
+    return SURFACES[name]

@@ -37,6 +37,9 @@ class Value:
         # one field reads as the bare value, which compares as its 1-tuple
         cls._key = staticmethod(operator.attrgetter(*compared))
         cls._one_field = len(compared) == 1
+        # the slots set beside the fields, which pickling carries as state
+        slots = (name for klass in cls.__mro__ for name in klass.__dict__.get("__slots__", ()))
+        cls._state = tuple(name for name in slots if name not in (*cls._fields, "_hash"))
 
     def _init(self, *values) -> None:
         """Set the fields to `values`, in `_fields` order, and the hash."""
@@ -64,4 +67,9 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        state = {name: getattr(self, name) for name in self._state if hasattr(self, name)}
+        return type(self), tuple(getattr(self, name) for name in self._fields), state or None
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            _set(self, name, value)

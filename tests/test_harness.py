@@ -2,6 +2,7 @@ import concurrent.futures
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,16 @@ from hypothesis import strategies as st
 
 import nestloc.cli as cli
 import nestloc.harness as harness
-from nestloc.errors import ConfigError, NonGenericSpecError, ZeroWeightError
-from nestloc.integrals import sample_specs
+from nestloc.errors import ConfigError, DegreeMismatchError, NonGenericSpecError, ZeroWeightError
+from nestloc.integrals import (
+    CoFactor,
+    Insertion,
+    TautFactor,
+    WeightSpec,
+    integrate_ambient_batch,
+    integrate_virtual_batch,
+    sample_specs,
+)
 from nestloc.toric import SURFACES, bundle_by_label
 from nestloc.harness import (
     BATTERY,
@@ -303,7 +312,7 @@ def test_math_error_becomes_failed_case(monkeypatch):
         raise ZeroWeightError("chain [[1],[]]: synthetic")
 
     entry = harness.SCENARIO_KINDS["euler-count"]
-    row = harness.ScenarioKind(entry.groups, boom, entry.sizes, entry.reads, entry.chains)
+    row = harness.ScenarioKind(entry.groups, boom, entry.sizes, entry.reads)
     monkeypatch.setitem(harness.SCENARIO_KINDS, "euler-count", row)
     report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
     assert report["verdict"] == "fail"
@@ -675,6 +684,12 @@ _UNREAD_OR_UNKNOWN = [
         [_MONOMIAL, _MONOMIAL[::-1], _MONOMIAL],
         "monomials (--insertions): 1 and 2 multiply the same factors",
     ),
+    # c_0 = 1, so a monomial padded with a c_0 factor repeats the bare one
+    (
+        "pushforward --n 1,1 --insertions file:<config>",
+        [_MONOMIAL[:1], [*_MONOMIAL[:1], {"factor": 2, "bundle": "O", "degree": 0}]],
+        "monomials (--insertions): 1 and 2 multiply the same factors",
+    ),
 ]
 
 
@@ -963,6 +978,36 @@ def test_insertions_file_with_several_i_values_exit_two(tmp_path, capsys, kind, 
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "monomial",
+    [
+        [{"factor": 1, "bundle": "O(1)", "degree": 1}, {"factor": 3, "bundle": "O", "degree": 1}],
+        [{"factor": 1, "bundle": "O(1)", "degree": 3}, {"factor": 2, "bundle": "O", "degree": -1}],
+        [{"factor": 1, "bundle": "O(1)", "degree": 3}],
+    ],
+    ids=["factor3", "degree-1", "degree3"],
+)
+def test_kernel_and_file_refuse_a_monomial_in_one_text(tmp_path, capsys, monomial):
+    # the file is checked by the kernel's rule, so both sums of
+    # `pushforward --n 1,1` refuse the monomial as the file does
+    path = tmp_path / "insertions.json"
+    path.write_text(json.dumps([monomial]))
+    assert cli.main(["pushforward", "--n", "1,1", "--insertions", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    surface = SURFACES["p2"]
+    insertion = Insertion(tuple(
+        TautFactor(f["factor"] - 1, bundle_by_label(surface, f["bundle"]), f["degree"])
+        for f in monomial
+    ))
+    spec, co = WeightSpec(3, 5), [CoFactor(0, 2, surface.trivial)]
+    with pytest.raises(DegreeMismatchError) as ambient:
+        integrate_ambient_batch(surface, (1, 1), [insertion], spec, co)
+    with pytest.raises(DegreeMismatchError) as virtual:
+        integrate_virtual_batch(surface, (1, 1), [insertion], spec)
+    assert str(ambient.value) == str(virtual.value)
+    assert f"malformed insertions file {str(path)!r}: {ambient.value}\n" in err
+
+
 #: a bad insertions file for `pushforward --n 1,1`: missing, not JSON, not
 #: UTF-8, or holding a monomial of degree 3 where degree 2 is needed
 _BAD_INSERTIONS = {
@@ -1031,6 +1076,46 @@ def test_serial_run_reads_the_insertions_file_once(tmp_path, capsys, monkeypatch
     report = json.loads(capsys.readouterr().out)
     assert [case["inputs"]["twist"] for case in report["cases"]] == ["O(1)", "O(2)"]
     assert opened == [str(path)]
+
+
+def test_validated_scenario_pickles_whole(tmp_path, monkeypatch):
+    # a `--jobs` worker gets the scenario as validated: the copy reads no
+    # file, and its surface is the table's own, which keys every cache
+    path = tmp_path / "insertions.json"
+    path.write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 1}]]))
+    s = scenario_from_entry({"kind": "twisted-vanish", "n": [1, 1], "insertions": f"file:{path}"})
+
+    def refuse(path, what):
+        raise AssertionError(f"{what} {path!r} read again")
+
+    monkeypatch.setattr(harness, "_read_json", refuse)
+    # the hash covers strings, whose hash differs per process
+    assert "_hash" not in s.__reduce__()[2]
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and hash(copy) == hash(s)
+    assert validate_scenario(copy) is copy
+    assert copy.file_insertions == s.file_insertions
+    assert copy.twists == s.twists and copy.weight_specs == s.weight_specs
+    assert copy.toric is SURFACES["p2"]
+    assert report_json(stable_copy(run_scenario(copy))) == report_json(
+        stable_copy(run_scenario(s))
+    )
+
+
+def test_insertions_file_as_out_file_same_bytes_serial_and_jobs(tmp_path, capsys):
+    # --out truncates the file the run reads its monomials from: it was read
+    # at validation, and no worker reads it again
+    written = []
+    for jobs in ("1", "2"):
+        # one path for both runs: the report echoes it
+        path = tmp_path / "insertions.json"
+        path.write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 1}]]))
+        argv = ["twisted-vanish", "--n", "1,1", "--insertions", f"file:{path}",
+                "--out", str(path), "--jobs", jobs, "--stable"]
+        assert cli.main(argv) == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1] and b"[pass]" in written[0]
+    capsys.readouterr()
 
 
 def test_samples_beside_specs_where_read(tmp_path, capsys):
