@@ -32,7 +32,15 @@ this runner's own peak would read that floor.  `VmHWM` in
 PEAK_HOOK first, which writes that figure at exit to the file named by
 the environment variable PEAK_FILE_ENV; `python -m nestloc ...` runs as
 `python -c '<hook>; runpy.run_module("nestloc", ...)' ...`, the same
-module with the same arguments.
+module with the same arguments.  The hook also writes the largest
+`ru_maxrss` of the children the interpreter reaped
+(`getrusage(RUSAGE_CHILDREN)`), as a run's `workers_peak_rss_mb`: a
+`--jobs` pool's workers end with `os._exit`, so no hook of theirs runs,
+but the pool joins them before the interpreter exits.  A forked worker's
+figure counts the pages it shares with its parent, so it is the largest
+worker's peak, not a sum over the workers.  `peak_rss_mb` stays the
+interpreter's own peak; a run that reaps no child, every rung without a
+pool, has no workers' peak (None).
 
 Beside the measured seconds each run records reference seconds, as
 `bench/run.py` computes them: the calibration loop of `bench/child.py`
@@ -67,15 +75,18 @@ REPEAT = 5
 
 #: names the file a rung's PEAK_HOOK writes its peak to
 PEAK_FILE_ENV = "NESTLOC_LADDER_PEAK_FILE"
-#: runs first in every rung: at exit, the interpreter's VmHWM in KiB
+#: runs first in every rung: at exit, the interpreter's VmHWM and its
+#: reaped children's largest ru_maxrss, both in KiB
 PEAK_HOOK = f"""\
 import atexit, os
 
 def _write_peak():
+    import resource
     with open("/proc/self/status", encoding="ascii") as fh:
         kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     with open(os.environ["{PEAK_FILE_ENV}"], "w", encoding="ascii") as fh:
-        fh.write(kib)
+        fh.write(f"{{kib}} {{workers}}")
 
 atexit.register(_write_peak)
 """
@@ -130,10 +141,11 @@ def hooked(argv) -> list[str]:
     return ["-c", PEAK_HOOK + target, *rest]
 
 
-def run_rung(argv, src: str, peak_file: str) -> tuple[float, int, str, float | None]:
-    """(measured seconds, exit code, sha256 of stdout, peak RSS in MB) of one
-    cold run; the peak is None when the run wrote none.  The runner hashes
-    stdout as it reads it rather than holding it."""
+def run_rung(argv, src: str, peak_file: str) -> tuple[float, int, str, float | None, float | None]:
+    """(measured seconds, exit code, sha256 of stdout, peak RSS in MB, the
+    workers' peak RSS in MB) of one cold run; the peak is None when the run
+    wrote none, and the workers' peak None when the run reaped no child.
+    The runner hashes stdout as it reads it rather than holding it."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     env[PEAK_FILE_ENV] = peak_file
     with open(peak_file, "w", encoding="ascii"):
@@ -148,8 +160,9 @@ def run_rung(argv, src: str, peak_file: str) -> tuple[float, int, str, float | N
     code = proc.wait()
     seconds = time.perf_counter() - started
     with open(peak_file, encoding="ascii") as fh:
-        kib = fh.read()
-    return seconds, code, digest.hexdigest(), round(int(kib) / 1024, 1) if kib else None
+        kib, workers = fh.read().split() or (0, 0)
+    peaks = (round(int(value) / 1024, 1) if int(value) else None for value in (kib, workers))
+    return (seconds, code, digest.hexdigest(), *peaks)
 
 
 def calibration(src: str):
@@ -200,7 +213,7 @@ def main() -> int:
     child.calibrate(loops)
     commands = ladder()
     # source -> label -> one list per field of its runs
-    runs = {src: {label: ([], [], [], [], []) for label, _ in commands} for src in sources}
+    runs = {src: {label: ([], [], [], [], [], []) for label, _ in commands} for src in sources}
     with tempfile.TemporaryDirectory(prefix="ladder-peak-") as peak_dir:
         peak_file = os.path.join(peak_dir, "peak")
         for repeat in range(REPEAT):
@@ -208,13 +221,13 @@ def main() -> int:
             order = sources if repeat % 2 == 0 else sources[::-1]
             for label, argv in commands:
                 for src in order:
-                    seconds, code, digest, peak = run_rung(argv, src, peak_file)
+                    seconds, code, digest, peak, workers = run_rung(argv, src, peak_file)
                     child.calibrate(loops)
                     # the loops just before and just after this run
                     around = loops[-2 * child.CALIBRATION_REPEATS:]
                     loop_s = median((end - start) / 1e9 for start, end in around)
                     row = (round(seconds, 3), code, digest,
-                           round(seconds * reference_s / loop_s, 3), peak)
+                           round(seconds * reference_s / loop_s, 3), peak, workers)
                     for column, value in zip(runs[src][label], row):
                         column.append(value)
 
@@ -237,13 +250,16 @@ def main() -> int:
         print(f"== {commit} ({src})")
         rungs = []
         for label, argv in commands:
-            seconds, exits, digests, reference, peaks = runs[src][label]
+            seconds, exits, digests, reference, peaks, workers = runs[src][label]
             exits, digests = set(exits), set(digests)
             known = [peak for peak in peaks if peak is not None]
+            known_workers = [peak for peak in workers if peak is not None]
             ok = exits == {0} and len(digests) == 1 and len(known) == len(peaks)
             if label.endswith("-jobs2"):
-                # the serial rung's digests, which a --jobs 2 run must repeat
+                # the serial rung's digests, which a --jobs 2 run must repeat,
+                # and a workers' peak in every run
                 ok = ok and digests == set(runs[src][label.removesuffix("-jobs2")][2])
+                ok = ok and len(known_workers) == len(workers)
             failures += not ok
             rungs.append({
                 "label": label,
@@ -256,6 +272,8 @@ def main() -> int:
                 "median_reference_s": round(median(reference), 3),
                 "peak_rss_mb": peaks,
                 "median_peak_rss_mb": median(known) if known else None,
+                "workers_peak_rss_mb": workers,
+                "median_workers_peak_rss_mb": median(known_workers) if known_workers else None,
                 "exit": sorted(exits),
                 "sha256": sorted(digests),
             })
@@ -263,6 +281,7 @@ def main() -> int:
                   f" max {max(seconds):.3f} over {len(seconds)} runs;"
                   f" median {median(reference):.3f} reference s,"
                   f" peak RSS median {median(known) if known else 'unread'} MB"
+                  + (f", workers' {median(known_workers)} MB" if known_workers else "")
                   + ("" if ok else " (FAILED: nonzero exit, unstable report, unread peak"
                                    " or a --jobs report unlike the serial one)"))
         trajectory[commit] = {"context": context, "rungs": rungs}

@@ -57,7 +57,7 @@ def _bundle_labels(text: str) -> tuple[str, ...]:
 
 def build_parser() -> argparse.ArgumentParser:
     """One flat parser: the kind is a positional, every kind takes the same
-    flags, and what a kind reads is checked by `validate_scenario`."""
+    flags, and what a kind reads is checked by `scenario_from_entry`."""
     parser = argparse.ArgumentParser(
         prog="nestloc",
         usage="%(prog)s KIND [flags]",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -45,10 +44,9 @@ from .combinatorics import (
 )
 from .errors import ConfigError, DegreeMismatchError, MathError
 from .integrals import (
+    ChernFactor,
     CoFactor,
     Insertion,
-    TangentFactor,
-    TautFactor,
     WeightSpec,
     _check_insertions,
     ambient_measure,
@@ -56,7 +54,7 @@ from .integrals import (
     insertion_basis,
     integrate_ambient_batch,
     integrate_virtual_batch,
-    k_theory_chi_sum,
+    k_theory_chi,
     sample_specs,
     virtual_measure,
 )
@@ -162,7 +160,8 @@ BATTERY = [
 def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
     """One config entry, or the flags given on the command line, as a
     validated Scenario; the keys of `overrides` replace the entry's, and
-    absent keys keep the Scenario defaults."""
+    absent keys keep the Scenario defaults.  A key the kind does not read
+    is refused whenever it is given, whatever its value."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError("missing 'kind'")
     entry = {**entry, **(overrides or {})}
@@ -172,11 +171,20 @@ def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
         raise ConfigError(f"unknown key(s) {names}; choose from {tuple(ENTRY_KEYS)}")
     values = {}
     for key, value in entry.items():
-        field, convert, _ = ENTRY_KEYS[key]
+        field, convert, flag = ENTRY_KEYS[key]
         try:
             values[field] = convert(value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key!r}: {exc}") from None
+            # `str`, the converter of the one key without a flag, refuses nothing
+            raise ConfigError(f"{key!r} ({flag}): {exc}") from None
+    # a key given is refused where the kind does not read it, even at its default value
+    kind = SCENARIO_KINDS.get(values["kind"])
+    if kind is not None:
+        reads = kind.reads | ({"sizes"} if kind.sizes else set())
+        unread = [name for field, name in _OPTIONAL_INPUTS.items()
+                  if field in values and field not in reads]
+        if unread:
+            raise ConfigError(f"{values['kind']} does not read {', '.join(unread)}")
     scenario = validate_scenario(Scenario(**values))
     if "specs" in entry and "samples" in entry:
         raise ConfigError(
@@ -194,14 +202,6 @@ def validate_scenario(s: Scenario) -> Scenario:
     if s.kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {s.kind!r}; choose from {tuple(SCENARIO_KINDS)}")
     kind = SCENARIO_KINDS[s.kind]
-    reads = kind.reads | ({"sizes"} if kind.sizes else set())
-    unread = [
-        name
-        for field, name in _OPTIONAL_INPUTS.items()
-        if field not in reads and getattr(s, field) != getattr(DEFAULT_SCENARIO, field)
-    ]
-    if unread:
-        raise ConfigError(f"{s.kind} does not read {', '.join(unread)}")
     if s.surface not in SURFACES:
         raise ConfigError(f"unknown surface {s.surface!r}")
     if s.samples < 1:
@@ -303,8 +303,8 @@ def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[I
     try:
         out = tuple(
             Insertion(tuple(
-                TautFactor(_integer(f["factor"]) - 1, bundle_by_label(surface, str(f["bundle"])),
-                           _integer(f["degree"]))
+                ChernFactor(_integer(f["factor"]) - 1, bundle_by_label(surface, str(f["bundle"])),
+                            _integer(f["degree"]))
                 for f in monomial
             ))
             for monomial in raw
@@ -353,8 +353,9 @@ def section_character(surface: ToricSurface, degrees: tuple[int, ...]) -> Lauren
     """Character of H^0 of an effective built-in bundle by lattice-point count.
 
     Monomial sections of O(d) on P^2 (resp. O(a,b)) carry weight
-    (-beta, -gamma) over the exponent polytope; this is the independent
-    route against the K-theoretic localization sum.
+    (-beta, -gamma) over the exponent polytope.  This is the independent
+    route against the K-theoretic localization sum: times the denominator D
+    of `integrals.k_theory_chi`, it must equal the numerator N exactly.
     """
     if any(d < 0 for d in degrees):
         raise ValueError(f"section character needs nonnegative degrees, got {degrees}")
@@ -509,7 +510,7 @@ def _euler_count_cases(s: Scenario) -> list[dict]:
     surface, specs = s.toric, s.weight_specs
     (n,) = s.sizes
     expected = euler_product_coefficient(surface.euler_number, n)
-    insertion = Insertion((TangentFactor(0, 2 * n),)) if n else Insertion(())
+    insertion = Insertion((ChernFactor(0, None, 2 * n),)) if n else Insertion(())
     values = [integrate_ambient_batch(surface, s.sizes, [insertion], spec)[0] for spec in specs]
     inputs = {"n": n, "insertion": insertion.label(), "expected": str(expected)}
     return [_sampled_case(inputs, specs, values, [expected] * len(specs),
@@ -521,23 +522,10 @@ def _hrr_cases(s: Scenario, degrees: tuple[int, ...]) -> list[dict]:
     bundle = line_bundle(surface, *degrees)
     expected = surface.chi(*degrees)
     values = [hrr_chi(surface, bundle, spec) for spec in specs]
-
-    # independent K-theoretic route: localization sum vs direct H^0 character
-    charpoly = section_character(surface, degrees)
-    rng = random.Random(s.seed)
-    character_ok = True
-    checked = 0
-    while checked < 3:
-        t1 = Fraction(rng.randint(2, 97), rng.randint(2, 97))
-        t2 = Fraction(rng.randint(2, 97), rng.randint(2, 97))
-        if t1 == 1 or t2 == 1 or t1 == t2:
-            continue
-        ksum = k_theory_chi_sum(surface, bundle, t1, t2)
-        direct = sum(
-            (c * t1**a * t2**b for (a, b), c in charpoly.terms()), Fraction(0)
-        )
-        character_ok = character_ok and ksum == direct
-        checked += 1
+    # independent K-theoretic route: the localization sum N / D against the
+    # H^0 character, as one identity of Laurent polynomials
+    num, den = k_theory_chi(surface, bundle)
+    character_ok = num == section_character(surface, degrees) * den
     inputs = {"bundle": bundle.label, "expected": str(expected)}
     return [_sampled_case(inputs, specs, values, [expected] * len(specs),
                           "hrr/localization mismatch", character_ok=character_ok,
@@ -656,7 +644,7 @@ class ScenarioKind(Value):
         #: (fewest, most, rule) for the number of sizes; None if the kind reads none
         sizes: tuple[int, float, str] | None = None,
         #: the Scenario fields among surface, i_values, bundles, specs and
-        #: insertions that the kind reads; any other one must keep its default
+        #: insertions that the kind reads; an entry gives no other one
         reads: frozenset[str] = frozenset(),
     ):
         self._init(groups, cases, sizes, reads)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from typing import Sequence, Union
+from operator import mul
+from typing import Sequence
 
 from .characters import LaurentPoly
 from .combinatorics import MultiPartition, multipartitions, nested_chains
@@ -103,35 +104,20 @@ def _euler_cached(poly: LaurentPoly, spec: WeightSpec) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-class TautFactor(Value):
-    """c_degree of the tautological bundle of `bundle` on ambient factor `factor` (0-based)."""
+class ChernFactor(Value):
+    """c_degree of the tautological bundle of `bundle` on ambient factor
+    `factor` (0-based), or of that factor's tangent bundle where `bundle`
+    is None; (factor, bundle) keys the factor's Chern series."""
 
     __slots__ = ("factor", "bundle", "degree")
     _fields = __slots__
 
-    def __init__(self, factor: int, bundle: EqLineBundle, degree: int):
+    def __init__(self, factor: int, bundle: EqLineBundle | None, degree: int):
         self._init(factor, bundle, degree)
 
     def label(self) -> str:
-        return f"c{self.degree}({self.bundle.label}@{self.factor + 1})"
-
-
-class TangentFactor(Value):
-    """c_degree of the tangent bundle of ambient factor `factor` (0-based)."""
-
-    __slots__ = ("factor", "degree")
-    _fields = __slots__
-    #: no line bundle: (factor, bundle) keys a factor's Chern series
-    bundle = None
-
-    def __init__(self, factor: int, degree: int):
-        self._init(factor, degree)
-
-    def label(self) -> str:
-        return f"c{self.degree}(T@{self.factor + 1})"
-
-
-Factor = Union[TautFactor, TangentFactor]
+        name = "T" if self.bundle is None else self.bundle.label
+        return f"c{self.degree}({name}@{self.factor + 1})"
 
 
 class Insertion(Value):
@@ -140,7 +126,7 @@ class Insertion(Value):
     __slots__ = ("factors",)
     _fields = __slots__
 
-    def __init__(self, factors: tuple[Factor, ...] = ()):
+    def __init__(self, factors: tuple[ChernFactor, ...] = ()):
         self._init(factors)
 
     @property
@@ -180,7 +166,7 @@ def insertion_basis(
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     variables = [
-        TautFactor(m, bundle, j)
+        ChernFactor(m, bundle, j)
         for m, n in enumerate(sizes)
         for bundle in surface.battery_bundles
         for j in range(1, 2 * n + 1)
@@ -188,7 +174,7 @@ def insertion_basis(
 
     out: list[Insertion] = []
 
-    def gen(start: int, remaining: int, acc: tuple[TautFactor, ...]):
+    def gen(start: int, remaining: int, acc: tuple[ChernFactor, ...]):
         if remaining == 0:
             out.append(Insertion(acc))
             return
@@ -288,7 +274,7 @@ def _localize(
     # trie node k >= 1 is nodes[k - 1] = (parent node, series slot, degree);
     # node 0 is the root, the empty product
     nodes: list[tuple[int, int, int]] = []
-    children: dict[tuple[int, Factor], int] = {}
+    children: dict[tuple[int, ChernFactor], int] = {}
     leaves = []
     for ins in insertions:
         node = 0
@@ -450,35 +436,27 @@ def hrr_chi(surface: ToricSurface, bundle: EqLineBundle, spec: WeightSpec) -> Fr
     the value reads the characters, not the chart weights, so it pins the
     chart substitution and the tautological character too.
     """
-    line = TautFactor(0, bundle, 1)
-    tangent = TangentFactor(0, 1)
-    monomials = [(line, line), (line, tangent), (tangent, tangent), (TangentFactor(0, 2),)]
+    line = ChernFactor(0, bundle, 1)
+    tangent = ChernFactor(0, None, 1)
+    monomials = [(line, line), (line, tangent), (tangent, tangent), (ChernFactor(0, None, 2),)]
     insertions = [Insertion(factors) for factors in monomials]
     l2, lt, t2, c2 = integrate_ambient_batch(surface, (1,), insertions, spec)
     return l2 / 2 + lt / 2 + (t2 + c2) / 12
 
 
-def k_theory_chi_sum(surface: ToricSurface, bundle: EqLineBundle, t1: Fraction, t2: Fraction) -> Fraction:
-    """K-theoretic localization sum sum_p t^{mu_p} / prod (1 - t^{-w}).
-
-    At a generic rational point (t1, t2) this equals the character of the
-    virtual representation chi(L) = sum (-1)^i [H^i(L)], which independent
-    lattice-point enumeration reproduces for the built-in bundles.
-    """
-    t1, t2 = Fraction(t1), Fraction(t2)
-
-    def power(exp: tuple[int, int]) -> Fraction:
-        return t1**exp[0] * t2**exp[1]
-
-    total = Fraction(0)
-    for chart, mu in zip(surface.charts, bundle.weights):
-        w1, w2 = chart
-        d1 = 1 - power((-w1[0], -w1[1]))
-        d2 = 1 - power((-w2[0], -w2[1]))
-        if d1 == 0 or d2 == 0:
-            raise NonGenericSpecError(f"denominator vanishes at t=({t1},{t2})")
-        total += power(mu) / (d1 * d2)
-    return total
+def k_theory_chi(surface: ToricSurface, bundle: EqLineBundle) -> tuple[LaurentPoly, LaurentPoly]:
+    """The K-theoretic localization sum sum_p t^{mu_p} / D_p of chi(L), as
+    Laurent polynomials (N, D) with N / D that sum: D_p = (1 - t^{-w1})
+    (1 - t^{-w2}) over the tangent weights of chart p, D = prod_p D_p and
+    N = sum_p t^{mu_p} prod_{q != p} D_q.  For an effective L, N equals D
+    times the character of H^0(L) exactly (Brion's lattice-point formula)."""
+    one = LaurentPoly.one()
+    dens = [(one - LaurentPoly.monomial(-a1, -b1)) * (one - LaurentPoly.monomial(-a2, -b2))
+            for (a1, b1), (a2, b2) in surface.charts]
+    num = LaurentPoly.zero()
+    for p, mu in enumerate(bundle.weights):
+        num = num + reduce(mul, dens[:p] + dens[p + 1:], LaurentPoly.monomial(*mu))
+    return num, reduce(mul, dens)
 
 
 # --------------------------------------------------------------------------

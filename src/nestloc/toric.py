@@ -8,7 +8,8 @@ fixed point.
 Conventions (pinned by hrr-check: :func:`nestloc.integrals.hrr_chi`
 integrates ch(L) td(S) through the localization kernel, so it reads the
 tangent and tautological characters built from these weights, and
-:func:`nestloc.integrals.k_theory_chi_sum` reads the weights directly):
+:func:`nestloc.integrals.k_theory_chi` reads the weights directly, as a
+Laurent-polynomial identity against the section lattice):
 
 * tangent weights are the geometric point-movement weights of the torus
   action on T_p S;

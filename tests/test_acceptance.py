@@ -21,10 +21,9 @@ from nestloc.combinatorics import box_character, mp_contains, multipartitions, p
 from nestloc.errors import DegreeMismatchError, ZeroWeightError
 from nestloc.harness import _sampled_case, arm_leg_vertex, splitting_twist_oracle
 from nestloc.integrals import (
+    ChernFactor,
     CoFactor,
     Insertion,
-    TangentFactor,
-    TautFactor,
     WeightSpec,
     euler_class,
     hrr_chi,
@@ -58,7 +57,7 @@ def test_criterion_1_fixed_point_counts_and_euler_integrals():
         for surface, n, expected in targets:
             started = time.perf_counter()
             assert len(multipartitions(surface, n)) == expected
-            insertion = Insertion((TangentFactor(0, 2 * n),))
+            insertion = Insertion((ChernFactor(0, None, 2 * n),))
             for spec in SPECS:
                 assert integrate_ambient_batch(surface, (n,), [insertion], spec)[0] == expected
             assert time.perf_counter() - started < 1.0
@@ -201,7 +200,7 @@ def test_criterion_9_robustness():
         assert per_seed[0] == per_seed[1] == per_seed[2]
 
         # deliberately wrong-degree integrand
-        wrong = Insertion((TautFactor(0, line_bundle(p2(), 1), 1),))
+        wrong = Insertion((ChernFactor(0, line_bundle(p2(), 1), 1),))
         with pytest.raises(DegreeMismatchError):
             integrate_ambient_batch(p2(), (1,), [wrong], SPECS[0])[0]
 

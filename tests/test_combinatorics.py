@@ -29,10 +29,9 @@ from nestloc.harness import (
     scenario_from_entry,
 )
 from nestloc.integrals import (
+    ChernFactor,
     CoFactor,
     Insertion,
-    TangentFactor,
-    TautFactor,
     WeightSpec,
     insertion_basis,
     sample_specs,
@@ -209,8 +208,7 @@ REFERENCE = {
     cls: make_dataclass(cls.__name__, names, frozen=True)
     for cls, names in (
         (WeightSpec, ["s1", "s2"]),
-        (TautFactor, ["factor", "bundle", "degree"]),
-        (TangentFactor, ["factor", "degree"]),
+        (ChernFactor, ["factor", "bundle", "degree"]),
         (CoFactor, ["left", "degree", "bundle"]),
         (Scenario, ["kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
                     "truncation", "insertions", "specs"]),
@@ -237,7 +235,7 @@ def record_groups():
     chains = [ch for sizes in [(2, 1), (3, 2), (2, 1, 1)] for ch in nested_chains(p2(), sizes)]
     chains += [ch for sizes in [(2, 1), (2, 2)] for ch in nested_chains(p1xp1(), sizes)]
     insertions = list(insertion_basis(p2(), (2, 1), 3)) + list(insertion_basis(p1xp1(), (1, 1), 2))
-    insertions += [Insertion(), Insertion((TangentFactor(0, 4),))]
+    insertions += [Insertion(), Insertion((ChernFactor(0, None, 4),))]
     entries = [
         {"kind": "pushforward", "surface": "p1xp1", "n": [2, 1], "seed": 7},
         {"kind": "vanish", "n": [2, 1], "i": [1, 2], "specs": ["2,3", "1/2,5"]},
@@ -307,7 +305,8 @@ def test_cached_sizes_and_hashes_match_recomputed_values(tmp_path, monkeypatch):
                 assert repr(value) == repr(reference)
     # records of different classes are never equal, and no record orders
     assert WeightSpec(2, 3) != (2, 3)
-    assert TangentFactor(0, 2) != TautFactor(0, line_bundle(p2(), 0), 2)
+    # c(T) is not c(O) of the same factor and degree
+    assert ChernFactor(0, None, 2) != ChernFactor(0, line_bundle(p2(), 0), 2)
     with pytest.raises(TypeError):
         WeightSpec(2, 3) < WeightSpec(3, 2)
     with pytest.raises(TypeError):

@@ -15,9 +15,9 @@ import nestloc.cli as cli
 import nestloc.harness as harness
 from nestloc.errors import ConfigError, DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from nestloc.integrals import (
+    ChernFactor,
     CoFactor,
     Insertion,
-    TautFactor,
     WeightSpec,
     integrate_ambient_batch,
     integrate_virtual_batch,
@@ -611,7 +611,7 @@ def test_bundles_rejected_where_kind_takes_no_twist(capsys):
     assert cli.main(["vanish", "--n", "1,1", "--bundles", "O(1)"]) == 2
     assert "--bundles" in capsys.readouterr().err
     with pytest.raises(ConfigError):
-        validate_scenario(Scenario(kind="pushforward", sizes=(1, 1), bundles=("O(1)",)))
+        scenario_from_entry({"kind": "pushforward", "n": [1, 1], "bundles": ["O(1)"]})
 
 
 def test_sizes_rejected_where_kind_takes_none(capsys):
@@ -631,6 +631,12 @@ _UNREAD_OR_UNKNOWN = [
     ("serre-duality --spec 1,1 --insertions file:/nonexistent.json", None, "--spec"),
     ("symbolic-tp --surface p1xp1", None, "--surface"),
     ("pushforward --n 1,1 --i 2", None, "--i"),
+    # an unread input is refused when given, even at its default value
+    ("symbolic-tp --surface p2", None, "--surface"),
+    ("pushforward --n 1,1 --i 1", None, "--i"),
+    ("euler-count --n 1 --insertions auto", None, "--insertions"),
+    ("all --config <config>", {"kind": "symbolic-tp", "surface": "p2"},
+     "symbolic-tp does not read surface (--surface)"),
     ("euler-count --n 1 --insertions file:/nonexistent.json", None, "--insertions"),
     ("hrr-check --insertions file:x", None, "--insertions"),
     ("all --config <config>", {"kind": "euler-count", "n": [1], "seeds": 5}, "'seeds'"),
@@ -641,12 +647,14 @@ _UNREAD_OR_UNKNOWN = [
     (
         "all --config <config>",
         {"kind": "euler-count", "n": [2.9], "samples": 1.5},
-        "'n': expected an integer",
+        "'n' (--n): expected an integer",
     ),
     ("all --config <config>", {"kind": "euler-count", "n": [2], "samples": 1.5}, "'samples'"),
     ("all --config <config>", {"kind": "euler-count", "n": [2], "seed": True}, "'seed'"),
     ("all --config <config>", {"kind": "symbolic-tp", "truncation": 8.0}, "'truncation'"),
     ("all --config <config>", {"kind": "vanish", "n": [1, 1], "i": [1.0]}, "'i'"),
+    # a converter's refusal names the key and its flag
+    ("vanish --n 2,1 --i 3..1", None, "'i' (--i): expected a nonempty list"),
     # explicit specs replace sampling, even with --samples at its default;
     # an empty twist list is not the battery
     ("euler-count --n 1 --spec 2,3 --samples 5", None, "samples (--samples)"),
@@ -996,7 +1004,7 @@ def test_kernel_and_file_refuse_a_monomial_in_one_text(tmp_path, capsys, monomia
     err = capsys.readouterr().err
     surface = SURFACES["p2"]
     insertion = Insertion(tuple(
-        TautFactor(f["factor"] - 1, bundle_by_label(surface, f["bundle"]), f["degree"])
+        ChernFactor(f["factor"] - 1, bundle_by_label(surface, f["bundle"]), f["degree"])
         for f in monomial
     ))
     spec, co = WeightSpec(3, 5), [CoFactor(0, 2, surface.trivial)]

@@ -22,17 +22,16 @@ from nestloc.errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightE
 from nestloc.integrals import (
     SPEC_HIGH,
     SPEC_LOW,
+    ChernFactor,
     CoFactor,
     Insertion,
-    TangentFactor,
-    TautFactor,
     WeightSpec,
     chern_series,
     euler_class,
     insertion_basis,
     integrate_ambient_batch,
     integrate_virtual_batch,
-    k_theory_chi_sum,
+    k_theory_chi,
     sample_specs,
 )
 from nestloc.series import binomial, line_factor
@@ -260,31 +259,35 @@ TAUTOLOGICAL_CHI = [
 CHI_POINT = (Fraction(2, 3), Fraction(5, 7))
 
 
+def at_chi_point(poly):
+    """The Laurent polynomial `poly` evaluated at t = CHI_POINT."""
+    t1, t2 = CHI_POINT
+    return sum((c * t1**a * t2**b for (a, b), c in poly.terms()), Fraction(0))
+
+
 def tautological_chi(surface, bundle, n):
     """sum_mp ch(L^[n]_mp) / prod_w (1 - t^{-w})^{m_w} at t = CHI_POINT, over
     the fixed points mp of S^[n], the w running over the tangent weights at mp.
 
     The characters are read from the `vertex` module at call time, so a
     monkeypatched `taut_char` or chart term is the one checked."""
-    t1, t2 = CHI_POINT
-
-    def power(exp):
-        return t1 ** exp[0] * t2 ** exp[1]
-
     total = Fraction(0)
     for mp in multipartitions(surface, n):
-        numerator = sum(c * power(exp) for exp, c in vertex.taut_char(surface, bundle, mp).terms())
+        numerator = at_chi_point(vertex.taut_char(surface, bundle, mp))
         denominator = Fraction(1)
         for (a, b), m in vertex.tangent_char(surface, mp).terms():
-            denominator *= (1 - power((-a, -b))) ** m
+            denominator *= (1 - at_chi_point(LaurentPoly.monomial(-a, -b))) ** m
         total += numerator / denominator
     return total
 
 
 def tautological_chi_mismatches(surface, degrees):
-    """(n, chi(S^[n], L^[n]), chi(S, L)) for each n = 1..4 where the two differ."""
+    """(n, chi(S^[n], L^[n]), chi(S, L)) for each n = 1..4 where the two
+    differ; chi(S, L) is N / D of `k_theory_chi` at CHI_POINT, which holds
+    for the bundles without sections too."""
     bundle = line_bundle(surface, *degrees)
-    want = k_theory_chi_sum(surface, bundle, *CHI_POINT)
+    num, den = k_theory_chi(surface, bundle)
+    want = at_chi_point(num) / at_chi_point(den)
     return [(n, got, want) for n in range(1, 5)
             if (got := tautological_chi(surface, bundle, n)) != want]
 
@@ -326,7 +329,7 @@ def test_ambient_sum_looks_up_each_euler_class_once_per_factor(monkeypatch):
         return euler_class(char, spec)
 
     monkeypatch.setattr(integrals, "euler_class", counted)
-    insertion = Insertion((TautFactor(0, O, 5),))
+    insertion = Insertion((ChernFactor(0, O, 5),))
     co = [CoFactor(0, 7, O1)]
     assert integrate_ambient_batch(p2(), (3, 3), [insertion], WeightSpec(1013, 2027), co) == [0]
     assert len(multipartitions(p2(), 3)) == 22
@@ -337,7 +340,7 @@ def test_ambient_sum_looks_up_each_euler_class_once_per_factor(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_euler_count_localization(surface, n):
     expected = len(multipartitions(surface, n))
-    insertion = Insertion((TangentFactor(0, 2 * n),))
+    insertion = Insertion((ChernFactor(0, None, 2 * n),))
     for spec in sample_specs(3, 3):
         assert integrate_ambient_batch(surface, (n,), [insertion], spec)[0] == expected
 
@@ -364,7 +367,7 @@ def fubini_mismatches():
     monkeypatched kernel is the one checked."""
     bad = []
     for surface, sizes, spec in fubini_rows():
-        insertion = Insertion(tuple(TangentFactor(m, 2 * n) for m, n in enumerate(sizes)))
+        insertion = Insertion(tuple(ChernFactor(m, None, 2 * n) for m, n in enumerate(sizes)))
         expected = math.prod(euler_product_coefficient(surface.euler_number, n) for n in sizes)
         (value,) = integrals.integrate_ambient_batch(surface, sizes, [insertion], spec)
         if value != expected:
@@ -379,26 +382,26 @@ def test_product_of_top_tangent_classes_is_the_product_of_euler_counts():
 
 def test_taut_square_on_p2():
     # S^[1] = P^2 and taut(O(1))^[1] = O(1): int h^2 = 1
-    insertion = Insertion((TautFactor(0, O1, 1), TautFactor(0, O1, 1)))
+    insertion = Insertion((ChernFactor(0, O1, 1), ChernFactor(0, O1, 1)))
     spec = sample_specs(5, 1)[0]
     assert integrate_ambient_batch(p2(), (1,), [insertion], spec)[0] == 1
 
 
 def test_degree_mismatch_ambient():
-    insertion = Insertion((TautFactor(0, O1, 1),))
+    insertion = Insertion((ChernFactor(0, O1, 1),))
     with pytest.raises(DegreeMismatchError):
         integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
 
 
 def test_degree_mismatch_virtual():
-    insertion = Insertion((TautFactor(0, O1, 1),))
+    insertion = Insertion((ChernFactor(0, O1, 1),))
     with pytest.raises(DegreeMismatchError):
         integrate_virtual_batch(p2(), (1, 1), [insertion], WeightSpec(1, 2))[0]
 
 
 def test_negative_factor_degree_is_refused():
     # total degree 2 = dim S^[1], but c_{-1} is not a Chern class
-    insertion = Insertion((TautFactor(0, O1, 3), TautFactor(0, O1, -1)))
+    insertion = Insertion((ChernFactor(0, O1, 3), ChernFactor(0, O1, -1)))
     with pytest.raises(DegreeMismatchError, match="got factor 1, degree -1 in monomial 1"):
         integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
 
@@ -409,7 +412,7 @@ def test_virtual_degenerate_sizes():
 
 
 def test_virtual_spec_independence():
-    insertion = Insertion((TautFactor(0, O1, 3),))
+    insertion = Insertion((ChernFactor(0, O1, 3),))
     values = {
         integrate_virtual_batch(p2(), (2, 1), [insertion], spec)[0] for spec in sample_specs(9, 3)
     }
@@ -429,7 +432,7 @@ def test_pushforward_identity_small():
 def test_pushforward_known_value_diagonal_taut_pair():
     # c_2(co) . c1(taut O(1) on factor 1) . c1(taut O(1) on factor 2) over
     # P^2 x P^2 localizes to the diagonal: both routes give int h^2 = 1
-    insertion = Insertion((TautFactor(0, O1, 1), TautFactor(1, O1, 1)))
+    insertion = Insertion((ChernFactor(0, O1, 1), ChernFactor(1, O1, 1)))
     for spec in sample_specs(37, 3):
         ambient = integrate_ambient_batch(p2(), (1, 1), [insertion], spec, [CoFactor(0, 2, O)])[0]
         virtual = integrate_virtual_batch(p2(), (1, 1), [insertion], spec)[0]
@@ -442,7 +445,7 @@ def test_insertion_basis_degree_zero():
 
 def test_insertion_basis_restricted_battery():
     got = insertion_basis(p2(), (1,), 1)
-    assert got == tuple(Insertion((TautFactor(0, b, 1),)) for b in (O, O1, O2))
+    assert got == tuple(Insertion((ChernFactor(0, b, 1),)) for b in (O, O1, O2))
     assert [ins.label() for ins in got] == [f"c1({label}@1)" for label in p2().battery]
 
 
@@ -464,7 +467,7 @@ def test_insertion_basis_counts_golden():
 
 
 def test_consistency_run_fixed_point_count():
-    insertion = Insertion((TangentFactor(0, 4),))
+    insertion = Insertion((ChernFactor(0, None, 4),))
     specs = sample_specs(17, 3)
     values = {integrate_ambient_batch(p2(), (2,), [insertion], spec)[0] for spec in specs}
     assert values == {9}
@@ -509,9 +512,9 @@ def test_linearity_of_localization_sums():
 
     surface = p2()
     spec = sample_specs(31, 1)[0]
-    phi1 = Insertion((TautFactor(0, O1, 4), TautFactor(1, O1, 2)))
+    phi1 = Insertion((ChernFactor(0, O1, 4), ChernFactor(1, O1, 2)))
     phi2 = Insertion(
-        (TautFactor(0, O1, 3), TautFactor(0, O2, 1), TautFactor(1, O2, 2))
+        (ChernFactor(0, O1, 3), ChernFactor(0, O2, 1), ChernFactor(1, O2, 2))
     )
     a, b = Fraction(3), Fraction(-5, 2)
 
@@ -544,7 +547,7 @@ def reference_localize(surface, insertions, spec, points):
         for i, ins in enumerate(insertions):
             value = weight
             for f in ins.factors:
-                if isinstance(f, TangentFactor):
+                if f.bundle is None:
                     char = tangent_char(surface, steps[f.factor])
                 else:
                     char = taut_char(surface, f.bundle, steps[f.factor])
@@ -628,7 +631,7 @@ def test_integer_kernel_matches_reference_where_co_factor_vanishes():
     points = list(product(multipartitions(surface, 1), repeat=2))
     values = [co_value(surface, mps, co, spec) for mps in points]
     assert 0 in values and any(values)
-    h, h2 = TautFactor(0, O1, 1), TautFactor(0, O2, 1)
+    h, h2 = ChernFactor(0, O1, 1), ChernFactor(0, O2, 1)
     # the basis reversed, then c1(O(1)@1)^2 = 1 and c1(O(1)@1)*c1(O(2)@1) = 2,
     # which the basis also holds
     insertions = insertion_basis(surface, sizes, 2)[::-1] + (Insertion((h, h)), Insertion((h, h2)))

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from nestloc import chern, combinatorics, integrals, vertex
+from nestloc import chern, combinatorics, harness, integrals, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.chern import FormalBundle
 from nestloc.harness import BATTERY, Scenario, run_scenario, scenario_from_entry
@@ -328,14 +328,34 @@ def test_hrr_chi_without_linear_term_is_caught_by_hrr_check(mutate):
     `hrr-check`, whose K-theoretic cross-check does not read hrr_chi."""
 
     def no_linear_term(surface, bundle, spec):
-        line, tangent = integrals.TautFactor(0, bundle, 1), integrals.TangentFactor(0, 1)
-        monomials = [(line, line), (tangent, tangent), (integrals.TangentFactor(0, 2),)]
+        line, tangent = integrals.ChernFactor(0, bundle, 1), integrals.ChernFactor(0, None, 1)
+        monomials = [(line, line), (tangent, tangent), (integrals.ChernFactor(0, None, 2),)]
         insertions = [integrals.Insertion(factors) for factors in monomials]
         l2, t2, c2 = integrals.integrate_ambient_batch(surface, (1,), insertions, spec)
         return l2 / 2 + (t2 + c2) / 12
 
     mutate(integrals, "hrr_chi", no_linear_term)
     assert hrr_failures() == TWISTED_HRR_ROWS
+
+
+def test_section_lattice_one_point_short_is_caught_by_the_character_check(mutate):
+    """The H^0 character one lattice point short: every `hrr-check` row
+    fails its exact identity N = H^0 * D with `character_check: fail`,
+    while its integrals, which do not read the lattice, still equal chi."""
+    original = harness.section_character
+
+    def one_short(surface, degrees):
+        return LaurentPoly(original(surface, degrees).terms()[:-1])
+
+    mutate(harness, "section_character", one_short)
+    reports = {name: run_scenario(Scenario(kind="hrr-check", surface=name)) for name in SURFACES}
+    cases = [(name, case) for name, report in reports.items() for case in report["cases"]]
+    assert {(name, case["inputs"]["bundle"]) for name, case in cases
+            if case["verdict"] == "fail"} == HRR_ROWS
+    assert {case["character_check"] for _, case in cases} == {"fail"}
+    assert {case["diagnostic"] for _, case in cases} == {"hrr/localization mismatch"}
+    assert all(sample["value"] == case["inputs"]["expected"]
+               for _, case in cases for sample in case["samples"])
 
 
 def test_twist_by_line_with_unshifted_binomial_is_caught_by_symbolic_tp(mutate):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nestloc.integrals import WeightSpec, hrr_chi, k_theory_chi_sum, sample_specs
+from nestloc.characters import LaurentPoly
+from nestloc.integrals import WeightSpec, hrr_chi, k_theory_chi, sample_specs
 from nestloc.toric import (
     EqLineBundle,
     ToricSurface,
@@ -126,20 +127,15 @@ def test_hrr_chi_integrates_the_weights_it_is_given():
     assert hrr_chi(p2(), EqLineBundle("L", weights), spec) == 6
 
 
-def lattice_character_value(surface_name, degrees, t1, t2):
+def lattice_character(surface_name, degrees):
     """Independent H^0 oracle: sum of t^m over section lattice points."""
-    total = Fraction(0)
     if surface_name == "p2":
         (d,) = degrees
-        for b in range(d + 1):
-            for c in range(d + 1 - b):
-                total += t1 ** (-b) * t2 ** (-c)
+        points = [(-b, -c) for b in range(d + 1) for c in range(d + 1 - b)]
     else:
         a, b = degrees
-        for i in range(a + 1):
-            for j in range(b + 1):
-                total += t1 ** (-i) * t2 ** (-j)
-    return total
+        points = [(-i, -j) for i in range(a + 1) for j in range(b + 1)]
+    return LaurentPoly({point: 1 for point in points})
 
 
 @pytest.mark.parametrize(
@@ -147,16 +143,16 @@ def lattice_character_value(surface_name, degrees, t1, t2):
     [(p2(), (d,)) for d in range(4)] + [(p1xp1(), (a, b)) for a in range(3) for b in range(3)],
 )
 def test_k_theory_sum_matches_lattice_character(surface, degrees):
-    # Brion identity: localization sum equals the H^0 character at generic t
-    bundle = line_bundle(surface, *degrees)
-    points = [(Fraction(2), Fraction(3)), (Fraction(5, 2), Fraction(7, 3)), (Fraction(-3), Fraction(4))]
-    for t1, t2 in points:
-        got = k_theory_chi_sum(surface, bundle, t1, t2)
-        assert got == lattice_character_value(surface.name, degrees, t1, t2)
+    # Brion identity: the localization sum N / D is the H^0 character, as
+    # Laurent polynomials once D is cleared
+    num, den = k_theory_chi(surface, line_bundle(surface, *degrees))
+    assert num == lattice_character(surface.name, degrees) * den
+    # one lattice point short, the identity fails
+    short = lattice_character(surface.name, degrees) - LaurentPoly.monomial(0, 0)
+    assert num != short * den
 
 
 def test_k_theory_trivial_bundle_is_constant_one():
     for surface in (p2(), p1xp1()):
-        trivial = bundle_by_label(surface, "O")
-        for t1, t2 in ((Fraction(2), Fraction(3)), (Fraction(7), Fraction(5))):
-            assert k_theory_chi_sum(surface, trivial, t1, t2) == 1
+        num, den = k_theory_chi(surface, bundle_by_label(surface, "O"))
+        assert num == den
