@@ -60,7 +60,7 @@ from .integrals import (
 )
 from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle
 from .value import Value, _set
-from .vertex import co_class, vertex_V
+from .vertex import ext_class, vertex_V
 
 
 class Scenario(Value):
@@ -600,7 +600,7 @@ def _vertex_suite_cases(s: Scenario) -> list[dict]:
         for n2 in range(n1 + 1):
             for mp1 in multipartitions(surface, n1):
                 for mp2 in multipartitions(surface, n2):
-                    value = co_class(surface, mp1, mp2, surface.trivial)
+                    value = ext_class(surface, mp1, mp2, surface.trivial)
                     zero_mult = value.coefficient((0, 0))
                     if mp_contains(mp1, mp2):
                         # chi(O)/Hom trivial summands cancel: the class is

@@ -67,7 +67,7 @@ def _fold(chart_terms) -> LaurentPoly:
     return LaurentPoly._wrap(total)
 
 
-def _ext_class(surface: ToricSurface, shape1, shape2, weights, rank: int) -> LaurentPoly:
+def _ext_kernel(surface: ToricSurface, shape1, shape2, weights, rank: int) -> LaurentPoly:
     """sum_p t^{mu_p} V(Q_lam1[p], Q_lam2[p]) over the fixed points p, the
     partitions given by their parts (`MultiPartition.shape`).
 
@@ -86,28 +86,38 @@ def _ext_class(surface: ToricSurface, shape1, shape2, weights, rank: int) -> Lau
     return value
 
 
-@lru_cache(maxsize=65536)
-def co_class(
+def ext_class(
     surface: ToricSurface, mp1: MultiPartition, mp2: MultiPartition, bundle: EqLineBundle
 ) -> LaurentPoly:
     """Class of Rpi_* L - RHom_pi(I_1, I_2 (x) L) at the fixed point (mp1, mp2).
 
     For trivial L this differs from RHom_pi(I_1, I_2)[1] only by one
     weight-zero trivial summand, which changes no Chern class.  Rank is
-    |mp1| + |mp2| independently of the twist.
+    |mp1| + |mp2| independently of the twist.  Uncached: a caller that
+    reads each pair once (the serre-duality suite) reads this fold.
     """
-    return _ext_class(surface, mp1.shape, mp2.shape, bundle.weights, mp1.total + mp2.total)
+    return _ext_kernel(surface, mp1.shape, mp2.shape, bundle.weights, mp1.total + mp2.total)
+
+
+@lru_cache(maxsize=65536)
+def co_class(
+    surface: ToricSurface, mp1: MultiPartition, mp2: MultiPartition, bundle: EqLineBundle
+) -> LaurentPoly:
+    """`ext_class`, cached for the sums, which read a pair once per spec
+    and per group.  It calls `ext_class` by its module name, so a patched
+    fold reaches both readers."""
+    return ext_class(surface, mp1, mp2, bundle)
 
 
 @lru_cache(maxsize=65536)
 def tangent_char(surface: ToricSurface, mp: MultiPartition) -> LaurentPoly:
     """Tangent character E_O(mp, mp) of S^[n] at the fixed point mp; rank 2|mp|."""
-    return _ext_class(surface, mp.shape, mp.shape, ((0, 0),) * surface.euler_number, 2 * mp.total)
+    return _ext_kernel(surface, mp.shape, mp.shape, ((0, 0),) * surface.euler_number, 2 * mp.total)
 
 
 def taut_char(surface: ToricSurface, bundle: EqLineBundle, mp: MultiPartition) -> LaurentPoly:
     """Tautological bundle L^[n] at mp, as E_L(empty, mp); effective, rank |mp|."""
-    return _ext_class(surface, ((),) * surface.euler_number, mp.shape, bundle.weights, mp.total)
+    return _ext_kernel(surface, ((),) * surface.euler_number, mp.shape, bundle.weights, mp.total)
 
 
 @lru_cache(maxsize=65536)

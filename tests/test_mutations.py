@@ -113,12 +113,14 @@ def higher_tp_rows(min_degree):
 
 
 def test_co_class_without_twist_is_caught_by_carlsson_okounkov(mutate):
-    original = vertex.co_class
+    """The fold `ext_class` is patched, so the cached `co_class` the sums
+    read and the uncached reads of the serre-duality suite both see it."""
+    original = vertex.ext_class
 
     def untwisted(surface, mp1, mp2, bundle):
         return original(surface, mp1, mp2, bundle_by_label(surface, "O"))
 
-    mutate(vertex, "co_class", untwisted)
+    mutate(vertex, "ext_class", untwisted)
     assert carlsson_okounkov_failures() == TWISTED_ROWS
 
 
@@ -136,13 +138,14 @@ def test_chart_term_ignoring_twist_is_caught_by_carlsson_okounkov(mutate):
 def test_off_by_one_co_class_degree_is_caught_by_weight_zero_identity(mutate):
     """One weight-zero summand too many (chi(O) counted twice): rank
     |mp1| + |mp2| + 1 and the same Chern classes, so only the nesting
-    test of serre-duality sees it."""
-    original = vertex.co_class
+    test of serre-duality sees it.  That suite reads the uncached fold
+    `ext_class`, so the fold is patched, not its cache `co_class`."""
+    original = vertex.ext_class
 
     def one_too_many(surface, mp1, mp2, bundle):
         return original(surface, mp1, mp2, bundle) + LaurentPoly.one()
 
-    mutate(vertex, "co_class", one_too_many)
+    mutate(vertex, "ext_class", one_too_many)
     assert carlsson_okounkov_failures() == set()
     assert failing_identities(Scenario(kind="serre-duality", surface="p2")) == {
         "nested co_class effective; weight-zero detects nesting"

@@ -20,11 +20,13 @@ from nestloc.vertex import (
     _fold,
     _pair_term,
     co_class,
+    ext_class,
     tangent_char,
     taut_char,
     vertex_V,
     virtual_tangent_char,
 )
+from test_guards import REPORT_DIGESTS, SIZE_FLAGS, stable_report_digest
 
 
 def lp(terms):
@@ -244,7 +246,7 @@ def test_global_character_validates_rank(monkeypatch):
     trivial = bundle_by_label(surface, "O")
     monkeypatch.setattr(vertex, "_pair_term", one_too_many)
     for build, rank in (
-        (lambda: vertex.co_class.__wrapped__(surface, box, box, trivial), 2),
+        (lambda: vertex.ext_class(surface, box, box, trivial), 2),
         (lambda: vertex.tangent_char.__wrapped__(surface, box), 2),
         (lambda: vertex.taut_char(surface, trivial, box), 1),
     ):
@@ -343,6 +345,7 @@ def test_folded_characters_match_reference_assembly(surface):
                 c = co_class(surface, mp1, mp2, bundle)
                 assert c == reference_co_class(surface, mp1, mp2, bundle)
                 assert c.rank_eval() == mp1.total + mp2.total
+                assert ext_class(surface, mp1, mp2, bundle) == c
 
 
 @pytest.mark.parametrize("surface", [p2(), p1xp1()], ids=lambda s: s.name)
@@ -365,6 +368,22 @@ def test_co_class_miss_reads_one_pair_term_per_chart(surface):
     co_class(surface, mp1, mp2, twist)
     after = _pair_term.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (surface.euler_number, 0)
+
+
+def test_serre_duality_suite_folds_each_pair_past_the_co_class_cache():
+    """The serre-duality suite reads each of its pairs once, so it reads the
+    uncached fold `ext_class`: after it the co-class cache holds nothing,
+    and its report is the pinned one.  A sum re-reads a pair once per spec
+    and per group, so pushforward still scores co-class cache hits."""
+    for value in list(vars(vertex).values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    digest = stable_report_digest(["serre-duality", "--surface", "p1xp1"])
+    assert digest == REPORT_DIGESTS[("serre-duality", "p1xp1")]
+    assert co_class.cache_info().currsize == 0
+    digest = stable_report_digest(["pushforward", *SIZE_FLAGS["pushforward"], "--surface", "p2"])
+    assert digest == REPORT_DIGESTS[("pushforward", "p2")]
+    assert co_class.cache_info().hits > 0
 
 
 @st.composite
