@@ -182,20 +182,6 @@ class Element:
             out = out + sign * power
         return out
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate with generators bound to rational numbers."""
-        bound = {self.ring._index[name]: _exact(v) for name, v in values.items()}
-        total = Fraction(0)
-        for monos in self.table.values():
-            for mono, coeff in monos.items():
-                term = coeff
-                for idx, exp in mono:
-                    if idx not in bound:
-                        raise ValueError(f"no value bound to {self.ring._names[idx]!r}")
-                    term *= bound[idx] ** exp
-                total += term
-        return total
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.scalar(other)

@@ -1,13 +1,14 @@
 """Command-line harness: `nestloc KIND [flags]`.
 
 Exit codes: 0 all cases pass; 1 mathematical failure (an identity was
-violated or a math error was diagnosed); 2 configuration error; 3
-internal error.
+violated or a math error was diagnosed); 2 configuration error, or a
+report that could not be written; 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -124,13 +125,30 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
     return parse_config(args.config, given)
 
 
+class _WriteError(Exception):
+    """A report, or the line that names its file, could not be written."""
+
+
+def _write(out, write) -> None:
+    """Call `write`, which writes to `out`, and flush `out`; on an OSError point
+    `out` at os.devnull, so its close or the exit's flush cannot fail again."""
+    try:
+        write()
+        out.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise _WriteError(exc) from None
+
+
 def _write_reports(scenarios: list[Scenario], args: argparse.Namespace, out) -> list[str]:
     """Run each scenario and write its report to `out` as soon as it
     finishes; keep only the verdicts."""
     verdicts = []
     for s in scenarios:
         report = run_scenario(s, jobs=args.jobs)
-        emit_report(report, args.format, args.stable, out=out)
+        _write(out, lambda: emit_report(report, args.format, args.stable, out=out))
         verdicts.append(report["verdict"])
     return verdicts
 
@@ -140,13 +158,17 @@ def _run(args: argparse.Namespace) -> int:
     if not args.out:
         verdicts = _write_reports(scenarios, args, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(str(exc)) from None
+        with fh:
             verdicts = _write_reports(scenarios, args, fh)
         failed = sum(1 for v in verdicts if v != "pass")
-        sys.stdout.write(
+        _write(sys.stdout, lambda: sys.stdout.write(
             f"wrote {len(verdicts)} report(s) to {args.out}; "
             f"{'all pass' if not failed else f'{failed} failed'}\n"
-        )
+        ))
     return 0 if all(v == "pass" for v in verdicts) else 1
 
 
@@ -161,8 +183,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except _WriteError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
     except NestlocError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,24 +58,25 @@ from .integrals import (
     sample_specs,
     virtual_measure,
 )
-from .toric import SURFACES, ToricSurface, bundle_by_label, line_bundle
-from .value import Value, _set
+from .toric import SURFACES, EqLineBundle, ToricSurface, bundle_by_label, line_bundle
+from .value import Value
 from .vertex import ext_class, vertex_V
 
 
 class Scenario(Value):
     """One named verification suite plus its validated parameters; the
     defaults of `__init__` are the only defaults of every input, and
-    `DEFAULT_SCENARIO` holds them.  The fields hold the inputs as given;
-    `validate_scenario` sets what the cases read: the surface `toric`, the
-    `twists` by canonical label (O where the kind reads no bundles), the
+    `DEFAULT_SCENARIO` holds them.  The ten compared fields hold the inputs
+    as given, the last four what the cases read, which `run_scenario` needs
+    and only `scenario_from_entry` sets: the surface `toric`, the `twists`
+    by canonical label (O where the kind reads no bundles), the
     `weight_specs`, and the `file_insertions` (None for the auto basis).
-    A validated scenario pickles with those values, so a `--jobs` worker
-    gets it whole and reads no file."""
+    Pickled by its fields, it reaches a `--jobs` worker whole."""
 
-    _fields = ("kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
-               "truncation", "insertions", "specs")
-    __slots__ = _fields + ("toric", "twists", "weight_specs", "file_insertions")
+    _compare = ("kind", "surface", "sizes", "i_values", "bundles", "samples", "seed",
+                "truncation", "insertions", "specs")
+    _fields = _compare + ("toric", "twists", "weight_specs", "file_insertions")
+    __slots__ = _fields
 
     def __init__(
         self,
@@ -89,9 +90,13 @@ class Scenario(Value):
         truncation: int = 8,
         insertions: str = "auto",
         specs: tuple[str, ...] = (),
+        toric: ToricSurface | None = None,
+        twists: dict[str, EqLineBundle] | None = None,
+        weight_specs: tuple[WeightSpec, ...] | None = None,
+        file_insertions: tuple[Insertion, ...] | None = None,
     ):
         self._init(kind, surface, sizes, i_values, bundles, samples, seed, truncation,
-                   insertions, specs)
+                   insertions, specs, toric, twists, weight_specs, file_insertions)
 
 
 #: a scenario of no kind, every field at its default
@@ -158,10 +163,11 @@ BATTERY = [
 
 
 def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
-    """One config entry, or the flags given on the command line, as a
-    validated Scenario; the keys of `overrides` replace the entry's, and
-    absent keys keep the Scenario defaults.  A key the kind does not read
-    is refused whenever it is given, whatever its value."""
+    """One config entry, or the flags given on the command line, as the
+    Scenario `run_scenario` runs, or ConfigError naming the first bad input;
+    the keys of `overrides` replace the entry's, and absent keys keep the
+    Scenario defaults.  A key the kind does not read is refused whenever it
+    is given, whatever its value."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError("missing 'kind'")
     entry = {**entry, **(overrides or {})}
@@ -177,89 +183,87 @@ def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
         except (TypeError, ValueError) as exc:
             # `str`, the converter of the one key without a flag, refuses nothing
             raise ConfigError(f"{key!r} ({flag}): {exc}") from None
-    # a key given is refused where the kind does not read it, even at its default value
     kind = SCENARIO_KINDS.get(values["kind"])
-    if kind is not None:
-        reads = kind.reads | ({"sizes"} if kind.sizes else set())
-        unread = [name for field, name in _OPTIONAL_INPUTS.items()
-                  if field in values and field not in reads]
-        if unread:
-            raise ConfigError(f"{values['kind']} does not read {', '.join(unread)}")
-    scenario = validate_scenario(Scenario(**values))
+    if kind is None:
+        raise ConfigError(
+            f"unknown scenario kind {values['kind']!r}; choose from {tuple(SCENARIO_KINDS)}"
+        )
+    # a key given is refused where the kind does not read it, even at its default value
+    reads = kind.reads | ({"sizes"} if kind.sizes else set())
+    unread = [name for field, name in _OPTIONAL_INPUTS.items()
+              if field in values and field not in reads]
+    if unread:
+        raise ConfigError(f"{values['kind']} does not read {', '.join(unread)}")
+    inputs = {field: getattr(DEFAULT_SCENARIO, field) for field in Scenario._compare}
+    inputs.update(values)
+    read = _read_inputs(**inputs)
     if "specs" in entry and "samples" in entry:
         raise ConfigError(
             "samples (--samples) is refused beside explicit specs (--spec), which replace sampling"
         )
-    return scenario
+    return Scenario(**inputs, **read)
 
 
-def validate_scenario(s: Scenario) -> Scenario:
-    """`s` with the values its cases read set from its text inputs (see
-    `Scenario`), or ConfigError naming the first bad input; the insertions
-    file is read here, once.  A validated scenario is returned as it is."""
-    if hasattr(s, "file_insertions"):
-        return s
-    if s.kind not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario kind {s.kind!r}; choose from {tuple(SCENARIO_KINDS)}")
-    kind = SCENARIO_KINDS[s.kind]
-    if s.surface not in SURFACES:
-        raise ConfigError(f"unknown surface {s.surface!r}")
-    if s.samples < 1:
+def _read_inputs(kind, surface, sizes, i_values, bundles, samples, seed, truncation, insertions,
+                 specs) -> dict:
+    """The values the cases of a scenario with these inputs read, the last
+    four fields of `Scenario` by name, or ConfigError naming the first bad
+    input; the insertions file is read here, once."""
+    reads = SCENARIO_KINDS[kind].reads
+    if surface not in SURFACES:
+        raise ConfigError(f"unknown surface {surface!r}")
+    if samples < 1:
         raise ConfigError("samples must be >= 1")
-    if s.truncation < 1:
+    if truncation < 1:
         raise ConfigError("truncation must be >= 1")
-    if kind.sizes:
-        fewest, most, rule = kind.sizes
-        if not s.sizes:
-            raise ConfigError(f"scenario {s.kind!r} needs sizes (--n)")
-        if any(n < 0 for n in s.sizes):
-            raise ConfigError(f"sizes must be nonnegative, got {s.sizes}")
-        if any(a < b for a, b in zip(s.sizes, s.sizes[1:])):
-            raise ConfigError(f"sizes must weakly decrease, got {s.sizes}")
-        if not fewest <= len(s.sizes) <= most:
-            raise ConfigError(f"{s.kind} {rule}")
-    if "i_values" in kind.reads:
-        if not s.i_values:
-            raise ConfigError(f"{s.kind} needs at least one i value")
-        for i in s.i_values:
+    if SCENARIO_KINDS[kind].sizes:
+        fewest, most, rule = SCENARIO_KINDS[kind].sizes
+        if not sizes:
+            raise ConfigError(f"scenario {kind!r} needs sizes (--n)")
+        if any(n < 0 for n in sizes):
+            raise ConfigError(f"sizes must be nonnegative, got {sizes}")
+        if any(a < b for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError(f"sizes must weakly decrease, got {sizes}")
+        if not fewest <= len(sizes) <= most:
+            raise ConfigError(f"{kind} {rule}")
+    if "i_values" in reads:
+        for i in i_values:
             if i < 1:
                 raise ConfigError("vanishing index i must be >= 1")
-            if sum(s.sizes) - i < 0:
-                raise ConfigError(f"i={i} exceeds n1+n2={sum(s.sizes)}")
-        _refuse_repeats("i (--i)", s.i_values, s.i_values, "repeat one vanishing index")
-        if s.insertions.startswith("file:") and len(s.i_values) > 1:
+            if sum(sizes) - i < 0:
+                raise ConfigError(f"i={i} exceeds n1+n2={sum(sizes)}")
+        _refuse_repeats("i (--i)", i_values, i_values, "repeat one vanishing index")
+        if insertions.startswith("file:") and len(i_values) > 1:
             raise ConfigError(
                 f"an insertions file (--insertions) fixes one degree n1+n2-i, so it takes one "
-                f"i (--i); got i = {', '.join(map(str, s.i_values))}"
+                f"i (--i); got i = {', '.join(map(str, i_values))}"
             )
-    surface = SURFACES[s.surface]
+    toric = SURFACES[surface]
     try:
-        bundles = [bundle_by_label(surface, label) for label in s.bundles]
+        twists = [bundle_by_label(toric, label) for label in bundles]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _refuse_repeats("bundles (--bundles)", s.bundles, bundles, "name one line bundle")
-    specs = [_parse_spec_text(text) for text in s.specs]
+    _refuse_repeats("bundles (--bundles)", bundles, twists, "name one line bundle")
+    weight_specs = [_parse_spec_text(text) for text in specs]
     # the zero spec has no direction: it repeats only itself
-    _refuse_repeats("specs (--spec)", s.specs, specs,
+    _refuse_repeats("specs (--spec)", specs, weight_specs,
                     "are proportional, and every integral is homogeneous of degree 0",
                     same=lambda p, q: p == q or p.s1 * q.s2 == p.s2 * q.s1
                     and WeightSpec(0, 0) not in (p, q))
-    if s.insertions == "auto":
-        insertions = None
-    elif s.insertions.startswith("file:"):
+    if insertions == "auto":
+        file_insertions = None
+    elif insertions.startswith("file:"):
         # the integrand's degree: n1 + n_k, less i where the kind reads i
-        degree = s.sizes[0] + s.sizes[-1] - (s.i_values[0] if "i_values" in kind.reads else 0)
-        insertions = _read_insertions(s, surface, degree)
+        degree = sizes[0] + sizes[-1] - (i_values[0] if "i_values" in reads else 0)
+        file_insertions = _read_insertions(insertions[len("file:"):], toric, len(sizes), degree)
     else:
         raise ConfigError("insertions must be 'auto' or 'file:<path>'")
-    if "bundles" not in kind.reads:
-        bundles = [surface.trivial]
-    _set(s, "toric", surface)
-    _set(s, "twists", {b.label: b for b in bundles or surface.twist_bundles})
-    _set(s, "weight_specs",
-         tuple(specs) or (sample_specs(s.seed, s.samples) if "specs" in kind.reads else ()))
-    _set(s, "file_insertions", insertions)
-    return s
+    if "bundles" not in reads:
+        twists = [toric.trivial]
+    sampled = sample_specs(seed, samples) if "specs" in reads and not specs else ()
+    twists = {b.label: b for b in twists or toric.twist_bundles}
+    return {"toric": toric, "twists": twists, "weight_specs": tuple(weight_specs) or sampled,
+            "file_insertions": file_insertions}
 
 
 def _refuse_repeats(name: str, texts, values, reason: str, same=operator.eq) -> None:
@@ -294,11 +298,11 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what} {path!r} is not UTF-8 text: {exc}") from None
 
 
-def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[Insertion, ...]:
-    """The monomials of the scenario's insertions file, checked by the
-    kernel's own rule for an integrand of degree `degree`, no two
-    multiplying the same factors."""
-    path = s.insertions[len("file:") :]
+def _read_insertions(path: str, surface: ToricSurface, arity: int,
+                     degree: int) -> tuple[Insertion, ...]:
+    """The monomials of the insertions file at `path`, checked by the
+    kernel's own rule for an integrand of degree `degree` on `arity`
+    factors, no two multiplying the same factors."""
     raw = _read_json(path, "insertions file")
     try:
         out = tuple(
@@ -309,7 +313,7 @@ def _read_insertions(s: Scenario, surface: ToricSurface, degree: int) -> tuple[I
             ))
             for monomial in raw
         )
-        _check_insertions(out, len(s.sizes), degree)
+        _check_insertions(out, arity, degree)
     except (KeyError, TypeError, ValueError, DegreeMismatchError) as exc:
         raise ConfigError(f"malformed insertions file {path!r}: {exc}") from None
     if not out:
@@ -714,8 +718,10 @@ def _params_echo(s: Scenario) -> dict:
 
 
 def run_scenario(s: Scenario, jobs: int = 1) -> dict:
-    """Execute all cases; deterministic given (scenario, seed, version)."""
-    s = validate_scenario(s)
+    """Execute all cases; deterministic given (scenario, seed, version).
+    Only a scenario that `scenario_from_entry` made runs."""
+    if s.toric is None:
+        raise ConfigError(f"{s!r} was not made by scenario_from_entry, so its inputs are unchecked")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()

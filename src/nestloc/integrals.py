@@ -4,7 +4,7 @@ Equivariant parameters are specialized at generic integer points; an
 integral whose integrand degree equals the (virtual) dimension is a
 degree-0 equivariant constant, so its value is spec-independent; agreement
 across the sampled specs is a sampled check of that, not a certificate
-(ROADMAP item 3).  All arithmetic is exact, with no floating point.
+(ROADMAP item 2).  All arithmetic is exact, with no floating point.
 """
 
 from __future__ import annotations
@@ -480,10 +480,9 @@ def draw_spec(rng: random.Random) -> WeightSpec:
 def sample_specs(seed: int, count: int) -> tuple[WeightSpec, ...]:
     """Deterministic distinct generic specs from a seeded generator."""
     rng = random.Random(seed)
-    specs: list[WeightSpec] = []
+    # a dict as an ordered set: a spec drawn again keeps its first place
+    specs: dict[WeightSpec, None] = {}
     while len(specs) < count:
-        spec = draw_spec(rng)
-        if spec not in specs:
-            specs.append(spec)
+        specs[draw_spec(rng)] = None
     return tuple(specs)
 

@@ -4,12 +4,12 @@ A record class names its fields in `_fields`, in the order its `__init__`
 takes them, and stores them in `__slots__`.  Its own `__init__` checks its
 inputs and passes them to `_init`, which sets the fields and computes the
 hash once; a record that keeps derived values or hashes otherwise sets
-them after it with `_set`.  From `_fields`, and `_compare` where equality and
-the hash read fewer fields, `Value` gives what a frozen dataclass gives:
-equality with an instance of the same class, the hash of the tuple of
-compared fields, a `Name(field=value, ...)` repr, pickling by calling the
-class on the fields again and an `AttributeError` on assignment.  Records
-do not order.
+them on itself after it with `_set`.  From `_fields`, and `_compare` where
+equality and the hash read fewer fields, `Value` gives what a frozen
+dataclass gives: equality with an instance of the same class, the hash of
+the tuple of compared fields, a `Name(field=value, ...)` repr of them,
+pickling by calling the class on the fields again and an `AttributeError`
+on assignment.  Records do not order.
 
 Records do not use `dataclasses`: importing it loads `inspect`, `ast`,
 `dis` and `tokenize`, and each decorated class execs generated source,
@@ -37,9 +37,6 @@ class Value:
         # one field reads as the bare value, which compares as its 1-tuple
         cls._key = staticmethod(operator.attrgetter(*compared))
         cls._one_field = len(compared) == 1
-        # the slots set beside the fields, which pickling carries as state
-        slots = (name for klass in cls.__mro__ for name in klass.__dict__.get("__slots__", ()))
-        cls._state = tuple(name for name in slots if name not in (*cls._fields, "_hash"))
 
     def _init(self, *values) -> None:
         """Set the fields to `values`, in `_fields` order, and the hash."""
@@ -63,13 +60,9 @@ class Value:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        names = self._compare or self._fields
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        state = {name: getattr(self, name) for name in self._state if hasattr(self, name)}
-        return type(self), tuple(getattr(self, name) for name in self._fields), state or None
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            _set(self, name, value)
+        return type(self), tuple(getattr(self, name) for name in self._fields)

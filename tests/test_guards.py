@@ -7,8 +7,11 @@
   `symbolic-tp --truncation 12`, the benchmark's truncation.
 * The benchmark's span targets (`bench/spans.py`): every function it wraps
   must still exist and be bound in a `nestloc` module.
-* Every public top-level function and class of `src/nestloc` has a caller in
-  `src/nestloc` or `scripts/`, so no API lives on only for its own tests.
+* Every public top-level function and class of `src/nestloc`, and every
+  public method of its classes, has a caller in `src/nestloc` or
+  `scripts/`, so no API lives on only for its own tests.
+* Only a record sets its own slots: every `_set(` call in `src/nestloc`
+  passes `self` first.
 """
 
 import ast
@@ -107,21 +110,44 @@ def _parse(path):
         return ast.parse(fh.read(), path)
 
 
+PACKAGE = os.path.join(ROOT, "src", "nestloc")
+
+
+def _public_names(body, prefix):
+    """`prefix.name` and the name of each public function and class in
+    `body`, and of each public method of those classes."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{prefix}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _public_names(node.body, f"{prefix}.{node.name}")
+
+
 def test_every_public_module_name_has_a_caller():
-    package = os.path.join(ROOT, "src", "nestloc")
     defined = [
-        (os.path.basename(path)[:-3], node.name)
-        for path in _python_files(package)
-        for node in _parse(path).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        name
+        for path in _python_files(PACKAGE)
+        for name in _public_names(_parse(path).body, os.path.basename(path)[:-3])
     ]
     # a read of the name, bare or as an attribute; import lines bind names
     # but do not read them, so a re-export is not a caller
     loaded = set()
-    for path in _python_files(package) + _python_files(os.path.join(ROOT, "scripts")):
+    for path in _python_files(PACKAGE) + _python_files(os.path.join(ROOT, "scripts")):
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert [f"{module}.{name}" for module, name in defined if name not in loaded] == []
+    assert [qualified for qualified, name in defined if name not in loaded] == []
+
+
+def test_only_a_record_sets_its_own_slots():
+    calls = [
+        f"{os.path.basename(path)}:{node.lineno}"
+        for path in _python_files(PACKAGE)
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_set"
+        and not (node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
+    ]
+    assert calls == []

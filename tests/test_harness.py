@@ -33,7 +33,6 @@ from nestloc.harness import (
     run_scenario,
     scenario_from_entry,
     stable_copy,
-    validate_scenario,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -55,24 +54,24 @@ def run_cli(*args, cwd=None):
 
 def test_validate_rejects_unknown_kind():
     with pytest.raises(ConfigError):
-        validate_scenario(Scenario(kind="nope"))
+        scenario_from_entry({"kind": "nope"})
 
 
 def test_validate_rejects_non_monotone_sizes():
     with pytest.raises(ConfigError):
-        validate_scenario(Scenario(kind="vanish", sizes=(1, 2)))
+        scenario_from_entry({"kind": "vanish", "n": [1, 2]})
 
 
 def test_validate_rejects_bad_i():
     with pytest.raises(ConfigError):
-        validate_scenario(Scenario(kind="vanish", sizes=(1, 1), i_values=(0,)))
+        scenario_from_entry({"kind": "vanish", "n": [1, 1], "i": [0]})
     with pytest.raises(ConfigError):
-        validate_scenario(Scenario(kind="vanish", sizes=(1, 1), i_values=(5,)))
+        scenario_from_entry({"kind": "vanish", "n": [1, 1], "i": [5]})
 
 
 def test_validate_rejects_bad_spec_text():
     with pytest.raises(ConfigError):
-        validate_scenario(Scenario(kind="euler-count", sizes=(1,), specs=("x",)))
+        scenario_from_entry({"kind": "euler-count", "n": [1], "specs": ["x"]})
 
 
 # -- config files -------------------------------------------------------------
@@ -128,7 +127,7 @@ def report_json(report, stable=False):
 
 
 def test_report_json_round_trip():
-    report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
+    report = run_scenario(scenario_from_entry({"kind": "euler-count", "n": [1]}))
     parsed = json.loads(report_json(report))
     assert parsed == json.loads(report_json(parsed))
     assert parsed["scenario"] == "euler-count"
@@ -241,7 +240,7 @@ def test_report_json_renders_a_failed_hrr_report_like_json_dumps(monkeypatch):
         raise NonGenericSpecError("synthetic")
 
     monkeypatch.setattr(harness, "hrr_chi", boom)
-    report = run_scenario(Scenario(kind="hrr-check", surface="p1xp1"))
+    report = run_scenario(scenario_from_entry({"kind": "hrr-check", "surface": "p1xp1"}))
     assert report["verdict"] == "fail"
     assert {type(case["inputs"]["degrees"]) for case in report["cases"]} == {tuple}
     for stable in (False, True):
@@ -256,7 +255,7 @@ def test_rationals_serialized_as_strings():
     for bad in (0.5, 1.0, True, "3"):
         with pytest.raises(TypeError):
             harness._fr(bad)
-    report = run_scenario(Scenario(kind="euler-count", sizes=(2,)))
+    report = run_scenario(scenario_from_entry({"kind": "euler-count", "n": [2]}))
     for case in report["cases"]:
         for sample in case["samples"]:
             assert isinstance(sample["value"], str)
@@ -266,7 +265,7 @@ def test_rationals_serialized_as_strings():
 
 
 def test_text_report_contains_verdict_table():
-    report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
+    report = run_scenario(scenario_from_entry({"kind": "euler-count", "n": [1]}))
     out = io.StringIO()
     emit_report(report, fmt="text", out=out)
     rendered = out.getvalue()
@@ -275,7 +274,7 @@ def test_text_report_contains_verdict_table():
 
 
 def test_emit_report_unknown_format():
-    report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
+    report = run_scenario(scenario_from_entry({"kind": "euler-count", "n": [1]}))
     out = io.StringIO()
     with pytest.raises(ConfigError):
         emit_report(report, fmt="yaml", out=out)
@@ -283,14 +282,14 @@ def test_emit_report_unknown_format():
 
 
 def test_run_scenario_deterministic_given_seed():
-    s = Scenario(kind="pushforward", sizes=(1, 1), seed=99)
+    s = scenario_from_entry({"kind": "pushforward", "n": [1, 1], "seed": 99})
     a = stable_copy(run_scenario(s))
     b = stable_copy(run_scenario(s))
     assert report_json(a) == report_json(b)
 
 
 def test_parallel_matches_serial():
-    s = Scenario(kind="vanish", sizes=(2, 1), i_values=(1, 2))
+    s = scenario_from_entry({"kind": "vanish", "n": [2, 1], "i": [1, 2]})
     serial = stable_copy(run_scenario(s, jobs=1))
     parallel = stable_copy(run_scenario(s, jobs=4))
     assert report_json(serial) == report_json(parallel)
@@ -298,10 +297,11 @@ def test_parallel_matches_serial():
 
 @pytest.mark.parametrize(
     "s",
-    [Scenario(kind="pushforward", sizes=(2, 1)), Scenario(kind="kstep", sizes=(1, 1, 1))],
+    [{"kind": "pushforward", "n": [2, 1]}, {"kind": "kstep", "n": [1, 1, 1]}],
     ids=["pushforward", "kstep"],
 )
 def test_parallel_matches_serial_with_virtual_side(s):
+    s = scenario_from_entry(s)
     serial = stable_copy(run_scenario(s, jobs=1))
     parallel = stable_copy(run_scenario(s, jobs=4))
     assert report_json(serial) == report_json(parallel)
@@ -314,7 +314,7 @@ def test_math_error_becomes_failed_case(monkeypatch):
     entry = harness.SCENARIO_KINDS["euler-count"]
     row = harness.ScenarioKind(entry.groups, boom, entry.sizes, entry.reads)
     monkeypatch.setitem(harness.SCENARIO_KINDS, "euler-count", row)
-    report = run_scenario(Scenario(kind="euler-count", sizes=(1,)))
+    report = run_scenario(scenario_from_entry({"kind": "euler-count", "n": [1]}))
     assert report["verdict"] == "fail"
     assert report["cases"][0]["verdict"] == "fail"
     assert report["cases"][0]["diagnostic"].startswith("ZeroWeight")
@@ -401,7 +401,8 @@ def test_sampled_case_verdicts_and_diagnostics(
     as a mismatch."""
     stub = (wrong_chi if patched == "hrr_chi" else wrong_sum)(WRONG_VALUES[wrong])
     monkeypatch.setattr(harness, patched, stub)
-    report = run_scenario(Scenario(kind=kind, sizes=sizes))
+    entry = {"kind": kind, "n": list(sizes)} if sizes else {"kind": kind}
+    report = run_scenario(scenario_from_entry(entry))
     assert report["verdict"] == "fail"
     assert {case["verdict"] for case in report["cases"]} == {"fail"}
     assert {case.get("diagnostic") for case in report["cases"]} == {diagnostic}
@@ -421,10 +422,55 @@ def test_internal_error_exit_three(monkeypatch):
     assert cli.main(["euler-count", "--n", "1"]) == 3
 
 
-def test_unwritable_out_path_exit_two():
+def test_unwritable_out_path_exit_two(capsys):
     import nestloc.cli as cli
 
     assert cli.main(["euler-count", "--n", "1", "--out", "/nonexistent/dir/r.json"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ("euler-count", "--n", "1"),
+    ("twisted-vanish", "--n", "3,3", "--i", "1..3", "--format", "text"),
+    ("euler-count", "--n", "1", "--out", os.devnull),
+], ids=["small-report", "large-report", "out-summary-line"])
+def test_report_that_cannot_be_written_exit_two_as_a_write_error(args, unbuffered):
+    # the inputs are accepted, then the first write fails: the read end of
+    # the pipe the report goes to is closed before the run starts.  A
+    # small report fits in stdout's block buffer, a large one overflows it
+    # while it renders; neither may fail again at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nestloc", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_file_that_fills_up_exit_two_as_a_write_error():
+    result = run_cli("euler-count", "--n", "1", "--out", "/dev/full")
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write the report: [Errno 28] No space left on device\n"
+
+
+def test_os_error_while_running_is_an_internal_error(monkeypatch, capsys):
+    # only a failed write is reported as one; an OSError before it, such
+    # as a pool that cannot start its workers, is not
+    def fail(*args, **kwargs):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    assert cli.main(["euler-count", "--n", "1"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: OSError: ")
 
 
 # -- CLI end to end -----------------------------------------------------------
@@ -822,8 +868,8 @@ def test_cli_all_runs_the_default_battery_with_its_flags(flags):
     assert [s.kind for s in got] == [s.kind for s in battery]
     changed = {"seed": 5, "truncation": 6} if flags else {}
     for s, plain in zip(got, battery):
-        assert {f: getattr(s, f) for f in Scenario._fields} == {
-            f: changed.get(f, getattr(plain, f)) for f in Scenario._fields
+        assert {f: getattr(s, f) for f in Scenario._compare} == {
+            f: changed.get(f, getattr(plain, f)) for f in Scenario._compare
         }
 
 
@@ -887,12 +933,17 @@ def test_scenarios_read_the_parsed_trivial_bundle_and_battery(monkeypatch):
     def refuse(surface, label):
         raise AssertionError(f"parsed {label!r} again")
 
+    scenarios = [
+        scenario_from_entry({"kind": kind, "surface": surface, **sizes})
+        for kind, sizes in (("pushforward", {"n": [2, 1]}), ("kstep", {"n": [1, 1, 1]}),
+                            ("serre-duality", {}))
+        for surface in SURFACES
+    ]
     for name, module in list(sys.modules.items()):
         if name.startswith("nestloc") and hasattr(module, "bundle_by_label"):
             monkeypatch.setattr(module, "bundle_by_label", refuse)
-    for kind, sizes in (("pushforward", (2, 1)), ("kstep", (1, 1, 1)), ("serre-duality", ())):
-        for surface in SURFACES:
-            assert run_scenario(Scenario(kind, surface, sizes))["verdict"] == "pass"
+    for scenario in scenarios:
+        assert run_scenario(scenario)["verdict"] == "pass"
 
 
 def test_cli_bad_bundle_label_exit_two(capsys):
@@ -917,7 +968,9 @@ def test_insertions_file_spellings_of_one_bundle_get_one_label(tmp_path):
         path = tmp_path / "insertions.json"
         path.write_text(json.dumps([[{"factor": 1, "bundle": spelling, "degree": 3},
                                      {"factor": 2, "bundle": "O(0,1)", "degree": 1}]]))
-        scenario = Scenario("pushforward", "p1xp1", (2, 2), insertions=f"file:{path}")
+        scenario = scenario_from_entry(
+            {"kind": "pushforward", "surface": "p1xp1", "n": [2, 2], "insertions": f"file:{path}"}
+        )
         labels += [case["inputs"]["insertion"] for case in run_scenario(scenario)["cases"]]
     assert labels == ["c3(O(1,0)@1)*c1(O(0,1)@2)"] * 2
 
@@ -1067,8 +1120,8 @@ def test_bad_insertions_file_leaves_the_out_file_untouched(tmp_path, capsys, cas
 
 
 def test_serial_run_reads_the_insertions_file_once(tmp_path, capsys, monkeypatch):
-    # validated in the CLI, then again (a no-op) in run_scenario; each of the
-    # two twist groups reads the parsed monomials
+    # read once, by scenario_from_entry; each of the two twist groups reads
+    # the parsed monomials
     path = tmp_path / "insertions.json"
     path.write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 1}]]))
     opened = []
@@ -1087,8 +1140,9 @@ def test_serial_run_reads_the_insertions_file_once(tmp_path, capsys, monkeypatch
 
 
 def test_validated_scenario_pickles_whole(tmp_path, monkeypatch):
-    # a `--jobs` worker gets the scenario as validated: the copy reads no
-    # file, and its surface is the table's own, which keys every cache
+    # a `--jobs` worker gets the scenario as scenario_from_entry made it:
+    # the copy reads no file, and its surface is the table's own, which
+    # keys every cache
     path = tmp_path / "insertions.json"
     path.write_text(json.dumps([[{"factor": 1, "bundle": "O(1)", "degree": 1}]]))
     s = scenario_from_entry({"kind": "twisted-vanish", "n": [1, 1], "insertions": f"file:{path}"})
@@ -1097,16 +1151,41 @@ def test_validated_scenario_pickles_whole(tmp_path, monkeypatch):
         raise AssertionError(f"{what} {path!r} read again")
 
     monkeypatch.setattr(harness, "_read_json", refuse)
-    # the hash covers strings, whose hash differs per process
-    assert "_hash" not in s.__reduce__()[2]
+    # pickled by its fields alone: the hash covers strings, whose hash
+    # differs per process, so the copy computes its own
+    assert s.__reduce__() == (Scenario, tuple(getattr(s, name) for name in Scenario._fields))
     copy = pickle.loads(pickle.dumps(s))
     assert copy == s and hash(copy) == hash(s)
-    assert validate_scenario(copy) is copy
     assert copy.file_insertions == s.file_insertions
     assert copy.twists == s.twists and copy.weight_specs == s.weight_specs
     assert copy.toric is SURFACES["p2"]
     assert report_json(stable_copy(run_scenario(copy))) == report_json(
         stable_copy(run_scenario(s))
+    )
+
+
+@pytest.mark.parametrize("s", [
+    Scenario("symbolic-tp", surface="p1xp1"),
+    Scenario("euler-count", sizes=(1,), specs=("2,3",), samples=5),
+    Scenario("pushforward", sizes=(1, 1), bundles=("O(1)",)),
+    Scenario("euler-count", sizes=(1,)),
+], ids=["unread-surface", "samples-beside-specs", "unread-bundles", "valid-inputs"])
+def test_run_scenario_refuses_a_scenario_the_door_did_not_make(monkeypatch, s):
+    # inputs scenario_from_entry refuses, and inputs it accepts, are both
+    # refused before any group runs when the scenario was built by hand
+    monkeypatch.setattr(harness, "_run_group", lambda *a: pytest.fail("a group ran"))
+    with pytest.raises(ConfigError, match="not made by scenario_from_entry"):
+        run_scenario(s)
+
+
+def test_scenario_compares_and_shows_its_ten_inputs_only():
+    s = scenario_from_entry({"kind": "euler-count", "n": [1]})
+    by_hand = Scenario("euler-count", sizes=(1,))
+    assert s == by_hand and hash(s) == hash(by_hand)
+    assert s.toric is SURFACES["p2"] and by_hand.toric is None
+    assert repr(s) == (
+        "Scenario(kind='euler-count', surface='p2', sizes=(1,), i_values=(1,), bundles=(), "
+        "samples=3, seed=1729, truncation=8, insertions='auto', specs=())"
     )
 
 
@@ -1167,7 +1246,7 @@ class _RecordingExecutor:
 def test_jobs_capped_at_group_count(monkeypatch):
     monkeypatch.setattr(_RecordingExecutor, "created", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    s = Scenario(kind="vanish", sizes=(2, 1), i_values=(1, 2))
+    s = scenario_from_entry({"kind": "vanish", "n": [2, 1], "i": [1, 2]})
     report = run_scenario(s, jobs=64)
     assert _RecordingExecutor.created == [2]
     assert report_json(stable_copy(report)) == report_json(stable_copy(run_scenario(s)))
@@ -1201,7 +1280,7 @@ def test_cli_import_loads_no_dataclasses_chain():
 
 def test_jobs_below_one_exit_two(capsys):
     with pytest.raises(ConfigError):
-        run_scenario(Scenario(kind="euler-count", sizes=(1,)), jobs=0)
+        run_scenario(scenario_from_entry({"kind": "euler-count", "n": [1]}), jobs=0)
     assert cli.main(["euler-count", "--n", "1", "--jobs", "0"]) == 2
 
 

@@ -17,7 +17,7 @@ from nestloc.combinatorics import (
     multipartitions,
     nested_chains,
 )
-from nestloc.harness import Scenario, _sampled_case, run_scenario
+from nestloc.harness import _sampled_case, run_scenario, scenario_from_entry
 from nestloc.errors import DegreeMismatchError, NonGenericSpecError, ZeroWeightError
 from nestloc.integrals import (
     SPEC_HIGH,
@@ -185,7 +185,7 @@ def test_top_class_of_an_honest_character_is_its_weight_product(char_spec):
 def test_chern_series_cache_stores_nothing_after_a_run():
     # a one-shot run reads no series twice, so the cache only counts calls
     integrals._chern_series_cached.cache_clear()
-    report = run_scenario(Scenario("pushforward", sizes=(2, 1)))
+    report = run_scenario(scenario_from_entry({"kind": "pushforward", "n": [2, 1]}))
     assert report["verdict"] == "pass"
     info = integrals._chern_series_cached.cache_info()
     assert (info.hits, info.currsize) == (0, 0)
@@ -759,17 +759,17 @@ def co_class_series_calls(monkeypatch, co_class_fn, scenario):
 
 
 def test_above_rank_co_class_factor_is_zero_without_a_series(monkeypatch):
-    scenario = Scenario(kind="vanish", sizes=(2, 1), i_values=(1,))
+    scenario = scenario_from_entry({"kind": "vanish", "n": [2, 1], "i": [1]})
     report, made, expanded = co_class_series_calls(monkeypatch, co_class, scenario)
     assert report["verdict"] == "pass"
     assert len(made) == 9 * 3 * 3  # every point pair, at each of three specs
     assert expanded == []
 
 
-@pytest.mark.parametrize("kind,sizes", [("pushforward", (2, 1)), ("kstep", (1, 1, 1))])
+@pytest.mark.parametrize("kind,sizes", [("pushforward", [2, 1]), ("kstep", [1, 1, 1])])
 def test_co_class_factor_at_its_rank_is_a_weight_product_without_a_series(monkeypatch, kind,
                                                                             sizes):
-    scenario = Scenario(kind, sizes=sizes)
+    scenario = scenario_from_entry({"kind": kind, "n": sizes})
     report, made, expanded = co_class_series_calls(monkeypatch, co_class, scenario)
     assert report["verdict"] == "pass"
     assert made and expanded == []
@@ -797,8 +797,9 @@ def test_dishonest_co_class_is_refused_by_name(monkeypatch):
         return char - lp({exp: 2 * mult})
 
     first = tuple(multipartitions(p2(), n)[0].to_text() for n in (2, 1))
-    for scenario, degree in ((Scenario(kind="vanish", sizes=(2, 1), i_values=(1,)), 4),
-                             (Scenario(kind="pushforward", sizes=(2, 1)), 3)):
+    for entry, degree in (({"kind": "vanish", "n": [2, 1], "i": [1]}, 4),
+                          ({"kind": "pushforward", "n": [2, 1]}, 3)):
+        scenario = scenario_from_entry(entry)
         report, made, expanded = co_class_series_calls(monkeypatch, dishonest, scenario)
         assert report["verdict"] == "fail" and made and expanded == []
         diagnostics = {c["diagnostic"] for c in report["cases"] if c["verdict"] == "fail"}

@@ -14,7 +14,7 @@ import pytest
 from nestloc import chern, combinatorics, harness, integrals, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.chern import FormalBundle
-from nestloc.harness import BATTERY, Scenario, run_scenario, scenario_from_entry
+from nestloc.harness import BATTERY, run_scenario, scenario_from_entry
 from nestloc.series import binomial
 from nestloc.toric import SURFACES, bundle_by_label, line_bundle
 from test_golden_characters import golden_mismatches
@@ -81,13 +81,17 @@ def tautological_chi_failures():
     }
 
 
-def failing_identities(scenario):
-    report = run_scenario(scenario)
+def failing_identities(entry):
+    report = run_scenario(scenario_from_entry(entry))
     return {c["inputs"].get("identity") for c in report["cases"] if c["verdict"] != "pass"}
 
 
 def failing_battery_kinds():
-    return {e["kind"] for e in BATTERY if failing_identities(scenario_from_entry(e))}
+    return {e["kind"] for e in BATTERY if failing_identities(e)}
+
+
+def hrr_report(name):
+    return run_scenario(scenario_from_entry({"kind": "hrr-check", "surface": name}))
 
 
 def hrr_failures():
@@ -95,7 +99,7 @@ def hrr_failures():
     return {
         (name, case["inputs"]["bundle"])
         for name in SURFACES
-        for case in run_scenario(Scenario(kind="hrr-check", surface=name))["cases"]
+        for case in hrr_report(name)["cases"]
         if case["verdict"] != "pass"
     }
 
@@ -147,7 +151,7 @@ def test_off_by_one_co_class_degree_is_caught_by_weight_zero_identity(mutate):
 
     mutate(vertex, "ext_class", one_too_many)
     assert carlsson_okounkov_failures() == set()
-    assert failing_identities(Scenario(kind="serre-duality", surface="p2")) == {
+    assert failing_identities({"kind": "serre-duality", "surface": "p2"}) == {
         "nested co_class effective; weight-zero detects nesting"
     }
 
@@ -171,7 +175,7 @@ def test_pair_term_with_swapped_partitions_is_caught_by_nesting_and_pushforward(
 
     mutate(vertex, "_pair_term", swapped)
     assert failing_battery_kinds() == {"serre-duality", "pushforward", "hrr-check"}
-    assert failing_identities(Scenario(kind="serre-duality", surface="p2")) == {
+    assert failing_identities({"kind": "serre-duality", "surface": "p2"}) == {
         "nested co_class effective; weight-zero detects nesting"
     }
     assert hrr_failures() == HRR_ROWS
@@ -232,7 +236,7 @@ def test_dropped_chain_is_named_in_the_failing_cases(mutate):
         return original(surface, sizes)[:-1]
 
     mutate(combinatorics, "nested_chains", one_short)
-    report = run_scenario(Scenario(kind="pushforward", sizes=(2, 1)))
+    report = run_scenario(scenario_from_entry({"kind": "pushforward", "n": [2, 1]}))
     diagnostics = {c["diagnostic"] for c in report["cases"] if c["verdict"] == "fail"}
     assert len(diagnostics) == 1
     (diagnostic,) = diagnostics
@@ -289,9 +293,10 @@ def test_kernel_reading_every_factor_at_factor_0_is_caught_by_fubini_and_pins(mu
     mutate(integrals, "_localize", factor_0_only)
     assert [row[3] for row in fubini_mismatches()] == [0] * len(fubini_rows())
     assert failing_battery_kinds() == set()
-    for kind, surface, sizes in (("pushforward", "p2", (3, 2)), ("pushforward", "p1xp1", (3, 3)),
-                                 ("kstep", "p2", (2, 1, 1))):
-        assert run_scenario(Scenario(kind=kind, surface=surface, sizes=sizes))["verdict"] == "pass"
+    for kind, surface, sizes in (("pushforward", "p2", [3, 2]), ("pushforward", "p1xp1", [3, 3]),
+                                 ("kstep", "p2", [2, 1, 1])):
+        entry = {"kind": kind, "surface": surface, "n": sizes}
+        assert run_scenario(scenario_from_entry(entry))["verdict"] == "pass"
     assert stable_report_digest(["all"]) != REPORT_DIGESTS["all", None]
     for surface in SURFACES:
         argv = ["pushforward", *SIZE_FLAGS["pushforward"], "--surface", surface]
@@ -311,7 +316,7 @@ def test_segre_index_off_by_one_is_caught_by_symbolic_tp(mutate):
         return out
 
     mutate(chern, "proj_pushforward", off_by_one)
-    assert failing_identities(Scenario(kind="symbolic-tp")) == higher_tp_rows(0)
+    assert failing_identities({"kind": "symbolic-tp"}) == higher_tp_rows(0)
 
 
 def test_whitney_difference_times_c_e0_is_caught_by_symbolic_tp(mutate):
@@ -323,7 +328,7 @@ def test_whitney_difference_times_c_e0_is_caught_by_symbolic_tp(mutate):
                             f"{a.name}-{b.name}")
 
     mutate(chern, "whitney_difference", times)
-    assert failing_identities(Scenario(kind="symbolic-tp")) == higher_tp_rows(1)
+    assert failing_identities({"kind": "symbolic-tp"}) == higher_tp_rows(1)
 
 
 def test_hrr_chi_without_linear_term_is_caught_by_hrr_check(mutate):
@@ -351,7 +356,7 @@ def test_section_lattice_one_point_short_is_caught_by_the_character_check(mutate
         return LaurentPoly(original(surface, degrees).terms()[:-1])
 
     mutate(harness, "section_character", one_short)
-    reports = {name: run_scenario(Scenario(kind="hrr-check", surface=name)) for name in SURFACES}
+    reports = {name: hrr_report(name) for name in SURFACES}
     cases = [(name, case) for name, report in reports.items() for case in report["cases"]]
     assert {(name, case["inputs"]["bundle"]) for name, case in cases
             if case["verdict"] == "fail"} == HRR_ROWS
@@ -377,7 +382,7 @@ def test_twist_by_line_with_unshifted_binomial_is_caught_by_symbolic_tp(mutate):
 
     mutate(chern, "twist_by_line", unshifted)
     expected = {(1, 2)} | {(r, k) for r in range(2, 5) for k in range(2, 5)}
-    assert failing_identities(Scenario(kind="symbolic-tp")) == {
+    assert failing_identities({"kind": "symbolic-tp"}) == {
         f"twist r={r} k={k}" for r, k in expected
     }
 
@@ -394,6 +399,6 @@ def test_thom_porteous_with_c0_zero_is_caught_by_symbolic_tp(mutate):
         return chern._determinant([[entry(i, j) for j in range(a)] for i in range(a)], c.ring)
 
     mutate(chern, "thom_porteous", c0_zero)
-    assert failing_identities(Scenario(kind="symbolic-tp")) == {
+    assert failing_identities({"kind": "symbolic-tp"}) == {
         f"Delta^{a}_0 = 1" for a in range(1, 5)
     }
