@@ -96,6 +96,11 @@ RUNGS = (
     ("all", ("all",)),
     ("pushforward-p2-3_2", ("pushforward", "--surface", "p2", "--n", "3,2")),
     ("pushforward-p2-4_2", ("pushforward", "--surface", "p2", "--n", "4,2")),
+    # D + 1 = 28 specs, as many as a certificate of spec-independence needs at (4,2)
+    (
+        "pushforward-p2-4_2-samples28",
+        ("pushforward", "--surface", "p2", "--n", "4,2", "--samples", "28"),
+    ),
     ("pushforward-p1xp1-3_3", ("pushforward", "--surface", "p1xp1", "--n", "3,3")),
     ("pushforward-p1xp1-4_4", ("pushforward", "--surface", "p1xp1", "--n", "4,4")),
     ("pushforward-p2-5_3", ("pushforward", "--surface", "p2", "--n", "5,3")),

@@ -91,7 +91,9 @@ def _euler_cached(poly: LaurentPoly, spec: WeightSpec) -> Fraction:
     for exp, mult in poly.terms():
         value = exp[0] * s1 + exp[1] * s2
         if value == 0:
-            raise NonGenericSpecError(f"exponent {exp} pairs to zero at spec {spec.to_text()}")
+            raise NonGenericSpecError(
+                f"exponent {exp} pairs to zero at s={','.join(spec.to_text())}"
+            )
         if mult > 0:
             num *= value**mult
         else:
@@ -216,18 +218,39 @@ Measure = dict[tuple[MultiPartition, ...], Fraction]
 
 
 class _LastSum:
-    """The key and totals of the most recent `_localize` call.
+    """The plan of the last integrand `_localize` was given, with the key
+    and totals of its last sum.
 
-    One slot, compared by equality: the ambient and virtual sums of a
-    pushforward spec build equal measures independently, so the second of
-    the two calls reads the first's totals.  The totals also depend on the
-    insertion characters, so a test that patches `taut_char`,
-    `tangent_char` or `chern_series` calls `cache_clear` around the patch."""
+    The plan of an insertion tuple does not depend on the spec or the
+    measure: the (factor count, degree) it passed `_check_insertions` for,
+    and its prefix trie, built by `_trie` at the first nonempty measure.
+    So the harness, which sums one tuple at every spec and on both sides,
+    checks it once and builds its trie once.  One slot, compared by
+    equality, as the key is: the ambient and virtual sums of a pushforward
+    spec build equal measures independently, so the second of the two
+    calls reads the first's totals.  Insertions that differ from the
+    slot's start it afresh.  The totals also depend on the insertion
+    characters, so a test that patches `taut_char`, `tangent_char` or
+    `chern_series` calls `cache_clear` around the patch."""
 
     def __init__(self):
         self.cache_clear()
 
     def cache_clear(self) -> None:
+        self._start(None)
+
+    def hold(self, insertions: tuple[Insertion, ...]) -> _LastSum:
+        """This slot, started afresh unless it holds `insertions` already."""
+        if insertions != self.insertions:
+            self._start(insertions)
+        return self
+
+    def _start(self, insertions: tuple[Insertion, ...] | None) -> None:
+        self.insertions = insertions
+        # (factor count, degree) the insertions passed `_check_insertions` for
+        self.checked: tuple[int, int] | None = None
+        self.trie: tuple | None = None
+        # (surface, spec, measure) of the last sum, and its totals
         self.key: tuple | None = None
         self.totals: list[Fraction] = []
 
@@ -235,45 +258,33 @@ class _LastSum:
 _LAST_SUM = _LastSum()
 
 
-def _localize(
-    surface: ToricSurface,
-    insertions: Sequence[Insertion],
-    spec: WeightSpec,
-    measure: Measure,
-) -> list[Fraction]:
-    """sum_p weight_p * insertion(p) for every insertion, over the
-    {steps: weight} measure of the fixed points p.
-
-    A call whose (surface, spec, insertions, measure) equals the previous
-    call's returns a copy of that call's totals without summing: equal
-    measures integrate every insertion to the same value, exactly.  The
-    key holds copies of the insertions and the measure, so a caller that
-    mutates its own afterwards does not change it.
-
-    A factor's Chern series is keyed by (ambient factor, bundle), None
-    for the tangent bundle, and expanded once per fixed point to the
-    highest degree any insertion asks of it.  Each key gets an int slot as
-    the trie is built, and a point's series are a list indexed by slot, so
-    no key is hashed per point.
-
-    The sums are held in `int`s: each weight is scaled to the lcm of the
-    weights' denominators, and Chern coefficients are `int`s because specs
-    are integral; each total is divided by that lcm once, at the end.  The
-    insertions' factor tuples form a prefix trie, built once whatever
-    their order.  At each fixed point the root holds the scaled weight,
-    every other node its parent's value times one coefficient, and each
-    insertion adds its leaf's value to its total."""
+def _admit(insertions: Sequence[Insertion], factors: int, degree: int) -> tuple[Insertion, ...]:
+    """`insertions` as a tuple, checked by `_check_insertions` unless the
+    slot holds them checked for the same `factors` and `degree`.  A tuple
+    the check refuses leaves the slot as it was."""
     insertions = tuple(insertions)
-    if not measure:
-        return [Fraction(0)] * len(insertions)
-    if _LAST_SUM.key == (surface, spec, insertions, measure):
-        return list(_LAST_SUM.totals)
+    slot = _LAST_SUM
+    if insertions != slot.insertions or slot.checked != (factors, degree):
+        _check_insertions(insertions, factors, degree)
+        slot.hold(insertions).checked = (factors, degree)
+    return insertions
+
+
+def _trie(insertions: tuple[Insertion, ...]) -> tuple:
+    """The kernel's plan of `insertions`: (series keys, orders, nodes,
+    leaves), what `_localize` walks at each fixed point.
+
+    A factor's Chern series is keyed by (ambient factor, bundle), None for
+    the tangent bundle, and its key's place in the keys is its int slot;
+    orders[slot] is the highest degree any insertion asks of it.  The
+    insertions' factor tuples form a prefix trie, built once whatever their
+    order: node k >= 1 is nodes[k - 1] = (parent node, series slot,
+    degree), node 0 is the root, the empty product, and leaves[i] is the
+    node of insertion i."""
     slots: dict[tuple[int, EqLineBundle | None], int] = {}
-    # the highest degree asked of each slot's series
     orders: list[int] = []
-    # trie node k >= 1 is nodes[k - 1] = (parent node, series slot, degree);
-    # node 0 is the root, the empty product
     nodes: list[tuple[int, int, int]] = []
+    # the build's index of each node's children; the walk never reads it
     children: dict[tuple[int, ChernFactor], int] = {}
     leaves = []
     for ins in insertions:
@@ -291,11 +302,50 @@ def _localize(
                 nodes.append((node, slot, f.degree))
             node = child
         leaves.append(node)
+    return tuple(slots), orders, nodes, leaves
+
+
+def _localize(
+    surface: ToricSurface,
+    insertions: Sequence[Insertion],
+    spec: WeightSpec,
+    measure: Measure,
+) -> list[Fraction]:
+    """sum_p weight_p * insertion(p) for every insertion, over the
+    {steps: weight} measure of the fixed points p.
+
+    An empty measure sums to zeros and reads no plan.  Otherwise the
+    insertions' plan comes from the `_LAST_SUM` slot, whose trie is built
+    the first time a nonempty measure needs it and read at every later
+    spec and side.  A call whose (surface, spec, measure) and insertions
+    equal the previous sum's returns a copy of that sum's totals without
+    summing: equal measures integrate every insertion to the same value,
+    exactly.  The key holds a copy of the measure, and the slot a tuple of
+    the insertions, so a caller that mutates its own afterwards does not
+    change them.
+
+    At each fixed point every series slot of the trie is expanded once, to
+    its order, into a list indexed by slot, so no key is hashed per point.
+    The sums are held in `int`s: each weight is scaled to the lcm of the
+    weights' denominators, and Chern coefficients are `int`s because specs
+    are integral; each total is divided by that lcm once, at the end.  The
+    root holds the scaled weight, every other node its parent's value times
+    one coefficient, and each insertion adds its leaf's value to its
+    total."""
+    insertions = tuple(insertions)
+    if not measure:
+        return [Fraction(0)] * len(insertions)
+    plan = _LAST_SUM.hold(insertions)
+    if plan.key == (surface, spec, measure):
+        return list(plan.totals)
+    if plan.trie is None:
+        plan.trie = _trie(insertions)
+    keys, orders, nodes, leaves = plan.trie
     common = math.lcm(*(weight.denominator for weight in measure.values()))
     totals = [0] * len(leaves)
     for steps, weight in measure.items():
         coeffs = []
-        for (m, bundle), order in zip(slots, orders):
+        for (m, bundle), order in zip(keys, orders):
             if bundle is None:
                 char = tangent_char(surface, steps[m])
             else:
@@ -307,8 +357,8 @@ def _localize(
         for i, leaf in enumerate(leaves):
             totals[i] += values[leaf]
     out = [Fraction(total, common) for total in totals]
-    _LAST_SUM.key = (surface, spec, insertions, dict(measure))
-    _LAST_SUM.totals = out
+    plan.key = (surface, spec, dict(measure))
+    plan.totals = out
     return list(out)
 
 
@@ -397,10 +447,13 @@ def integrate_ambient_batch(
 
     Every insertion is integrated against the common co-class factors in
     one `_localize` pass over `ambient_measure`.  The degree condition
-    (insertion + co degrees == complex dimension) is checked per insertion.
+    (insertion + co degrees == complex dimension) is checked per insertion,
+    before the measure is built, by `_admit`: once while the slot holds the
+    same tuple for the same factor count and degree.
     """
     sizes = tuple(int(n) for n in sizes)
-    _check_insertions(insertions, len(sizes), 2 * sum(sizes) - sum(c.degree for c in co_factors))
+    degree = 2 * sum(sizes) - sum(c.degree for c in co_factors)
+    insertions = _admit(insertions, len(sizes), degree)
     measure = ambient_measure(surface, sizes, spec, co_factors)
     return _localize(surface, insertions, spec, measure)
 
@@ -413,12 +466,13 @@ def integrate_virtual_batch(
 ) -> list[Fraction]:
     """Virtual localization sum over nested chains, each weighted by 1 / e(T^vir).
 
-    Insertion degree must equal the virtual dimension n_1 + n_k.  A chain
+    Insertion degree must equal the virtual dimension n_1 + n_k, checked
+    by `_admit` before the measure is built, as the ambient sum does.  A chain
     whose virtual tangent character carries net weight zero aborts with
     the chain identified.
     """
     sizes = tuple(int(n) for n in sizes)
-    _check_insertions(insertions, len(sizes), sizes[0] + sizes[-1])
+    insertions = _admit(insertions, len(sizes), sizes[0] + sizes[-1])
     return _localize(surface, insertions, spec, virtual_measure(surface, sizes, spec))
 
 

@@ -558,6 +558,16 @@ def test_cli_non_generic_spec_refused_where_every_co_class_factor_vanishes(kind,
         assert case["diagnostic"].startswith("NonGenericSpec: exponent (1, -1) pairs to zero")
 
 
+def test_cli_non_generic_spec_diagnostic_names_the_spec_as_s(capsys):
+    # the spec reads s=1,1, as a differing point's diagnostic names it
+    argv = ["pushforward", "--surface", "p2", "--n", "2,1", "--spec", "1,1", "--format", "json"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [case["diagnostic"] for case in report["cases"]] == [
+        "NonGenericSpec: exponent (1, -1) pairs to zero at s=1,1"
+    ]
+
+
 def test_cli_stable_reports_byte_identical(tmp_path):
     args = ("vanish", "--surface", "p2", "--n", "2,1", "--i", "1,2",
             "--format", "json", "--stable")

@@ -715,6 +715,134 @@ def test_localize_over_an_empty_measure_is_zero(monkeypatch):
     assert all(type(t) is Fraction for t in totals)
 
 
+# -- the plan of an integrand, reused at every spec and on both sides --------
+
+
+def one_factor_changed(insertions):
+    """`insertions` with the first factor of the first monomial read from
+    the tangent bundle, on the same ambient factor and of the same degree:
+    as many monomials, every degree the same, and a series key that no
+    basis monomial has."""
+    first = insertions[0]
+    f = first.factors[0]
+    changed = Insertion((ChernFactor(f.factor, None, f.degree),) + first.factors[1:])
+    return (changed,) + tuple(insertions[1:])
+
+
+def plan_reuse_mismatches(surface, sizes, stride):
+    """The cases, by name, where the kernel's sums at 3 specs, ambient then
+    virtual at each, differ from `reference_localize`, run in turn with the
+    slot cleared once, first: A (every `stride`-th basis monomial) twice as
+    one tuple object, then as an equal but distinct list; then B, a tuple
+    as long as A that differs from it in one factor; then A, B and A again
+    at each spec."""
+    specs = sample_specs(47, 3)
+    co = pushforward_co(surface, sizes)
+    a = insertion_basis(surface, sizes, sizes[0] + sizes[-1])[::stride]
+    b = one_factor_changed(a)
+    points = {
+        spec: {
+            "ambient": [(k, w) for k, w in reference_ambient_points(surface, sizes, spec, co) if w],
+            "virtual": reference_virtual_points(surface, sizes, spec),
+        }
+        for spec in specs
+    }
+    reference = {
+        (name, spec, side): reference_localize(surface, ins, spec, points[spec][side])
+        for name, ins in (("A", a), ("B", b))
+        for spec in specs
+        for side in ("ambient", "virtual")
+    }
+    # B's one factor shows in its values, so a plan of A read for B is seen
+    assert any(reference["A", spec, "ambient"] != reference["B", spec, "ambient"] for spec in specs)
+    runs = [
+        ("same tuple", "A", a), ("same tuple", "A", a), ("equal list", "A", list(a)),
+        ("one factor differs", "B", b),
+    ]
+    order = [(case, spec, name, ins) for case, name, ins in runs for spec in specs]
+    order += [("interleaved A, B, A", spec, name, ins)
+              for spec in specs for name, ins in (("A", a), ("B", b), ("A", a))]
+    failed = set()
+    integrals._LAST_SUM.cache_clear()
+    for case, spec, name, ins in order:
+        ambient = integrate_ambient_batch(surface, sizes, ins, spec, co)
+        virtual = integrate_virtual_batch(surface, sizes, ins, spec)
+        if (ambient, virtual) != (reference[name, spec, "ambient"], reference[name, spec, "virtual"]):
+            failed.add(case)
+    return failed
+
+
+# p2 (3,2) at every 15th of its 915 monomials keeps the reference cheap;
+# kstep (2,1,1) has three factors and all 249 of its monomials
+PLAN_REUSE = [(p2(), (3, 2), 15), (p2(), (2, 1, 1), 1)]
+
+
+@pytest.mark.parametrize(
+    "surface,sizes,stride", PLAN_REUSE, ids=[f"{s.name}-{sizes}" for s, sizes, _ in PLAN_REUSE]
+)
+def test_plan_reused_at_every_spec_and_side_matches_reference(surface, sizes, stride):
+    assert plan_reuse_mismatches(surface, sizes, stride) == set()
+
+
+@pytest.mark.parametrize("integrate", ["ambient", "virtual"])
+def test_bad_tuple_after_a_good_one_is_refused_before_any_measure(monkeypatch, integrate):
+    """A tuple as long as the one the slot holds checked, for the same
+    factor count and degree, is still checked: its bad monomial is named
+    before a measure is built, and the slot keeps the good tuple."""
+    surface, sizes = p2(), (2, 1)
+    spec = sample_specs(43, 1)[0]
+    co = pushforward_co(surface, sizes)
+    good = insertion_basis(surface, sizes, 3)
+    bad = good[:1] + (Insertion(good[1].factors + (ChernFactor(1, O1, 1),)),) + good[2:]
+
+    def run(insertions):
+        if integrate == "ambient":
+            return integrate_ambient_batch(surface, sizes, insertions, spec, co)
+        return integrate_virtual_batch(surface, sizes, insertions, spec)
+
+    integrals._LAST_SUM.cache_clear()
+    run(good)
+
+    def unreachable(*args):
+        raise AssertionError("a measure was built before the insertions were checked")
+
+    monkeypatch.setattr(integrals, "ambient_measure", unreachable)
+    monkeypatch.setattr(integrals, "virtual_measure", unreachable)
+    with pytest.raises(DegreeMismatchError, match="^monomial 2 has degree 4, "):
+        run(bad)
+    assert integrals._LAST_SUM.insertions == good
+    with pytest.raises(DegreeMismatchError, match="^monomial 2 has degree 4, "):
+        run(bad)
+
+
+PLAN_BUILDS = [
+    ({"kind": "pushforward", "surface": "p2", "n": [3, 2], "samples": 3}, 1),
+    ({"kind": "kstep", "surface": "p2", "n": [2, 1, 1]}, 1),
+    ({"kind": "twisted-vanish", "surface": "p2", "n": [2, 1]}, 0),
+]
+
+
+@pytest.mark.parametrize("entry,builds", PLAN_BUILDS, ids=[e["kind"] for e, _ in PLAN_BUILDS])
+def test_a_scenario_checks_its_insertions_once_and_builds_its_trie_at_most_once(
+    monkeypatch, entry, builds
+):
+    """`pushforward` and `kstep` sum one insertion tuple at each spec on
+    both sides: one check and one trie.  Every `twisted-vanish` measure is
+    empty, so its one tuple is checked and no trie is built."""
+    calls = {"_check_insertions": 0, "_trie": 0}
+    for name in calls:
+        original = getattr(integrals, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(integrals, name, counted)
+    integrals._LAST_SUM.cache_clear()
+    assert run_scenario(scenario_from_entry(entry))["verdict"] == "pass"
+    assert calls == {"_check_insertions": 1, "_trie": builds}
+
+
 # six twists per surface, among them negative and mixed degrees
 RANK_TWISTS = {
     "p2": [(0,), (1,), (2,), (-1,), (-3,), (5,)],

@@ -21,10 +21,12 @@ from test_golden_characters import golden_mismatches
 from test_guards import REPORT_DIGESTS, SIZE_FLAGS, stable_report_digest
 from test_integrals import (
     CARLSSON_OKOUNKOV,
+    PLAN_REUSE,
     TAUTOLOGICAL_CHI,
     carlsson_okounkov_mismatches,
     fubini_mismatches,
     fubini_rows,
+    plan_reuse_mismatches,
     tautological_chi_mismatches,
 )
 
@@ -301,6 +303,33 @@ def test_kernel_reading_every_factor_at_factor_0_is_caught_by_fubini_and_pins(mu
     for surface in SURFACES:
         argv = ["pushforward", *SIZE_FLAGS["pushforward"], "--surface", surface]
         assert stable_report_digest(argv) != REPORT_DIGESTS["pushforward", surface]
+
+
+def test_stale_plan_for_insertions_as_many_is_caught_by_hrr_check_and_the_plan_oracle(mutate):
+    """The `_LAST_SUM` slot keeps its plan, its trie and its last sum for
+    any insertions as many as its own, as if it compared their lengths.
+    `hrr-check` integrates four monomials per bundle, so each bundle after
+    O reads O's trie: on p2 every bundle but O fails.  p1xp1 run next, in
+    the same process, reads p2's bundles at its own fixed points and
+    raises ValueError, as `nestloc all` would.  The plan-reuse oracle
+    fails where B follows A; the same tuple and an equal list still pass."""
+
+    class StalePlan(integrals._LastSum):
+        def hold(self, insertions):
+            if self.insertions is None or len(insertions) != len(self.insertions):
+                self._start(insertions)
+            return self
+
+    mutate(integrals, "_LAST_SUM", StalePlan())
+    failures = {("p2", case["inputs"]["bundle"]) for case in hrr_report("p2")["cases"]
+                if case["verdict"] != "pass"}
+    assert failures == {row for row in TWISTED_HRR_ROWS if row[0] == "p2"}
+    with pytest.raises(ValueError, match="not indexed by the fixed points of p1xp1"):
+        hrr_report("p1xp1")
+    for surface, sizes, stride in PLAN_REUSE:
+        assert plan_reuse_mismatches(surface, sizes, stride) == {
+            "one factor differs", "interleaved A, B, A"
+        }
 
 
 def test_segre_index_off_by_one_is_caught_by_symbolic_tp(mutate):
