@@ -47,7 +47,11 @@ Beside the measured seconds each run records reference seconds, as
 runs in this process before the first run and after each run, and a run's
 seconds are scaled by `bench/run.py`'s CALIBRATION_REFERENCE_S over the
 median loop time of the loops just before and just after it.  The loop
-slows with a shared machine, and nestloc's code does not change it.
+slows with a shared machine, and nestloc's code does not change it.  A
+rung records the first and third quartiles of its reference seconds
+beside their median (inclusive quartiles: of five runs, the second and
+fourth fastest), so a difference between two medians can be read against
+each side's spread.
 
 BENCH_ladder.json maps a commit name to that commit's ladder, so the file
 keeps a trajectory; a run replaces only the entries of its own commits.
@@ -66,7 +70,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 BENCH = os.path.join(ROOT, "bench")
@@ -266,6 +270,7 @@ def main() -> int:
                 ok = ok and digests == set(runs[src][label.removesuffix("-jobs2")][2])
                 ok = ok and len(known_workers) == len(workers)
             failures += not ok
+            q1, _, q3 = (round(q, 3) for q in quantiles(reference, n=4, method="inclusive"))
             rungs.append({
                 "label": label,
                 "argv": list(argv),
@@ -275,6 +280,8 @@ def main() -> int:
                 "max_s": max(seconds),
                 "reference_s": reference,
                 "median_reference_s": round(median(reference), 3),
+                "q1_reference_s": q1,
+                "q3_reference_s": q3,
                 "peak_rss_mb": peaks,
                 "median_peak_rss_mb": median(known) if known else None,
                 "workers_peak_rss_mb": workers,
@@ -284,7 +291,7 @@ def main() -> int:
             })
             print(f"{label}: median {median(seconds):.3f} s, min {min(seconds):.3f},"
                   f" max {max(seconds):.3f} over {len(seconds)} runs;"
-                  f" median {median(reference):.3f} reference s,"
+                  f" median {median(reference):.3f} reference s (Q1 {q1:.3f}, Q3 {q3:.3f}),"
                   f" peak RSS median {median(known) if known else 'unread'} MB"
                   + (f", workers' {median(known_workers)} MB" if known_workers else "")
                   + ("" if ok else " (FAILED: nonzero exit, unstable report, unread peak"

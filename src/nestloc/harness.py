@@ -18,7 +18,7 @@ import operator
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, TextIO
@@ -48,6 +48,7 @@ from .integrals import (
     CoFactor,
     Insertion,
     WeightSpec,
+    _LAST_SUM,
     _check_insertions,
     ambient_measure,
     hrr_chi,
@@ -435,9 +436,12 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
 
     Each value is rendered once, and the texts are compared: the text of
     an int or a reduced Fraction is canonical, so equal texts are equal
-    values.  Every sample shares its spec's text tuple."""
+    values.  An expected value that is its value's very object, as each
+    is where a virtual sum returns the ambient totals, takes the value's
+    text.  Every sample shares its spec's text tuple."""
     texts = [_fr(value) for value in values]
-    wants = [_fr(want) for want in expected]
+    wants = [text if want is value else _fr(want)
+             for value, text, want in zip(values, texts, expected)]
     samples = []
     for spec, text, want in zip(specs, texts, wants):
         sample = {"s": spec.to_text(), "value": text}
@@ -485,11 +489,12 @@ def _pushforward_cases(s: Scenario) -> list[dict]:
                              "ambient != virtual", virtual=True)
         # a failure where the two sums differ at some spec, read as a
         # mismatch or as a spec-dependent side, names the point they differ at
-        differ = [sp for sp, a, v in zip(specs, values, expected) if a != v]
-        if case["verdict"] == "fail" and differ:
-            if differ[0] not in located:
-                located[differ[0]] = _measure_difference(surface, sizes, differ[0], co)
-            case["diagnostic"] += located[differ[0]]
+        if case["verdict"] == "fail":
+            differ = [sp for sp, a, v in zip(specs, values, expected) if a != v]
+            if differ:
+                if differ[0] not in located:
+                    located[differ[0]] = _measure_difference(surface, sizes, differ[0], co)
+                case["diagnostic"] += located[differ[0]]
         cases.append(case)
     return cases
 
@@ -736,6 +741,9 @@ def run_scenario(s: Scenario, jobs: int = 1) -> dict:
             results = list(pool.map(partial(_run_group, s), groups))
     else:
         results = [_run_group(s, g) for g in groups]
+    # the last integrand's plan (its trie, or a measure copy) is freed
+    # before the report is written and the next scenario runs
+    _LAST_SUM.cache_clear()
     cases = [case for group_cases in results for case in group_cases]
     verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
     elapsed = int((time.perf_counter() - started) * 1000)
@@ -761,7 +769,10 @@ def _json_text(value, indent: str) -> str:
     """The text `json.dumps(value, indent=2)` writes for `value` on a line
     indented by `indent`, for the types a report holds: dict with `str`
     keys, list, tuple, str, int, bool and None.  Strings go through the C
-    ASCII escaper; each container is joined from its items' texts."""
+    ASCII escaper, inline where they are a container's items; each
+    container is joined from its items' texts, and a tuple of strings, such
+    as the spec text every sample at that spec shares, from
+    `_strings_text`."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -780,17 +791,32 @@ def _json_text(value, indent: str) -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, got {key!r}")
-            items.append(f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}")
+            text = encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json_text(item, inner) for item in value]
+        if type(value) is tuple and all(type(item) is str for item in value):
+            return _strings_text(value, indent)
+        items = [encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
+                 for item in value]
         brackets = "[]"
     else:
         raise TypeError(f"cannot render a {type(value).__name__} in a report: {value!r}")
     separator = ",\n" + inner
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
+
+
+@lru_cache(maxsize=64)
+def _strings_text(strings: tuple[str, ...], indent: str) -> str:
+    """`_json_text` of a nonempty tuple of strings, kept by (tuple, indent):
+    a report's samples share their spec's text tuple, so each renders once.
+    Only strings qualify, as equal strings have one text while equal
+    numbers need not (1 and True)."""
+    inner = indent + "  "
+    separator = ",\n" + inner
+    return f"[\n{inner}{separator.join(map(encode_basestring_ascii, strings))}\n{indent}]"
 
 
 def _json_pieces(report) -> Iterator[str]:

@@ -109,17 +109,19 @@ def _euler_cached(poly: LaurentPoly, spec: WeightSpec) -> Fraction:
 class ChernFactor(Value):
     """c_degree of the tautological bundle of `bundle` on ambient factor
     `factor` (0-based), or of that factor's tangent bundle where `bundle`
-    is None; (factor, bundle) keys the factor's Chern series."""
+    is None; (factor, bundle) keys the factor's Chern series.  Its label
+    is built once, at construction, for every case that echoes it."""
 
-    __slots__ = ("factor", "bundle", "degree")
-    _fields = __slots__
+    _fields = ("factor", "bundle", "degree")
+    __slots__ = _fields + ("_label",)
 
     def __init__(self, factor: int, bundle: EqLineBundle | None, degree: int):
         self._init(factor, bundle, degree)
+        name = "T" if bundle is None else bundle.label
+        _set(self, "_label", f"c{degree}({name}@{factor + 1})")
 
     def label(self) -> str:
-        name = "T" if self.bundle is None else self.bundle.label
-        return f"c{self.degree}({name}@{self.factor + 1})"
+        return self._label
 
 
 class Insertion(Value):
@@ -231,7 +233,11 @@ class _LastSum:
     calls reads the first's totals.  Insertions that differ from the
     slot's start it afresh.  The totals also depend on the insertion
     characters, so a test that patches `taut_char`, `tangent_char` or
-    `chern_series` calls `cache_clear` around the patch."""
+    `chern_series` calls `cache_clear` around the patch; one that patches
+    the fold beneath the characters (`vertex._ext_kernel`, `_pair_term`)
+    also clears the `lru_cache`s of `taut_char` and `tangent_char`, which
+    keep what was folded.  `harness.run_scenario` clears the slot when a
+    scenario's groups end, so no plan outlives its scenario."""
 
     def __init__(self):
         self.cache_clear()

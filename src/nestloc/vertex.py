@@ -115,8 +115,10 @@ def tangent_char(surface: ToricSurface, mp: MultiPartition) -> LaurentPoly:
     return _ext_kernel(surface, mp.shape, mp.shape, ((0, 0),) * surface.euler_number, 2 * mp.total)
 
 
+@lru_cache(maxsize=65536)
 def taut_char(surface: ToricSurface, bundle: EqLineBundle, mp: MultiPartition) -> LaurentPoly:
-    """Tautological bundle L^[n] at mp, as E_L(empty, mp); effective, rank |mp|."""
+    """Tautological bundle L^[n] at mp, as E_L(empty, mp); effective, rank |mp|.
+    Cached: the sums read each (bundle, fixed point) again at every spec."""
     return _ext_kernel(surface, ((),) * surface.euler_number, mp.shape, bundle.weights, mp.total)
 
 

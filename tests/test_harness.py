@@ -165,7 +165,22 @@ def test_report_json_matches_indented_json_dumps(tree):
 
 
 report_keys = st.one_of(st.sampled_from(["elapsed_ms", "verdict", "s"]), st.text(max_size=6))
-report_cases = st.lists(st.dictionaries(report_keys, json_trees, max_size=4), max_size=4)
+case_lists = st.lists(st.dictionaries(report_keys, json_trees, max_size=4), max_size=4)
+
+
+def sharing(cases, shared):
+    """`cases`, each holding the one tuple `shared` at two depths: as its
+    own item, and in each of its samples, as a spec's text tuple is held."""
+    return [{**case, "s": shared, "samples": [{"s": shared}, {"s": shared, "value": "0"}]}
+            for case in cases]
+
+
+# cases of their own, or cases that share a tuple of strings, whose text is
+# kept by (tuple, indent) and so read back at each indent it renders at
+report_cases = st.one_of(
+    case_lists,
+    st.builds(sharing, case_lists, st.lists(st.text(max_size=6), max_size=3).map(tuple)),
+)
 # a report's top-level items around its cases, which may be empty or a tuple
 report_trees = st.builds(
     lambda head, cases, tail: {**head, "cases": cases, **tail},
@@ -205,22 +220,33 @@ value_triples = st.lists(case_values, min_size=3, max_size=3)
 @settings(max_examples=300, deadline=None)
 @given(value_triples, value_triples, st.booleans(), st.booleans())
 def test_sampled_case_compares_texts_as_the_values_compare(values, expected, virtual, char_ok):
+    """Three rows of expected values: drawn; the very objects of `values`,
+    as a virtual sum returns the ambient totals; and equal but distinct
+    objects.  The last two give one case."""
     specs = sample_specs(3, 3)
-    if len(set(values)) > 1:
-        want = "SpecDependence: values differ"
-    elif virtual and len(set(expected)) > 1:
-        want = "SpecDependence: virtual values differ"
-    elif not char_ok or values != expected:
-        want = "mismatch"
-    else:
-        want = ""
-    case = harness._sampled_case({}, specs, values, expected, "mismatch", virtual=virtual,
-                                 character_ok=char_ok)
-    assert case.get("diagnostic", "") == want
-    assert case["verdict"] == ("fail" if want else "pass")
-    assert [sample["value"] for sample in case["samples"]] == [str(v) for v in values]
-    # every sample shares its spec's one text tuple
-    assert all(sample["s"] is spec.to_text() for sample, spec in zip(case["samples"], specs))
+    copies = [Fraction(v) for v in values]
+    assert not any(copy is value for copy, value in zip(copies, values))
+    cases = []
+    for row in (expected, list(values), copies):
+        if len(set(values)) > 1:
+            want = "SpecDependence: values differ"
+        elif virtual and len(set(row)) > 1:
+            want = "SpecDependence: virtual values differ"
+        elif not char_ok or values != row:
+            want = "mismatch"
+        else:
+            want = ""
+        case = harness._sampled_case({}, specs, values, row, "mismatch", virtual=virtual,
+                                     character_ok=char_ok)
+        assert case.get("diagnostic", "") == want
+        assert case["verdict"] == ("fail" if want else "pass")
+        assert [sample["value"] for sample in case["samples"]] == [str(v) for v in values]
+        if virtual:
+            assert [sample["virtual"] for sample in case["samples"]] == [str(e) for e in row]
+        # every sample shares its spec's one text tuple
+        assert all(sample["s"] is spec.to_text() for sample, spec in zip(case["samples"], specs))
+        cases.append(case)
+    assert cases[1] == cases[2]
 
 
 @pytest.mark.parametrize(

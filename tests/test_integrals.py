@@ -843,6 +843,43 @@ def test_a_scenario_checks_its_insertions_once_and_builds_its_trie_at_most_once(
     assert calls == {"_check_insertions": 1, "_trie": builds}
 
 
+def test_a_pushforward_folds_each_tautological_character_once(monkeypatch):
+    """`_localize` reads the tautological character of every (bundle, fixed
+    point) of its measure at each spec, and `taut_char` keeps them: a
+    pushforward at 3 specs folds each once.  Its folds are the kernel calls
+    with an empty first shape; no co-class or tangent fold of p2 (3,2) has
+    one."""
+    folds = []
+    original = vertex._ext_kernel
+
+    def counted(surface, shape1, shape2, weights, rank):
+        if not any(shape1):
+            folds.append((weights, shape2))
+        return original(surface, shape1, shape2, weights, rank)
+
+    monkeypatch.setattr(vertex, "_ext_kernel", counted)
+    vertex.taut_char.cache_clear()
+    scenario = scenario_from_entry({"kind": "pushforward", "surface": "p2", "n": [3, 2]})
+    assert len(scenario.weight_specs) == 3
+    assert run_scenario(scenario)["verdict"] == "pass"
+    assert folds
+    assert len(folds) == len(set(folds))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"kind": "pushforward", "surface": "p2", "n": [2, 1]},
+     {"kind": "euler-count", "surface": "p1xp1", "n": [2]}],
+    ids=["pushforward", "euler-count"],
+)
+def test_run_scenario_releases_the_integrand_plan(entry):
+    """A scenario's plan, its trie or its last measure, is not held while
+    its report is written or the next scenario runs."""
+    assert run_scenario(scenario_from_entry(entry))["verdict"] == "pass"
+    slot = integrals._LAST_SUM
+    assert (slot.insertions, slot.trie, slot.key, slot.totals) == (None, None, None, [])
+
+
 # six twists per surface, among them negative and mixed degrees
 RANK_TWISTS = {
     "p2": [(0,), (1,), (2,), (-1,), (-3,), (5,)],

@@ -309,10 +309,11 @@ def test_stale_plan_for_insertions_as_many_is_caught_by_hrr_check_and_the_plan_o
     """The `_LAST_SUM` slot keeps its plan, its trie and its last sum for
     any insertions as many as its own, as if it compared their lengths.
     `hrr-check` integrates four monomials per bundle, so each bundle after
-    O reads O's trie: on p2 every bundle but O fails.  p1xp1 run next, in
-    the same process, reads p2's bundles at its own fixed points and
-    raises ValueError, as `nestloc all` would.  The plan-reuse oracle
-    fails where B follows A; the same tuple and an equal list still pass."""
+    O reads O's trie: every bundle but O fails.  `run_scenario` clears the
+    slot when a scenario ends, so p1xp1 run next, in the same process,
+    starts afresh and fails the same way rather than reading p2's plan.
+    The plan-reuse oracle fails where B follows A; the same tuple and an
+    equal list still pass."""
 
     class StalePlan(integrals._LastSum):
         def hold(self, insertions):
@@ -321,11 +322,10 @@ def test_stale_plan_for_insertions_as_many_is_caught_by_hrr_check_and_the_plan_o
             return self
 
     mutate(integrals, "_LAST_SUM", StalePlan())
-    failures = {("p2", case["inputs"]["bundle"]) for case in hrr_report("p2")["cases"]
-                if case["verdict"] != "pass"}
-    assert failures == {row for row in TWISTED_HRR_ROWS if row[0] == "p2"}
-    with pytest.raises(ValueError, match="not indexed by the fixed points of p1xp1"):
-        hrr_report("p1xp1")
+    for name in ("p2", "p1xp1"):
+        failures = {(name, case["inputs"]["bundle"]) for case in hrr_report(name)["cases"]
+                    if case["verdict"] != "pass"}
+        assert failures == {row for row in TWISTED_HRR_ROWS if row[0] == name}
     for surface, sizes, stride in PLAN_REUSE:
         assert plan_reuse_mismatches(surface, sizes, stride) == {
             "one factor differs", "interleaved A, B, A"

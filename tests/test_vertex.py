@@ -248,7 +248,7 @@ def test_global_character_validates_rank(monkeypatch):
     for build, rank in (
         (lambda: vertex.ext_class(surface, box, box, trivial), 2),
         (lambda: vertex.tangent_char.__wrapped__(surface, box), 2),
-        (lambda: vertex.taut_char(surface, trivial, box), 1),
+        (lambda: vertex.taut_char.__wrapped__(surface, trivial, box), 1),
     ):
         with pytest.raises(ValueError, match=f"folded rank {rank + 3} is not .* = {rank}$"):
             build()
@@ -433,7 +433,7 @@ def test_pair_term_keys_hold_ints_and_tuples_only(monkeypatch):
         for mp in mps:
             vertex.co_class.__wrapped__(surface, mps[-1], mp, twist)
             vertex.tangent_char.__wrapped__(surface, mp)
-            vertex.taut_char(surface, twist, mp)
+            vertex.taut_char.__wrapped__(surface, twist, mp)
         lookups += 3 * len(mps) * surface.euler_number
     assert len(keys) == lookups
     assert [key for key in keys if not ints_and_tuples(key)] == []
