@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .characters import LaurentPoly
@@ -53,9 +53,12 @@ def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, 
     return _chern_series_cached(char, spec, order)
 
 
-# maxsize=0 stores nothing: no series is read twice in a one-shot run, and
-# a kept series only held memory.  It stays an lru_cache, counting its
-# calls, because `bench/spans.py` reads its cache_info().
+# maxsize=0 stores nothing.  `_localize` expands a slot's series once per
+# class of its factor in each sum, so a factor-0 fixed point that several
+# points of a measure share is expanded once for each; a table of them
+# per spec did not pay, and kept series held memory.  It stays an
+# lru_cache, counting its calls, because `bench/spans.py` reads its
+# cache_info().
 @lru_cache(maxsize=0)
 def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
     s1, s2 = spec.s1, spec.s2
@@ -277,38 +280,90 @@ def _admit(insertions: Sequence[Insertion], factors: int, degree: int) -> tuple[
 
 
 def _trie(insertions: tuple[Insertion, ...]) -> tuple:
-    """The kernel's plan of `insertions`: (series keys, orders, nodes,
-    leaves), what `_localize` walks at each fixed point.
+    """The kernel's plan of `insertions`: (series keys, degrees, nodes,
+    leaves), what `_localize` walks once per sum.
 
     A factor's Chern series is keyed by (ambient factor, bundle), None for
     the tangent bundle, and its key's place in the keys is its int slot;
-    orders[slot] is the highest degree any insertion asks of it.  The
-    insertions' factor tuples form a prefix trie, built once whatever their
-    order: node k >= 1 is nodes[k - 1] = (parent node, series slot,
-    degree), node 0 is the root, the empty product, and leaves[i] is the
-    node of insertion i."""
+    degrees[slot] are the degrees any insertion reads of it, ascending.
+    Each insertion's factors are ordered by ambient factor, which leaves
+    the product as it was, and the factor tuples form a prefix trie, built
+    once whatever the insertions' order.  nodes lists it in pre-order, a
+    node's children of lower ambient factors first, as (depth, series
+    slot, degree, ambient factor); node 0 is the root, the empty product,
+    at depth 0, and nodes[k - 1] is node k.  leaves[i] is the node of
+    insertion i."""
+    # every distinct factor gets a code, by ambient factor and then first
+    # appearance: a path of codes sorts its factors, and sorted paths list
+    # the trie in pre-order, lower ambient factors first
+    distinct = sorted(dict.fromkeys(f for ins in insertions for f in ins.factors),
+                      key=attrgetter("factor"))
+    code = {f: i for i, f in enumerate(distinct)}
+    paths = [tuple(sorted(map(code.__getitem__, ins.factors))) for ins in insertions]
     slots: dict[tuple[int, EqLineBundle | None], int] = {}
-    orders: list[int] = []
-    nodes: list[tuple[int, int, int]] = []
-    # the build's index of each node's children; the walk never reads it
-    children: dict[tuple[int, ChernFactor], int] = {}
-    leaves = []
-    for ins in insertions:
-        node = 0
-        for f in ins.factors:
-            child = children.get((node, f))
-            if child is None:
-                key = (f.factor, f.bundle)
-                slot = slots.get(key)
-                if slot is None:
-                    slot = slots[key] = len(orders)
-                    orders.append(0)
-                orders[slot] = max(orders[slot], f.degree)
-                child = children[node, f] = len(nodes) + 1
-                nodes.append((node, slot, f.degree))
-            node = child
-        leaves.append(node)
-    return tuple(slots), orders, nodes, leaves
+    degrees: list[set[int]] = []
+    labels = []
+    for f in distinct:
+        slot = slots.setdefault((f.factor, f.bundle), len(degrees))
+        if slot == len(degrees):
+            degrees.append(set())
+        degrees[slot].add(f.degree)
+        labels.append((slot, f.degree, f.factor))
+    nodes: list[tuple[int, int, int, int]] = []
+    leaves = [0] * len(paths)
+    # the nodes along the last path, from the root
+    along, last = [0], ()
+    for i in sorted(range(len(paths)), key=paths.__getitem__):
+        path = paths[i]
+        depth = 0
+        for here, before in zip(path, last):
+            if here != before:
+                break
+            depth += 1
+        del along[depth + 1:]
+        for c in path[depth:]:
+            nodes.append((len(along),) + labels[c])
+            along.append(len(nodes))
+        leaves[i] = along[-1]
+        last = path
+    return tuple(slots), [tuple(sorted(d)) for d in degrees], nodes, leaves
+
+
+def _suffix_classes(points: list[tuple[MultiPartition, ...]], m: int) -> list[int]:
+    """The class of each fixed point of `points` at ambient factor m: points
+    that agree on steps[m:], their fixed points of factors m and later,
+    share one, numbered in order of first appearance."""
+    classes: dict[tuple[MultiPartition, ...], int] = {}
+    return [classes.setdefault(steps[m:], len(classes)) for steps in points]
+
+
+def _runs(points: list[tuple[MultiPartition, ...]]) -> tuple:
+    """(points, starts, merges): `points` ordered so that the classes of
+    `_suffix_classes` at every ambient factor m >= 1 are runs, each run of
+    factor m + 1 a run of factor m's runs; at factor 0 each point is its
+    own class.  starts[m] holds the position of the first point of each
+    class of factor m, and merges[a, b], for a < b, the (start, stop)
+    indices of the runs of factor a's classes that factor b's classes
+    are, or None where each class of b is one class of a."""
+    factors = len(points[0])
+    ranks = list(zip(*(_suffix_classes(points, m) for m in range(factors - 1, 0, -1))))
+    if ranks:
+        order = sorted(range(len(points)), key=ranks.__getitem__)
+        points = [points[i] for i in order]
+        ranks = [ranks[i] for i in order]
+    starts = [list(range(len(points)))]
+    for cut in range(factors - 1, 0, -1):
+        starts.append([i for i in range(len(points)) if not i or ranks[i][:cut] != ranks[i - 1][:cut]])
+    merges = {}
+    for a in range(factors):
+        place = {start: i for i, start in enumerate(starts[a])}
+        for b in range(a + 1, factors):
+            if len(starts[b]) < len(starts[a]):
+                cuts = [place[start] for start in starts[b]] + [len(starts[a])]
+                merges[a, b] = list(zip(cuts, cuts[1:]))
+            else:
+                merges[a, b] = None
+    return points, starts, merges
 
 
 def _localize(
@@ -330,14 +385,19 @@ def _localize(
     the insertions, so a caller that mutates its own afterwards does not
     change them.
 
-    At each fixed point every series slot of the trie is expanded once, to
-    its order, into a list indexed by slot, so no key is hashed per point.
-    The sums are held in `int`s: each weight is scaled to the lcm of the
-    weights' denominators, and Chern coefficients are `int`s because specs
-    are integral; each total is divided by that lcm once, at the end.  The
-    root holds the scaled weight, every other node its parent's value times
-    one coefficient, and each insertion adds its leaf's value to its
-    total."""
+    The trie is walked once, node by node, and each node holds a vector
+    of `int`s: each weight is scaled to the lcm of the weights'
+    denominators, and Chern coefficients are `int`s because specs are
+    integral; each total is divided by that lcm once, at the end.  A node
+    of ambient factor m runs over the classes of `_runs` at m, the points
+    that share their fixed points of factors m and later, since a factor-m
+    coefficient reads only those.  The root holds the scaled weights; a
+    node's vector is its parent's times the node's column, its Chern
+    coefficient at one point of each class; where a node of a later
+    factor follows, its parent's vector is first summed over the classes
+    that factor merges, which the pre-order of the trie does after the
+    parent's children of its own factor.  Each insertion's total is the
+    sum of its leaf's vector."""
     insertions = tuple(insertions)
     if not measure:
         return [Fraction(0)] * len(insertions)
@@ -346,23 +406,43 @@ def _localize(
         return list(plan.totals)
     if plan.trie is None:
         plan.trie = _trie(insertions)
-    keys, orders, nodes, leaves = plan.trie
-    common = math.lcm(*(weight.denominator for weight in measure.values()))
-    totals = [0] * len(leaves)
-    for steps, weight in measure.items():
-        coeffs = []
-        for (m, bundle), order in zip(keys, orders):
+    keys, degrees, nodes, leaves = plan.trie
+    points, starts, merges = _runs(list(measure))
+    # columns[slot][degree], for the degrees the trie reads of the slot
+    columns = []
+    for (m, bundle), reads in zip(keys, degrees):
+        series = []
+        for start in starts[m]:
+            step = points[start][m]
             if bundle is None:
-                char = tangent_char(surface, steps[m])
+                char = tangent_char(surface, step)
             else:
-                char = taut_char(surface, bundle, steps[m])
-            coeffs.append(chern_series(char, spec, order))
-        values = [weight.numerator * (common // weight.denominator)]
-        for parent, slot, degree in nodes:
-            values.append(values[parent] * coeffs[slot][degree])
-        for i, leaf in enumerate(leaves):
-            totals[i] += values[leaf]
-    out = [Fraction(total, common) for total in totals]
+                char = taut_char(surface, bundle, step)
+            series.append(chern_series(char, spec, reads[-1]))
+        columns.append({degree: [s[degree] for s in series] for degree in reads})
+    common = math.lcm(*(weight.denominator for weight in measure.values()))
+    root = []
+    for steps in points:
+        weight = measure[steps]
+        root.append(weight.numerator * (common // weight.denominator))
+    read = set(leaves)
+    sums = {0: sum(root)} if 0 in read else {}
+    # the factor and vector of the last node visited at each depth
+    levels = [0] * (1 + max((node[0] for node in nodes), default=0))
+    vectors = [root] * len(levels)
+    for index, (depth, slot, degree, factor) in enumerate(nodes, 1):
+        vector = vectors[depth - 1]
+        level = levels[depth - 1]
+        if level != factor:
+            merge = merges[level, factor]
+            if merge is not None:
+                vector = vectors[depth - 1] = [sum(vector[i:j]) for i, j in merge]
+            levels[depth - 1] = factor
+        vector = vectors[depth] = list(map(mul, vector, columns[slot][degree]))
+        levels[depth] = factor
+        if index in read:
+            sums[index] = sum(vector)
+    out = [Fraction(sums[leaf], common) for leaf in leaves]
     plan.key = (surface, spec, dict(measure))
     plan.totals = out
     return list(out)

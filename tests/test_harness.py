@@ -1011,6 +1011,43 @@ def test_insertions_file_spellings_of_one_bundle_get_one_label(tmp_path):
     assert labels == ["c3(O(1,0)@1)*c1(O(0,1)@2)"] * 2
 
 
+#: degree-3 monomials of `pushforward --n 2,1`, each listing a factor-2
+#: class before a factor-1 one; one pads factor 1 with c_0(O) = 1
+_FACTOR_2_FIRST = [
+    [{"factor": 2, "bundle": "O(1)", "degree": 1}, {"factor": 1, "bundle": "O(1)", "degree": 2}],
+    [{"factor": 2, "bundle": "O(1)", "degree": 1}, {"factor": 1, "bundle": "O(2)", "degree": 1},
+     {"factor": 1, "bundle": "O(1)", "degree": 1}],
+    [{"factor": 2, "bundle": "O(2)", "degree": 1}, {"factor": 1, "bundle": "O(1)", "degree": 1},
+     {"factor": 2, "bundle": "O(1)", "degree": 1}],
+    [{"factor": 2, "bundle": "O(2)", "degree": 2}, {"factor": 1, "bundle": "O", "degree": 0},
+     {"factor": 1, "bundle": "O(1)", "degree": 1}],
+]
+
+
+def test_insertions_file_listing_factor_2_first_gives_the_values_of_the_sorted_listing(
+    tmp_path, capsys
+):
+    """A product does not depend on the order of its factors: a file that
+    lists factor 2 before factor 1 gives, case by case, the values of the
+    same monomials listed factor 1 first."""
+    values = {}
+    for name, monomials in (
+        ("listed", _FACTOR_2_FIRST),
+        ("sorted", [sorted(m, key=lambda f: f["factor"]) for m in _FACTOR_2_FIRST]),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(monomials))
+        argv = ["pushforward", "--n", "2,1", "--insertions", f"file:{path}", "--stable",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "pass"
+        values[name] = [[(s["value"], s["virtual"]) for s in case["samples"]]
+                        for case in report["cases"]]
+    assert values["listed"] == values["sorted"]
+    assert [samples[0][0] for samples in values["listed"]] == ["3", "9", "6", "0"]
+
+
 @pytest.mark.parametrize("factor,degree", [(1.9, 2), (True, 2), (1, 2.0)])
 def test_insertions_file_non_integer_exit_two(tmp_path, capsys, factor, degree):
     bad = tmp_path / "insertions.json"

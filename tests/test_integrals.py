@@ -623,6 +623,142 @@ def test_integer_kernel_matches_fraction_reference(data, surface, sizes, a, b):
     )
 
 
+def monomials_in_any_factor_order(surface, sizes):
+    """A strategy of monomials of the basis of `sizes` with their factors
+    permuted, each padded with up to two c_0 = 1 factors on any ambient
+    factor: factor 2 may come before factor 1, and a padding factor may be
+    the only one of its ambient factor."""
+    basis = insertion_basis(surface, sizes, sizes[0] + sizes[-1])
+    padding = st.builds(ChernFactor, st.integers(0, len(sizes) - 1),
+                        st.sampled_from(surface.battery_bundles + (None,)), st.just(0))
+    return st.tuples(st.sampled_from(basis), st.lists(padding, max_size=2)).flatmap(
+        lambda drawn: st.permutations(drawn[0].factors + tuple(drawn[1])).map(
+            lambda factors: Insertion(tuple(factors))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    surface=st.sampled_from([p2(), p1xp1()]),
+    sizes=st.sampled_from([(2, 1), (2, 2), (1, 1, 1)]),
+)
+def test_integer_kernel_matches_fraction_reference_in_any_factor_order(data, surface, sizes):
+    """The kernel orders each monomial's factors by ambient factor and sums
+    a node's vector over a later factor's classes only after its children
+    of its own factor: monomials listed in any factor order, padded with
+    c_0 = 1 factors, and monomials that read only the last factor, so
+    that the root itself is summed, integrate as the Fraction loop does."""
+    spec = data.draw(st.sampled_from(sample_specs(59, 3)))
+    last = len(sizes) - 1
+    basis = insertion_basis(surface, sizes, sizes[0] + sizes[-1])
+    last_only = [ins for ins in basis if all(f.factor == last for f in ins.factors)]
+    insertions = data.draw(st.lists(monomials_in_any_factor_order(surface, sizes), min_size=1,
+                                    max_size=12))
+    insertions += data.draw(st.lists(st.sampled_from(last_only), min_size=1, max_size=3))
+    insertions = data.draw(st.permutations(insertions))
+    co = pushforward_co(surface, sizes)
+    assert integrate_ambient_batch(surface, sizes, insertions, spec, co) == reference_ambient(
+        surface, sizes, insertions, spec, co
+    )
+    assert integrate_virtual_batch(surface, sizes, insertions, spec) == reference_virtual(
+        surface, sizes, insertions, spec
+    )
+
+
+# -- the point-major trie walk the kernel replaced, kept as its oracle -------
+
+
+def point_major_trie(insertions):
+    """The kernel's plan of `insertions`: (series keys, orders, nodes,
+    leaves), what `_localize` walks at each fixed point.
+
+    A factor's Chern series is keyed by (ambient factor, bundle), None for
+    the tangent bundle, and its key's place in the keys is its int slot;
+    orders[slot] is the highest degree any insertion asks of it.  The
+    insertions' factor tuples form a prefix trie, built once whatever their
+    order: node k >= 1 is nodes[k - 1] = (parent node, series slot,
+    degree), node 0 is the root, the empty product, and leaves[i] is the
+    node of insertion i."""
+    slots = {}
+    orders = []
+    nodes = []
+    # the build's index of each node's children; the walk never reads it
+    children = {}
+    leaves = []
+    for ins in insertions:
+        node = 0
+        for f in ins.factors:
+            child = children.get((node, f))
+            if child is None:
+                key = (f.factor, f.bundle)
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(orders)
+                    orders.append(0)
+                orders[slot] = max(orders[slot], f.degree)
+                child = children[node, f] = len(nodes) + 1
+                nodes.append((node, slot, f.degree))
+            node = child
+        leaves.append(node)
+    return tuple(slots), orders, nodes, leaves
+
+
+def point_major_localize(surface, insertions, spec, measure):
+    """The walk `integrals._localize` made before it contracted the
+    ambient factors one by one, copied as it was: at each fixed point
+    every series slot is expanded to its order, every trie node holds its
+    parent's value times one coefficient, and every insertion adds its
+    leaf's value to its total, all in `int`s over the lcm of the weights'
+    denominators."""
+    keys, orders, nodes, leaves = point_major_trie(tuple(insertions))
+    common = math.lcm(*(weight.denominator for weight in measure.values()))
+    totals = [0] * len(leaves)
+    for steps, weight in measure.items():
+        coeffs = []
+        for (m, bundle), order in zip(keys, orders):
+            if bundle is None:
+                char = tangent_char(surface, steps[m])
+            else:
+                char = taut_char(surface, bundle, steps[m])
+            coeffs.append(chern_series(char, spec, order))
+        values = [weight.numerator * (common // weight.denominator)]
+        for parent, slot, degree in nodes:
+            values.append(values[parent] * coeffs[slot][degree])
+        for i, leaf in enumerate(leaves):
+            totals[i] += values[leaf]
+    return [Fraction(total, common) for total in totals]
+
+
+#: the ladder's p2 (4,2) and p1xp1 (3,3), and kstep's three factors
+TRIE_ORACLE = [(p2(), (4, 2)), (p1xp1(), (3, 3)), (p2(), (2, 1, 1)), (p2(), (1, 1, 1))]
+
+
+def trie_oracle_mismatches():
+    """(surface, sizes, side) of each measure of TRIE_ORACLE, ambient and
+    virtual at one spec, where `_localize` over every basis monomial
+    differs from the point-major walk.  The slot is cleared before each
+    sum, so the virtual side is summed, not copied from the ambient one."""
+    spec = sample_specs(53, 1)[0]
+    bad = []
+    for surface, sizes in TRIE_ORACLE:
+        insertions = insertion_basis(surface, sizes, sizes[0] + sizes[-1])
+        measures = {
+            "ambient": integrals.ambient_measure(surface, sizes, spec, pushforward_co(surface, sizes)),
+            "virtual": integrals.virtual_measure(surface, sizes, spec),
+        }
+        for side, measure in measures.items():
+            integrals._LAST_SUM.cache_clear()
+            got = integrals._localize(surface, insertions, spec, measure)
+            if got != point_major_localize(surface, insertions, spec, measure):
+                bad.append((surface.name, sizes, side))
+    integrals._LAST_SUM.cache_clear()
+    return bad
+
+
+def test_kernel_matches_the_point_major_trie_walk():
+    assert trie_oracle_mismatches() == []
+
+
 def test_integer_kernel_matches_reference_where_co_factor_vanishes():
     # c_2(co) vanishes at the non-nested pairs of S^[1] x S^[1]: those fixed
     # points drop out of the kernel's sum and add 0 to the reference's

@@ -23,11 +23,13 @@ from test_integrals import (
     CARLSSON_OKOUNKOV,
     PLAN_REUSE,
     TAUTOLOGICAL_CHI,
+    TRIE_ORACLE,
     carlsson_okounkov_mismatches,
     fubini_mismatches,
     fubini_rows,
     plan_reuse_mismatches,
     tautological_chi_mismatches,
+    trie_oracle_mismatches,
 )
 
 TWISTED_ROWS = {(fn().name, degrees) for fn, degrees, _ in CARLSSON_OKOUNKOV if any(degrees)}
@@ -294,6 +296,36 @@ def test_kernel_reading_every_factor_at_factor_0_is_caught_by_fubini_and_pins(mu
 
     mutate(integrals, "_localize", factor_0_only)
     assert [row[3] for row in fubini_mismatches()] == [0] * len(fubini_rows())
+    assert failing_battery_kinds() == set()
+    for kind, surface, sizes in (("pushforward", "p2", [3, 2]), ("pushforward", "p1xp1", [3, 3]),
+                                 ("kstep", "p2", [2, 1, 1])):
+        entry = {"kind": kind, "surface": surface, "n": sizes}
+        assert run_scenario(scenario_from_entry(entry))["verdict"] == "pass"
+    assert stable_report_digest(["all"]) != REPORT_DIGESTS["all", None]
+    for surface in SURFACES:
+        argv = ["pushforward", *SIZE_FLAGS["pushforward"], "--surface", surface]
+        assert stable_report_digest(argv) != REPORT_DIGESTS["pushforward", surface]
+
+
+def test_suffix_classes_one_factor_too_deep_are_caught_by_fubini_and_the_trie_oracle(mutate):
+    """`_suffix_classes` keying the classes of factor m by steps[m+1:] in
+    place of steps[m:]: points that differ at factor m are merged before
+    factor m's columns are read, so each column reads one point of a
+    merged class.  Factor 0's classes are the points themselves, so
+    `euler-count` and `hrr-check` do not see it, and it is a blind spot of
+    every scenario for the reasons of the `steps[0]` row.  The Fubini rows
+    (every one reads 0), the point-major trie oracle on both measures of
+    each of its sizes, and the pinned report digests see it."""
+
+    def one_too_deep(points, m):
+        classes = {}
+        return [classes.setdefault(steps[m + 1:], len(classes)) for steps in points]
+
+    mutate(integrals, "_suffix_classes", one_too_deep)
+    assert [row[3] for row in fubini_mismatches()] == [0] * len(fubini_rows())
+    assert trie_oracle_mismatches() == [
+        (surface.name, sizes, side) for surface, sizes in TRIE_ORACLE for side in ("ambient", "virtual")
+    ]
     assert failing_battery_kinds() == set()
     for kind, surface, sizes in (("pushforward", "p2", [3, 2]), ("pushforward", "p1xp1", [3, 3]),
                                  ("kstep", "p2", [2, 1, 1])):
