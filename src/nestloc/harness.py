@@ -47,8 +47,8 @@ from .integrals import (
     ChernFactor,
     CoFactor,
     Insertion,
+    Integrand,
     WeightSpec,
-    _LAST_SUM,
     _check_insertions,
     ambient_measure,
     hrr_chi,
@@ -195,14 +195,14 @@ def scenario_from_entry(entry, overrides: dict | None = None) -> Scenario:
               if field in values and field not in reads]
     if unread:
         raise ConfigError(f"{values['kind']} does not read {', '.join(unread)}")
-    inputs = {field: getattr(DEFAULT_SCENARIO, field) for field in Scenario._compare}
-    inputs.update(values)
-    read = _read_inputs(**inputs)
+    # before any input is read, so a file is not read for a run refused anyway
     if "specs" in entry and "samples" in entry:
         raise ConfigError(
             "samples (--samples) is refused beside explicit specs (--spec), which replace sampling"
         )
-    return Scenario(**inputs, **read)
+    inputs = {field: getattr(DEFAULT_SCENARIO, field) for field in Scenario._compare}
+    inputs.update(values)
+    return Scenario(**inputs, **_read_inputs(**inputs))
 
 
 def _read_inputs(kind, surface, sizes, i_values, bundles, samples, seed, truncation, insertions,
@@ -461,7 +461,8 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
 
 def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
     n1, n2 = s.sizes
-    insertions = s.file_insertions or insertion_basis(s.toric, s.sizes, n1 + n2 - i)
+    degree = n1 + n2 - i
+    insertions = Integrand(s.file_insertions or insertion_basis(s.toric, s.sizes, degree), 2, degree)
     specs = s.weight_specs
     co = [CoFactor(0, n1 + n2 + i, s.twists[bundle])]
     per_spec = [integrate_ambient_batch(s.toric, s.sizes, insertions, spec, co) for spec in specs]
@@ -474,12 +475,14 @@ def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
 
 def _pushforward_cases(s: Scenario) -> list[dict]:
     surface, sizes, specs = s.toric, s.sizes, s.weight_specs
-    insertions = s.file_insertions or insertion_basis(surface, sizes, sizes[0] + sizes[-1])
+    degree = sizes[0] + sizes[-1]
+    insertions = Integrand(s.file_insertions or insertion_basis(surface, sizes, degree),
+                           len(sizes), degree)
     co = [CoFactor(m, sizes[m] + sizes[m + 1], surface.trivial) for m in range(len(sizes) - 1)]
     ambient, virtual = [], []
     for spec in specs:
         # the virtual sum right after the ambient one at the same spec, so
-        # it finds the equal measure in `_localize`'s slot
+        # it finds the equal measure as the integrand's last sum
         ambient.append(integrate_ambient_batch(surface, sizes, insertions, spec, co))
         virtual.append(integrate_virtual_batch(surface, sizes, insertions, spec))
     cases = []
@@ -520,7 +523,8 @@ def _euler_count_cases(s: Scenario) -> list[dict]:
     (n,) = s.sizes
     expected = euler_product_coefficient(surface.euler_number, n)
     insertion = Insertion((ChernFactor(0, None, 2 * n),)) if n else Insertion(())
-    values = [integrate_ambient_batch(surface, s.sizes, [insertion], spec)[0] for spec in specs]
+    integrand = Integrand([insertion], 1, 2 * n)
+    values = [integrate_ambient_batch(surface, s.sizes, integrand, spec)[0] for spec in specs]
     inputs = {"n": n, "insertion": insertion.label(), "expected": str(expected)}
     return [_sampled_case(inputs, specs, values, [expected] * len(specs),
                           "integral disagrees with fixed-point count")]
@@ -741,9 +745,6 @@ def run_scenario(s: Scenario, jobs: int = 1) -> dict:
             results = list(pool.map(partial(_run_group, s), groups))
     else:
         results = [_run_group(s, g) for g in groups]
-    # the last integrand's plan (its trie, or a measure copy) is freed
-    # before the report is written and the next scenario runs
-    _LAST_SUM.cache_clear()
     cases = [case for group_cases in results for case in group_cases]
     verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
     elapsed = int((time.perf_counter() - started) * 1000)

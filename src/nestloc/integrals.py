@@ -222,61 +222,44 @@ def _check_insertions(insertions: Sequence[Insertion], factors: int, degree: int
 Measure = dict[tuple[MultiPartition, ...], Fraction]
 
 
-class _LastSum:
-    """The plan of the last integrand `_localize` was given, with the key
-    and totals of its last sum.
+class Integrand:
+    """The monomials of one integrand, checked by `_check_insertions` at
+    construction for `factors` ambient factors and total degree `degree`,
+    with the plan `_localize` reads and the last sum it made.
 
-    The plan of an insertion tuple does not depend on the spec or the
-    measure: the (factor count, degree) it passed `_check_insertions` for,
-    and its prefix trie, built by `_trie` at the first nonempty measure.
-    So the harness, which sums one tuple at every spec and on both sides,
-    checks it once and builds its trie once.  One slot, compared by
-    equality, as the key is: the ambient and virtual sums of a pushforward
-    spec build equal measures independently, so the second of the two
-    calls reads the first's totals.  Insertions that differ from the
-    slot's start it afresh.  The totals also depend on the insertion
-    characters, so a test that patches `taut_char`, `tangent_char` or
-    `chern_series` calls `cache_clear` around the patch; one that patches
-    the fold beneath the characters (`vertex._ext_kernel`, `_pair_term`)
-    also clears the `lru_cache`s of `taut_char` and `tangent_char`, which
-    keep what was folded.  `harness.run_scenario` clears the slot when a
-    scenario's groups end, so no plan outlives its scenario."""
+    The plan does not depend on the spec or the measure: the trie of
+    `_trie`, built the first time a nonempty measure needs it and read at
+    every later spec and on both sides.  `key` is the (surface, spec,
+    measure) of the last sum and `totals` its values: the ambient and
+    virtual sums of a pushforward spec build equal measures apart, so
+    the second of the two, given the same integrand, returns the first's
+    totals.  The caller owns an integrand and its plan, so no plan
+    outlives its owner: the harness builds one per group."""
 
-    def __init__(self):
-        self.cache_clear()
+    __slots__ = ("monomials", "checked", "trie", "key", "totals")
 
-    def cache_clear(self) -> None:
-        self._start(None)
-
-    def hold(self, insertions: tuple[Insertion, ...]) -> _LastSum:
-        """This slot, started afresh unless it holds `insertions` already."""
-        if insertions != self.insertions:
-            self._start(insertions)
-        return self
-
-    def _start(self, insertions: tuple[Insertion, ...] | None) -> None:
-        self.insertions = insertions
-        # (factor count, degree) the insertions passed `_check_insertions` for
-        self.checked: tuple[int, int] | None = None
+    def __init__(self, monomials: Sequence[Insertion], factors: int, degree: int):
+        self.monomials = tuple(monomials)
+        _check_insertions(self.monomials, factors, degree)
+        self.checked = (factors, degree)
         self.trie: tuple | None = None
-        # (surface, spec, measure) of the last sum, and its totals
         self.key: tuple | None = None
         self.totals: list[Fraction] = []
 
+    @classmethod
+    def of(cls, insertions: Sequence[Insertion] | Integrand, factors: int,
+           degree: int) -> Integrand:
+        """`insertions` themselves where they are an integrand checked for
+        `factors` and `degree`, else a fresh one of their monomials."""
+        if isinstance(insertions, cls) and insertions.checked == (factors, degree):
+            return insertions
+        return cls(insertions, factors, degree)
 
-_LAST_SUM = _LastSum()
+    def __len__(self) -> int:
+        return len(self.monomials)
 
-
-def _admit(insertions: Sequence[Insertion], factors: int, degree: int) -> tuple[Insertion, ...]:
-    """`insertions` as a tuple, checked by `_check_insertions` unless the
-    slot holds them checked for the same `factors` and `degree`.  A tuple
-    the check refuses leaves the slot as it was."""
-    insertions = tuple(insertions)
-    slot = _LAST_SUM
-    if insertions != slot.insertions or slot.checked != (factors, degree):
-        _check_insertions(insertions, factors, degree)
-        slot.hold(insertions).checked = (factors, degree)
-    return insertions
+    def __iter__(self):
+        return iter(self.monomials)
 
 
 def _trie(insertions: tuple[Insertion, ...]) -> tuple:
@@ -368,22 +351,19 @@ def _runs(points: list[tuple[MultiPartition, ...]]) -> tuple:
 
 def _localize(
     surface: ToricSurface,
-    insertions: Sequence[Insertion],
+    integrand: Integrand,
     spec: WeightSpec,
     measure: Measure,
 ) -> list[Fraction]:
-    """sum_p weight_p * insertion(p) for every insertion, over the
-    {steps: weight} measure of the fixed points p.
+    """sum_p weight_p * insertion(p) for every monomial of `integrand`,
+    over the {steps: weight} measure of the fixed points p.
 
     An empty measure sums to zeros and reads no plan.  Otherwise the
-    insertions' plan comes from the `_LAST_SUM` slot, whose trie is built
-    the first time a nonempty measure needs it and read at every later
-    spec and side.  A call whose (surface, spec, measure) and insertions
-    equal the previous sum's returns a copy of that sum's totals without
-    summing: equal measures integrate every insertion to the same value,
-    exactly.  The key holds a copy of the measure, and the slot a tuple of
-    the insertions, so a caller that mutates its own afterwards does not
-    change them.
+    integrand's trie is built the first time a nonempty measure needs it
+    and read at every later spec and side.  A call whose `_sum_key`
+    equals the key of the integrand's last sum returns a copy of that
+    sum's totals without summing: equal measures integrate every monomial
+    to the same value, exactly.
 
     The trie is walked once, node by node, and each node holds a vector
     of `int`s: each weight is scaled to the lcm of the weights'
@@ -398,15 +378,14 @@ def _localize(
     that factor merges, which the pre-order of the trie does after the
     parent's children of its own factor.  Each insertion's total is the
     sum of its leaf's vector."""
-    insertions = tuple(insertions)
     if not measure:
-        return [Fraction(0)] * len(insertions)
-    plan = _LAST_SUM.hold(insertions)
-    if plan.key == (surface, spec, measure):
-        return list(plan.totals)
-    if plan.trie is None:
-        plan.trie = _trie(insertions)
-    keys, degrees, nodes, leaves = plan.trie
+        return [Fraction(0)] * len(integrand)
+    key = _sum_key(surface, spec, measure)
+    if integrand.key == key:
+        return list(integrand.totals)
+    if integrand.trie is None:
+        integrand.trie = _trie(integrand.monomials)
+    keys, degrees, nodes, leaves = integrand.trie
     points, starts, merges = _runs(list(measure))
     # columns[slot][degree], for the degrees the trie reads of the slot
     columns = []
@@ -443,9 +422,15 @@ def _localize(
         if index in read:
             sums[index] = sum(vector)
     out = [Fraction(sums[leaf], common) for leaf in leaves]
-    plan.key = (surface, spec, dict(measure))
-    plan.totals = out
+    integrand.key, integrand.totals = key, out
     return list(out)
+
+
+def _sum_key(surface: ToricSurface, spec: WeightSpec, measure: Measure) -> tuple:
+    """What a sum's totals read besides its integrand, compared by
+    equality: the surface, the spec, and a copy of the measure, so a
+    caller that mutates its own measure afterwards does not change it."""
+    return surface, spec, dict(measure)
 
 
 def ambient_measure(
@@ -525,7 +510,7 @@ def virtual_measure(surface: ToricSurface, sizes: Sequence[int], spec: WeightSpe
 def integrate_ambient_batch(
     surface: ToricSurface,
     sizes: Sequence[int],
-    insertions: Sequence[Insertion],
+    insertions: Sequence[Insertion] | Integrand,
     spec: WeightSpec,
     co_factors: Sequence[CoFactor] = (),
 ) -> list[Fraction]:
@@ -534,32 +519,33 @@ def integrate_ambient_batch(
     Every insertion is integrated against the common co-class factors in
     one `_localize` pass over `ambient_measure`.  The degree condition
     (insertion + co degrees == complex dimension) is checked per insertion,
-    before the measure is built, by `_admit`: once while the slot holds the
-    same tuple for the same factor count and degree.
+    before the measure is built, by `Integrand.of`: so an `Integrand`
+    checked for this factor count and degree is not checked again, and
+    any other sequence is wrapped in a fresh one.
     """
     sizes = tuple(int(n) for n in sizes)
     degree = 2 * sum(sizes) - sum(c.degree for c in co_factors)
-    insertions = _admit(insertions, len(sizes), degree)
+    integrand = Integrand.of(insertions, len(sizes), degree)
     measure = ambient_measure(surface, sizes, spec, co_factors)
-    return _localize(surface, insertions, spec, measure)
+    return _localize(surface, integrand, spec, measure)
 
 
 def integrate_virtual_batch(
     surface: ToricSurface,
     sizes: Sequence[int],
-    insertions: Sequence[Insertion],
+    insertions: Sequence[Insertion] | Integrand,
     spec: WeightSpec,
 ) -> list[Fraction]:
     """Virtual localization sum over nested chains, each weighted by 1 / e(T^vir).
 
     Insertion degree must equal the virtual dimension n_1 + n_k, checked
-    by `_admit` before the measure is built, as the ambient sum does.  A chain
-    whose virtual tangent character carries net weight zero aborts with
-    the chain identified.
+    by `Integrand.of` before the measure is built, as the ambient sum
+    does.  A chain whose virtual tangent character carries net weight
+    zero aborts with the chain identified.
     """
     sizes = tuple(int(n) for n in sizes)
-    insertions = _admit(insertions, len(sizes), sizes[0] + sizes[-1])
-    return _localize(surface, insertions, spec, virtual_measure(surface, sizes, spec))
+    integrand = Integrand.of(insertions, len(sizes), sizes[0] + sizes[-1])
+    return _localize(surface, integrand, spec, virtual_measure(surface, sizes, spec))
 
 
 # --------------------------------------------------------------------------

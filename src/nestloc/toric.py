@@ -96,7 +96,9 @@ class EqLineBundle(Value):
     """Equivariant line bundle: one character per fixed point.
 
     As for ``ToricSurface``, the hash is computed once from the integer
-    weights alone; equality still compares the label too.
+    weights alone; equality still compares the label too.  CPython hashes
+    -1 as it hashes -2, which would give p2's O(1) and O(2) one hash, so
+    the weights are doubled first: distinct even ints hash apart.
     """
 
     __slots__ = ("label", "weights")
@@ -104,7 +106,7 @@ class EqLineBundle(Value):
 
     def __init__(self, label: str, weights: tuple[Weight, ...]):
         self._init(label, weights)
-        _set(self, "_hash", hash(weights))
+        _set(self, "_hash", hash(tuple((2 * a, 2 * b) for a, b in weights)))
 
     def __repr__(self) -> str:
         return f"EqLineBundle({self.label!r})"

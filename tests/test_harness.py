@@ -742,6 +742,12 @@ _UNREAD_OR_UNKNOWN = [
     ("euler-count --n 1 --spec 2,3 --samples 5", None, "samples (--samples)"),
     ("euler-count --n 1 --spec 2,3 --samples 3", None, "samples (--samples)"),
     ("hrr-check --spec 2,3 --samples 5", None, "samples (--samples)"),
+    # refused before the insertions file is read, so a missing one is not named
+    (
+        "pushforward --n 2,1 --spec 3,5 --samples 2 --insertions file:/nonexistent.json",
+        None,
+        "samples (--samples) is refused beside explicit specs (--spec)",
+    ),
     (
         "all --config <config>",
         {"kind": "euler-count", "n": [1], "specs": ["2,3"], "samples": 2},

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from nestloc.integrals import (
     ChernFactor,
     CoFactor,
     Insertion,
+    Integrand,
     WeightSpec,
     chern_series,
     euler_class,
@@ -736,22 +738,23 @@ TRIE_ORACLE = [(p2(), (4, 2)), (p1xp1(), (3, 3)), (p2(), (2, 1, 1)), (p2(), (1, 
 def trie_oracle_mismatches():
     """(surface, sizes, side) of each measure of TRIE_ORACLE, ambient and
     virtual at one spec, where `_localize` over every basis monomial
-    differs from the point-major walk.  The slot is cleared before each
-    sum, so the virtual side is summed, not copied from the ambient one."""
+    differs from the point-major walk.  Each sum is given a fresh
+    integrand, so the virtual side is summed, not copied from the ambient
+    one."""
     spec = sample_specs(53, 1)[0]
     bad = []
     for surface, sizes in TRIE_ORACLE:
-        insertions = insertion_basis(surface, sizes, sizes[0] + sizes[-1])
+        degree = sizes[0] + sizes[-1]
+        insertions = insertion_basis(surface, sizes, degree)
         measures = {
             "ambient": integrals.ambient_measure(surface, sizes, spec, pushforward_co(surface, sizes)),
             "virtual": integrals.virtual_measure(surface, sizes, spec),
         }
         for side, measure in measures.items():
-            integrals._LAST_SUM.cache_clear()
-            got = integrals._localize(surface, insertions, spec, measure)
+            integrand = Integrand(insertions, len(sizes), degree)
+            got = integrals._localize(surface, integrand, spec, measure)
             if got != point_major_localize(surface, insertions, spec, measure):
                 bad.append((surface.name, sizes, side))
-    integrals._LAST_SUM.cache_clear()
     return bad
 
 
@@ -801,12 +804,20 @@ def test_ambient_measure_is_the_virtual_measure_point_by_point(monkeypatch, surf
     assert integrals.virtual_measure(surface, sizes, spec) == ambient
 
 
-def test_localize_sums_again_unless_the_measure_is_equal(monkeypatch):
+def measure_reuse_mismatches(monkeypatch):
+    """The cases, by name, where one `Integrand` summed by `_localize` over
+    p2 (2,1) chain measures in turn gives other totals than
+    `reference_localize`, or sums where it should copy or copies where it
+    should sum: a first measure, an equal one built apart in another order
+    (copied), the same again after the caller changed the lists it was
+    given (copied), then the first measure changed in place after its sum,
+    and measures that differ from the one before in one weight or one
+    point (each summed).  The sums are seen by the tautological
+    characters they read."""
     surface, sizes = p2(), (2, 1)
     spec = sample_specs(43, 1)[0]
-    insertions = insertion_basis(surface, sizes, 3)
+    integrand = Integrand(insertion_basis(surface, sizes, 3), 2, 3)
     points = reference_virtual_points(surface, sizes, spec)
-    reference = reference_localize(surface, insertions, spec, points)
     calls = []
 
     def counted(surface, bundle, mp):
@@ -814,31 +825,37 @@ def test_localize_sums_again_unless_the_measure_is_equal(monkeypatch):
         return taut_char(surface, bundle, mp)
 
     monkeypatch.setattr(integrals, "taut_char", counted)
-    integrals._LAST_SUM.cache_clear()
     measure = dict(points)
-    first = integrals._localize(surface, insertions, spec, measure)
-    assert first == reference and calls
-    # an equal measure built apart, in another order: nothing is summed again
-    calls.clear()
-    again = integrals._localize(surface, list(insertions), spec, dict(reversed(points)))
-    assert again == reference and not calls
-    # the caller owns the returned list: changing it changes no later hit
-    again[0] += 1
-    first.clear()
-    assert integrals._localize(surface, insertions, spec, dict(points)) == reference
-    assert not calls
     steps, weight = points[0]
     one_weight = {**measure, steps: weight * 2}
-    one_point_less = {k: w for k, w in measure.items() if k != steps}
-    # the measure of the first call, changed in place after it, and then
-    # measures that differ from the one before in one weight or one point
-    measure[steps] = weight * 3
-    for changed in (measure, one_weight, one_point_less):
+    one_point_less = {k: w for k, w in one_weight.items() if k != steps}
+    failed = set()
+    returned = []
+
+    def run(case, measure, summed):
         calls.clear()
-        got = integrals._localize(surface, insertions, spec, changed)
-        assert calls
-        assert got == reference_localize(surface, insertions, spec, list(changed.items()))
-        assert got != reference
+        got = integrals._localize(surface, integrand, spec, measure)
+        if got != reference_localize(surface, integrand, spec, list(measure.items())):
+            failed.add(case)
+        if bool(calls) != summed:
+            failed.add(case)
+        returned.append(got)
+
+    run("first measure", measure, True)
+    run("equal measure built apart", dict(reversed(points)), False)
+    # the caller owns the returned lists: changing them changes no later copy
+    returned[0].clear()
+    returned[1][0] += 1
+    run("equal measure after the caller changed its lists", dict(points), False)
+    measure[steps] = weight * 3
+    run("first measure changed in place", measure, True)
+    run("one weight differs", one_weight, True)
+    run("one point less", one_point_less, True)
+    return failed
+
+
+def test_localize_sums_again_unless_the_measure_is_equal(monkeypatch):
+    assert measure_reuse_mismatches(monkeypatch) == set()
 
 
 def test_localize_over_an_empty_measure_is_zero(monkeypatch):
@@ -867,14 +884,15 @@ def one_factor_changed(insertions):
 
 def plan_reuse_mismatches(surface, sizes, stride):
     """The cases, by name, where the kernel's sums at 3 specs, ambient then
-    virtual at each, differ from `reference_localize`, run in turn with the
-    slot cleared once, first: A (every `stride`-th basis monomial) twice as
-    one tuple object, then as an equal but distinct list; then B, a tuple
-    as long as A that differs from it in one factor; then A, B and A again
-    at each spec."""
+    virtual at each, differ from `reference_localize`, run in turn: A
+    (every `stride`-th basis monomial) as one `Integrand` twice, then as a
+    plain tuple and as an equal list, each wrapped afresh by every sum;
+    then B, an integrand as long as A that differs from it in one factor;
+    then the integrands A, B and A again at each spec."""
     specs = sample_specs(47, 3)
     co = pushforward_co(surface, sizes)
-    a = insertion_basis(surface, sizes, sizes[0] + sizes[-1])[::stride]
+    degree = sizes[0] + sizes[-1]
+    a = insertion_basis(surface, sizes, degree)[::stride]
     b = one_factor_changed(a)
     points = {
         spec: {
@@ -891,15 +909,18 @@ def plan_reuse_mismatches(surface, sizes, stride):
     }
     # B's one factor shows in its values, so a plan of A read for B is seen
     assert any(reference["A", spec, "ambient"] != reference["B", spec, "ambient"] for spec in specs)
+    integrand_a = Integrand(a, len(sizes), degree)
+    integrand_b = Integrand(b, len(sizes), degree)
     runs = [
-        ("same tuple", "A", a), ("same tuple", "A", a), ("equal list", "A", list(a)),
-        ("one factor differs", "B", b),
+        ("one integrand", "A", integrand_a), ("one integrand", "A", integrand_a),
+        ("plain tuple", "A", a), ("equal list", "A", list(a)),
+        ("one factor differs", "B", integrand_b),
     ]
     order = [(case, spec, name, ins) for case, name, ins in runs for spec in specs]
     order += [("interleaved A, B, A", spec, name, ins)
-              for spec in specs for name, ins in (("A", a), ("B", b), ("A", a))]
+              for spec in specs for name, ins in (("A", integrand_a), ("B", integrand_b),
+                                                  ("A", integrand_a))]
     failed = set()
-    integrals._LAST_SUM.cache_clear()
     for case, spec, name, ins in order:
         ambient = integrate_ambient_batch(surface, sizes, ins, spec, co)
         virtual = integrate_virtual_batch(surface, sizes, ins, spec)
@@ -922,49 +943,62 @@ def test_plan_reused_at_every_spec_and_side_matches_reference(surface, sizes, st
 
 @pytest.mark.parametrize("integrate", ["ambient", "virtual"])
 def test_bad_tuple_after_a_good_one_is_refused_before_any_measure(monkeypatch, integrate):
-    """A tuple as long as the one the slot holds checked, for the same
-    factor count and degree, is still checked: its bad monomial is named
-    before a measure is built, and the slot keeps the good tuple."""
+    """An `Integrand` checked for the sum's factor count and degree is not
+    checked again.  Insertions it does not hold so, as a plain tuple or as
+    an integrand checked for another factor count, are checked before a
+    measure is built, though they are as many as the good ones: the bad
+    monomial is named, and the good integrand is summed as before."""
     surface, sizes = p2(), (2, 1)
     spec = sample_specs(43, 1)[0]
     co = pushforward_co(surface, sizes)
-    good = insertion_basis(surface, sizes, 3)
-    bad = good[:1] + (Insertion(good[1].factors + (ChernFactor(1, O1, 1),)),) + good[2:]
+    good = Integrand(insertion_basis(surface, sizes, 3), 2, 3)
+    # monomial 2 reads a third ambient factor, which a sum over two lacks
+    bad = good.monomials[:1] + (Insertion((ChernFactor(2, O1, 3),)),) + good.monomials[2:]
+    wide = Integrand(bad, 3, 3)
 
     def run(insertions):
         if integrate == "ambient":
             return integrate_ambient_batch(surface, sizes, insertions, spec, co)
         return integrate_virtual_batch(surface, sizes, insertions, spec)
 
-    integrals._LAST_SUM.cache_clear()
-    run(good)
+    expected = run(good)
+    checks = []
+    original = integrals._check_insertions
+    monkeypatch.setattr(integrals, "_check_insertions",
+                        lambda *args: checks.append(args[1:]) or original(*args))
+    assert run(good) == expected and checks == []
 
     def unreachable(*args):
         raise AssertionError("a measure was built before the insertions were checked")
 
-    monkeypatch.setattr(integrals, "ambient_measure", unreachable)
-    monkeypatch.setattr(integrals, "virtual_measure", unreachable)
-    with pytest.raises(DegreeMismatchError, match="^monomial 2 has degree 4, "):
-        run(bad)
-    assert integrals._LAST_SUM.insertions == good
-    with pytest.raises(DegreeMismatchError, match="^monomial 2 has degree 4, "):
-        run(bad)
+    measures = {name: getattr(integrals, name) for name in ("ambient_measure", "virtual_measure")}
+    for name in measures:
+        monkeypatch.setattr(integrals, name, unreachable)
+    for insertions in (bad, wide):
+        with pytest.raises(DegreeMismatchError, match="^factors count from 1 .* in monomial 2$"):
+            run(insertions)
+    assert checks == [(2, 3), (2, 3)]
+    for name, measure in measures.items():
+        monkeypatch.setattr(integrals, name, measure)
+    assert run(good) == expected
 
 
 PLAN_BUILDS = [
-    ({"kind": "pushforward", "surface": "p2", "n": [3, 2], "samples": 3}, 1),
-    ({"kind": "kstep", "surface": "p2", "n": [2, 1, 1]}, 1),
-    ({"kind": "twisted-vanish", "surface": "p2", "n": [2, 1]}, 0),
+    ({"kind": "pushforward", "surface": "p2", "n": [3, 2], "samples": 3}, 1, 1),
+    ({"kind": "kstep", "surface": "p2", "n": [2, 1, 1]}, 1, 1),
+    ({"kind": "twisted-vanish", "surface": "p2", "n": [2, 1]}, 2, 0),
 ]
 
 
-@pytest.mark.parametrize("entry,builds", PLAN_BUILDS, ids=[e["kind"] for e, _ in PLAN_BUILDS])
+@pytest.mark.parametrize("entry,checks,builds", PLAN_BUILDS,
+                         ids=[e["kind"] for e, _, _ in PLAN_BUILDS])
 def test_a_scenario_checks_its_insertions_once_and_builds_its_trie_at_most_once(
-    monkeypatch, entry, builds
+    monkeypatch, entry, checks, builds
 ):
-    """`pushforward` and `kstep` sum one insertion tuple at each spec on
-    both sides: one check and one trie.  Every `twisted-vanish` measure is
-    empty, so its one tuple is checked and no trie is built."""
+    """`pushforward` and `kstep` sum one integrand at each spec on both
+    sides: one check and one trie.  `twisted-vanish` builds one integrand
+    per group, one for each of p2's two twists, so each is checked once;
+    every measure of it is empty, so no trie is built."""
     calls = {"_check_insertions": 0, "_trie": 0}
     for name in calls:
         original = getattr(integrals, name)
@@ -974,9 +1008,8 @@ def test_a_scenario_checks_its_insertions_once_and_builds_its_trie_at_most_once(
             return original(*args)
 
         monkeypatch.setattr(integrals, name, counted)
-    integrals._LAST_SUM.cache_clear()
     assert run_scenario(scenario_from_entry(entry))["verdict"] == "pass"
-    assert calls == {"_check_insertions": 1, "_trie": builds}
+    assert calls == {"_check_insertions": checks, "_trie": builds}
 
 
 def test_a_pushforward_folds_each_tautological_character_once(monkeypatch):
@@ -1002,18 +1035,38 @@ def test_a_pushforward_folds_each_tautological_character_once(monkeypatch):
     assert len(folds) == len(set(folds))
 
 
+def live_integrands(before=()):
+    """The `Integrand`s alive after a full collection, but for `before`,
+    a list of their ids."""
+    gc.collect()
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, Integrand) and id(obj) not in before]
+
+
 @pytest.mark.parametrize(
     "entry",
     [{"kind": "pushforward", "surface": "p2", "n": [2, 1]},
+     {"kind": "kstep", "surface": "p2", "n": [1, 1, 1]},
      {"kind": "euler-count", "surface": "p1xp1", "n": [2]}],
-    ids=["pushforward", "euler-count"],
+    ids=["pushforward", "kstep", "euler-count"],
 )
-def test_run_scenario_releases_the_integrand_plan(entry):
-    """A scenario's plan, its trie or its last measure, is not held while
-    its report is written or the next scenario runs."""
-    assert run_scenario(scenario_from_entry(entry))["verdict"] == "pass"
-    slot = integrals._LAST_SUM
-    assert (slot.insertions, slot.trie, slot.key, slot.totals) == (None, None, None, [])
+def test_run_scenario_releases_the_integrand_plan(monkeypatch, entry):
+    """A scenario's plans, their tries and last measures, are not held
+    while its report is written or the next scenario runs: no `Integrand`
+    the run summed is alive once it returns."""
+    before = {id(obj) for obj in live_integrands()}
+    summed = []
+    original = integrals._localize
+
+    def counted(surface, integrand, spec, measure):
+        summed.append(type(integrand))
+        return original(surface, integrand, spec, measure)
+
+    monkeypatch.setattr(integrals, "_localize", counted)
+    report = run_scenario(scenario_from_entry(entry))
+    assert report["verdict"] == "pass"
+    assert summed and set(summed) == {Integrand}
+    assert live_integrands(before) == []
 
 
 # six twists per surface, among them negative and mixed degrees

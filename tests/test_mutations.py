@@ -21,13 +21,12 @@ from test_golden_characters import golden_mismatches
 from test_guards import REPORT_DIGESTS, SIZE_FLAGS, stable_report_digest
 from test_integrals import (
     CARLSSON_OKOUNKOV,
-    PLAN_REUSE,
     TAUTOLOGICAL_CHI,
     TRIE_ORACLE,
     carlsson_okounkov_mismatches,
     fubini_mismatches,
     fubini_rows,
-    plan_reuse_mismatches,
+    measure_reuse_mismatches,
     tautological_chi_mismatches,
     trie_oracle_mismatches,
 )
@@ -46,16 +45,16 @@ TWISTED_HRR_ROWS = {(name, label) for name, label in HRR_ROWS if label != "O"}
 @pytest.fixture
 def mutate(monkeypatch):
     """Replace `module.name` in every nestloc module that binds it, with
-    every cache that `vertex` and `integrals` bind (each `lru_cache` and
-    `_LAST_SUM`) cleared around the patch, so no value computed by the
-    other version of the code is read back."""
+    every `lru_cache` that `vertex` and `integrals` bind cleared around
+    the patch, so no value computed by the other version of the code is
+    read back.  Each scenario builds its own integrands, so no plan needs
+    clearing."""
 
     def clear():
         for module in (vertex, integrals):
             for value in list(vars(module).values()):
                 if hasattr(value, "cache_info"):
                     value.cache_clear()
-        integrals._LAST_SUM.cache_clear()
 
     def apply(module, name, mutant):
         original = getattr(module, name)
@@ -337,31 +336,30 @@ def test_suffix_classes_one_factor_too_deep_are_caught_by_fubini_and_the_trie_or
         assert stable_report_digest(argv) != REPORT_DIGESTS["pushforward", surface]
 
 
-def test_stale_plan_for_insertions_as_many_is_caught_by_hrr_check_and_the_plan_oracle(mutate):
-    """The `_LAST_SUM` slot keeps its plan, its trie and its last sum for
-    any insertions as many as its own, as if it compared their lengths.
-    `hrr-check` integrates four monomials per bundle, so each bundle after
-    O reads O's trie: every bundle but O fails.  `run_scenario` clears the
-    slot when a scenario ends, so p1xp1 run next, in the same process,
-    starts afresh and fails the same way rather than reading p2's plan.
-    The plan-reuse oracle fails where B follows A; the same tuple and an
-    equal list still pass."""
-
-    class StalePlan(integrals._LastSum):
-        def hold(self, insertions):
-            if self.insertions is None or len(insertions) != len(self.insertions):
-                self._start(insertions)
-            return self
-
-    mutate(integrals, "_LAST_SUM", StalePlan())
-    for name in ("p2", "p1xp1"):
-        failures = {(name, case["inputs"]["bundle"]) for case in hrr_report(name)["cases"]
-                    if case["verdict"] != "pass"}
-        assert failures == {row for row in TWISTED_HRR_ROWS if row[0] == name}
-    for surface, sizes, stride in PLAN_REUSE:
-        assert plan_reuse_mismatches(surface, sizes, stride) == {
-            "one factor differs", "interleaved A, B, A"
-        }
+def test_last_sum_key_without_its_measure_is_caught_by_the_measure_reuse_oracle(mutate,
+                                                                                monkeypatch):
+    """The key of an integrand's last sum compared without its measure: a
+    sum at the surface and spec of the last one returns its totals, whatever
+    its measure.  A blind spot of every scenario: `pushforward` and `kstep`
+    sum one integrand on both sides of a spec, whose measures are equal,
+    and every other kind sums one side, so every report keeps its bytes.
+    The measure-reuse oracle fails on each measure that differs from the
+    one before.  The virtual sum then copies the ambient one, so it also
+    hides every fault of the virtual side from the scenarios: under it the
+    battery passes with a chain dropped, which fails `pushforward` and
+    `kstep` alone."""
+    mutate(integrals, "_sum_key", lambda surface, spec, measure: (surface, spec))
+    assert failing_battery_kinds() == set()
+    assert stable_report_digest(["all"]) == REPORT_DIGESTS["all", None]
+    for surface in SURFACES:
+        argv = ["pushforward", *SIZE_FLAGS["pushforward"], "--surface", surface]
+        assert stable_report_digest(argv) == REPORT_DIGESTS["pushforward", surface]
+    assert measure_reuse_mismatches(monkeypatch) == {
+        "first measure changed in place", "one weight differs", "one point less"
+    }
+    original = combinatorics.nested_chains
+    mutate(combinatorics, "nested_chains", lambda surface, sizes: original(surface, sizes)[:-1])
+    assert failing_battery_kinds() == set()
 
 
 def test_segre_index_off_by_one_is_caught_by_symbolic_tp(mutate):

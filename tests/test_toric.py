@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nestloc.characters import LaurentPoly
-from nestloc.integrals import WeightSpec, hrr_chi, k_theory_chi, sample_specs
+from nestloc.integrals import WeightSpec, hrr_chi, insertion_basis, k_theory_chi, sample_specs
 from nestloc.toric import (
     EqLineBundle,
     ToricSurface,
@@ -70,7 +70,24 @@ def test_cache_keys_hash_equal_when_rebuilt_or_unpickled():
             again = line_bundle(surface, *degrees)
             copy = pickle.loads(pickle.dumps(bundle))
             assert bundle == again == copy
-            assert hash(bundle) == hash(again) == hash(copy) == hash(bundle.weights)
+            assert hash(bundle) == hash(again) == hash(copy)
+
+
+def test_distinct_bundles_and_factors_hash_apart():
+    """hash(-1) == hash(-2) in CPython, so a hash of the weights as they
+    are gives p2's O(1) and O(2) one value, and every dict keyed by a
+    bundle or a factor falls back to `__eq__` between them."""
+    bundles = set()
+    for surface in (p2(), p1xp1()):
+        bundles.update(surface.battery_bundles + surface.twist_bundles)
+        bundles.update(line_bundle(surface, *degrees) for degrees in surface.hrr_degrees)
+        arity = len(surface.fibers)
+        bundles.update(line_bundle(surface, *(d,) * arity) for d in (-1, -2))
+    assert bundle_by_label(p2(), "O(2)") in bundles
+    assert len({hash(bundle) for bundle in bundles}) == len(bundles)
+    factors = {f for ins in insertion_basis(p2(), (5, 3), 8) for f in ins.factors}
+    assert len(factors) == 42
+    assert len({hash(f) for f in factors}) == 42
 
 
 def test_surface_and_bundle_hashes_do_not_depend_on_the_hash_seed():
