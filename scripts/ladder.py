@@ -118,6 +118,9 @@ RUNGS = (
         ("twisted-vanish", "--surface", "p2", "--n", "3,3", "--i", "1..3", "--jobs", "2"),
     ),
     ("hrr-check-p1xp1", ("hrr-check", "--surface", "p1xp1")),
+    # one top Chern class per fixed point: 2640 points on p2, 2580 on p1xp1
+    ("euler-count-p2-10", ("euler-count", "--surface", "p2", "--n", "10")),
+    ("euler-count-p1xp1-8", ("euler-count", "--surface", "p1xp1", "--n", "8")),
     ("symbolic-tp-t12", ("symbolic-tp", "--truncation", "12")),
 )
 

@@ -42,15 +42,17 @@ class WeightSpec(Value):
         return self._text
 
 
-def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
-    """Coefficients of degrees 0..order of prod_w (1 + <w,s> tau)^{m_w} for
-    an honest character, an Ext-class fold of `vertex`: a nonzero weight of
-    negative multiplicity raises ValueError, and weight-zero terms
-    contribute unity.  Each factor is multiplied in only up to the degree
-    reached so far, so rank r costs r(r+1)/2 multiply-adds at any order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return _chern_series_cached(char, spec, order)
+def chern_series(char: LaurentPoly, spec: WeightSpec, order: int, low: int = 0) -> tuple[int, ...]:
+    """Coefficients of degrees low..order of prod_w (1 + <w,s> tau)^{m_w}
+    for an honest character, an Ext-class fold of `vertex`: a nonzero
+    weight of negative multiplicity raises ValueError, and weight-zero
+    terms contribute unity.  Each factor is multiplied in only over the
+    band of degrees that can still reach `low`, up to the degree reached
+    so far: rank r costs r(r+1)/2 multiply-adds at low = 0, and about r
+    for the top class alone (low = order = r)."""
+    if not 0 <= low <= order:
+        raise ValueError(f"window {low}..{order} is not within 0..order")
+    return _chern_series_cached(char, spec, order, low)
 
 
 # maxsize=0 stores nothing.  `_localize` expands a slot's series once per
@@ -58,17 +60,25 @@ def chern_series(char: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, 
 # points of a measure share is expanded once for each; a table of them
 # per spec did not pay, and kept series held memory.  It stays an
 # lru_cache, counting its calls, because `bench/spans.py` reads its
-# cache_info().
+# cache_info().  The rank still to multiply in after each factor sets
+# that factor's floor: a coefficient below low minus that rank can no
+# longer reach degree low, so it is left inexact.
 @lru_cache(maxsize=0)
-def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int) -> tuple[int, ...]:
+def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int,
+                         low: int) -> tuple[int, ...]:
     s1, s2 = spec.s1, spec.s2
-    coeffs = [1] + [0] * order
-    degree = 0
+    factors = []
     for (a, b), mult in poly.terms():
         value = a * s1 + b * s2
         if value:
-            degree = line_factor(coeffs, value, mult, degree)
-    return tuple(coeffs)
+            factors.append((value, mult))
+    left = sum(mult for _, mult in factors)
+    coeffs = [1] + [0] * order
+    degree = 0
+    for value, mult in factors:
+        left -= mult
+        degree = line_factor(coeffs, value, mult, degree, low - left)
+    return tuple(coeffs[low:])
 
 
 def euler_class(char: LaurentPoly, spec: WeightSpec) -> Fraction:
@@ -387,7 +397,8 @@ def _localize(
         integrand.trie = _trie(integrand.monomials)
     keys, degrees, nodes, leaves = integrand.trie
     points, starts, merges = _runs(list(measure))
-    # columns[slot][degree], for the degrees the trie reads of the slot
+    # columns[slot][degree], for the degrees the trie reads of the slot;
+    # each series is the window of those degrees, reads[0]..reads[-1]
     columns = []
     for (m, bundle), reads in zip(keys, degrees):
         series = []
@@ -397,8 +408,8 @@ def _localize(
                 char = tangent_char(surface, step)
             else:
                 char = taut_char(surface, bundle, step)
-            series.append(chern_series(char, spec, reads[-1]))
-        columns.append({degree: [s[degree] for s in series] for degree in reads})
+            series.append(chern_series(char, spec, reads[-1], reads[0]))
+        columns.append({degree: [s[degree - reads[0]] for s in series] for degree in reads})
     common = math.lcm(*(weight.denominator for weight in measure.values()))
     root = []
     for steps in points:

@@ -90,6 +90,24 @@ def test_line_factor_updates_up_to_the_degree_reached():
     assert coeffs == [1, 6, 13, 12]
 
 
+def test_line_factor_with_a_floor_keeps_the_coefficients_from_the_floor_up():
+    # (1 + 2t)^3 (1 + t)^2 = 1 + 8t + 25t^2 + 38t^3 + 28t^4 + 8t^5, keeping degrees >= 4:
+    # the cube at floor 4 - 2 = 2, then the square at floor 4
+    coeffs = [1, 0, 0, 0, 0, 0]
+    assert line_factor(coeffs, 2, 3, 0, 2) == 3
+    assert coeffs[2:4] == [12, 8]
+    assert line_factor(coeffs, 1, 2, 3, 4) == 5
+    assert coeffs[0] == 1 and coeffs[4:] == [28, 8]
+    # a floor above the degree reached touches nothing; a floor of 0 is the full product
+    coeffs = [1, 0, 0]
+    assert line_factor(coeffs, 5, 1, 0, 3) == 1
+    assert coeffs == [1, 0, 0]
+    assert line_factor(coeffs, 2, 2, 0, 0) == 2
+    assert coeffs == [1, 4, 4]
+    with pytest.raises(ValueError):
+        line_factor(coeffs, 1, -1, 2, 2)
+
+
 def test_chern_series_constant_term_is_one():
     spec = WeightSpec(5, 7)
     char = lp({(1, 0): 2, (0, 1): 3, (1, 1): 1, (0, 0): 4})
@@ -163,6 +181,32 @@ def test_chern_series_matches_binomial_product(char_spec, order):
         assert chern_series(char, spec, order) == reference_chern_series(char, spec, order)
 
 
+@settings(max_examples=300, deadline=None)
+@given(characters_at_spec(), st.integers(-4, 4))
+def test_chern_series_window_matches_the_binomial_product(char_spec, offset):
+    """Every window low..order of the series is that slice of the binomial
+    product, at orders below, at and above the rank of the nonzero weights;
+    a nonzero weight of negative multiplicity is refused for every window,
+    a weight-zero term of any sign contributes unity, and a window outside
+    0..order is refused."""
+    char, spec = char_spec
+    honest = lp([(exp, mult) for exp, mult in char.terms() if mult > 0])
+    rank = sum(mult for (a, b), mult in honest.terms() if a * spec.s1 + b * spec.s2)
+    order = max(0, rank + offset)
+    full = reference_chern_series(honest, spec, order)
+    dishonest = any(mult < 0 and a * spec.s1 + b * spec.s2 for (a, b), mult in char.terms())
+    for low in range(order + 1):
+        assert chern_series(honest, spec, order, low) == full[low:]
+        if dishonest:
+            with pytest.raises(ValueError):
+                chern_series(char, spec, order, low)
+        else:
+            assert chern_series(char, spec, order, low) == full[low:]
+    for low in (-1, order + 1):
+        with pytest.raises(ValueError):
+            chern_series(honest, spec, order, low)
+
+
 @st.composite
 def honest_characters_at_spec(draw):
     """An honest character, weight-zero terms and exponents that pair to 0
@@ -202,6 +246,64 @@ def test_chern_series_cache_stores_nothing_after_a_run():
         char = tangent_char(p2(), mp1)
         assert chern_series(char, spec, 4) == reference_chern_series(char, spec, 4)
     assert integrals._chern_series_cached.cache_info().currsize == 0
+
+
+def series_windows(monkeypatch):
+    """The (order, low) of every `chern_series` call the kernel makes,
+    in call order, with `integrals.chern_series` replaced by a spy."""
+    windows = []
+
+    def spy(char, spec, order, low=0):
+        windows.append((order, low))
+        return chern_series(char, spec, order, low)
+
+    monkeypatch.setattr(integrals, "chern_series", spy)
+    return windows
+
+
+def test_kernel_expands_each_slot_over_the_degrees_it_reads(monkeypatch):
+    """Each slot's series is asked for the window reads[0]..reads[-1] of
+    the degrees the trie reads of it, once per class of its factor, and
+    the sums equal the point-by-point products of full series."""
+    surface, sizes, spec = p2(), (2, 1), WeightSpec(1013, 2027)
+    monomials = [
+        Insertion((ChernFactor(0, None, 4), ChernFactor(1, None, 2))),
+        Insertion((ChernFactor(0, None, 3), ChernFactor(0, O1, 1), ChernFactor(1, None, 2))),
+        Insertion((ChernFactor(0, O1, 2), ChernFactor(0, None, 2), ChernFactor(1, None, 2))),
+    ]
+    integrand = Integrand(monomials, 2, 6)
+    measure = integrals.ambient_measure(surface, sizes, spec)
+    windows = series_windows(monkeypatch)
+    totals = integrals._localize(surface, integrand, spec, measure)
+    keys, degrees = integrand.trie[:2]
+    assert [(reads[0], reads[-1]) for reads in degrees] == [(2, 4), (1, 2), (2, 2)]
+    _, starts, _ = integrals._runs(list(measure))
+    assert windows == [
+        (reads[-1], reads[0]) for (m, _), reads in zip(keys, degrees) for _ in starts[m]
+    ]
+    expected = []
+    for ins in monomials:
+        total = Fraction(0)
+        for steps, weight in measure.items():
+            for f in ins.factors:
+                step = steps[f.factor]
+                if f.bundle is None:
+                    char = tangent_char(surface, step)
+                else:
+                    char = taut_char(surface, f.bundle, step)
+                weight *= reference_chern_series(char, spec, f.degree)[f.degree]
+            total += weight
+        expected.append(total)
+    assert totals == expected
+
+
+def test_euler_count_reads_only_the_top_class(monkeypatch):
+    """euler-count integrates c_2n(T) over S^[n]: every series it asks for
+    is the one coefficient of degree 2n, once per fixed point and spec."""
+    windows = series_windows(monkeypatch)
+    report = run_scenario(scenario_from_entry({"kind": "euler-count", "n": [3]}))
+    assert report["verdict"] == "pass"
+    assert windows == [(6, 6)] * (len(multipartitions(p2(), 3)) * 3)
 
 
 # Carlsson-Okounkov: sum_n q^n int_{S^[n]} c_2n(E_L) = prod_m (1-q^m)^(2-2chi(L)-e(S))
@@ -1102,10 +1204,10 @@ def co_class_series_calls(monkeypatch, co_class_fn, scenario):
         made.append(co_class_fn(*args))
         return made[-1]
 
-    def counted(char, spec, order):
+    def counted(char, spec, order, low=0):
         if any(char is co for co in made):
             expanded.append(char)
-        return chern_series(char, spec, order)
+        return chern_series(char, spec, order, low)
 
     monkeypatch.setattr(integrals, "co_class", recorded)
     monkeypatch.setattr(integrals, "chern_series", counted)

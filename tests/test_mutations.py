@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from nestloc import chern, combinatorics, harness, integrals, vertex
+from nestloc import chern, combinatorics, harness, integrals, series, vertex
 from nestloc.characters import LaurentPoly
 from nestloc.chern import FormalBundle
 from nestloc.harness import BATTERY, run_scenario, scenario_from_entry
@@ -360,6 +360,40 @@ def test_last_sum_key_without_its_measure_is_caught_by_the_measure_reuse_oracle(
     original = combinatorics.nested_chains
     mutate(combinatorics, "nested_chains", lambda surface, sizes: original(surface, sizes)[:-1])
     assert failing_battery_kinds() == set()
+
+
+def test_series_band_one_degree_too_narrow_is_caught(mutate):
+    """`line_factor` stopping each step one degree above its band (its
+    exclusive stop at floor - k for floor - k - 1, k the steps after it):
+    the lowest coefficient a windowed series reads misses a term.  A full
+    series (floor 0) is unchanged, so only windowed reads see it:
+    euler-count's c_2n(T), hrr-check's classes on every bundle, O too,
+    and the pushforward sums.
+    The battery's kstep (1,1,1) passes: it reads only c1 of rank-1
+    characters, each now 0, so every integral is 0 on both sides at
+    every spec; kstep (2,1,1) fails.  `vanish` reads no series, its
+    measures being empty."""
+
+    def narrow(coeffs, weight_value, multiplicity, degree, floor=0):
+        if multiplicity < 0:
+            raise ValueError(f"negative multiplicity {multiplicity}")
+        order = len(coeffs) - 1
+        for stop in range(floor - multiplicity + 1, floor + 1):
+            if degree < order:
+                degree += 1
+            for k in range(degree, stop if stop > 0 else 0, -1):
+                coeffs[k] += weight_value * coeffs[k - 1]
+        return degree
+
+    mutate(series, "line_factor", narrow)
+    assert failing_battery_kinds() == {"euler-count", "pushforward", "hrr-check"}
+    assert hrr_failures() == HRR_ROWS
+    for entry, verdict in (
+        ({"kind": "euler-count", "surface": "p2", "n": [3]}, "fail"),
+        ({"kind": "kstep", "surface": "p2", "n": [2, 1, 1]}, "fail"),
+        ({"kind": "vanish", "surface": "p2", "n": [3, 2], "i": [1, 2]}, "pass"),
+    ):
+        assert run_scenario(scenario_from_entry(entry))["verdict"] == verdict
 
 
 def test_segre_index_off_by_one_is_caught_by_symbolic_tp(mutate):
