@@ -322,31 +322,23 @@ def _trie(insertions: tuple[Insertion, ...]) -> tuple:
     return tuple(slots), [tuple(sorted(d)) for d in degrees], nodes, leaves
 
 
-def _suffix_classes(points: list[tuple[MultiPartition, ...]], m: int) -> list[int]:
-    """The class of each fixed point of `points` at ambient factor m: points
-    that agree on steps[m:], their fixed points of factors m and later,
-    share one, numbered in order of first appearance."""
-    classes: dict[tuple[MultiPartition, ...], int] = {}
-    return [classes.setdefault(steps[m:], len(classes)) for steps in points]
-
-
-def _runs(points: list[tuple[MultiPartition, ...]]) -> tuple:
-    """(points, starts, merges): `points` ordered so that the classes of
-    `_suffix_classes` at every ambient factor m >= 1 are runs, each run of
-    factor m + 1 a run of factor m's runs; at factor 0 each point is its
-    own class.  starts[m] holds the position of the first point of each
-    class of factor m, and merges[a, b], for a < b, the (start, stop)
-    indices of the runs of factor a's classes that factor b's classes
-    are, or None where each class of b is one class of a."""
+def _runs(measure: Measure) -> tuple:
+    """(points, starts, merges): the points of `measure`, sorted by the
+    shapes of their fixed points of the last ambient factor, then of the
+    one before, down to factor 1.  So at each factor m >= 1 the points that
+    agree on steps[m:], their fixed points of factors m and later, are a
+    run, one class of factor m, and each run of factor m + 1 is a run of
+    factor m's runs; at factor 0 each point is its own class.  starts[m]
+    holds the position of the first point of each class of factor m, and
+    merges[a, b], for a < b, the (start, stop) indices of the runs of
+    factor a's classes that factor b's classes are, or None where each
+    class of b is one class of a."""
+    points = sorted(measure, key=lambda steps: [mp.shape for mp in reversed(steps[1:])])
     factors = len(points[0])
-    ranks = list(zip(*(_suffix_classes(points, m) for m in range(factors - 1, 0, -1))))
-    if ranks:
-        order = sorted(range(len(points)), key=ranks.__getitem__)
-        points = [points[i] for i in order]
-        ranks = [ranks[i] for i in order]
     starts = [list(range(len(points)))]
-    for cut in range(factors - 1, 0, -1):
-        starts.append([i for i in range(len(points)) if not i or ranks[i][:cut] != ranks[i - 1][:cut]])
+    for m in range(1, factors):
+        starts.append([i for i, steps in enumerate(points)
+                       if not i or steps[m:] != points[i - 1][m:]])
     merges = {}
     for a in range(factors):
         place = {start: i for i, start in enumerate(starts[a])}
@@ -396,7 +388,7 @@ def _localize(
     if integrand.trie is None:
         integrand.trie = _trie(integrand.monomials)
     keys, degrees, nodes, leaves = integrand.trie
-    points, starts, merges = _runs(list(measure))
+    points, starts, merges = _runs(measure)
     # columns[slot][degree], for the degrees the trie reads of the slot;
     # each series is the window of those degrees, reads[0]..reads[-1]
     columns = []
@@ -564,21 +556,23 @@ def integrate_virtual_batch(
 # --------------------------------------------------------------------------
 
 
-def hrr_chi(surface: ToricSurface, bundle: EqLineBundle, spec: WeightSpec) -> Fraction:
-    """chi(L) = int_S ch(L) td(S) at one spec, by the localization kernel.
+def hrr_chi(surface: ToricSurface, bundle: EqLineBundle,
+            specs: Sequence[WeightSpec]) -> list[Fraction]:
+    """chi(L) = int_S ch(L) td(S) at each spec, by the localization kernel.
 
     S^[1] = S, so the degree-2 part c1(L)^2/2 + c1(L) c1(T)/2 +
     (c1(T)^2 + c2(T))/12 of ch(L) td(S) is integrated over S^[1], with
     c1(L) read from L^[1] = L by `taut_char` and c(T) by `tangent_char`:
     the value reads the characters, not the chart weights, so it pins the
-    chart substitution and the tautological character too.
+    chart substitution and the tautological character too.  One integrand
+    of the four monomials is checked and planned once for every spec.
     """
     line = ChernFactor(0, bundle, 1)
     tangent = ChernFactor(0, None, 1)
     monomials = [(line, line), (line, tangent), (tangent, tangent), (ChernFactor(0, None, 2),)]
-    insertions = [Insertion(factors) for factors in monomials]
-    l2, lt, t2, c2 = integrate_ambient_batch(surface, (1,), insertions, spec)
-    return l2 / 2 + lt / 2 + (t2 + c2) / 12
+    integrand = Integrand([Insertion(factors) for factors in monomials], 1, 2)
+    sums = [integrate_ambient_batch(surface, (1,), integrand, spec) for spec in specs]
+    return [l2 / 2 + lt / 2 + (t2 + c2) / 12 for l2, lt, t2, c2 in sums]
 
 
 def k_theory_chi(surface: ToricSurface, bundle: EqLineBundle) -> tuple[LaurentPoly, LaurentPoly]:

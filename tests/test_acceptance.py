@@ -67,12 +67,12 @@ def test_criterion_2_hrr_convention_pinning():
     with criterion(2, "hrr-check chi values at >= 3 generic specs, exact"):
         for d in range(4):
             expected = Fraction((d + 1) * (d + 2), 2)
-            values = {hrr_chi(p2(), line_bundle(p2(), d), spec) for spec in SPECS}
+            values = set(hrr_chi(p2(), line_bundle(p2(), d), SPECS))
             assert values == {expected}
         for a in range(3):
             for b in range(3):
                 expected = Fraction((a + 1) * (b + 1))
-                values = {hrr_chi(p1xp1(), line_bundle(p1xp1(), a, b), spec) for spec in SPECS}
+                values = set(hrr_chi(p1xp1(), line_bundle(p1xp1(), a, b), SPECS))
                 assert values == {expected}
 
 

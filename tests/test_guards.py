@@ -12,6 +12,8 @@
   `scripts/`, so no API lives on only for its own tests.
 * Only a record sets its own slots: every `_set(` call in `src/nestloc`
   passes `self` first.
+* No `src/nestloc` module imports an underscore name from another one,
+  but `value._set`: a module's private names are its own.
 """
 
 import ast
@@ -151,3 +153,16 @@ def test_only_a_record_sets_its_own_slots():
         and not (node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
     ]
     assert calls == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    imports = [
+        f"{os.path.basename(path)}:{node.lineno} {node.module}.{alias.name}"
+        for path in _python_files(PACKAGE)
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nestloc"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+        and (node.module, alias.name) != ("value", "_set")
+    ]
+    assert imports == []

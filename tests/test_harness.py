@@ -1,10 +1,12 @@
 import concurrent.futures
 import io
+import itertools
 import json
 import os
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -262,7 +264,7 @@ def test_report_json_renders_a_failed_hrr_report_like_json_dumps(monkeypatch):
     """A MathError in `hrr-check` puts the group, whose `degrees` is a
     tuple, into the case's `inputs`."""
 
-    def boom(surface, bundle, spec):
+    def boom(surface, bundle, specs):
         raise NonGenericSpecError("synthetic")
 
     monkeypatch.setattr(harness, "hrr_chi", boom)
@@ -356,8 +358,8 @@ def wrong_sum(value):
 
 
 def wrong_chi(value):
-    def stub(surface, bundle, spec):
-        return value(spec)
+    def stub(surface, bundle, specs):
+        return [value(spec) for spec in specs]
 
     return stub
 
@@ -434,6 +436,17 @@ def test_sampled_case_verdicts_and_diagnostics(
     assert {case.get("diagnostic") for case in report["cases"]} == {diagnostic}
     if kind == "hrr-check":
         assert {case["character_check"] for case in report["cases"]} == {"pass"}
+
+
+def test_every_case_reports_its_groups_measured_time(monkeypatch):
+    """Under a clock that advances 1 s at each read, the one group of
+    `pushforward` p2 (3,2) takes 1000 ms between its two reads, and each
+    of its cases reports that time, not a share of it."""
+    clock = itertools.count()
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    report = run_scenario(scenario_from_entry({"kind": "pushforward", "n": [3, 2]}))
+    assert len(report["cases"]) > 1
+    assert {case["elapsed_ms"] for case in report["cases"]} == {1000}
 
 
 def test_default_battery_is_valid():
@@ -705,8 +718,9 @@ def test_sizes_rejected_where_kind_takes_none(capsys):
 _MONOMIAL = [{"factor": 1, "bundle": "O(1)", "degree": 2},
              {"factor": 2, "bundle": "O", "degree": 1}]
 
-# (command, what <config> holds: a config entry, or a list of monomials for
-# an insertions file, the flag or key the error names)
+# (command, what <config> holds: a config entry, or a list written as the
+# whole file, such as an insertions file's monomials; the flag or key the
+# error names)
 _UNREAD_OR_UNKNOWN = [
     ("all --spec 1,1", None, "--spec"),
     ("all --n 3,2", None, "--n"),
@@ -786,6 +800,18 @@ _UNREAD_OR_UNKNOWN = [
         [_MONOMIAL[:1], [*_MONOMIAL[:1], {"factor": 2, "bundle": "O", "degree": 0}]],
         "monomials (--insertions): 1 and 2 multiply the same factors",
     ),
+    # refusals of a value out of range, a malformed option and a file of the
+    # wrong shape
+    ("pushforward", None, "needs sizes (--n)"),
+    ("pushforward --n 1", None, "pushforward needs exactly two sizes"),
+    ("pushforward --n 2,-1", None, "sizes must be nonnegative"),
+    ("euler-count --n 2 --samples 0", None, "samples must be >= 1"),
+    ("symbolic-tp --truncation 0", None, "truncation must be >= 1"),
+    ("pushforward --n 2,1 --insertions bogus", None, "insertions must be 'auto' or 'file:<path>'"),
+    ("pushforward --n 2,1 --insertions file:<config>", [], "contains no monomials"),
+    ("all --config <config>", [{"kind": "symbolic-tp"}],
+     "must be an object with a 'scenarios' list"),
+    ("all --config <config>", {"n": [1]}, "missing 'kind'"),
 ]
 
 

@@ -1089,18 +1089,25 @@ PLAN_BUILDS = [
     ({"kind": "pushforward", "surface": "p2", "n": [3, 2], "samples": 3}, 1, 1),
     ({"kind": "kstep", "surface": "p2", "n": [2, 1, 1]}, 1, 1),
     ({"kind": "twisted-vanish", "surface": "p2", "n": [2, 1]}, 2, 0),
+    ({"kind": "hrr-check", "surface": "p2"}, 4, 4),
+    ({"kind": "hrr-check", "surface": "p1xp1"}, 9, 9),
 ]
 
 
-@pytest.mark.parametrize("entry,checks,builds", PLAN_BUILDS,
-                         ids=[e["kind"] for e, _, _ in PLAN_BUILDS])
+@pytest.mark.parametrize(
+    "entry,checks,builds", PLAN_BUILDS,
+    ids=[f"hrr-check-{e['surface']}" if e["kind"] == "hrr-check" else e["kind"]
+         for e, _, _ in PLAN_BUILDS],
+)
 def test_a_scenario_checks_its_insertions_once_and_builds_its_trie_at_most_once(
     monkeypatch, entry, checks, builds
 ):
     """`pushforward` and `kstep` sum one integrand at each spec on both
     sides: one check and one trie.  `twisted-vanish` builds one integrand
     per group, one for each of p2's two twists, so each is checked once;
-    every measure of it is empty, so no trie is built."""
+    every measure of it is empty, so no trie is built.  `hrr-check` builds
+    one integrand per bundle, summed at every spec: 4 bundles on p2 and 9
+    on p1xp1."""
     calls = {"_check_insertions": 0, "_trie": 0}
     for name in calls:
         original = getattr(integrals, name)

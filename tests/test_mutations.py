@@ -307,7 +307,7 @@ def test_kernel_reading_every_factor_at_factor_0_is_caught_by_fubini_and_pins(mu
 
 
 def test_suffix_classes_one_factor_too_deep_are_caught_by_fubini_and_the_trie_oracle(mutate):
-    """`_suffix_classes` keying the classes of factor m by steps[m+1:] in
+    """`_runs` cutting the classes of factor m where steps[m+1:] changes in
     place of steps[m:]: points that differ at factor m are merged before
     factor m's columns are read, so each column reads one point of a
     merged class.  Factor 0's classes are the points themselves, so
@@ -316,11 +316,25 @@ def test_suffix_classes_one_factor_too_deep_are_caught_by_fubini_and_the_trie_or
     (every one reads 0), the point-major trie oracle on both measures of
     each of its sizes, and the pinned report digests see it."""
 
-    def one_too_deep(points, m):
-        classes = {}
-        return [classes.setdefault(steps[m + 1:], len(classes)) for steps in points]
+    def one_too_deep(measure):
+        points = sorted(measure, key=lambda steps: [mp.shape for mp in reversed(steps[1:])])
+        factors = len(points[0])
+        starts = [list(range(len(points)))]
+        for m in range(1, factors):
+            starts.append([i for i, steps in enumerate(points)
+                           if not i or steps[m + 1:] != points[i - 1][m + 1:]])
+        merges = {}
+        for a in range(factors):
+            place = {start: i for i, start in enumerate(starts[a])}
+            for b in range(a + 1, factors):
+                if len(starts[b]) < len(starts[a]):
+                    cuts = [place[start] for start in starts[b]] + [len(starts[a])]
+                    merges[a, b] = list(zip(cuts, cuts[1:]))
+                else:
+                    merges[a, b] = None
+        return points, starts, merges
 
-    mutate(integrals, "_suffix_classes", one_too_deep)
+    mutate(integrals, "_runs", one_too_deep)
     assert [row[3] for row in fubini_mismatches()] == [0] * len(fubini_rows())
     assert trie_oracle_mismatches() == [
         (surface.name, sizes, side) for surface, sizes in TRIE_ORACLE for side in ("ambient", "virtual")
@@ -428,12 +442,13 @@ def test_hrr_chi_without_linear_term_is_caught_by_hrr_check(mutate):
     """chi(L) without its c1(L) c1(T)/2 term: every bundle but O fails
     `hrr-check`, whose K-theoretic cross-check does not read hrr_chi."""
 
-    def no_linear_term(surface, bundle, spec):
+    def no_linear_term(surface, bundle, specs):
         line, tangent = integrals.ChernFactor(0, bundle, 1), integrals.ChernFactor(0, None, 1)
         monomials = [(line, line), (tangent, tangent), (integrals.ChernFactor(0, None, 2),)]
         insertions = [integrals.Insertion(factors) for factors in monomials]
-        l2, t2, c2 = integrals.integrate_ambient_batch(surface, (1,), insertions, spec)
-        return l2 / 2 + (t2 + c2) / 12
+        integrate = integrals.integrate_ambient_batch
+        sums = [integrate(surface, (1,), insertions, spec) for spec in specs]
+        return [l2 / 2 + (t2 + c2) / 12 for l2, t2, c2 in sums]
 
     mutate(integrals, "hrr_chi", no_linear_term)
     assert hrr_failures() == TWISTED_HRR_ROWS
