@@ -18,7 +18,7 @@ import operator
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, TextIO
@@ -771,10 +771,8 @@ def _json_text(value, indent: str) -> str:
     """The text `json.dumps(value, indent=2)` writes for `value` on a line
     indented by `indent`, for the types a report holds: dict with `str`
     keys, list, tuple, str, int, bool and None.  Strings go through the C
-    ASCII escaper, inline where they are a container's items; each
-    container is joined from its items' texts, and a tuple of strings, such
-    as the spec text every sample at that spec shares, from
-    `_strings_text`."""
+    ASCII escaper, inline where they are a container's items, and each
+    container is joined from its items' texts."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -799,8 +797,6 @@ def _json_text(value, indent: str) -> str:
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if type(value) is tuple and all(type(item) is str for item in value):
-            return _strings_text(value, indent)
         items = [encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
                  for item in value]
         brackets = "[]"
@@ -808,17 +804,6 @@ def _json_text(value, indent: str) -> str:
         raise TypeError(f"cannot render a {type(value).__name__} in a report: {value!r}")
     separator = ",\n" + inner
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
-
-
-@lru_cache(maxsize=64)
-def _strings_text(strings: tuple[str, ...], indent: str) -> str:
-    """`_json_text` of a nonempty tuple of strings, kept by (tuple, indent):
-    a report's samples share their spec's text tuple, so each renders once.
-    Only strings qualify, as equal strings have one text while equal
-    numbers need not (1 and True)."""
-    inner = indent + "  "
-    separator = ",\n" + inner
-    return f"[\n{inner}{separator.join(map(encode_basestring_ascii, strings))}\n{indent}]"
 
 
 def _json_pieces(report) -> Iterator[str]:

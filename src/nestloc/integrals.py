@@ -55,14 +55,12 @@ def chern_series(char: LaurentPoly, spec: WeightSpec, order: int, low: int = 0) 
     return _chern_series_cached(char, spec, order, low)
 
 
-# maxsize=0 stores nothing.  `_localize` expands a slot's series once per
-# class of its factor in each sum, so a factor-0 fixed point that several
-# points of a measure share is expanded once for each; a table of them
-# per spec did not pay, and kept series held memory.  It stays an
-# lru_cache, counting its calls, because `bench/spans.py` reads its
-# cache_info().  The rank still to multiply in after each factor sets
-# that factor's floor: a coefficient below low minus that rank can no
-# longer reach degree low, so it is left inexact.
+# maxsize=0 stores nothing: `_localize` expands each window once per
+# class of its ambient factor in each sum.  It stays an lru_cache,
+# counting its calls, because `bench/spans.py` reads its cache_info().
+# The rank still to multiply in after each factor sets that factor's
+# floor: a coefficient below low minus that rank can no longer reach
+# degree low, so it is left inexact.
 @lru_cache(maxsize=0)
 def _chern_series_cached(poly: LaurentPoly, spec: WeightSpec, order: int,
                          low: int) -> tuple[int, ...]:
@@ -273,36 +271,31 @@ class Integrand:
 
 
 def _trie(insertions: tuple[Insertion, ...]) -> tuple:
-    """The kernel's plan of `insertions`: (series keys, degrees, nodes,
+    """The kernel's plan of `insertions`: (windows, factors, nodes,
     leaves), what `_localize` walks once per sum.
 
-    A factor's Chern series is keyed by (ambient factor, bundle), None for
-    the tangent bundle, and its key's place in the keys is its int slot;
-    degrees[slot] are the degrees any insertion reads of it, ascending.
-    Each insertion's factors are ordered by ambient factor, which leaves
-    the product as it was, and the factor tuples form a prefix trie, built
-    once whatever the insertions' order.  nodes lists it in pre-order, a
-    node's children of lower ambient factors first, as (depth, series
-    slot, degree, ambient factor); node 0 is the root, the empty product,
-    at depth 0, and nodes[k - 1] is node k.  leaves[i] is the node of
-    insertion i."""
-    # every distinct factor gets a code, by ambient factor and then first
-    # appearance: a path of codes sorts its factors, and sorted paths list
-    # the trie in pre-order, lower ambient factors first
-    distinct = sorted(dict.fromkeys(f for ins in insertions for f in ins.factors),
-                      key=attrgetter("factor"))
-    code = {f: i for i, f in enumerate(distinct)}
+    factors are the distinct `ChernFactor`s of the insertions, ordered by
+    ambient factor and then by first appearance; a factor's place in them
+    is its code.  A factor's Chern series is keyed by (ambient factor,
+    bundle), None for the tangent bundle, and windows[key] is the band
+    (low, high) of the degrees any insertion reads of it.  Each
+    insertion's factors are ordered by code, which leaves the product as
+    it was, and the code tuples form a prefix trie, built once whatever
+    the insertions' order.  nodes lists it in pre-order, a node's children
+    of lower ambient factors first, as (depth, code); node 0 is the root,
+    the empty product, at depth 0, and nodes[k - 1] is node k.  leaves[i]
+    is the node of insertion i."""
+    # a path of codes sorts its factors, and sorted paths list the trie in
+    # pre-order, lower ambient factors first
+    factors = sorted(dict.fromkeys(f for ins in insertions for f in ins.factors),
+                     key=attrgetter("factor"))
+    code = {f: i for i, f in enumerate(factors)}
     paths = [tuple(sorted(map(code.__getitem__, ins.factors))) for ins in insertions]
-    slots: dict[tuple[int, EqLineBundle | None], int] = {}
-    degrees: list[set[int]] = []
-    labels = []
-    for f in distinct:
-        slot = slots.setdefault((f.factor, f.bundle), len(degrees))
-        if slot == len(degrees):
-            degrees.append(set())
-        degrees[slot].add(f.degree)
-        labels.append((slot, f.degree, f.factor))
-    nodes: list[tuple[int, int, int, int]] = []
+    windows: dict[tuple[int, EqLineBundle | None], tuple[int, int]] = {}
+    for f in factors:
+        low, high = windows.get((f.factor, f.bundle), (f.degree, f.degree))
+        windows[f.factor, f.bundle] = min(low, f.degree), max(high, f.degree)
+    nodes: list[tuple[int, int]] = []
     leaves = [0] * len(paths)
     # the nodes along the last path, from the root
     along, last = [0], ()
@@ -315,11 +308,11 @@ def _trie(insertions: tuple[Insertion, ...]) -> tuple:
             depth += 1
         del along[depth + 1:]
         for c in path[depth:]:
-            nodes.append((len(along),) + labels[c])
+            nodes.append((len(along), c))
             along.append(len(nodes))
         leaves[i] = along[-1]
         last = path
-    return tuple(slots), [tuple(sorted(d)) for d in degrees], nodes, leaves
+    return windows, factors, nodes, leaves
 
 
 def _runs(measure: Measure) -> tuple:
@@ -327,27 +320,25 @@ def _runs(measure: Measure) -> tuple:
     shapes of their fixed points of the last ambient factor, then of the
     one before, down to factor 1.  So at each factor m >= 1 the points that
     agree on steps[m:], their fixed points of factors m and later, are a
-    run, one class of factor m, and each run of factor m + 1 is a run of
-    factor m's runs; at factor 0 each point is its own class.  starts[m]
-    holds the position of the first point of each class of factor m, and
-    merges[a, b], for a < b, the (start, stop) indices of the runs of
-    factor a's classes that factor b's classes are, or None where each
-    class of b is one class of a."""
+    run, one class of factor m, and each class of factor m is a run of
+    factor m - 1's classes; at factor 0 each point is its own class.
+    starts[m] holds the position of the first point of each class of
+    factor m, and merges[m - 1] the (start, stop) indices of the runs of
+    factor m - 1's classes that factor m's classes are, or None where each
+    class of m is one class of m - 1."""
     points = sorted(measure, key=lambda steps: [mp.shape for mp in reversed(steps[1:])])
-    factors = len(points[0])
     starts = [list(range(len(points)))]
-    for m in range(1, factors):
+    merges = []
+    for m in range(1, len(points[0])):
+        below = starts[-1]
         starts.append([i for i, steps in enumerate(points)
                        if not i or steps[m:] != points[i - 1][m:]])
-    merges = {}
-    for a in range(factors):
-        place = {start: i for i, start in enumerate(starts[a])}
-        for b in range(a + 1, factors):
-            if len(starts[b]) < len(starts[a]):
-                cuts = [place[start] for start in starts[b]] + [len(starts[a])]
-                merges[a, b] = list(zip(cuts, cuts[1:]))
-            else:
-                merges[a, b] = None
+        if len(starts[m]) < len(below):
+            place = {start: i for i, start in enumerate(below)}
+            cuts = [place[start] for start in starts[m]] + [len(below)]
+            merges.append(list(zip(cuts, cuts[1:])))
+        else:
+            merges.append(None)
     return points, starts, merges
 
 
@@ -367,17 +358,19 @@ def _localize(
     sum's totals without summing: equal measures integrate every monomial
     to the same value, exactly.
 
-    The trie is walked once, node by node, and each node holds a vector
-    of `int`s: each weight is scaled to the lcm of the weights'
-    denominators, and Chern coefficients are `int`s because specs are
-    integral; each total is divided by that lcm once, at the end.  A node
-    of ambient factor m runs over the classes of `_runs` at m, the points
-    that share their fixed points of factors m and later, since a factor-m
-    coefficient reads only those.  The root holds the scaled weights; a
-    node's vector is its parent's times the node's column, its Chern
-    coefficient at one point of each class; where a node of a later
-    factor follows, its parent's vector is first summed over the classes
-    that factor merges, which the pre-order of the trie does after the
+    Each window of the trie is expanded once per class of its ambient
+    factor, and each factor code has one column, its Chern coefficient at
+    one point of each class.  The trie is walked once, node by node, and
+    each node holds a vector of `int`s: each weight is scaled to the lcm
+    of the weights' denominators, and Chern coefficients are `int`s
+    because specs are integral; each total is divided by that lcm once, at
+    the end.  A node of ambient factor m runs over the classes of `_runs`
+    at m, the points that share their fixed points of factors m and later,
+    since a factor-m coefficient reads only those.  The root holds the
+    scaled weights; a node's vector is its parent's times the node's
+    column.  Where a node of a later factor follows, its parent's vector
+    is first summed over the classes each factor up to the node's merges,
+    one factor at a time, which the pre-order of the trie does after the
     parent's children of its own factor.  Each insertion's total is the
     sum of its leaf's vector."""
     if not measure:
@@ -387,21 +380,23 @@ def _localize(
         return list(integrand.totals)
     if integrand.trie is None:
         integrand.trie = _trie(integrand.monomials)
-    keys, degrees, nodes, leaves = integrand.trie
+    windows, factors, nodes, leaves = integrand.trie
     points, starts, merges = _runs(measure)
-    # columns[slot][degree], for the degrees the trie reads of the slot;
-    # each series is the window of those degrees, reads[0]..reads[-1]
-    columns = []
-    for (m, bundle), reads in zip(keys, degrees):
-        series = []
+    series = {}
+    for (m, bundle), (low, high) in windows.items():
+        window = []
         for start in starts[m]:
             step = points[start][m]
             if bundle is None:
                 char = tangent_char(surface, step)
             else:
                 char = taut_char(surface, bundle, step)
-            series.append(chern_series(char, spec, reads[-1], reads[0]))
-        columns.append({degree: [s[degree - reads[0]] for s in series] for degree in reads})
+            window.append(chern_series(char, spec, high, low))
+        series[m, bundle] = low, window
+    columns = []
+    for f in factors:
+        low, window = series[f.factor, f.bundle]
+        columns.append([s[f.degree - low] for s in window])
     common = math.lcm(*(weight.denominator for weight in measure.values()))
     root = []
     for steps in points:
@@ -412,15 +407,17 @@ def _localize(
     # the factor and vector of the last node visited at each depth
     levels = [0] * (1 + max((node[0] for node in nodes), default=0))
     vectors = [root] * len(levels)
-    for index, (depth, slot, degree, factor) in enumerate(nodes, 1):
+    for index, (depth, code) in enumerate(nodes, 1):
         vector = vectors[depth - 1]
         level = levels[depth - 1]
+        factor = factors[code].factor
         if level != factor:
-            merge = merges[level, factor]
-            if merge is not None:
-                vector = vectors[depth - 1] = [sum(vector[i:j]) for i, j in merge]
+            for merge in merges[level:factor]:
+                if merge is not None:
+                    vector = [sum(vector[i:j]) for i, j in merge]
+            vectors[depth - 1] = vector
             levels[depth - 1] = factor
-        vector = vectors[depth] = list(map(mul, vector, columns[slot][degree]))
+        vector = vectors[depth] = list(map(mul, vector, columns[code]))
         levels[depth] = factor
         if index in read:
             sums[index] = sum(vector)

@@ -6,7 +6,9 @@
   branches, so a refactor that changes any report fails here), and of
   `symbolic-tp --truncation 12`, the benchmark's truncation.
 * The benchmark's span targets (`bench/spans.py`): every function it wraps
-  must still exist and be bound in a `nestloc` module.
+  must still exist and be bound in a `nestloc` module, and on each
+  workload a traced pass of `bench/run.py` must fire every span it
+  expects.
 * Every public top-level function and class of `src/nestloc`, and every
   public method of its classes, has a caller in `src/nestloc` or
   `scripts/`, so no API lives on only for its own tests.
@@ -20,6 +22,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -99,6 +102,22 @@ def test_benchmark_trace_targets_resolve():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("workload", ["pushforward", "fixed-points", "battery"])
+def test_benchmark_traced_pass_fires_every_span(workload):
+    """One untraced and one traced benchmark pass: every report matches its
+    reference digest, every span the workload expects fires, and the
+    traced work counts repeat.  The targets resolving is not enough: a
+    change that stops a required span from firing breaks `--trace 1`."""
+    argv = [os.path.join(ROOT, "bench", "run.py"), "--workload", workload, "--seconds", "0",
+            "--trace", "1"]
+    result = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, cwd=ROOT, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    assert (outcome["correct"], outcome["failed"]) == (True, 0), result.stdout
 
 
 def _python_files(directory):

@@ -177,8 +177,9 @@ def sharing(cases, shared):
             for case in cases]
 
 
-# cases of their own, or cases that share a tuple of strings, whose text is
-# kept by (tuple, indent) and so read back at each indent it renders at
+# cases of their own, or cases that share one tuple of strings, as the
+# samples at a spec share its text tuple, which must render right at each
+# indent it stands at
 report_cases = st.one_of(
     case_lists,
     st.builds(sharing, case_lists, st.lists(st.text(max_size=6), max_size=3).map(tuple)),

@@ -261,10 +261,10 @@ def series_windows(monkeypatch):
     return windows
 
 
-def test_kernel_expands_each_slot_over_the_degrees_it_reads(monkeypatch):
-    """Each slot's series is asked for the window reads[0]..reads[-1] of
-    the degrees the trie reads of it, once per class of its factor, and
-    the sums equal the point-by-point products of full series."""
+def test_kernel_expands_each_window_over_the_degrees_it_reads(monkeypatch):
+    """Each series is asked for the window (low, high) of the degrees the
+    trie reads of it, once per class of its ambient factor, and the sums
+    equal the point-by-point products of full series."""
     surface, sizes, spec = p2(), (2, 1), WeightSpec(1013, 2027)
     monomials = [
         Insertion((ChernFactor(0, None, 4), ChernFactor(1, None, 2))),
@@ -275,12 +275,10 @@ def test_kernel_expands_each_slot_over_the_degrees_it_reads(monkeypatch):
     measure = integrals.ambient_measure(surface, sizes, spec)
     windows = series_windows(monkeypatch)
     totals = integrals._localize(surface, integrand, spec, measure)
-    keys, degrees = integrand.trie[:2]
-    assert [(reads[0], reads[-1]) for reads in degrees] == [(2, 4), (1, 2), (2, 2)]
+    bands = integrand.trie[0]
+    assert list(bands.values()) == [(2, 4), (1, 2), (2, 2)]
     _, starts, _ = integrals._runs(list(measure))
-    assert windows == [
-        (reads[-1], reads[0]) for (m, _), reads in zip(keys, degrees) for _ in starts[m]
-    ]
+    assert windows == [(high, low) for (m, _), (low, high) in bands.items() for _ in starts[m]]
     expected = []
     for ins in monomials:
         total = Fraction(0)

@@ -249,6 +249,33 @@ def test_dropped_chain_is_named_in_the_failing_cases(mutate):
     assert diagnostic.endswith(", virtual missing")
 
 
+def test_chain_listed_twice_is_caught_by_pushforward(mutate):
+    """Each nested_chains call lists its first chain twice.  The virtual
+    measure adds a repeated chain's weight again, as a sum over the list
+    would, so that point's virtual weight is twice its ambient one; a
+    measure that kept one weight per point would pass every case.  Of the
+    `all` battery only pushforward fails: its p2 (2,1) and kstep p2
+    (2,1,1) each fail 10 cases, every one naming the first chain."""
+    original = combinatorics.nested_chains
+
+    def first_twice(surface, sizes):
+        chains = original(surface, sizes)
+        return chains[:1] + chains
+
+    mutate(combinatorics, "nested_chains", first_twice)
+    assert failing_battery_kinds() == {"pushforward"}
+    for kind, sizes, total in (("pushforward", [2, 1], 95), ("kstep", [2, 1, 1], 249)):
+        first = original(SURFACES["p2"], tuple(sizes))[0]
+        cases = run_scenario(scenario_from_entry({"kind": kind, "n": sizes}))["cases"]
+        failing = [c["diagnostic"] for c in cases if c["verdict"] != "pass"]
+        assert (len(failing), len(cases)) == (10, total)
+        for diagnostic in failing:
+            head, values = diagnostic.split(" at s=")
+            assert head.endswith(f"virtual values differ; first differing point {first.to_text()}")
+            ambient, virtual = values.split(": ambient ")[1].split(", virtual ")
+            assert Fraction(virtual) == 2 * Fraction(ambient)
+
+
 def test_inverted_chart_substitution_is_caught_by_hrr_check_and_pins(mutate):
     """u_k -> t^{w_k} in place of t^{-w_k}, the line-bundle weights left as
     they are.  Of the `all` battery only hrr-check fails, on every
@@ -318,20 +345,18 @@ def test_suffix_classes_one_factor_too_deep_are_caught_by_fubini_and_the_trie_or
 
     def one_too_deep(measure):
         points = sorted(measure, key=lambda steps: [mp.shape for mp in reversed(steps[1:])])
-        factors = len(points[0])
         starts = [list(range(len(points)))]
-        for m in range(1, factors):
+        merges = []
+        for m in range(1, len(points[0])):
+            below = starts[-1]
             starts.append([i for i, steps in enumerate(points)
                            if not i or steps[m + 1:] != points[i - 1][m + 1:]])
-        merges = {}
-        for a in range(factors):
-            place = {start: i for i, start in enumerate(starts[a])}
-            for b in range(a + 1, factors):
-                if len(starts[b]) < len(starts[a]):
-                    cuts = [place[start] for start in starts[b]] + [len(starts[a])]
-                    merges[a, b] = list(zip(cuts, cuts[1:]))
-                else:
-                    merges[a, b] = None
+            if len(starts[m]) < len(below):
+                place = {start: i for i, start in enumerate(below)}
+                cuts = [place[start] for start in starts[m]] + [len(below)]
+                merges.append(list(zip(cuts, cuts[1:])))
+            else:
+                merges.append(None)
         return points, starts, merges
 
     mutate(integrals, "_runs", one_too_deep)
