@@ -463,10 +463,10 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
 def _vanish_cases(s: Scenario, i: int, bundle: str) -> list[dict]:
     n1, n2 = s.sizes
     degree = n1 + n2 - i
-    insertions = Integrand(s.file_insertions or insertion_basis(s.toric, s.sizes, degree), 2, degree)
+    insertions = s.file_insertions or insertion_basis(s.toric, s.sizes, degree)
     specs = s.weight_specs
     co = [CoFactor(0, n1 + n2 + i, s.twists[bundle])]
-    per_spec = [integrate_ambient_batch(s.toric, s.sizes, insertions, spec, co) for spec in specs]
+    per_spec = integrate_ambient_batch(s.toric, s.sizes, insertions, specs, co)
     return [
         _sampled_case({"i": i, "twist": bundle, "insertion": ins.label()}, specs, values,
                       [0] * len(specs), "nonzero integral")
@@ -480,12 +480,8 @@ def _pushforward_cases(s: Scenario) -> list[dict]:
     insertions = Integrand(s.file_insertions or insertion_basis(surface, sizes, degree),
                            len(sizes), degree)
     co = [CoFactor(m, sizes[m] + sizes[m + 1], surface.trivial) for m in range(len(sizes) - 1)]
-    ambient, virtual = [], []
-    for spec in specs:
-        # the virtual sum right after the ambient one at the same spec, so
-        # it finds the equal measure as the integrand's last sum
-        ambient.append(integrate_ambient_batch(surface, sizes, insertions, spec, co))
-        virtual.append(integrate_virtual_batch(surface, sizes, insertions, spec))
+    ambient = integrate_ambient_batch(surface, sizes, insertions, specs, co)
+    virtual = integrate_virtual_batch(surface, sizes, insertions, specs)
     cases = []
     located: dict[WeightSpec, str] = {}
     for ins, values, expected in zip(insertions, zip(*ambient), zip(*virtual)):
@@ -508,7 +504,7 @@ def _measure_difference(surface: ToricSurface, sizes, spec: WeightSpec, co) -> s
     equal, else a diagnostic suffix naming the first fixed point, in ambient
     then chain order, where they differ, with both weights ("missing" where
     a measure has no such point)."""
-    ambient = ambient_measure(surface, sizes, spec, co)
+    (ambient,) = ambient_measure(surface, sizes, [spec], co)
     virtual = virtual_measure(surface, sizes, spec)
     for steps in [*ambient, *(steps for steps in virtual if steps not in ambient)]:
         weights = [_fr(m[steps]) if steps in m else "missing" for m in (ambient, virtual)]
@@ -524,8 +520,7 @@ def _euler_count_cases(s: Scenario) -> list[dict]:
     (n,) = s.sizes
     expected = euler_product_coefficient(surface.euler_number, n)
     insertion = Insertion((ChernFactor(0, None, 2 * n),)) if n else Insertion(())
-    integrand = Integrand([insertion], 1, 2 * n)
-    values = [integrate_ambient_batch(surface, s.sizes, integrand, spec)[0] for spec in specs]
+    values = [totals[0] for totals in integrate_ambient_batch(surface, s.sizes, [insertion], specs)]
     inputs = {"n": n, "insertion": insertion.label(), "expected": str(expected)}
     return [_sampled_case(inputs, specs, values, [expected] * len(specs),
                           "integral disagrees with fixed-point count")]

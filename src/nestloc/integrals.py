@@ -233,14 +233,14 @@ Measure = dict[tuple[MultiPartition, ...], Fraction]
 class Integrand:
     """The monomials of one integrand, checked by `_check_insertions` at
     construction for `factors` ambient factors and total degree `degree`,
-    with the plan `_localize` reads and the last sum it made.
+    with the plan `_localize` reads and the last sums `_sums` made.
 
     The plan does not depend on the spec or the measure: the trie of
     `_trie`, built the first time a nonempty measure needs it and read at
-    every later spec and on both sides.  `key` is the (surface, spec,
-    measure) of the last sum and `totals` its values: the ambient and
-    virtual sums of a pushforward spec build equal measures apart, so
-    the second of the two, given the same integrand, returns the first's
+    every later spec and on both sides.  `key` is the (surface, specs,
+    measures) of the last call to `_sums` and `totals` its values, one
+    list per spec: a pushforward group builds its ambient and virtual
+    measures apart but equal, so its virtual call returns the ambient
     totals.  The caller owns an integrand and its plan, so no plan
     outlives its owner: the harness builds one per group."""
 
@@ -252,7 +252,7 @@ class Integrand:
         self.checked = (factors, degree)
         self.trie: tuple | None = None
         self.key: tuple | None = None
-        self.totals: list[Fraction] = []
+        self.totals: list[list[Fraction]] = []
 
     @classmethod
     def of(cls, insertions: Sequence[Insertion] | Integrand, factors: int,
@@ -353,10 +353,7 @@ def _localize(
 
     An empty measure sums to zeros and reads no plan.  Otherwise the
     integrand's trie is built the first time a nonempty measure needs it
-    and read at every later spec and side.  A call whose `_sum_key`
-    equals the key of the integrand's last sum returns a copy of that
-    sum's totals without summing: equal measures integrate every monomial
-    to the same value, exactly.
+    and read at every later spec and side.
 
     Each window of the trie is expanded once per class of its ambient
     factor, and each factor code has one column, its Chern coefficient at
@@ -375,9 +372,6 @@ def _localize(
     sum of its leaf's vector."""
     if not measure:
         return [Fraction(0)] * len(integrand)
-    key = _sum_key(surface, spec, measure)
-    if integrand.key == key:
-        return list(integrand.totals)
     if integrand.trie is None:
         integrand.trie = _trie(integrand.monomials)
     windows, factors, nodes, leaves = integrand.trie
@@ -421,73 +415,83 @@ def _localize(
         levels[depth] = factor
         if index in read:
             sums[index] = sum(vector)
-    out = [Fraction(sums[leaf], common) for leaf in leaves]
-    integrand.key, integrand.totals = key, out
-    return list(out)
+    return [Fraction(sums[leaf], common) for leaf in leaves]
 
 
-def _sum_key(surface: ToricSurface, spec: WeightSpec, measure: Measure) -> tuple:
-    """What a sum's totals read besides its integrand, compared by
-    equality: the surface, the spec, and a copy of the measure, so a
-    caller that mutates its own measure afterwards does not change it."""
-    return surface, spec, dict(measure)
+def _sums(surface: ToricSurface, integrand: Integrand, specs: tuple[WeightSpec, ...],
+          measures: list[Measure]) -> list[list[Fraction]]:
+    """`_localize` of `integrand` at each spec over its measure, or copies
+    of its last totals where (surface, specs, measures) is its key: equal
+    measures integrate every monomial to the same value, exactly.  The key
+    holds the measures, not copies, as each entry point builds its own."""
+    if integrand.key != (surface, specs, measures):
+        integrand.totals = [_localize(surface, integrand, spec, measure)
+                            for spec, measure in zip(specs, measures)]
+        integrand.key = surface, specs, measures
+    return [list(totals) for totals in integrand.totals]
 
 
 def ambient_measure(
     surface: ToricSurface,
     sizes: Sequence[int],
-    spec: WeightSpec,
+    specs: Sequence[WeightSpec],
     co_factors: Sequence[CoFactor] = (),
-) -> Measure:
-    """{(mp_1, ..., mp_k): co / e(T_1)...e(T_k)} over the fixed points of
-    S^[n_1] x ... x S^[n_k] whose co-class product co is nonzero.
+) -> list[Measure]:
+    """One measure {(mp_1, ..., mp_k): co / e(T_1)...e(T_k)} per spec, over
+    the fixed points of S^[n_1] x ... x S^[n_k] whose co-class product co
+    is nonzero.
 
     The co-class between factors m and m + 1 is, at every pair of fixed
     points, the arm/leg character of an honest bundle of rank
     r = n_m + n_{m+1}.  So a factor c_d reads no Chern series: it is 0 for
-    d > r and the weight product prod <w,s>^m for d = r (0 if a weight
-    pairs to 0).  d < r raises DegreeMismatchError before any sum, and a
-    negative multiplicity raises DishonestClassError.  The factors of a
-    point are read until one is 0.  Every factor's Euler classes are
-    looked up once per fixed point, before the product, so a spec that is
-    not generic for some fixed point raises even where every co-class
-    factor vanishes."""
+    d > r and the weight product prod <w,s>^m for d = r.  d < r raises
+    DegreeMismatchError before any pair is read.  What no spec changes is
+    decided once per call, point by point in product order, reading each
+    factor's co-class in turn: a negative multiplicity raises
+    DishonestClassError, and a factor above its rank or with a weight-zero
+    term drops the point.  At each spec every factor's Euler classes are
+    looked up once per fixed point, so a spec that is not generic for some
+    fixed point raises even where every co-class factor vanishes, and a
+    point kept whose weight product is 0 is dropped."""
     sizes = tuple(int(n) for n in sizes)
     for c in co_factors:
         if not 0 <= c.left < len(sizes) - 1:
             raise DegreeMismatchError(f"co-class factor index out of range: {c.label()}")
         if c.degree < sizes[c.left] + sizes[c.left + 1]:
             raise DegreeMismatchError(f"co-class factor {c.label()} is below its rank")
-    eulers = [
-        {mp: euler_class(tangent_char(surface, mp), spec) for mp in multipartitions(surface, n)}
-        for n in sizes
-    ]
-    s1, s2 = spec.s1, spec.s2
-    measure: Measure = {}
-    for mps in product(*eulers):
-        co_value = 1
+    points = [multipartitions(surface, n) for n in sizes]
+    kept = []
+    for mps in product(*points):
+        terms = ()
         for c in co_factors:
             mp1, mp2 = mps[c.left], mps[c.left + 1]
             char = co_class(surface, mp1, mp2, c.bundle)
             if not char.is_effective():
                 raise DishonestClassError(f"co-class factor {c.label()} at ({mp1.to_text()}, "
                                           f"{mp2.to_text()}) has a negative multiplicity")
-            if c.degree > mp1.total + mp2.total:
-                co_value = 0
+            if c.degree > mp1.total + mp2.total or char.coefficient((0, 0)):
                 break
-            for (a, b), mult in char.terms():
-                co_value *= (a * s1 + b * s2) ** mult
-            if not co_value:
-                break
-        if co_value:
-            # co / prod (n_i / d_i) = co * prod d_i / prod n_i, one gcd
-            num, den = co_value, 1
-            for euler, mp in zip(eulers, mps):
-                e = euler[mp]
-                num *= e.denominator
-                den *= e.numerator
-            measure[mps] = Fraction(num, den)
-    return measure
+            terms += char.terms()
+        else:
+            kept.append((mps, terms))
+    measures = []
+    for spec in specs:
+        eulers = [{mp: euler_class(tangent_char(surface, mp), spec) for mp in mps}
+                  for mps in points]
+        s1, s2 = spec.s1, spec.s2
+        measure: Measure = {}
+        for mps, terms in kept:
+            co_value = math.prod((a * s1 + b * s2) ** mult for (a, b), mult in terms)
+            if co_value:
+                # co / prod (n_i / d_i) = co * prod d_i / prod n_i, one gcd
+                num, den = co_value, 1
+                for euler, mp in zip(eulers, mps):
+                    e = euler[mp]
+                    num *= e.denominator
+                    den *= e.numerator
+                measure[mps] = Fraction(num, den)
+        measures.append(measure)
+    return measures
 
 
 def virtual_measure(surface: ToricSurface, sizes: Sequence[int], spec: WeightSpec) -> Measure:
@@ -511,41 +515,42 @@ def integrate_ambient_batch(
     surface: ToricSurface,
     sizes: Sequence[int],
     insertions: Sequence[Insertion] | Integrand,
-    spec: WeightSpec,
+    specs: Sequence[WeightSpec],
     co_factors: Sequence[CoFactor] = (),
-) -> list[Fraction]:
-    """Ambient localization sum over products of Hilbert schemes.
+) -> list[list[Fraction]]:
+    """Ambient localization sums over products of Hilbert schemes, one list
+    of totals per spec.
 
-    Every insertion is integrated against the common co-class factors in
-    one `_localize` pass over `ambient_measure`.  The degree condition
+    Every insertion is integrated against the common co-class factors by
+    `_sums` over the measures of `ambient_measure`.  The degree condition
     (insertion + co degrees == complex dimension) is checked per insertion,
-    before the measure is built, by `Integrand.of`: so an `Integrand`
+    before any measure is built, by `Integrand.of`: so an `Integrand`
     checked for this factor count and degree is not checked again, and
     any other sequence is wrapped in a fresh one.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes, specs = tuple(int(n) for n in sizes), tuple(specs)
     degree = 2 * sum(sizes) - sum(c.degree for c in co_factors)
     integrand = Integrand.of(insertions, len(sizes), degree)
-    measure = ambient_measure(surface, sizes, spec, co_factors)
-    return _localize(surface, integrand, spec, measure)
+    return _sums(surface, integrand, specs, ambient_measure(surface, sizes, specs, co_factors))
 
 
 def integrate_virtual_batch(
     surface: ToricSurface,
     sizes: Sequence[int],
     insertions: Sequence[Insertion] | Integrand,
-    spec: WeightSpec,
-) -> list[Fraction]:
-    """Virtual localization sum over nested chains, each weighted by 1 / e(T^vir).
+    specs: Sequence[WeightSpec],
+) -> list[list[Fraction]]:
+    """Virtual localization sums over nested chains, each weighted by
+    1 / e(T^vir), one list of totals per spec.
 
     Insertion degree must equal the virtual dimension n_1 + n_k, checked
-    by `Integrand.of` before the measure is built, as the ambient sum
+    by `Integrand.of` before any measure is built, as the ambient sum
     does.  A chain whose virtual tangent character carries net weight
     zero aborts with the chain identified.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes, specs = tuple(int(n) for n in sizes), tuple(specs)
     integrand = Integrand.of(insertions, len(sizes), sizes[0] + sizes[-1])
-    return _localize(surface, integrand, spec, virtual_measure(surface, sizes, spec))
+    return _sums(surface, integrand, specs, [virtual_measure(surface, sizes, s) for s in specs])
 
 
 # --------------------------------------------------------------------------
@@ -567,8 +572,7 @@ def hrr_chi(surface: ToricSurface, bundle: EqLineBundle,
     line = ChernFactor(0, bundle, 1)
     tangent = ChernFactor(0, None, 1)
     monomials = [(line, line), (line, tangent), (tangent, tangent), (ChernFactor(0, None, 2),)]
-    integrand = Integrand([Insertion(factors) for factors in monomials], 1, 2)
-    sums = [integrate_ambient_batch(surface, (1,), integrand, spec) for spec in specs]
+    sums = integrate_ambient_batch(surface, (1,), [Insertion(f) for f in monomials], specs)
     return [l2 / 2 + lt / 2 + (t2 + c2) / 12 for l2, lt, t2, c2 in sums]
 
 

@@ -103,9 +103,9 @@ def ext_class(
 def co_class(
     surface: ToricSurface, mp1: MultiPartition, mp2: MultiPartition, bundle: EqLineBundle
 ) -> LaurentPoly:
-    """`ext_class`, cached for the sums, which read a pair once per spec
-    and per group.  It calls `ext_class` by its module name, so a patched
-    fold reaches both readers."""
+    """`ext_class`, cached: the ambient measures of a group read a pair once,
+    and chains read theirs again, as do later groups.  It calls `ext_class`
+    by its module name, so a patched fold reaches both readers."""
     return ext_class(surface, mp1, mp2, bundle)
 
 

@@ -58,8 +58,8 @@ def test_criterion_1_fixed_point_counts_and_euler_integrals():
             started = time.perf_counter()
             assert len(multipartitions(surface, n)) == expected
             insertion = Insertion((ChernFactor(0, None, 2 * n),))
-            for spec in SPECS:
-                assert integrate_ambient_batch(surface, (n,), [insertion], spec)[0] == expected
+            for totals in integrate_ambient_batch(surface, (n,), [insertion], SPECS):
+                assert totals[0] == expected
             assert time.perf_counter() - started < 1.0
 
 
@@ -82,8 +82,7 @@ def _run_vanishing(surface, sizes, twists):
         for i in (1, 2):
             basis = insertion_basis(surface, sizes, n1 + n2 - i)
             co = [CoFactor(0, n1 + n2 + i, bundle_by_label(surface, twist))]
-            for spec in SPECS:
-                values = integrate_ambient_batch(surface, sizes, basis, spec, co)
+            for values in integrate_ambient_batch(surface, sizes, basis, SPECS, co):
                 assert all(v == 0 for v in values), (surface.name, sizes, twist, i)
 
 
@@ -101,12 +100,9 @@ def test_criterion_4_pushforward_identity():
                 degree = sum(sizes)
                 basis = insertion_basis(surface, sizes, degree)
                 co = [CoFactor(0, degree, bundle_by_label(surface, "O"))]
-                per_spec = []
-                for spec in SPECS:
-                    ambient = integrate_ambient_batch(surface, sizes, basis, spec, co)
-                    virtual = integrate_virtual_batch(surface, sizes, basis, spec)
-                    assert ambient == virtual, (surface.name, sizes)
-                    per_spec.append(ambient)
+                per_spec = integrate_ambient_batch(surface, sizes, basis, SPECS, co)
+                virtual = integrate_virtual_batch(surface, sizes, basis, SPECS)
+                assert per_spec == virtual, (surface.name, sizes)
                 assert per_spec[0] == per_spec[1] == per_spec[2], (surface.name, sizes)
                 assert any(v != 0 for v in per_spec[0]), (surface.name, sizes)
 
@@ -118,12 +114,9 @@ def test_criterion_5_kstep_product_formula():
             basis = insertion_basis(p2(), sizes, degree)
             trivial = bundle_by_label(p2(), "O")
             co = [CoFactor(m, sizes[m] + sizes[m + 1], trivial) for m in range(len(sizes) - 1)]
-            per_spec = []
-            for spec in SPECS:
-                ambient = integrate_ambient_batch(p2(), sizes, basis, spec, co)
-                virtual = integrate_virtual_batch(p2(), sizes, basis, spec)
-                assert ambient == virtual, sizes
-                per_spec.append(ambient)
+            per_spec = integrate_ambient_batch(p2(), sizes, basis, SPECS, co)
+            virtual = integrate_virtual_batch(p2(), sizes, basis, SPECS)
+            assert per_spec == virtual, sizes
             assert per_spec[0] == per_spec[1] == per_spec[2], sizes
             assert any(v != 0 for v in per_spec[0]), sizes
 
@@ -196,13 +189,13 @@ def test_criterion_9_robustness():
         per_seed = []
         for seed in (1, 2, 3):
             spec = sample_specs(seed, 1)[0]
-            per_seed.append(integrate_ambient_batch(p2(), (2, 1), basis, spec, co))
+            per_seed.append(integrate_ambient_batch(p2(), (2, 1), basis, [spec], co)[0])
         assert per_seed[0] == per_seed[1] == per_seed[2]
 
         # deliberately wrong-degree integrand
         wrong = Insertion((ChernFactor(0, line_bundle(p2(), 1), 1),))
         with pytest.raises(DegreeMismatchError):
-            integrate_ambient_batch(p2(), (1,), [wrong], SPECS[0])[0]
+            integrate_ambient_batch(p2(), (1,), [wrong], SPECS[:1])
 
         # wrong-degree inputs that dodge the bookkeeping still trip the
         # scenarios' spec-dependence check

@@ -350,10 +350,11 @@ def test_math_error_becomes_failed_case(monkeypatch):
 
 
 def wrong_sum(value):
-    """A stand-in for a localization sum: `value(spec)` for every insertion."""
+    """A stand-in for a localization sum: `value(spec)` for every insertion
+    at every spec."""
 
-    def stub(surface, sizes, insertions, spec, co_factors=()):
-        return [value(spec)] * len(insertions)
+    def stub(surface, sizes, insertions, specs, co_factors=()):
+        return [[value(spec)] * len(insertions) for spec in specs]
 
     return stub
 
@@ -1166,11 +1167,11 @@ def test_kernel_and_file_refuse_a_monomial_in_one_text(tmp_path, capsys, monomia
         ChernFactor(f["factor"] - 1, bundle_by_label(surface, f["bundle"]), f["degree"])
         for f in monomial
     ))
-    spec, co = WeightSpec(3, 5), [CoFactor(0, 2, surface.trivial)]
+    specs, co = [WeightSpec(3, 5)], [CoFactor(0, 2, surface.trivial)]
     with pytest.raises(DegreeMismatchError) as ambient:
-        integrate_ambient_batch(surface, (1, 1), [insertion], spec, co)
+        integrate_ambient_batch(surface, (1, 1), [insertion], specs, co)
     with pytest.raises(DegreeMismatchError) as virtual:
-        integrate_virtual_batch(surface, (1, 1), [insertion], spec)
+        integrate_virtual_batch(surface, (1, 1), [insertion], specs)
     assert str(ambient.value) == str(virtual.value)
     assert f"malformed insertions file {str(path)!r}: {ambient.value}\n" in err
 

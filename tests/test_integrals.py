@@ -272,7 +272,7 @@ def test_kernel_expands_each_window_over_the_degrees_it_reads(monkeypatch):
         Insertion((ChernFactor(0, O1, 2), ChernFactor(0, None, 2), ChernFactor(1, None, 2))),
     ]
     integrand = Integrand(monomials, 2, 6)
-    measure = integrals.ambient_measure(surface, sizes, spec)
+    (measure,) = integrals.ambient_measure(surface, sizes, [spec])
     windows = series_windows(monkeypatch)
     totals = integrals._localize(surface, integrand, spec, measure)
     bands = integrand.trie[0]
@@ -433,7 +433,7 @@ def test_ambient_sum_looks_up_each_euler_class_once_per_factor(monkeypatch):
     monkeypatch.setattr(integrals, "euler_class", counted)
     insertion = Insertion((ChernFactor(0, O, 5),))
     co = [CoFactor(0, 7, O1)]
-    assert integrate_ambient_batch(p2(), (3, 3), [insertion], WeightSpec(1013, 2027), co) == [0]
+    assert integrate_ambient_batch(p2(), (3, 3), [insertion], [WeightSpec(1013, 2027)], co) == [[0]]
     assert len(multipartitions(p2(), 3)) == 22
     assert len(calls) == 44
 
@@ -443,8 +443,8 @@ def test_ambient_sum_looks_up_each_euler_class_once_per_factor(monkeypatch):
 def test_euler_count_localization(surface, n):
     expected = len(multipartitions(surface, n))
     insertion = Insertion((ChernFactor(0, None, 2 * n),))
-    for spec in sample_specs(3, 3):
-        assert integrate_ambient_batch(surface, (n,), [insertion], spec)[0] == expected
+    for totals in integrate_ambient_batch(surface, (n,), [insertion], sample_specs(3, 3)):
+        assert totals[0] == expected
 
 
 #: sizes of the Fubini rows: ambient products of two and three factors
@@ -471,7 +471,7 @@ def fubini_mismatches():
     for surface, sizes, spec in fubini_rows():
         insertion = Insertion(tuple(ChernFactor(m, None, 2 * n) for m, n in enumerate(sizes)))
         expected = math.prod(euler_product_coefficient(surface.euler_number, n) for n in sizes)
-        (value,) = integrals.integrate_ambient_batch(surface, sizes, [insertion], spec)
+        ((value,),) = integrals.integrate_ambient_batch(surface, sizes, [insertion], [spec])
         if value != expected:
             bad.append((surface.name, sizes, spec, value))
     return bad
@@ -486,38 +486,37 @@ def test_taut_square_on_p2():
     # S^[1] = P^2 and taut(O(1))^[1] = O(1): int h^2 = 1
     insertion = Insertion((ChernFactor(0, O1, 1), ChernFactor(0, O1, 1)))
     spec = sample_specs(5, 1)[0]
-    assert integrate_ambient_batch(p2(), (1,), [insertion], spec)[0] == 1
+    assert integrate_ambient_batch(p2(), (1,), [insertion], [spec]) == [[1]]
 
 
 def test_degree_mismatch_ambient():
     insertion = Insertion((ChernFactor(0, O1, 1),))
     with pytest.raises(DegreeMismatchError):
-        integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
+        integrate_ambient_batch(p2(), (1,), [insertion], [WeightSpec(1, 2)])
 
 
 def test_degree_mismatch_virtual():
     insertion = Insertion((ChernFactor(0, O1, 1),))
     with pytest.raises(DegreeMismatchError):
-        integrate_virtual_batch(p2(), (1, 1), [insertion], WeightSpec(1, 2))[0]
+        integrate_virtual_batch(p2(), (1, 1), [insertion], [WeightSpec(1, 2)])
 
 
 def test_negative_factor_degree_is_refused():
     # total degree 2 = dim S^[1], but c_{-1} is not a Chern class
     insertion = Insertion((ChernFactor(0, O1, 3), ChernFactor(0, O1, -1)))
     with pytest.raises(DegreeMismatchError, match="got factor 1, degree -1 in monomial 1"):
-        integrate_ambient_batch(p2(), (1,), [insertion], WeightSpec(1, 2))[0]
+        integrate_ambient_batch(p2(), (1,), [insertion], [WeightSpec(1, 2)])
 
 
 def test_virtual_degenerate_sizes():
     spec = WeightSpec(3, 5)
-    assert integrate_virtual_batch(p2(), (0, 0), [Insertion(())], spec)[0] == 1
+    assert integrate_virtual_batch(p2(), (0, 0), [Insertion(())], [spec]) == [[1]]
 
 
 def test_virtual_spec_independence():
     insertion = Insertion((ChernFactor(0, O1, 3),))
-    values = {
-        integrate_virtual_batch(p2(), (2, 1), [insertion], spec)[0] for spec in sample_specs(9, 3)
-    }
+    values = {totals[0] for totals in integrate_virtual_batch(p2(), (2, 1), [insertion],
+                                                              sample_specs(9, 3))}
     assert len(values) == 1
 
 
@@ -525,20 +524,20 @@ def test_pushforward_identity_small():
     # the acceptance identity at (1,1): ambient with c_2(co) equals virtual
     basis = insertion_basis(p2(), (1, 1), 2)
     spec = sample_specs(13, 1)[0]
-    ambient = integrate_ambient_batch(p2(), (1, 1), basis, spec, [CoFactor(0, 2, O)])
-    virtual = integrate_virtual_batch(p2(), (1, 1), basis, spec)
+    ambient = integrate_ambient_batch(p2(), (1, 1), basis, [spec], [CoFactor(0, 2, O)])
+    virtual = integrate_virtual_batch(p2(), (1, 1), basis, [spec])
     assert ambient == virtual
-    assert any(v != 0 for v in virtual)
+    assert any(v != 0 for v in virtual[0])
 
 
 def test_pushforward_known_value_diagonal_taut_pair():
     # c_2(co) . c1(taut O(1) on factor 1) . c1(taut O(1) on factor 2) over
     # P^2 x P^2 localizes to the diagonal: both routes give int h^2 = 1
     insertion = Insertion((ChernFactor(0, O1, 1), ChernFactor(1, O1, 1)))
-    for spec in sample_specs(37, 3):
-        ambient = integrate_ambient_batch(p2(), (1, 1), [insertion], spec, [CoFactor(0, 2, O)])[0]
-        virtual = integrate_virtual_batch(p2(), (1, 1), [insertion], spec)[0]
-        assert ambient == virtual == 1
+    specs = sample_specs(37, 3)
+    ambient = integrate_ambient_batch(p2(), (1, 1), [insertion], specs, [CoFactor(0, 2, O)])
+    virtual = integrate_virtual_batch(p2(), (1, 1), [insertion], specs)
+    assert ambient == virtual == [[1]] * 3
 
 
 def test_insertion_basis_degree_zero():
@@ -571,7 +570,7 @@ def test_insertion_basis_counts_golden():
 def test_consistency_run_fixed_point_count():
     insertion = Insertion((ChernFactor(0, None, 4),))
     specs = sample_specs(17, 3)
-    values = {integrate_ambient_batch(p2(), (2,), [insertion], spec)[0] for spec in specs}
+    values = {totals[0] for totals in integrate_ambient_batch(p2(), (2,), [insertion], specs)}
     assert values == {9}
 
 
@@ -633,7 +632,7 @@ def test_linearity_of_localization_sums():
         for mp in mps:
             denom *= euler_class(tangent_char(surface, mp), spec)
         combined += (a * value_of(phi1, mps) + b * value_of(phi2, mps)) / denom
-    separate = integrate_ambient_batch(surface, (2, 1), [phi1, phi2], spec, [])
+    (separate,) = integrate_ambient_batch(surface, (2, 1), [phi1, phi2], [spec], [])
     assert combined == a * separate[0] + b * separate[1]
 
 
@@ -717,12 +716,12 @@ def test_integer_kernel_matches_fraction_reference(data, surface, sizes, a, b):
     # shuffled, with duplicates: trie prefixes out of order and shared leaves
     insertions = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=16))
     co = pushforward_co(surface, sizes)
-    assert integrate_ambient_batch(surface, sizes, insertions, spec, co) == reference_ambient(
+    assert integrate_ambient_batch(surface, sizes, insertions, [spec], co) == [reference_ambient(
         surface, sizes, insertions, spec, co
-    )
-    assert integrate_virtual_batch(surface, sizes, insertions, spec) == reference_virtual(
+    )]
+    assert integrate_virtual_batch(surface, sizes, insertions, [spec]) == [reference_virtual(
         surface, sizes, insertions, spec
-    )
+    )]
 
 
 def monomials_in_any_factor_order(surface, sizes):
@@ -759,12 +758,12 @@ def test_integer_kernel_matches_fraction_reference_in_any_factor_order(data, sur
     insertions += data.draw(st.lists(st.sampled_from(last_only), min_size=1, max_size=3))
     insertions = data.draw(st.permutations(insertions))
     co = pushforward_co(surface, sizes)
-    assert integrate_ambient_batch(surface, sizes, insertions, spec, co) == reference_ambient(
+    assert integrate_ambient_batch(surface, sizes, insertions, [spec], co) == [reference_ambient(
         surface, sizes, insertions, spec, co
-    )
-    assert integrate_virtual_batch(surface, sizes, insertions, spec) == reference_virtual(
+    )]
+    assert integrate_virtual_batch(surface, sizes, insertions, [spec]) == [reference_virtual(
         surface, sizes, insertions, spec
-    )
+    )]
 
 
 # -- the point-major trie walk the kernel replaced, kept as its oracle -------
@@ -847,7 +846,8 @@ def trie_oracle_mismatches():
         degree = sizes[0] + sizes[-1]
         insertions = insertion_basis(surface, sizes, degree)
         measures = {
-            "ambient": integrals.ambient_measure(surface, sizes, spec, pushforward_co(surface, sizes)),
+            "ambient": integrals.ambient_measure(surface, sizes, [spec],
+                                                 pushforward_co(surface, sizes))[0],
             "virtual": integrals.virtual_measure(surface, sizes, spec),
         }
         for side, measure in measures.items():
@@ -874,10 +874,10 @@ def test_integer_kernel_matches_reference_where_co_factor_vanishes():
     # the basis reversed, then c1(O(1)@1)^2 = 1 and c1(O(1)@1)*c1(O(2)@1) = 2,
     # which the basis also holds
     insertions = insertion_basis(surface, sizes, 2)[::-1] + (Insertion((h, h)), Insertion((h, h2)))
-    ambient = integrate_ambient_batch(surface, sizes, insertions, spec, co)
+    (ambient,) = integrate_ambient_batch(surface, sizes, insertions, [spec], co)
     assert ambient[-2:] == [1, 2]
     assert ambient == reference_ambient(surface, sizes, insertions, spec, co)
-    assert ambient == integrate_virtual_batch(surface, sizes, insertions, spec)
+    assert [ambient] == integrate_virtual_batch(surface, sizes, insertions, [spec])
 
 
 POINTWISE = [(p2(), (2, 1)), (p2(), (3, 2)), (p2(), (1, 1, 1)), (p2(), (2, 1, 1)), (p1xp1(), (2, 2))]
@@ -889,7 +889,7 @@ POINTWISE = [(p2(), (2, 1)), (p2(), (3, 2)), (p2(), (1, 1, 1)), (p2(), (2, 1, 1)
 def test_ambient_measure_is_the_virtual_measure_point_by_point(monkeypatch, surface, sizes):
     """Thom-Porteous at the fixed points: the top co-class product vanishes
     off the nested chains, and on a chain co / e(T_1)...e(T_k) is exactly
-    1 / e(T^vir).  This is why `_localize` may return the ambient totals
+    1 / e(T^vir).  This is why `_sums` may return the ambient totals
     for the virtual sum; the kernel's measures must match the oracle's,
     which reads each top class from a Chern series, while the kernel's
     ambient measure expands no series at all."""
@@ -900,24 +900,25 @@ def test_ambient_measure_is_the_virtual_measure_point_by_point(monkeypatch, surf
     assert len(dict(virtual)) == len(virtual)
     assert ambient == dict(virtual)
     monkeypatch.setattr(integrals, "chern_series", None)
-    assert integrals.ambient_measure(surface, sizes, spec, co) == ambient
+    assert integrals.ambient_measure(surface, sizes, [spec], co) == [ambient]
     assert integrals.virtual_measure(surface, sizes, spec) == ambient
 
 
 def measure_reuse_mismatches(monkeypatch):
-    """The cases, by name, where one `Integrand` summed by `_localize` over
+    """The cases, by name, where one `Integrand` summed by `_sums` over
     p2 (2,1) chain measures in turn gives other totals than
     `reference_localize`, or sums where it should copy or copies where it
     should sum: a first measure, an equal one built apart in another order
     (copied), the same again after the caller changed the lists it was
-    given (copied), then the first measure changed in place after its sum,
-    and measures that differ from the one before in one weight or one
-    point (each summed).  The sums are seen by the tautological
-    characters they read."""
+    given (copied), then the first measure with one weight changed after
+    its sum, and measures that differ from the one before in one weight or
+    one point (each summed).  `_sums` keeps the measures it is given as
+    its key, so each is handed a new dict, as the entry points build
+    theirs.  The sums are seen by the tautological characters they read."""
     surface, sizes = p2(), (2, 1)
-    spec = sample_specs(43, 1)[0]
+    specs = sample_specs(43, 1)
     integrand = Integrand(insertion_basis(surface, sizes, 3), 2, 3)
-    points = reference_virtual_points(surface, sizes, spec)
+    points = reference_virtual_points(surface, sizes, specs[0])
     calls = []
 
     def counted(surface, bundle, mp):
@@ -934,8 +935,8 @@ def measure_reuse_mismatches(monkeypatch):
 
     def run(case, measure, summed):
         calls.clear()
-        got = integrals._localize(surface, integrand, spec, measure)
-        if got != reference_localize(surface, integrand, spec, list(measure.items())):
+        got = integrals._sums(surface, integrand, specs, [dict(measure)])
+        if got != [reference_localize(surface, integrand, specs[0], list(measure.items()))]:
             failed.add(case)
         if bool(calls) != summed:
             failed.add(case)
@@ -945,7 +946,7 @@ def measure_reuse_mismatches(monkeypatch):
     run("equal measure built apart", dict(reversed(points)), False)
     # the caller owns the returned lists: changing them changes no later copy
     returned[0].clear()
-    returned[1][0] += 1
+    returned[1][0][0] += 1
     run("equal measure after the caller changed its lists", dict(points), False)
     measure[steps] = weight * 3
     run("first measure changed in place", measure, True)
@@ -954,7 +955,7 @@ def measure_reuse_mismatches(monkeypatch):
     return failed
 
 
-def test_localize_sums_again_unless_the_measure_is_equal(monkeypatch):
+def test_sums_again_unless_the_measures_are_equal(monkeypatch):
     assert measure_reuse_mismatches(monkeypatch) == set()
 
 
@@ -1022,8 +1023,8 @@ def plan_reuse_mismatches(surface, sizes, stride):
                                                   ("A", integrand_a))]
     failed = set()
     for case, spec, name, ins in order:
-        ambient = integrate_ambient_batch(surface, sizes, ins, spec, co)
-        virtual = integrate_virtual_batch(surface, sizes, ins, spec)
+        (ambient,) = integrate_ambient_batch(surface, sizes, ins, [spec], co)
+        (virtual,) = integrate_virtual_batch(surface, sizes, ins, [spec])
         if (ambient, virtual) != (reference[name, spec, "ambient"], reference[name, spec, "virtual"]):
             failed.add(case)
     return failed
@@ -1058,8 +1059,8 @@ def test_bad_tuple_after_a_good_one_is_refused_before_any_measure(monkeypatch, i
 
     def run(insertions):
         if integrate == "ambient":
-            return integrate_ambient_batch(surface, sizes, insertions, spec, co)
-        return integrate_virtual_batch(surface, sizes, insertions, spec)
+            return integrate_ambient_batch(surface, sizes, insertions, [spec], co)
+        return integrate_virtual_batch(surface, sizes, insertions, [spec])
 
     expected = run(good)
     checks = []
@@ -1083,40 +1084,51 @@ def test_bad_tuple_after_a_good_one_is_refused_before_any_measure(monkeypatch, i
     assert run(good) == expected
 
 
+#: (entry, insertion checks, trie builds, `integrals.co_class` reads,
+#: `_localize` calls per spec)
 PLAN_BUILDS = [
-    ({"kind": "pushforward", "surface": "p2", "n": [3, 2], "samples": 3}, 1, 1),
-    ({"kind": "kstep", "surface": "p2", "n": [2, 1, 1]}, 1, 1),
-    ({"kind": "twisted-vanish", "surface": "p2", "n": [2, 1]}, 2, 0),
-    ({"kind": "hrr-check", "surface": "p2"}, 4, 4),
-    ({"kind": "hrr-check", "surface": "p1xp1"}, 9, 9),
+    ({"kind": "pushforward", "surface": "p2", "n": [3, 2]}, 1, 1, 198, 1),
+    ({"kind": "kstep", "surface": "p2", "n": [2, 1, 1]}, 1, 1, 117, 1),
+    ({"kind": "twisted-vanish", "surface": "p2", "n": [2, 1]}, 2, 0, 54, 2),
+    ({"kind": "hrr-check", "surface": "p2"}, 4, 4, 0, 4),
+    ({"kind": "hrr-check", "surface": "p1xp1"}, 9, 9, 0, 9),
 ]
 
 
 @pytest.mark.parametrize(
-    "entry,checks,builds", PLAN_BUILDS,
+    "entry,checks,builds,reads,sums", PLAN_BUILDS,
     ids=[f"hrr-check-{e['surface']}" if e["kind"] == "hrr-check" else e["kind"]
-         for e, _, _ in PLAN_BUILDS],
+         for e, *_ in PLAN_BUILDS],
 )
 def test_a_scenario_checks_its_insertions_once_and_builds_its_trie_at_most_once(
-    monkeypatch, entry, checks, builds
+    monkeypatch, entry, checks, builds, reads, sums
 ):
-    """`pushforward` and `kstep` sum one integrand at each spec on both
-    sides: one check and one trie.  `twisted-vanish` builds one integrand
-    per group, one for each of p2's two twists, so each is checked once;
-    every measure of it is empty, so no trie is built.  `hrr-check` builds
-    one integrand per bundle, summed at every spec: 4 bundles on p2 and 9
-    on p1xp1."""
-    calls = {"_check_insertions": 0, "_trie": 0}
-    for name in calls:
-        original = getattr(integrals, name)
+    """`pushforward` and `kstep` sum one integrand at every spec on both
+    sides: one check and one trie, and the virtual sums copy the ambient
+    ones, so `_localize` runs once per spec.  `twisted-vanish` builds one
+    integrand per group, one for each of p2's two twists, so each is
+    checked once; every measure of it is empty, so no trie is built.
+    `hrr-check` builds one integrand per bundle, summed at every spec: 4
+    bundles on p2 and 9 on p1xp1.  The ambient measures read each pair of
+    fixed points once per group, at 1 spec as at 3: the 22 x 9 pairs of
+    p2 (3,2); the 9 x 3 x 3 triples of (2,1,1), whose second pair is read
+    at the 36 whose first co-class has no weight-zero term; and the 9 x 3
+    pairs of (2,1) for each twist."""
+    for samples in (1, 3):
+        calls = {"_check_insertions": 0, "_trie": 0, "co_class": 0, "_localize": 0}
+        for name in calls:
+            original = getattr(integrals, name)
 
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(integrals, name, counted)
-    assert run_scenario(scenario_from_entry(entry))["verdict"] == "pass"
-    assert calls == {"_check_insertions": checks, "_trie": builds}
+            monkeypatch.setattr(integrals, name, counted)
+        report = run_scenario(scenario_from_entry({**entry, "samples": samples}))
+        assert report["verdict"] == "pass"
+        assert calls == {"_check_insertions": checks, "_trie": builds, "co_class": reads,
+                         "_localize": sums * samples}
+        monkeypatch.undo()
 
 
 def test_a_pushforward_folds_each_tautological_character_once(monkeypatch):
@@ -1223,7 +1235,7 @@ def test_above_rank_co_class_factor_is_zero_without_a_series(monkeypatch):
     scenario = scenario_from_entry({"kind": "vanish", "n": [2, 1], "i": [1]})
     report, made, expanded = co_class_series_calls(monkeypatch, co_class, scenario)
     assert report["verdict"] == "pass"
-    assert len(made) == 9 * 3 * 3  # every point pair, at each of three specs
+    assert len(made) == 9 * 3  # every point pair, once for all three specs
     assert expanded == []
 
 
@@ -1243,7 +1255,7 @@ def test_below_rank_co_class_factor_is_refused_before_any_sum(monkeypatch):
     for name in ("co_class", "tangent_char", "euler_class"):
         monkeypatch.setattr(integrals, name, unreachable)
     with pytest.raises(DegreeMismatchError, match="below its rank"):
-        integrals.ambient_measure(p2(), (2, 1), WeightSpec(1013, 2027), [CoFactor(0, 2, O)])
+        integrals.ambient_measure(p2(), (2, 1), [WeightSpec(1013, 2027)], [CoFactor(0, 2, O)])
 
 
 def test_dishonest_co_class_is_refused_by_name(monkeypatch):

@@ -377,17 +377,25 @@ def test_suffix_classes_one_factor_too_deep_are_caught_by_fubini_and_the_trie_or
 
 def test_last_sum_key_without_its_measure_is_caught_by_the_measure_reuse_oracle(mutate,
                                                                                 monkeypatch):
-    """The key of an integrand's last sum compared without its measure: a
-    sum at the surface and spec of the last one returns its totals, whatever
-    its measure.  A blind spot of every scenario: `pushforward` and `kstep`
-    sum one integrand on both sides of a spec, whose measures are equal,
-    and every other kind sums one side, so every report keeps its bytes.
-    The measure-reuse oracle fails on each measure that differs from the
-    one before.  The virtual sum then copies the ambient one, so it also
-    hides every fault of the virtual side from the scenarios: under it the
-    battery passes with a chain dropped, which fails `pushforward` and
-    `kstep` alone."""
-    mutate(integrals, "_sum_key", lambda surface, spec, measure: (surface, spec))
+    """`_sums` keyed by the surface and specs of its last call, without
+    their measures: a call at the surface and specs of the last one returns
+    its totals, whatever its measures.  A blind spot of every scenario:
+    `pushforward` and `kstep` sum one integrand on both sides of their
+    specs, whose measures are equal, and every other kind sums one side,
+    so every report keeps its bytes.  The measure-reuse oracle fails on
+    each measure that differs from the one before.  The virtual sums then
+    copy the ambient ones, so they also hide every fault of the virtual
+    side from the scenarios: under it the battery passes with a chain
+    dropped, which fails `pushforward` and `kstep` alone."""
+
+    def keyed_without_measures(surface, integrand, specs, measures):
+        if integrand.key != (surface, specs):
+            totals = [integrals._localize(surface, integrand, spec, measure)
+                      for spec, measure in zip(specs, measures)]
+            integrand.key, integrand.totals = (surface, specs), totals
+        return [list(totals) for totals in integrand.totals]
+
+    mutate(integrals, "_sums", keyed_without_measures)
     assert failing_battery_kinds() == set()
     assert stable_report_digest(["all"]) == REPORT_DIGESTS["all", None]
     for surface in SURFACES:
@@ -471,8 +479,7 @@ def test_hrr_chi_without_linear_term_is_caught_by_hrr_check(mutate):
         line, tangent = integrals.ChernFactor(0, bundle, 1), integrals.ChernFactor(0, None, 1)
         monomials = [(line, line), (tangent, tangent), (integrals.ChernFactor(0, None, 2),)]
         insertions = [integrals.Insertion(factors) for factors in monomials]
-        integrate = integrals.integrate_ambient_batch
-        sums = [integrate(surface, (1,), insertions, spec) for spec in specs]
+        sums = integrals.integrate_ambient_batch(surface, (1,), insertions, specs)
         return [l2 / 2 + (t2 + c2) / 12 for l2, t2, c2 in sums]
 
     mutate(integrals, "hrr_chi", no_linear_term)
