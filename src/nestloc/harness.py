@@ -443,12 +443,9 @@ def _sampled_case(inputs: dict, specs, values, expected, mismatch: str, virtual:
     texts = [_fr(value) for value in values]
     wants = [text if want is value else _fr(want)
              for value, text, want in zip(values, texts, expected)]
-    samples = []
-    for spec, text, want in zip(specs, texts, wants):
-        sample = {"s": spec.to_text(), "value": text}
-        if virtual:
-            sample["virtual"] = want
-        samples.append(sample)
+    samples = [{"s": spec.to_text(), "value": text, "virtual": want} if virtual
+               else {"s": spec.to_text(), "value": text}
+               for spec, text, want in zip(specs, texts, wants)]
     if len(set(texts)) > 1:
         diagnostic = "SpecDependence: values differ"
     elif virtual and len(set(wants)) > 1:
@@ -762,6 +759,13 @@ def stable_copy(report: dict) -> dict:
     return {**report, "cases": cases, "elapsed_ms": 0}
 
 
+def _key_text(key) -> str:
+    """The `"key": ` text that opens a dict item; report keys are `str`."""
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be str, got {key!r}")
+    return encode_basestring_ascii(key) + ": "
+
+
 def _json_text(value, indent: str) -> str:
     """The text `json.dumps(value, indent=2)` writes for `value` on a line
     indented by `indent`, for the types a report holds: dict with `str`
@@ -784,10 +788,8 @@ def _json_text(value, indent: str) -> str:
             return "{}"
         items = []
         for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, got {key!r}")
             text = encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
-            items.append(f"{encode_basestring_ascii(key)}: {text}")
+            items.append(_key_text(key) + text)
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -801,26 +803,82 @@ def _json_text(value, indent: str) -> str:
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
 
 
+def _flat_items(value: dict, indent: str, key_texts: dict, spec_texts: dict | None) -> list[str]:
+    """The `"key": text` items of a dict whose values stand on a line
+    indented by `indent`: a str or int (not bool) is written inline, a
+    tuple is looked up by `id` in `spec_texts` where one is given, and
+    any other value goes through `_json_text`."""
+    items = []
+    for key, item in value.items():
+        head = key_texts.get(key) or key_texts.setdefault(key, _key_text(key))
+        kind = type(item)
+        if kind is str:
+            items.append(head + encode_basestring_ascii(item))
+        elif kind is int:
+            items.append(head + int.__repr__(item))
+        elif kind is tuple and spec_texts is not None:
+            items.append(head + (spec_texts.get(id(item))
+                                 or spec_texts.setdefault(id(item), _json_text(item, indent))))
+        else:
+            items.append(head + _json_text(item, indent))
+    return items
+
+
+def _case_text(case, key_texts: dict, spec_texts: dict) -> str:
+    """`_json_text(case, "    ")`, written in one pass for the shape `_case`
+    builds: str and int values, a flat `inputs` dict and a list of flat
+    samples.  `key_texts` maps each key met to its `"key": ` text.  A
+    tuple in a sample, as a spec's text tuple is, is rendered once per
+    report: `spec_texts` maps its `id` to its text, and the report holds
+    every tuple while it renders, so no `id` is reused within a report.  A
+    value of any other shape goes through `_json_text`."""
+    if type(case) is not dict or not case:
+        return _json_text(case, "    ")
+    items = []
+    for key, value in case.items():
+        head = key_texts.get(key) or key_texts.setdefault(key, _key_text(key))
+        kind = type(value)
+        if kind is dict and value:
+            items.append(head + "{\n        " + ",\n        ".join(
+                _flat_items(value, "        ", key_texts, None)) + "\n      }")
+        elif kind is list and value:
+            items.append(head + "[\n        " + ",\n        ".join([
+                "{\n          " + ",\n          ".join(
+                    _flat_items(sample, "          ", key_texts, spec_texts)) + "\n        }"
+                if type(sample) is dict and sample else _json_text(sample, "        ")
+                for sample in value
+            ]) + "\n      ]")
+        elif kind is str:
+            items.append(head + encode_basestring_ascii(value))
+        elif kind is int:
+            items.append(head + int.__repr__(value))
+        else:
+            items.append(head + _json_text(value, "      "))
+    return "{\n      " + ",\n      ".join(items) + "\n    }"
+
+
 def _json_pieces(report) -> Iterator[str]:
     """The report as `json.dumps(report, indent=2)` plus a newline, without
     the standard library's pure-Python indenting encoder, in pieces: each
     top-level item, and each item of a nonempty top-level list (the cases)
-    on its own, so a writer never holds the whole text."""
+    on its own, so a writer never holds the whole text.  Each such item
+    goes through `_case_text`, with one table of key texts and one of spec
+    texts per report."""
     if not isinstance(report, dict) or not report:
         yield _json_text(report, "") + "\n"
         return
+    key_texts: dict[str, str] = {}
+    spec_texts: dict[int, str] = {}
     separator = "{\n  "
     for key, value in report.items():
-        if not isinstance(key, str):
-            raise TypeError(f"report keys must be str, got {key!r}")
-        yield f"{separator}{encode_basestring_ascii(key)}: "
+        yield separator + _key_text(key)
         separator = ",\n  "
         if not isinstance(value, (list, tuple)) or not value:
             yield _json_text(value, "  ")
             continue
         opening = "["
         for item in value:
-            yield f"{opening}\n    {_json_text(item, '    ')}"
+            yield f"{opening}\n    {_case_text(item, key_texts, spec_texts)}"
             opening = ","
         yield "\n  ]"
     yield "\n}\n"

@@ -177,11 +177,27 @@ def sharing(cases, shared):
             for case in cases]
 
 
-# cases of their own, or cases that share one tuple of strings, as the
-# samples at a spec share its text tuple, which must render right at each
-# indent it stands at
+# the shape `_case` builds, with every value the case writer hands to the
+# generic renderer: samples holding ints, bools, None, nested containers,
+# tuples of non-strings and empty dicts, non-dict samples, and `samples`
+# that is a tuple, a dict or a string
+sample_lists = st.lists(
+    st.one_of(st.dictionaries(report_keys, json_trees, max_size=4), json_trees), max_size=4
+)
+case_shapes = st.lists(st.builds(
+    lambda inputs, samples, tail: {"inputs": inputs, "samples": samples, **tail},
+    st.dictionaries(report_keys, json_trees, max_size=4),
+    st.one_of(sample_lists, sample_lists.map(tuple),
+              st.dictionaries(report_keys, json_trees, max_size=3), st.text(max_size=6)),
+    st.dictionaries(report_keys, json_trees, max_size=3),
+), max_size=4)
+
+# cases of their own, case-shaped ones, or cases that share one tuple of
+# strings, as the samples at a spec share its text tuple, which must render
+# right at each indent it stands at
 report_cases = st.one_of(
     case_lists,
+    case_shapes,
     st.builds(sharing, case_lists, st.lists(st.text(max_size=6), max_size=3).map(tuple)),
 )
 # a report's top-level items around its cases, which may be empty or a tuple
@@ -253,12 +269,41 @@ def test_sampled_case_compares_texts_as_the_values_compare(values, expected, vir
 
 
 @pytest.mark.parametrize(
-    "bad", [1.5, {"x": [0.0]}, {1: "a"}, {None: "a"}, {("a",): 1}, [set()]],
-    ids=["float", "nested-float", "int-key", "none-key", "tuple-key", "set"],
+    "bad",
+    [1.5, {"x": [0.0]}, {1: "a"}, {None: "a"}, {("a",): 1}, [set()],
+     {"cases": [{"inputs": {}, "samples": [{"s": ("1", "2"), 1: "a"}]}]},
+     {"cases": [{"inputs": {"n": 1, 2: "a"}, "samples": []}]},
+     {"cases": [{"inputs": {}, True: "a"}]},
+     {"cases": [{"inputs": {}, "samples": [{"value": 0.5}]}]}],
+    ids=["float", "nested-float", "int-key", "none-key", "tuple-key", "set", "sample-int-key",
+         "inputs-int-key", "case-bool-key", "sample-float"],
 )
 def test_report_json_refuses_what_a_report_never_holds(bad):
     with pytest.raises(TypeError):
         report_json(bad)
+
+
+def test_spec_texts_are_looked_up_within_one_report():
+    """A tuple in a sample is rendered once per report and then looked up by
+    its `id`; a later report whose tuple takes a freed tuple's `id` renders
+    its own text, and a tuple a sample shares with `params`, `inputs` or a
+    later top-level item renders right at each indent it stands at."""
+
+    def one_case(shared):
+        return {"cases": [{"inputs": {}, "samples": [{"s": shared, "value": "0"}]}]}
+
+    first = tuple([str(1), str(2)])
+    assert report_json(one_case(first)) == json.dumps(one_case(first), indent=2) + "\n"
+    del first
+    # CPython hands a freed tuple's memory, so its id, to a later tuple of its length
+    second = tuple([str(3), str(4)])
+    assert report_json(one_case(second)) == json.dumps(one_case(second), indent=2) + "\n"
+    shared = tuple([str(5), str(6)])
+    report = {"params": {"specs": shared},
+              "cases": [{"inputs": {}, "samples": [{"s": shared}, {"s": shared}]},
+                        {"inputs": {"s": shared}, "samples": [{"s": shared}], "extra": shared}],
+              "tail": shared}
+    assert report_json(report) == json.dumps(report, indent=2) + "\n"
 
 
 def test_report_json_renders_a_failed_hrr_report_like_json_dumps(monkeypatch):
